@@ -14,7 +14,7 @@ from .positivity import (PolarityReport, PredicateClass,
                          polarity)
 from .printer import pp
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, CriticalPair,
-                        RewriteRule, confluence_check, critical_pairs,
+                        RewriteRule, RuleSet, confluence_check, critical_pairs,
                         joinable, left_linear, match_first_order, normalize,
                         reduce_one, step, unify)
 from .schema import (AccPair, CCJudgment, SchemaVerdict, acc_step,

@@ -12,7 +12,7 @@ from .orderings import rpo_terminates
 from .positivity import (PredicateClass, check_inductive_structure,
                          classify_predicate, polarity)
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
-                        confluence_check, rename_apart, unify)
+                        RuleSet, confluence_check, unify)
 from .schema import derived_type, satisfies_general_schema
 from .signature import Signature
 from .terms import (Abs, CacError, EPSILON, Prod, Sort, Symb, Term, Var,
@@ -289,7 +289,7 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                                               "positive", "recursive",
                                               "safe")) -> SystemProperties:
     props = SystemProperties()
-    rules = list(all_rules) or list(grules)
+    rules = RuleSet.of(all_rules or grules)
     confluent = False
 
     if "algebraic" in which:
@@ -446,14 +446,14 @@ def _top_overlap_free(grules: Sequence[RewriteRule]) -> Optional[TriState]:
                 return Symb(t.name, tuple(relin(a) for a in t.args))
             return subst_apply(t, fresh)
         lin.append((r.name, relin(r.lhs)))
-    for i in range(len(lin)):
-        for j in range(i + 1, len(lin)):
-            ni, li = lin[i]
-            nj, lj = lin[j]
-            if isinstance(li, Symb) and isinstance(lj, Symb) \
-                    and li.name == lj.name and unify(li, lj) is not None:
-                return fails(f"rules {ni} and {nj} can both apply at the "
-                             f"top of a {li.name} term")
+    same_head: Dict[str, List[int]] = {}
+    for k, (_, lk) in enumerate(lin):
+        same_head.setdefault(lk.name, []).append(k)
+    for i, (ni, li) in enumerate(lin):
+        for j in same_head[li.name]:
+            if j > i and unify(li, lin[j][1]) is not None:
+                return fails(f"rules {ni} and {lin[j][0]} can both apply "
+                             f"at the top of a {li.name} term")
     return None
 
 
@@ -483,11 +483,9 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
     asserted), and mention no non-algebraic symbol.  Returns the two
     parts plus, for each demoted symbol, the reason it left the
     algebraic part."""
+    rules = RuleSet.of(rules)
     _, defined = sig.free_and_defined(rules)
-    by_head: Dict[str, List[RewriteRule]] = {g: [] for g in defined}
-    for r in rules:
-        if r.head_name() in by_head:
-            by_head[r.head_name()].append(r)
+    by_head = rules.by_head
     reasons: Dict[str, str] = {}
 
     def demote(g: str) -> Optional[str]:
@@ -634,7 +632,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
                      assume_terminating: bool = False,
                      force_non_algebraic: FrozenSet[str] = frozenset()
                      ) -> AdmissibilityReport:
-    rules = list(rules)
+    rules = RuleSet.of(rules)
     failures: List[str] = []
     assertions: List[str] = []
 
@@ -680,7 +678,10 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
                                  which=("algebraic", "non_duplicating"))
     fna_props = system_properties(fna, fna_rules, sig, rules, fuel,
                                   which=("safe", "recursive"))
-    if fa_rules:
+    cycle = sig.check_precedence()
+    if cycle is not None:
+        a4_sn = fails("the precedence is cyclic: " + " > ".join(cycle))
+    elif fa_rules:
         trace = rpo_terminates(sig, fa_rules)
         if trace is not None:
             a4_sn = TriState("HOLDS", "; ".join(trace))

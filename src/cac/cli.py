@@ -141,12 +141,22 @@ def cmd_convert(args) -> int:
     return 0 if conv else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cac",
         description="Type checker and admissibility checker for a "
                     "calculus of constructions with rewrite rules")
-    ap.add_argument("--fuel", type=int, default=10000,
+    ap.add_argument("--fuel", type=_positive_int, default=10000,
                     help="reduction step budget (default 10000)")
     ap.add_argument("--report", choices=("text", "structured"),
                     default="text", help="output format")

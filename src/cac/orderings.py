@@ -38,9 +38,13 @@ def _lex_greater(prec, ss: Sequence[Term], ts: Sequence[Term]) -> bool:
 
 def rpo_terminates(signature, rules) -> Optional[List[str]]:
     """A trace of per-rule orientations when RPO proves termination of a
-    fully algebraic rule set; None when some rule cannot be oriented."""
+    fully algebraic rule set; None when some rule cannot be oriented, or
+    when the precedence is cyclic: RPO is well-founded only over a
+    well-founded precedence (Dershowitz, TCS 1982)."""
     trace = []
     prec = signature.precedence
+    if prec.find_cycle() is not None:
+        return None
     for rule in rules:
         if not (is_algebraic(rule.lhs) and is_algebraic(rule.rhs)):
             return None

@@ -3,14 +3,16 @@ pairs and the confluence verdict."""
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .terms import (Abs, App, BVar, CacError, Environment, FuelExhausted,
                     Position, Prod, Symb, Term, Var, Variable, alpha_eq,
                     free_vars, is_algebraic, open_, open_fresh, lam,
-                    positions, replace_at, subst_apply, subterm_at)
+                    positions, replace_at, subst_apply, subterm_at,
+                    symbols_of)
 
 
 class RuleError(CacError):
@@ -46,6 +48,37 @@ class RewriteRule:
 
     def __str__(self):
         return f"{self.name}: {self.lhs} -> {self.rhs}"
+
+
+class RuleSet(collections.abc.Sequence):
+    """Rules in declaration order, indexed by the head symbol of their
+    left-hand side.  A rule can only apply at, or overlap into, a
+    subterm headed by its own head, so lookups by head replace scans
+    over every rule (Graf, Term Indexing, LNCS 1053)."""
+
+    __slots__ = ("rules", "by_head", "heads")
+
+    def __init__(self, rules: Iterable[RewriteRule] = ()):
+        self.rules: Tuple[RewriteRule, ...] = tuple(rules)
+        by_head: Dict[str, List[RewriteRule]] = {}
+        for r in self.rules:
+            by_head.setdefault(r.head_name(), []).append(r)
+        self.by_head: Dict[str, Tuple[RewriteRule, ...]] = {
+            h: tuple(rs) for h, rs in by_head.items()}
+        self.heads: FrozenSet[str] = frozenset(by_head)
+
+    @classmethod
+    def of(cls, rules: Iterable[RewriteRule]) -> "RuleSet":
+        return rules if isinstance(rules, RuleSet) else cls(rules)
+
+    def __len__(self):
+        return len(self.rules)
+
+    def __getitem__(self, i):
+        return self.rules[i]
+
+    def __iter__(self):
+        return iter(self.rules)
 
 
 def match_first_order(pattern: Term, subject: Term,
@@ -127,12 +160,13 @@ def rename_apart(rule: RewriteRule) -> RewriteRule:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _root_reducts(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
+def _root_reducts(t: Term, rules: RuleSet) -> List[Term]:
     out = []
-    for rule in rules:
-        sigma = match_first_order(rule.lhs, t)
-        if sigma is not None:
-            out.append(subst_apply(rule.rhs, sigma))
+    if isinstance(t, Symb):
+        for rule in rules.by_head.get(t.name, ()):
+            sigma = match_first_order(rule.lhs, t)
+            if sigma is not None:
+                out.append(subst_apply(rule.rhs, sigma))
     if isinstance(t, App) and isinstance(t.head, Abs):
         out.append(open_(t.head.body, t.arg))
     return out
@@ -140,6 +174,7 @@ def _root_reducts(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
 
 def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
     """All one-step reducts of t (rule steps and beta steps, anywhere)."""
+    rules = RuleSet.of(rules)
     out: List[Term] = []
 
     def add(u):
@@ -176,10 +211,12 @@ def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
 def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:
     """Leftmost-outermost single step; rules take priority over beta at
     the same position.  None when t is in normal form."""
-    for rule in rules:
-        sigma = match_first_order(rule.lhs, t)
-        if sigma is not None:
-            return subst_apply(rule.rhs, sigma)
+    rules = RuleSet.of(rules)
+    if isinstance(t, Symb):
+        for rule in rules.by_head.get(t.name, ()):
+            sigma = match_first_order(rule.lhs, t)
+            if sigma is not None:
+                return subst_apply(rule.rhs, sigma)
     if isinstance(t, App) and isinstance(t.head, Abs):
         return open_(t.head.body, t.arg)
     if isinstance(t, Symb):
@@ -221,6 +258,7 @@ def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:
 def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
     """Leftmost-outermost normal form; raises FuelExhausted rather than
     ever returning a reducible term."""
+    rules = RuleSet.of(rules)
     for _ in range(fuel):
         r = step(t, rules)
         if r is None:
@@ -238,6 +276,7 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
     breadth-first search of both reduction graphs."""
     if alpha_eq(t, u):
         return True
+    rules = RuleSet.of(rules)
     if confluent:
         return alpha_eq(normalize(t, rules, fuel), normalize(u, rules, fuel))
     seen_t, seen_u = [t], [u]
@@ -319,15 +358,32 @@ def _overlaps(r1: RewriteRule, r2: RewriteRule,
 def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
     """All overlaps between renamed-apart rule pairs at non-variable
     positions.  Rule/beta pairs do not exist: left-hand sides are
-    algebraic, hence abstraction-free."""
+    algebraic, hence abstraction-free.
+
+    Rule j can overlap into rule i only at a subterm of lhs i headed by
+    the head of j, so a pair is tried only when one head occurs in the
+    other's lhs.  Pairs come out ordered by i, then j, then direction."""
+    rules = RuleSet.of(rules)
+    renamed = [rename_apart(r) for r in rules]
+    syms = [symbols_of(r.lhs) for r in rules]
+    at_head: Dict[str, List[int]] = {}     # rules with this head
+    mentioning: Dict[str, List[int]] = {}  # rules whose lhs has this symbol
+    for k, r in enumerate(rules):
+        at_head.setdefault(r.head_name(), []).append(k)
+        for g in syms[k]:
+            mentioning.setdefault(g, []).append(k)
     out: List[CriticalPair] = []
-    n = len(rules)
-    for i in range(n):
-        ri = rename_apart(rules[i])
+    for i, ri in enumerate(renamed):
+        head = ri.head_name()
         # self-overlaps at proper positions only
-        out.extend(_overlaps(ri, rename_apart(rules[i]), include_root=False))
-        for j in range(i + 1, n):
-            rj = rename_apart(rules[j])
+        if any(head in symbols_of(a) for a in ri.lhs_args()):
+            out.extend(_overlaps(ri, rename_apart(rules[i]),
+                                 include_root=False))
+        partners = set(mentioning.get(head, ()))
+        for g in syms[i]:
+            partners.update(at_head.get(g, ()))
+        for j in sorted(j for j in partners if j > i):
+            rj = renamed[j]
             out.extend(_overlaps(ri, rj, include_root=True))
             out.extend(_overlaps(rj, ri, include_root=False))
     return out
@@ -360,6 +416,7 @@ def confluence_check(rules: Sequence[RewriteRule], signature=None,
     confluence of the combination with beta).  NEWMAN: a recursive path
     order proves termination of the rules and all critical pairs join.
     ASSERTED: user flag.  Otherwise UNKNOWN."""
+    rules = RuleSet.of(rules)
     if not rules:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL, ["empty rule set"])
     ll = all(left_linear(r) for r in rules)
@@ -389,4 +446,4 @@ def confluence_check(rules: Sequence[RewriteRule], signature=None,
                                  ["assume-confluent pragma"])
     return ConfluenceVerdict(ConfluenceLevel.UNKNOWN,
                              [f"{len(cps)} critical pair(s); "
-                              "left-linear" if ll else "non-left-linear"])
+                              + ("left-linear" if ll else "non-left-linear")])

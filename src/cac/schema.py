@@ -226,9 +226,9 @@ class _CC:
                  confluent: bool = False):
         self.rule = rule
         self.sig = sig
-        self.rules = list(rules)
         self.fuel = fuel
         self.tc = TypeChecker(sig, rules, fuel=fuel, confluent=confluent)
+        self.rules = self.tc.rules
         lhs = rule.lhs
         assert isinstance(lhs, Symb)
         self.fname = lhs.name
@@ -306,6 +306,10 @@ class _CC:
             self.fail(t, f"{t.name} expects {decl.arity} argument(s)")
         prec = self.sig.precedence
         if prec.gt(self.fname, t.name):
+            cycle = prec.find_cycle()
+            if cycle is not None:
+                self.fail(t, "the precedence is cyclic: "
+                             + " > ".join(cycle))
             tag, note = "symb<", ""
         elif prec.eq(t.name, self.fname):
             gamma = decl.inst(t.args)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from .rewriting import RuleSet
 from .terms import (CacError, Environment, Prod, Sort, SortT, STAR, Symb,
                     Term, Var, Variable, open_, sort_class_of_type,
                     subst_apply, symbols_of)
@@ -61,6 +62,13 @@ class Precedence:
         self._parent: Dict[str, str] = {}
         self._user_gt: set = set()      # (a, b) meaning a >_F b
         self._default_gt: set = set()
+        self._changed()
+
+    def _changed(self):
+        """Drop what is derived from the pragmas; rebuilt on demand."""
+        self._succ: Optional[Dict[str, List[str]]] = None
+        self._cycle: Optional[List[str]] = None
+        self._cycle_known = False
 
     def _find(self, a: str) -> str:
         p = self._parent.get(a, a)
@@ -74,12 +82,15 @@ class Precedence:
         ra, rb = self._find(a), self._find(b)
         if ra != rb:
             self._parent[ra] = rb
+        self._changed()
 
     def add_gt(self, a: str, b: str):
         self._user_gt.add((a, b))
+        self._changed()
 
     def add_default_gt(self, a: str, b: str):
         self._default_gt.add((a, b))
+        self._changed()
 
     def eq(self, a: str, b: str) -> bool:
         return self._find(a) == self._find(b)
@@ -98,18 +109,27 @@ class Precedence:
             edges.add((ra, rb))
         return edges
 
+    def _successors(self) -> Dict[str, List[str]]:
+        """Successor lists of the strict edges, built once per pragma
+        state; sorted so that find_cycle's witness is reproducible."""
+        if self._succ is None:
+            succ: Dict[str, List[str]] = {}
+            for u, v in sorted(self._strict_edges()):
+                succ.setdefault(u, []).append(v)
+            self._succ = succ
+        return self._succ
+
     def gt(self, a: str, b: str) -> bool:
         """a >_F b in the transitive closure of the strict class order."""
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return False
-        edges = self._strict_edges()
+        succ = self._successors()
         seen = {ra}
         stack = [ra]
         while stack:
-            x = stack.pop()
-            for (u, v) in edges:
-                if u == x and v not in seen:
+            for v in succ.get(stack.pop(), ()):
+                if v not in seen:
                     if v == rb:
                         return True
                     seen.add(v)
@@ -121,33 +141,36 @@ class Precedence:
 
     def find_cycle(self) -> Optional[List[str]]:
         """A cycle in the strict class order, or None if acyclic."""
-        edges = self._strict_edges()
-        succ: Dict[str, List[str]] = {}
-        for u, v in edges:
-            succ.setdefault(u, []).append(v)
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: Dict[str, int] = {}
-        path: List[str] = []
+        if not self._cycle_known:
+            self._cycle = self._search_cycle()
+            self._cycle_known = True
+        return self._cycle
 
-        def dfs(u):
-            color[u] = GREY
-            path.append(u)
-            for v in succ.get(u, []):
-                if color.get(v, WHITE) == GREY:
-                    return path[path.index(v):] + [v]
-                if color.get(v, WHITE) == WHITE:
-                    cyc = dfs(v)
-                    if cyc:
-                        return cyc
-            path.pop()
-            color[u] = BLACK
-            return None
-
-        for u in list(succ):
-            if color.get(u, WHITE) == WHITE:
-                cyc = dfs(u)
-                if cyc:
-                    return cyc
+    def _search_cycle(self) -> Optional[List[str]]:
+        """Depth-first search with an explicit stack, so that long
+        precedence chains cannot exhaust the interpreter's stack."""
+        succ = self._successors()
+        done: set = set()
+        for root in succ:
+            if root in done:
+                continue
+            path = [root]
+            on_path = {root: 0}
+            pending = [iter(succ[root])]
+            while pending:
+                for v in pending[-1]:
+                    if v in on_path:
+                        return path[on_path[v]:] + [v]
+                    if v not in done:
+                        on_path[v] = len(path)
+                        path.append(v)
+                        pending.append(iter(succ.get(v, ())))
+                        break
+                else:
+                    pending.pop()
+                    u = path.pop()
+                    del on_path[u]
+                    done.add(u)
         return None
 
 
@@ -204,7 +227,7 @@ class Signature:
         binders, output = split_telescope(typ, arity, name)
 
         from .typing import TypeChecker  # deferred: typing depends on signature
-        tc = TypeChecker(self, list(rules), fuel=fuel)
+        tc = TypeChecker(self, rules, fuel=fuel)
         sort = tc.sort_of(Environment(), typ)
 
         decl = SymbolDecl(name, arity, typ, sort, binders, output)
@@ -217,12 +240,12 @@ class Signature:
     # -- classification -----------------------------------------------------
 
     def free_and_defined(self, rules) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-        defined = frozenset(r.head_name() for r in rules if r.head_name() in self.decls)
+        defined = RuleSet.of(rules).heads.intersection(self.decls)
         free = frozenset(self.decls) - defined
         return free, defined
 
     def is_free(self, name: str, rules) -> bool:
-        return all(r.head_name() != name for r in rules)
+        return name not in RuleSet.of(rules).heads
 
     def free_predicate_symbols(self, rules) -> List[str]:
         free, _ = self.free_and_defined(rules)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .rewriting import RewriteRule, joinable, normalize, step
+from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
 from .terms import (Abs, App, BOX, BVar, CacError, Environment, FuelExhausted,
                     Prod, STAR, Sort, SortT, Symb, Term, Var, Variable,
@@ -41,7 +41,7 @@ class TypeChecker:
     def __init__(self, signature: Signature, rules: Sequence[RewriteRule] = (),
                  fuel: int = 10000, confluent: bool = False):
         self.sig = signature
-        self.rules = list(rules)
+        self.rules = RuleSet.of(rules)
         self.fuel = fuel
         self.confluent = confluent
         self._tau_sorts = {}

@@ -7,6 +7,7 @@ from cac import (Outcome, OverallVerdict, check_admissible,
                  check_type_preservation, load, partition_defined,
                  system_properties)
 from cac.admissibility import partition_explained
+from cac.orderings import rpo_terminates
 from tests.conftest import corpus_source
 
 
@@ -159,3 +160,27 @@ def test_report_text_and_dict_consistent(intf):
     assert d["a4"]["algebraic"] == ["p", "plus", "s", "times"]
     assert "strongly normalizing" in d["meaning"]
     assert "overall: ADMISSIBLE" in report.to_text()
+
+
+CYCLIC_PRECEDENCE = """
+symbol o : * .
+symbol z : o .
+symbol f : o -> o .
+symbol g : o -> o .
+pragma prec f > g .
+pragma prec g > f .
+rule f(x) -> g(x) .
+rule g(x) -> f(x) .
+"""
+
+
+def test_cyclic_precedence_is_rejected():
+    # each rule is RPO-oriented by one half of the cycle; neither the
+    # termination proof nor the closure's symb< rule may rest on it
+    lf = load(CYCLIC_PRECEDENCE)
+    report = check_admissible(lf.signature, lf.rules)
+    assert report.overall == OverallVerdict.REJECTED
+    assert report.a4_sn.status == "FAILS"
+    assert report.a4_sn.witness == "the precedence is cyclic: f > g > f"
+    assert rpo_terminates(lf.signature, lf.rules) is None
+    assert "cyclic" in report.a4_non_algebraic_props.recursive.witness

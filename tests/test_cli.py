@@ -66,3 +66,41 @@ def test_usage_errors(capsys):
     assert main(["check", "/nonexistent.cac"]) == 2
     assert main(["convert", path("int"), "-e", "0"]) == 2
     capsys.readouterr()
+
+
+def test_fuel_must_be_positive(capsys):
+    for fuel in ("0", "-5", "ten"):
+        assert main(["--fuel", fuel, "check", path("int")]) == 2
+        assert main([f"--fuel={fuel}", "check", path("int")]) == 2
+    assert "--fuel" in capsys.readouterr().err
+    assert main(["--fuel", "1", "normalize", path("int"), "-e", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_cyclic_precedence_rejected(tmp_path, capsys):
+    from tests.test_admissibility import CYCLIC_PRECEDENCE
+    f = tmp_path / "cycle.cac"
+    f.write_text(CYCLIC_PRECEDENCE, encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert "strong normalization: FAILS (the precedence is cyclic: " \
+        "f > g > f)" in out
+    assert "overall: REJECTED" in out
+
+
+def test_structured_admissibility_keys(capsys):
+    # the layout the README documents
+    assert main(["--report", "structured", "admissibility",
+                 path("nat")]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert sorted(obj) == ["a1", "a2", "a3", "a4", "assertions", "meaning",
+                           "overall", "s_conditions"]
+    assert sorted(obj["a1"]) == ["evidence", "level"]
+    assert sorted(obj["a2"]) == ["violations"]
+    assert sorted(obj["a3"]) == ["branch", "properties"]
+    assert sorted(obj["a4"]) == [
+        "algebraic", "algebraic_properties", "demotions", "non_algebraic",
+        "non_algebraic_properties", "separation", "strong_normalization"]
+    assert sorted(obj["a4"]["strong_normalization"]) == ["status", "witness"]
+    for conds in obj["s_conditions"].values():
+        assert sorted(conds) == ["s1", "s2", "s3", "s4", "s5"]

@@ -1,13 +1,16 @@
 """Matching, unification, reduction, critical pairs, confluence."""
 
+import random
+
 import pytest
 
 from cac import (ConfluenceLevel, RewriteRule, STAR, Symb, Var, Variable,
                  alpha_eq, confluence_check, critical_pairs, joinable,
                  left_linear, match_first_order, normalize, reduce_one,
                  step, unify)
-from cac.rewriting import RuleError, rename_apart
-from cac.terms import Abs, App, BVar, FuelExhausted, Sort, lam
+from cac.rewriting import RuleError, RuleSet, rename_apart
+from cac.terms import (Abs, App, BVar, FuelExhausted, Sort, free_vars, lam,
+                       positions, replace_at, subst_apply, subterm_at)
 
 
 def v(name):
@@ -154,3 +157,104 @@ def test_rename_apart_is_fresh():
     assert fv != x  # fresh variable, same shape
     assert r2.rhs == Var(fv)
     assert match_first_order(r2.lhs, r.lhs) is not None
+
+
+def test_confluence_unknown_keeps_count_when_not_left_linear():
+    x, y = v("x"), v("y")
+    rules = [RewriteRule("r1", sy("eq", Var(x), Var(x)), sy("a")),
+             RewriteRule("r2", sy("eq", Var(y), sy("a")), sy("b"))]
+    verdict = confluence_check(rules)
+    assert verdict.level == ConfluenceLevel.UNKNOWN
+    assert verdict.evidence == ["1 critical pair(s); non-left-linear"]
+
+
+def test_rule_set_index():
+    rules = int_rules()
+    rs = RuleSet.of(rules)
+    assert RuleSet.of(rs) is rs
+    assert list(rs) == rules and len(rs) == 4 and rs[2] is rules[2]
+    assert rs.heads == frozenset({"s", "p", "plus", "times"})
+    assert rs.by_head["plus"] == (rules[2],)
+    assert "0" not in rs.by_head
+
+
+# -- critical pairs against an all-pairs reference ---------------------------
+
+# symbol -> arity of the random first-order signature
+RANDOM_SIG = {"a": 0, "b": 0, "f": 1, "h": 1, "g": 2}
+
+
+def random_lhs(rng, pool, depth):
+    """A symbol-headed algebraic term; variables come from `pool`, so a
+    variable may repeat (non-left-linear rules occur too)."""
+    name = rng.choice([n for n, k in RANDOM_SIG.items() if k or depth == 0])
+    args = []
+    for _ in range(RANDOM_SIG[name]):
+        if depth == 0 or rng.random() < 0.4:
+            args.append(Var(rng.choice(pool)))
+        else:
+            args.append(random_lhs(rng, pool, depth - 1))
+    return Symb(name, tuple(args))
+
+
+def random_rhs(rng, lhs_vars, depth):
+    if lhs_vars and (depth == 0 or rng.random() < 0.4):
+        return Var(rng.choice(lhs_vars))
+    if depth == 0:
+        return sy(rng.choice(["a", "b"]))
+    name = rng.choice(list(RANDOM_SIG))
+    return Symb(name, tuple(random_rhs(rng, lhs_vars, depth - 1)
+                            for _ in range(RANDOM_SIG[name])))
+
+
+def random_rules(rng):
+    rules = []
+    for k in range(rng.randrange(1, 7)):
+        pool = [v(n) for n in "xyz"]
+        lhs = random_lhs(rng, pool, rng.randrange(0, 3))
+        lhs_vars = sorted(free_vars(lhs), key=lambda w: w.id)
+        rules.append(RewriteRule(f"q{k}", lhs,
+                                 random_rhs(rng, lhs_vars, 2)))
+    return rules
+
+
+def all_pairs_critical_pairs(rules):
+    """Reference enumeration: every ordered pair of renamed-apart rules,
+    every non-variable position, no index (self-overlaps at proper
+    positions only)."""
+    out = []
+
+    def overlaps(r1, r2, include_root):
+        for p in positions(r1.lhs):
+            sub = subterm_at(r1.lhs, p)
+            if not isinstance(sub, Symb) or (p == () and not include_root):
+                continue
+            sigma = unify(sub, r2.lhs)
+            if sigma is None:
+                continue
+            peak = subst_apply(r1.lhs, sigma)
+            left = subst_apply(r1.rhs, sigma)
+            right = subst_apply(replace_at(r1.lhs, p, r2.rhs), sigma)
+            out.append(f"peak {peak} -> {left} | {right} "
+                       f"(rules {r1.name}/{r2.name} at {list(p)})")
+
+    for i, rule in enumerate(rules):
+        ri = rename_apart(rule)
+        overlaps(ri, rename_apart(rule), include_root=False)
+        for rule_j in rules[i + 1:]:
+            rj = rename_apart(rule_j)
+            overlaps(ri, rj, include_root=True)
+            overlaps(rj, ri, include_root=False)
+    return out
+
+
+def test_critical_pairs_match_all_pairs_reference():
+    rng = random.Random(20261017)
+    found = 0
+    for _ in range(300):
+        rules = random_rules(rng)
+        got = [str(cp) for cp in critical_pairs(rules)]
+        assert got == all_pairs_critical_pairs(rules), \
+            [str(r) for r in rules]
+        found += len(got)
+    assert found > 100  # the generator does produce overlaps

@@ -67,6 +67,40 @@ def test_precedence_cycle_detection():
     assert sig.precedence.find_cycle() is not None
 
 
+def test_precedence_queries_see_later_pragmas():
+    sig = base_sig()
+    sig.declare("f", 0, Symb("o", ()))
+    sig.declare("g", 0, Symb("o", ()))
+    prec = sig.precedence
+    assert not prec.gt("f", "g")
+    assert prec.find_cycle() is None
+    prec.add_gt("f", "g")
+    assert prec.gt("f", "g") and not prec.gt("g", "f")
+    assert prec.find_cycle() is None
+    prec.add_gt("g", "f")
+    assert prec.gt("g", "f")
+    assert prec.find_cycle() == ["f", "g", "f"]
+    # f > g with f ~ g puts the merged class strictly above itself
+    prec.add_eq("f", "g")
+    assert not prec.gt("f", "g")
+    assert prec.find_cycle() == ["g", "g"]
+    # a declaration adds default edges below the new symbol
+    assert not prec.gt("k", "f")
+    sig.declare("k", 0, Symb("o", ()))
+    prec.add_gt("k", "g")
+    assert prec.gt("k", "f") and prec.gt("k", "o")
+
+
+def test_long_precedence_chain_has_no_cycle():
+    prec = base_sig().precedence
+    for i in range(3000):
+        prec.add_gt(f"s{i}", f"s{i + 1}")
+    assert prec.find_cycle() is None
+    assert prec.gt("s0", "s3000")
+    prec.add_gt("s3000", "s0")
+    assert len(prec.find_cycle()) == 3002
+
+
 def test_constructors_of_includes_non_free_symbols(intf):
     sig = intf.signature
     names = set(sig.constructors_of("int"))
