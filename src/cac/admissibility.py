@@ -5,7 +5,7 @@ symbols, and the top-level admissibility verdict (A1-A4)."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .orderings import rpo_terminates
@@ -13,11 +13,11 @@ from .positivity import (PredicateClass, check_inductive_structure,
                          classify_predicate, polarity)
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
                         RuleSet, confluence_check, unify)
-from .schema import derived_type, satisfies_general_schema
+from .schema import derived_type, rule_type, satisfies_general_schema
 from .signature import Signature
-from .terms import (Abs, CacError, EPSILON, Prod, Sort, Symb, Term, Var,
-                    Variable, alpha_eq, free_vars, is_algebraic, positions,
-                    positions_of, spine, subst_apply, subterm_at, symbols_of)
+from .terms import (Abs, CacError, EPSILON, Sort, Symb, Term, Var, Variable,
+                    alpha_eq, free_vars, is_algebraic, positions_of, spine,
+                    subst_apply, subterm_at, symbols_of, var_counts)
 from .typing import TypeChecker
 
 
@@ -40,14 +40,6 @@ class ConditionResult:
 
 # ---------------------------------------------------------------------------
 # S1-S5
-
-
-def _rule_expected_type(rule: RewriteRule, sig: Signature) -> Term:
-    lhs = rule.lhs
-    assert isinstance(lhs, Symb)
-    decl = sig.decls[lhs.name]
-    gamma = decl.inst(lhs.args)
-    return subst_apply(subst_apply(decl.output, gamma), rule.ann_subst)
 
 
 def check_type_preservation(rule: RewriteRule, sig: Signature,
@@ -75,7 +67,7 @@ def check_type_preservation(rule: RewriteRule, sig: Signature,
         out["s1"] = ConditionResult("s1", Outcome.PASS)
 
     tc = TypeChecker(sig, rules, fuel=fuel, confluent=confluent)
-    expected = _rule_expected_type(rule, sig)
+    expected = rule_type(rule, sig)
 
     def typed(name: str, term: Term) -> ConditionResult:
         try:
@@ -272,25 +264,26 @@ def _is_primitive_predicate(sig: Signature, name: str, rules) -> bool:
     return classify_predicate(sig, name, rules) == PredicateClass.PRIMITIVE
 
 
-def _var_counts(t: Term) -> Dict[Variable, int]:
-    counts: Dict[Variable, int] = {}
-    for p in positions(t):
-        s = subterm_at(t, p)
-        if isinstance(s, Var):
-            counts[s.var] = counts.get(s.var, 0) + 1
-    return counts
+def _duplication(r: RewriteRule) -> Optional[str]:
+    """Why r is duplicating (a variable with more occurrences in the rhs
+    than in the lhs), or None."""
+    lc, rc = var_counts(r.lhs), var_counts(r.rhs)
+    for v, n in sorted(rc.items(), key=lambda kv: kv[0].name):
+        if n > lc[v]:
+            return (f"rule {r.name} duplicates {v.name} ({lc[v]} "
+                    f"occurrence(s) in the lhs, {n} in the rhs)")
+    return None
 
 
 def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                       sig: Signature, all_rules: Sequence[RewriteRule] = (),
-                      fuel: int = 10000,
+                      fuel: int = 10000, confluent: bool = False,
                       which: Sequence[str] = ("algebraic", "non_duplicating",
                                               "primitive", "simple",
                                               "positive", "recursive",
                                               "safe")) -> SystemProperties:
     props = SystemProperties()
     rules = RuleSet.of(all_rules or grules)
-    confluent = False
 
     if "algebraic" in which:
         verdict = HOLDS
@@ -315,18 +308,8 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
         props.algebraic = verdict
 
     if "non_duplicating" in which:
-        verdict = HOLDS
-        for r in grules:
-            lc, rc = _var_counts(r.lhs), _var_counts(r.rhs)
-            for v, n in sorted(rc.items(), key=lambda kv: kv[0].name):
-                if n > lc.get(v, 0):
-                    verdict = fails(f"rule {r.name} duplicates {v.name} "
-                                    f"({lc.get(v, 0)} occurrence(s) in the "
-                                    f"lhs, {n} in the rhs)")
-                    break
-            if not verdict.holds:
-                break
-        props.non_duplicating = verdict
+        why = next(filter(None, map(_duplication, grules)), None)
+        props.non_duplicating = HOLDS if why is None else fails(why)
 
     if "primitive" in which:
         verdict = HOLDS
@@ -500,12 +483,9 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
         for r in by_head[g]:
             if not is_algebraic(r.rhs):
                 return f"rule {r.name} has a non-algebraic right-hand side"
-            lc, rc = _var_counts(r.lhs), _var_counts(r.rhs)
-            for v, n in sorted(rc.items(), key=lambda kv: kv[0].name):
-                if n > lc.get(v, 0):
-                    return (f"rule {r.name} duplicates {v.name} "
-                            f"({lc.get(v, 0)} occurrence(s) in the lhs, "
-                            f"{n} in the rhs)")
+            why = _duplication(r)
+            if why is not None:
+                return why
             if not assume_terminating and rpo_terminates(sig, [r]) is None:
                 return (f"rule {r.name} admits no recursive-path-order "
                         "orientation")
@@ -658,7 +638,8 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         a3_branch = "vacuous"
     else:
         gset = frozenset(dfb)
-        a3_props = system_properties(gset, dfb_rules, sig, rules, fuel)
+        a3_props = system_properties(gset, dfb_rules, sig, rules, fuel,
+                                     confluent)
         if a3_props.primitive.holds:
             a3_branch = "primitive"
         elif a3_props.simple.holds and a3_props.positive.holds:
@@ -674,10 +655,10 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
                                              assume_terminating)
     fa_rules = [r for r in rules if r.head_name() in fa]
     fna_rules = [r for r in rules if r.head_name() in fna]
-    fa_props = system_properties(fa, fa_rules, sig, rules, fuel,
+    fa_props = system_properties(fa, fa_rules, sig, rules, fuel, confluent,
                                  which=("algebraic", "non_duplicating"))
     fna_props = system_properties(fna, fna_rules, sig, rules, fuel,
-                                  which=("safe", "recursive"))
+                                  confluent, which=("safe", "recursive"))
     cycle = sig.check_precedence()
     if cycle is not None:
         a4_sn = fails("the precedence is cyclic: " + " > ".join(cycle))

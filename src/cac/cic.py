@@ -5,14 +5,13 @@ closed small motive), ready for the admissibility pipeline."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rewriting import RewriteRule
-from .signature import Signature, SymbolDecl
-from .terms import (Abs, App, CacError, Environment, Prod, Sort, SortT, STAR,
-                    Symb, Term, Var, Variable, alpha_eq, apply_spine,
-                    free_vars, lam, open_, pi, spine, strip_products,
-                    subst_apply)
+from .signature import Signature
+from .terms import (CacError, Environment, Sort, STAR, Symb, Term, Var,
+                    Variable, alpha_eq, apply_spine, free_vars, map_children,
+                    pi, spine, strip_products, subst_apply)
 
 
 class BridgeError(CacError):
@@ -38,10 +37,6 @@ class GeneratedBundle:
     welim: str
     rules: List[RewriteRule] = field(default_factory=list)
     provenance: Dict[str, Tuple[str, int, str]] = field(default_factory=dict)
-    # constructor metadata used for rule generation: per constructor,
-    # the original argument types over the self-reference
-    ctor_arg_types: Dict[str, List[Term]] = field(default_factory=dict)
-    ctor_output_args: Dict[str, List[Term]] = field(default_factory=dict)
 
 
 def _self_applications_ok(b: Term, x: Variable) -> bool:
@@ -53,51 +48,27 @@ def _self_applications_ok(b: Term, x: Variable) -> bool:
     return x not in free_vars(b)
 
 
-def _replace_self(t: Term, x: Variable, image_head: Term) -> Term:
-    """Rewrite every spine X a-vec into image_head applied to a-vec."""
+def _map_self(t: Term, x: Variable,
+              image: Callable[[List[Term]], Term]) -> Term:
+    """Rewrite every spine X a-vec of the self-reference X into
+    image(a-vec), innermost spines first."""
     head, args = spine(t)
     if isinstance(head, Var) and head.var == x:
-        return apply_spine(image_head,
-                           [_replace_self(a, x, image_head) for a in args])
-    if isinstance(t, App):
-        return App(_replace_self(t.head, x, image_head),
-                   _replace_self(t.arg, x, image_head))
-    if isinstance(t, Abs):
-        return Abs(_replace_self(t.domain, x, image_head),
-                   _replace_self(t.body, x, image_head), t.hint)
-    if isinstance(t, Prod):
-        return Prod(_replace_self(t.domain, x, image_head),
-                    _replace_self(t.codomain, x, image_head), t.hint)
-    if isinstance(t, Symb):
-        return Symb(t.name, tuple(_replace_self(a, x, image_head)
-                                  for a in t.args))
-    return t
+        return image([_map_self(a, x, image) for a in args])
+    return map_children(t, lambda c: _map_self(c, x, image))
 
 
-def _self_to_symbol(t: Term, x: Variable, iname: str, arity: int) -> Term:
-    """Like _replace_self but producing the fixed-arity symbol form."""
-    head, args = spine(t)
-    if isinstance(head, Var) and head.var == x:
+def _to_symbol(iname: str, arity: int) -> Callable[[List[Term]], Term]:
+    """The image of X a-vec in a declared type: the type symbol applied
+    to exactly its arity of arguments."""
+    def image(args: List[Term]) -> Term:
         if len(args) != arity:
             raise BridgeError(
                 "non-basic-constructor",
                 f"self-reference applied to {len(args)} argument(s), "
                 f"the inductive type has arity {arity}")
-        return Symb(iname, tuple(_self_to_symbol(a, x, iname, arity)
-                                 for a in args))
-    if isinstance(t, App):
-        return App(_self_to_symbol(t.head, x, iname, arity),
-                   _self_to_symbol(t.arg, x, iname, arity))
-    if isinstance(t, Abs):
-        return Abs(_self_to_symbol(t.domain, x, iname, arity),
-                   _self_to_symbol(t.body, x, iname, arity), t.hint)
-    if isinstance(t, Prod):
-        return Prod(_self_to_symbol(t.domain, x, iname, arity),
-                    _self_to_symbol(t.codomain, x, iname, arity), t.hint)
-    if isinstance(t, Symb):
-        return Symb(t.name, tuple(_self_to_symbol(a, x, iname, arity)
-                                  for a in t.args))
-    return t
+        return Symb(iname, tuple(args))
+    return image
 
 
 def translate_inductive(d: InductiveDecl, sig: Signature,
@@ -142,18 +113,16 @@ def translate_inductive(d: InductiveDecl, sig: Signature,
                     "i6-violation",
                     f"constructor {cname}: predicate argument {v} is not "
                     "a parameter of the output type")
+        to_type = _to_symbol(d.name, arity)
         ctor_type = _rebuild_telescope(
-            [(v, _self_to_symbol(b, x, d.name, arity)) for v, b in binders],
-            Symb(d.name, tuple(_self_to_symbol(m, x, d.name, arity)
-                               for m in margs)))
+            [(v, _map_self(b, x, to_type)) for v, b in binders],
+            to_type([_map_self(m, x, to_type) for m in margs]))
         sig.declare(cname, len(binders), ctor_type, fuel=fuel)
         sig.structure.acc[cname] = frozenset(range(1, len(binders) + 1))
         bundle.symbols.append(cname)
-        bundle.ctor_arg_types[cname] = [_close_telescope(binders, i)
-                                        for i in range(len(binders))]
-        bundle.ctor_output_args[cname] = list(margs)
 
-    welim_type = _welim_type(d, sig, arity, params)
+    qv = Variable.fresh("Q", Sort.BOX)
+    welim_type = _recursor_type(d, params, Var(qv), [(qv, d.arity_type)])
     welim_arity = 1 + len(d.constructors) + arity + 1
     sig.declare(bundle.welim, welim_arity, welim_type, fuel=fuel)
     # recursive calls are compared on the scrutinee argument
@@ -170,114 +139,105 @@ def _rebuild_telescope(binders, core: Term) -> Term:
     return t
 
 
-def _close_telescope(binders, i: int) -> Term:
-    """The i-th argument type as a function of the previous binders
-    (kept open: earlier binder variables stay free)."""
-    return binders[i][1]
-
-
-def _motive_applied(q: Term, args: Sequence[Term]) -> Term:
-    return apply_spine(q, list(args))
-
-
-def _branch_type(d: InductiveDecl, sig: Signature, cname: str, ctype: Term,
-                 q_head: Term, arity: int) -> Term:
+def _branch_type(d: InductiveDecl, ctype: Term, motive: Term,
+                 arity: int) -> Term:
     """C_i{I,Q}: the original telescope with the self-reference mapped
     to the type symbol, then a copy of each argument with the
     self-reference mapped to the motive, ending in the motive at the
     output indices."""
     x = d.self_var
+    to_type = _to_symbol(d.name, arity)
+
+    def to_motive(args: List[Term]) -> Term:
+        return apply_spine(motive, args)
+
     binders, output = strip_products(ctype)
     _, margs = spine(output)
-    firsts = [(v, _self_to_symbol(b, x, d.name, arity)) for v, b in binders]
-    seconds = []
-    for v, b in binders:
-        v2 = Variable.fresh(v.name + "'", v.sort)
-        seconds.append((v2, _replace_self(b, x, q_head)))
-    core = _motive_applied(q_head,
-                           [_self_to_symbol(m, x, d.name, arity)
-                            for m in margs])
+    firsts = [(v, _map_self(b, x, to_type)) for v, b in binders]
+    seconds = [(Variable.fresh(v.name + "'", v.sort),
+                _map_self(b, x, to_motive)) for v, b in binders]
+    core = to_motive([_map_self(m, x, to_type) for m in margs])
     return _rebuild_telescope(firsts + seconds, core)
 
 
-def _welim_type(d: InductiveDecl, sig: Signature, arity: int,
-                params) -> Term:
-    qv = Variable.fresh("Q", Sort.BOX)
-    fbinders = []
-    for cname, ctype in d.constructors:
-        fv = Variable.fresh(f"f_{cname}", Sort.STAR)
-        fbinders.append((fv, _branch_type(d, sig, cname, ctype,
-                                          Var(qv), arity)))
+def _recursor_type(d: InductiveDecl, params, motive: Term,
+                   lead=()) -> Term:
+    """The type of a recursor for `motive`: the `lead` binders, one
+    branch per constructor, the indices, then the scrutinee; it ends in
+    the motive at the indices."""
+    fbinders = [(Variable.fresh(f"f_{cname}", Sort.STAR),
+                 _branch_type(d, ctype, motive, len(params)))
+                for cname, ctype in d.constructors]
     xbinders = [(Variable.fresh(v.name, v.sort), t) for v, t in params]
     # re-thread dependencies among the x-binders
     ren = {old: Var(new) for (old, _), (new, _) in zip(params, xbinders)}
     xbinders = [(v, subst_apply(t, ren)) for v, t in xbinders]
+    xs = [Var(v) for v, _ in xbinders]
     cv = Variable.fresh("c", Sort.STAR)
-    ctyp = Symb(d.name, tuple(Var(v) for v, _ in xbinders))
-    core = _motive_applied(Var(qv), [Var(v) for v, _ in xbinders])
-    return _rebuild_telescope([(qv, d.arity_type)] + fbinders + xbinders
-                              + [(cv, ctyp)], core)
+    return _rebuild_telescope(
+        list(lead) + fbinders + xbinders + [(cv, Symb(d.name, tuple(xs)))],
+        apply_spine(motive, xs))
 
 
 def generate_iota_rules(d: InductiveDecl, bundle: GeneratedBundle,
-                        sig: Signature) -> List[RewriteRule]:
+                        sig: Signature, name: Optional[str] = None,
+                        motive: Optional[Term] = None) -> List[RewriteRule]:
     """One computation rule per constructor: the recursor applied to a
     constructor form hands the branch the constructor's arguments plus,
-    for each recursive argument, the recursive result."""
+    for each recursive argument, the recursive result.  By default the
+    recursor is the bundle's weak one, which takes its motive as first
+    argument; a strong recursor `name` has `motive` built in."""
     x = d.self_var
-    welim = sig.decls[bundle.welim]
-    arity = len(strip_products(d.arity_type)[0])
+    name = name or bundle.welim
+    params, _ = strip_products(d.arity_type)
     rules: List[RewriteRule] = []
     for idx, (cname, ctype) in enumerate(d.constructors, start=1):
         cdecl = sig.decls[cname]
-        qv = Variable.fresh("Q", Sort.BOX)
+        lead, mot = [], motive
+        if motive is None:
+            qv = Variable.fresh("Q", Sort.BOX)
+            lead, mot = [(qv, d.arity_type)], Var(qv)
         fvars = [Variable.fresh(f"f{i}", Sort.STAR)
                  for i in range(1, len(d.constructors) + 1)]
         avars = [Variable.fresh(f"a{i}", v.sort)
-                 for i, (v, _) in enumerate(strip_products(d.arity_type)[0],
-                                            start=1)]
+                 for i, (v, _) in enumerate(params, start=1)]
         binders, _ = strip_products(ctype)
         bvars = [Variable.fresh(f"b{j}", v.sort)
                  for j, (v, _) in enumerate(binders, start=1)]
-        lhs = Symb(bundle.welim,
-                   (Var(qv),) + tuple(Var(f) for f in fvars)
-                   + tuple(Var(a) for a in avars)
+        fixed = tuple(Var(v) for v, _ in lead) + tuple(Var(f) for f in fvars)
+        lhs = Symb(name, fixed + tuple(Var(a) for a in avars)
                    + (Symb(cname, tuple(Var(b) for b in bvars)),))
         gamma_zb = {v: Var(b) for (v, _), b in zip(binders, bvars)}
-        firsts = [Var(b) for b in bvars]
         seconds = []
         for (v, b), bv in zip(binders, bvars):
             head, aprime = spine(b)
             if isinstance(head, Var) and head.var == x:
                 rec_args = [subst_apply(a, gamma_zb) for a in aprime]
-                seconds.append(Symb(
-                    bundle.welim,
-                    (Var(qv),) + tuple(Var(f) for f in fvars)
-                    + tuple(rec_args) + (Var(bv),)))
+                seconds.append(Symb(name, fixed + tuple(rec_args)
+                                    + (Var(bv),)))
             else:
                 seconds.append(Var(bv))
-        rhs = apply_spine(Var(fvars[idx - 1]), firsts + seconds)
-        # annotation environment: Q, the branches, then the constructor
-        # arguments at their instantiated declared types; the index
-        # variables are handled by the substitution mapping each to the
-        # constructor's output index (typing the scrutinee forces the
-        # identification)
-        env = Environment()
-        env = env.extend(qv, d.arity_type)
-        for fv, (fcname, fctype) in zip(fvars, d.constructors):
-            env = env.extend(fv, _branch_type(d, sig, fcname, fctype,
-                                              Var(qv), arity))
+        rhs = apply_spine(Var(fvars[idx - 1]),
+                          [Var(b) for b in bvars] + seconds)
+        # annotation environment: the motive (weak recursor only), the
+        # branches, then the constructor arguments at their instantiated
+        # declared types; the index variables are handled by the
+        # substitution mapping each to the constructor's output index
+        # (typing the scrutinee forces the identification)
+        env = lead + [(fv, _branch_type(d, fctype, mot, len(params)))
+                      for fv, (_, fctype) in zip(fvars, d.constructors)]
         cgamma = cdecl.inst(tuple(Var(b) for b in bvars))
-        for bv, (_, u) in zip(bvars, cdecl.binders):
-            env = env.extend(bv, subst_apply(u, cgamma))
+        env += [(bv, subst_apply(u, cgamma))
+                for bv, (_, u) in zip(bvars, cdecl.binders)]
         assert isinstance(cdecl.output, Symb)
         rho = {a: subst_apply(m, cgamma)
                for a, m in zip(avars, cdecl.output.args)}
-        rname = f"iota_{bundle.welim}_{cname}"
-        rule = RewriteRule(rname, lhs, rhs, env, rho)
+        rname = f"iota_{name}_{cname}"
+        rule = RewriteRule(rname, lhs, rhs, Environment.of(env), rho)
         rules.append(rule)
         bundle.rules.append(rule)
-        bundle.provenance[rname] = (d.name, idx, "weak")
+        bundle.provenance[rname] = ((d.name, idx, "weak") if motive is None
+                                    else (name, idx, "strong"))
     return rules
 
 
@@ -310,76 +270,18 @@ def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
                           f"{d.name} does not support strong elimination")
     if free_vars(motive):
         raise BridgeError("open-motive", "the motive must be closed")
-    params, _ = strip_products(d.arity_type)
-    arity = len(params)
     # reuse an existing symbol for an alpha-equal motive
-    for name, m in getattr(sig, "_selim_cache", {}).get(d.name, []):
+    known = sig.selim_cache.setdefault(d.name, [])
+    for name, m in known:
         if alpha_eq(m, motive):
             return name, [r for r in bundle.rules
                           if bundle.provenance.get(r.name, ("",))[0] == name]
-    idx = len(getattr(sig, "_selim_cache", {}).get(d.name, [])) + 1
-    name = f"SElim_{d.name}_{idx}"
-    fbinders = []
-    for cname, ctype in d.constructors:
-        fv = Variable.fresh(f"f_{cname}", Sort.STAR)
-        fbinders.append((fv, _branch_type(d, sig, cname, ctype,
-                                          motive, arity)))
-    xbinders = [(Variable.fresh(v.name, v.sort), t) for v, t in params]
-    ren = {old: Var(new) for (old, _), (new, _) in zip(params, xbinders)}
-    xbinders = [(v, subst_apply(t, ren)) for v, t in xbinders]
-    cv = Variable.fresh("c", Sort.STAR)
-    ctyp = Symb(d.name, tuple(Var(v) for v, _ in xbinders))
-    core = _motive_applied(motive, [Var(v) for v, _ in xbinders])
-    typ = _rebuild_telescope(fbinders + xbinders + [(cv, ctyp)], core)
-    sig.declare(name, len(fbinders) + arity + 1, typ, fuel=fuel)
-    cache = getattr(sig, "_selim_cache", None)
-    if cache is None:
-        cache = {}
-        sig._selim_cache = cache
-    cache.setdefault(d.name, []).append((name, motive))
-
-    x = d.self_var
-    rules = []
-    for idx_c, (cname, ctype) in enumerate(d.constructors, start=1):
-        cdecl = sig.decls[cname]
-        fvars = [Variable.fresh(f"f{i}", Sort.STAR)
-                 for i in range(1, len(d.constructors) + 1)]
-        avars = [Variable.fresh(f"a{i}", v.sort)
-                 for i, (v, _) in enumerate(params, start=1)]
-        binders, _ = strip_products(ctype)
-        bvars = [Variable.fresh(f"b{j}", v.sort)
-                 for j, (v, _) in enumerate(binders, start=1)]
-        lhs = Symb(name, tuple(Var(f) for f in fvars)
-                   + tuple(Var(a) for a in avars)
-                   + (Symb(cname, tuple(Var(b) for b in bvars)),))
-        gamma_zb = {v: Var(b) for (v, _), b in zip(binders, bvars)}
-        seconds = []
-        for (v, b), bv in zip(binders, bvars):
-            head, aprime = spine(b)
-            if isinstance(head, Var) and head.var == x:
-                rec_args = [subst_apply(a, gamma_zb) for a in aprime]
-                seconds.append(Symb(name, tuple(Var(f) for f in fvars)
-                                    + tuple(rec_args) + (Var(bv),)))
-            else:
-                seconds.append(Var(bv))
-        rhs = apply_spine(Var(fvars[idx_c - 1]),
-                          [Var(b) for b in bvars] + seconds)
-        env = Environment()
-        for fv, (fcname, fctype) in zip(fvars, d.constructors):
-            env = env.extend(fv, _branch_type(d, sig, fcname, fctype,
-                                              motive, arity))
-        ren = {v: Var(a) for (v, _), a in zip(params, avars)}
-        for a, (_, t) in zip(avars, params):
-            env = env.extend(a, subst_apply(t, ren))
-        cgamma = cdecl.inst(tuple(Var(b) for b in bvars))
-        for bv, (_, u) in zip(bvars, cdecl.binders):
-            env = env.extend(bv, subst_apply(u, cgamma))
-        rname = f"iota_{name}_{cname}"
-        rule = RewriteRule(rname, lhs, rhs, env, {})
-        rules.append(rule)
-        bundle.rules.append(rule)
-        bundle.provenance[rname] = (name, idx_c, "strong")
-    return name, rules
+    name = f"SElim_{d.name}_{len(known) + 1}"
+    params, _ = strip_products(d.arity_type)
+    sig.declare(name, len(d.constructors) + len(params) + 1,
+                _recursor_type(d, params, motive), fuel=fuel)
+    known.append((name, motive))
+    return name, generate_iota_rules(d, bundle, sig, name, motive)
 
 
 def certify_bundle(bundle: GeneratedBundle, sig: Signature,

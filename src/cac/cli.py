@@ -15,7 +15,7 @@ from .admissibility import Outcome, OverallVerdict, check_admissible
 from .printer import pp
 from .rewriting import confluence_check, joinable, normalize
 from .syntax import ElabError, LoadedFile, ParseError, load
-from .terms import CacError, Environment, alpha_eq
+from .terms import CacError, Environment
 from .typing import TypeChecker
 
 

@@ -8,11 +8,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .terms import (Abs, App, BVar, CacError, Environment, FuelExhausted,
-                    Position, Prod, Symb, Term, Var, Variable, alpha_eq,
-                    free_vars, is_algebraic, open_, open_fresh, lam,
-                    positions, replace_at, subst_apply, subterm_at,
-                    symbols_of)
+from .terms import (Abs, App, CacError, Environment, FuelExhausted, Position,
+                    Prod, Symb, Term, Var, Variable, alpha_eq, free_vars,
+                    is_algebraic, occurrences, open_, open_fresh, lam,
+                    replace_at, subst_apply, symbols_of, var_counts)
 
 
 class RuleError(CacError):
@@ -327,20 +326,14 @@ class CriticalPair:
 
 
 def left_linear(rule: RewriteRule) -> bool:
-    counts: Dict[Variable, int] = {}
-    for p in positions(rule.lhs):
-        s = subterm_at(rule.lhs, p)
-        if isinstance(s, Var):
-            counts[s.var] = counts.get(s.var, 0) + 1
-    return all(c == 1 for c in counts.values())
+    return all(n == 1 for n in var_counts(rule.lhs).values())
 
 
 def _overlaps(r1: RewriteRule, r2: RewriteRule,
               include_root: bool) -> List[CriticalPair]:
     """Overlap r2's lhs into non-variable positions of r1's lhs."""
     out = []
-    for p in positions(r1.lhs):
-        sub = subterm_at(r1.lhs, p)
+    for p, sub in occurrences(r1.lhs):
         if not isinstance(sub, Symb):
             continue
         if p == () and not include_root:

@@ -4,17 +4,15 @@ the termination-schema verdict for a rule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .rewriting import RewriteRule, joinable
+from .rewriting import RewriteRule
 from .signature import Signature
-from .terms import (Abs, App, BOX, CacError, Environment, EPSILON,
-                    FuelExhausted, InvalidPosition, Position, Prod, Sort,
-                    SortT, STAR, Symb, Term, Var, Variable, alpha_eq,
-                    free_vars, open_, pi, positions_of, subst_apply,
-                    subterm_at)
-from .typing import TypeChecker, TypingError
+from .terms import (App, CacError, Environment, EPSILON, FuelExhausted,
+                    InvalidPosition, Position, Symb, Term, Var, Variable,
+                    alpha_eq, positions_of, subst_apply)
+from .typing import TypeChecker, TypingDerivation
 
 
 class SchemaError(CacError):
@@ -200,35 +198,19 @@ def args_greater(lhs_args: Sequence[AccPair], callee_args: Sequence[AccPair],
 # computable closure
 
 
-@dataclass(frozen=True)
-class CCJudgment:
-    env: Environment
-    subject: Term
-    type: Term
-    rule_tag: str  # acc | ax | symb< | symb= | var | prod | abs | app | conv
-    premises: tuple = ()
-    note: str = ""
-
-    def nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
-
-    def notes(self) -> List[str]:
-        return [n.note for n in self.nodes() if n.note]
-
-
-class _CC:
-    """Derivation builder for the closure judgment of one rule."""
+class ClosureChecker(TypeChecker):
+    """The computable-closure judgment of one rule: the typing judgment
+    with a guard on symbol applications.  A callee must be below the
+    rule's head in the precedence (tag `symb<`), or equivalent to it
+    with accessibly smaller arguments (tag `symb=`, noted with the
+    deciding comparison).  Variables of the rule's annotation
+    environment are tagged `acc`."""
 
     def __init__(self, rule: RewriteRule, sig: Signature,
-                 rules: Sequence[RewriteRule], fuel: int,
+                 rules: Sequence[RewriteRule] = (), fuel: int = 10000,
                  confluent: bool = False):
+        super().__init__(sig, rules, fuel=fuel, confluent=confluent)
         self.rule = rule
-        self.sig = sig
-        self.fuel = fuel
-        self.tc = TypeChecker(sig, rules, fuel=fuel, confluent=confluent)
-        self.rules = self.tc.rules
         lhs = rule.lhs
         assert isinstance(lhs, Symb)
         self.fname = lhs.name
@@ -237,79 +219,28 @@ class _CC:
         self.lhs_pairs = [
             AccPair(arg, subst_apply(t, gamma0))
             for arg, (_, t) in zip(lhs.args, decl.binders)]
-        self.lhs_fv = free_vars(rule.lhs)
 
     def fail(self, t: Term, why: str):
         raise SchemaError("no-derivation",
                           f"{self.rule.name}: no closure derivation for "
                           f"{t}: {why}")
 
-    def infer(self, env: Environment, t: Term) -> CCJudgment:
-        if isinstance(t, SortT):
-            if t.sort is Sort.STAR:
-                return CCJudgment(env, t, BOX, "ax")
-            self.fail(t, "the sort □ has no type")
-        if isinstance(t, Var):
-            typ = env.lookup(t.var)
-            if typ is None:
-                self.fail(t, "variable not bound in the closure environment")
-            tag = "acc" if self.rule.ann_env.lookup(t.var) is not None else "var"
-            return CCJudgment(env, t, typ, tag)
-        if isinstance(t, Symb):
-            return self._infer_symb(env, t)
-        if isinstance(t, Prod):
-            d1 = self._infer_sort(env, t.domain)
-            v = Variable.fresh(t.hint, _sort_class(d1.type))
-            cod = open_(t.codomain, Var(v))
-            d2 = self._infer_sort(env.extend(v, t.domain), cod)
-            return CCJudgment(env, t, d2.type, "prod", (d1, d2))
-        if isinstance(t, Abs):
-            d1 = self._infer_sort(env, t.domain)
-            v = Variable.fresh(t.hint, _sort_class(d1.type))
-            body = open_(t.body, Var(v))
-            d2 = self.infer(env.extend(v, t.domain), body)
-            prod = pi(v, t.domain, d2.type)
-            d3 = self._infer_sort(env, prod)
-            return CCJudgment(env, t, prod, "abs", (d2, d3))
-        if isinstance(t, App):
-            d1 = self.infer(env, t.head)
-            hty = d1.type
-            if not isinstance(hty, Prod):
-                hty = self._to_product(t, hty)
-                d1 = CCJudgment(env, t.head, hty, "conv", (d1,))
-            d2 = self.check(env, t.arg, hty.domain)
-            return CCJudgment(env, t, open_(hty.codomain, t.arg),
-                              "app", (d1, d2))
-        self.fail(t, "term shape outside the closure rules")
+    def infer(self, env: Environment, t: Term) -> Tuple[Term, TypingDerivation]:
+        typ, d = super().infer(env, t)
+        if isinstance(t, Var) and self.rule.ann_env.lookup(t.var) is not None:
+            d = replace(d, rule_tag="acc")
+        return typ, d
 
-    def _to_product(self, t: Term, hty: Term) -> Prod:
-        try:
-            return self.tc._whnf_product(hty)
-        except CacError:
-            self.fail(t, f"head type {hty} is not a product")
-
-    def _infer_sort(self, env: Environment, t: Term) -> CCJudgment:
-        d = self.infer(env, t)
-        if not isinstance(d.type, SortT):
-            from .rewriting import normalize
-            n = normalize(d.type, self.rules, self.fuel)
-            if not isinstance(n, SortT):
-                self.fail(t, f"not a type or kind (its type is {d.type})")
-            d = CCJudgment(env, t, n, "conv", (d,))
-        return d
-
-    def _infer_symb(self, env: Environment, t: Symb) -> CCJudgment:
+    def _infer_symb(self, env: Environment,
+                    t: Symb) -> Tuple[Term, TypingDerivation]:
         decl = self.sig.decls.get(t.name)
-        if decl is None:
-            self.fail(t, f"undeclared symbol {t.name}")
-        if len(t.args) != decl.arity:
-            self.fail(t, f"{t.name} expects {decl.arity} argument(s)")
+        if decl is None or len(t.args) != decl.arity:
+            return super()._infer_symb(env, t)
         prec = self.sig.precedence
         if prec.gt(self.fname, t.name):
             cycle = prec.find_cycle()
             if cycle is not None:
-                self.fail(t, "the precedence is cyclic: "
-                             + " > ".join(cycle))
+                self.fail(t, "the precedence is cyclic: " + " > ".join(cycle))
             tag, note = "symb<", ""
         elif prec.eq(t.name, self.fname):
             gamma = decl.inst(t.args)
@@ -324,60 +255,43 @@ class _CC:
         else:
             self.fail(t, f"symbol {t.name} is not below or equivalent to "
                          f"{self.fname} in the precedence")
-        # the declared type of the callee must be sorted
-        try:
-            self.tc.sort_of(Environment(), decl.typ)
-        except CacError as e:
-            self.fail(t, f"declared type of {t.name} is ill-sorted: {e.message}")
-        gamma = decl.inst(t.args)
-        premises = []
-        for a, (_, u) in zip(t.args, decl.binders):
-            premises.append(self.check(env, a, subst_apply(u, gamma)))
-        return CCJudgment(env, t, subst_apply(decl.output, gamma),
-                          tag, tuple(premises), note)
-
-    def check(self, env: Environment, t: Term, expected: Term) -> CCJudgment:
-        d = self.infer(env, t)
-        if alpha_eq(d.type, expected):
-            return d
-        try:
-            conv = joinable(d.type, expected, self.rules, self.fuel)
-        except FuelExhausted:
-            conv = False
-        if not conv:
-            self.fail(t, f"has closure type {d.type}, expected {expected}")
-        return CCJudgment(env, t, expected, "conv", (d,))
+        typ, d = super()._infer_symb(env, t)
+        return typ, replace(d, rule_tag=tag, note=note)
 
 
 def cc_check(rule: RewriteRule, sig: Signature,
              rules: Sequence[RewriteRule] = (), fuel: int = 10000,
-             confluent: bool = False) -> CCJudgment:
+             confluent: bool = False) -> TypingDerivation:
     """Derive the closure judgment Γ ⊢c rhs : Uγρ for a rule; raises
-    SchemaError("no-derivation") with the blocking subterm otherwise."""
+    SchemaError("no-derivation") otherwise, naming the blocking
+    subterm when the guard fails."""
+    cc = ClosureChecker(rule, sig, rules, fuel, confluent)
+    try:
+        return cc.check(rule.ann_env, rule.rhs, rule_type(rule, sig))
+    except SchemaError:
+        raise
+    except CacError as e:
+        raise SchemaError("no-derivation",
+                          f"{rule.name}: no closure derivation: "
+                          f"{e.message}") from e
+
+
+def rule_type(rule: RewriteRule, sig: Signature) -> Term:
+    """Uγρ: the declared output type of the lhs head at the lhs
+    arguments, corrected by the annotation substitution."""
     lhs = rule.lhs
     assert isinstance(lhs, Symb)
     decl = sig.decls[lhs.name]
     gamma = decl.inst(lhs.args)
-    expected = subst_apply(subst_apply(decl.output, gamma), rule.ann_subst)
-    cc = _CC(rule, sig, rules, fuel, confluent)
-    return cc.check(rule.ann_env, rule.rhs, expected)
+    return subst_apply(subst_apply(decl.output, gamma), rule.ann_subst)
 
 
 @dataclass
 class SchemaVerdict:
     ok: bool
     well_formed: WellFormedness
-    derivation: Optional[CCJudgment]
+    derivation: Optional[TypingDerivation]
     failure: Optional[str]
-
-    def evidence(self) -> List[str]:
-        out = [str(w) for w in self.well_formed.witnesses.values()]
-        out.extend(self.well_formed.failures)
-        if self.derivation is not None:
-            out.extend(self.derivation.notes())
-        if self.failure:
-            out.append(self.failure)
-        return out
 
 
 def satisfies_general_schema(rule: RewriteRule, sig: Signature,
@@ -392,8 +306,3 @@ def satisfies_general_schema(rule: RewriteRule, sig: Signature,
     except CacError as e:
         return SchemaVerdict(False, wf, None, e.message)
     return SchemaVerdict(True, wf, deriv, None)
-
-
-def _sort_class(sort_term: Term) -> Sort:
-    assert isinstance(sort_term, SortT)
-    return sort_term.sort

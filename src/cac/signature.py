@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .rewriting import RuleSet
-from .terms import (CacError, Environment, Prod, Sort, SortT, STAR, Symb,
-                    Term, Var, Variable, open_, sort_class_of_type,
-                    subst_apply, symbols_of)
+from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
+                    Variable, open_, sort_class_of_type, symbols_of)
 
 
 class DeclarationError(CacError):
@@ -26,9 +25,6 @@ class SymbolDecl:
     # telescope: binder variables paired with their domains, plus output
     binders: Tuple = ()   # tuple of (Variable, Term)
     output: Term = STAR
-
-    def arg_types(self) -> List[Term]:
-        return [t for _, t in self.binders]
 
     def binder_vars(self) -> List[Variable]:
         return [v for v, _ in self.binders]
@@ -136,9 +132,6 @@ class Precedence:
                     stack.append(v)
         return False
 
-    def ge(self, a: str, b: str) -> bool:
-        return self.eq(a, b) or self.gt(a, b)
-
     def find_cycle(self) -> Optional[List[str]]:
         """A cycle in the strict class order, or None if acyclic."""
         if not self._cycle_known:
@@ -197,7 +190,9 @@ class Signature:
         # per-symbol argument status: the 1-based positions compared by
         # the recursive-call guard (default: all positions in order)
         self.status: Dict[str, Tuple[int, ...]] = {}
-        self.sealed = False
+        # strong recursors per inductive type: (symbol, motive) pairs, so
+        # that alpha-equal motives share one symbol
+        self.selim_cache: Dict[str, List[Tuple[str, Term]]] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self.decls
@@ -208,15 +203,10 @@ class Signature:
     def names(self) -> List[str]:
         return list(self.decls)
 
-    def seal(self):
-        self.sealed = True
-
     def declare(self, name: str, arity: int, typ: Term,
                 rules=(), fuel: int = 10000) -> SymbolDecl:
         """Declare a symbol: shape-check the telescope and kind-check
         |- typ : s against the current signature and rules."""
-        if self.sealed:
-            raise DeclarationError("sealed", "signature is sealed")
         if name in self.decls:
             raise DeclarationError("duplicate-name", f"symbol {name} already declared")
         unknown = symbols_of(typ) - set(self.decls)
@@ -280,21 +270,3 @@ class Signature:
     def check_precedence(self) -> Optional[List[str]]:
         """None when the strict class order is acyclic, else a witness cycle."""
         return self.precedence.find_cycle()
-
-    def check_arities(self, t: Term):
-        """Every symbol application in t has its declared arity."""
-        if isinstance(t, Symb):
-            d = self.decls.get(t.name)
-            if d is None:
-                raise DeclarationError("unknown-symbol", f"undeclared symbol {t.name}")
-            if len(t.args) != d.arity:
-                raise DeclarationError(
-                    "arity-error",
-                    f"{t.name} applied to {len(t.args)} argument(s), arity is {d.arity}")
-        for c in _subterms_shallow(t):
-            self.check_arities(c)
-
-
-def _subterms_shallow(t: Term):
-    from .terms import _children
-    return _children(t)

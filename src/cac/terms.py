@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
@@ -295,10 +296,6 @@ def compose_subst(theta: Substitution, sigma: Substitution) -> Substitution:
     return out
 
 
-def dom_sorted(theta: Substitution, sort: Sort) -> frozenset:
-    return frozenset(v for v in theta if v.sort == sort)
-
-
 # ---------------------------------------------------------------------------
 # positions
 
@@ -328,12 +325,26 @@ def _rebuild(t: Term, kids) -> Term:
     return t
 
 
+def map_children(t: Term, f) -> Term:
+    """t with f applied to each immediate subterm (binder bodies raw)."""
+    return _rebuild(t, [f(c) for c in _children(t)])
+
+
+def occurrences(t: Term) -> Iterator["tuple[Position, Term]"]:
+    """Every (position, subterm) pair of t in prefix (leftmost-outermost)
+    order; subterms are raw, as subterm_at gives them."""
+    stack = [(EPSILON, t)]
+    while stack:
+        p, u = stack.pop()
+        yield p, u
+        kids = _children(u)
+        for i in range(len(kids), 0, -1):
+            stack.append((p + (i,), kids[i - 1]))
+
+
 def positions(t: Term) -> Iterator[Position]:
     """All positions of t, in prefix (leftmost-outermost) order."""
-    yield EPSILON
-    for i, c in enumerate(_children(t), start=1):
-        for p in positions(c):
-            yield (i,) + p
+    return (p for p, _ in occurrences(t))
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -359,16 +370,11 @@ def replace_at(t: Term, p: Position, u: Term) -> Term:
 
 def positions_of(t: Term, needle: Union[str, Variable]) -> frozenset:
     """Positions where a symbol occurs, or where a variable occurs free."""
-    out = set()
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        if isinstance(needle, Variable):
-            if isinstance(sub, Var) and sub.var == needle:
-                out.add(p)
-        else:
-            if isinstance(sub, Symb) and sub.name == needle:
-                out.add(p)
-    return frozenset(out)
+    if isinstance(needle, Variable):
+        return frozenset(p for p, s in occurrences(t)
+                         if isinstance(s, Var) and s.var == needle)
+    return frozenset(p for p, s in occurrences(t)
+                     if isinstance(s, Symb) and s.name == needle)
 
 
 def is_algebraic(t: Term) -> bool:
@@ -380,12 +386,14 @@ def is_algebraic(t: Term) -> bool:
 
 
 def symbols_of(t: Term) -> frozenset:
-    out = set()
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        if isinstance(sub, Symb):
-            out.add(sub.name)
-    return frozenset(out)
+    return frozenset(s.name for _, s in occurrences(t)
+                     if isinstance(s, Symb))
+
+
+def var_counts(t: Term) -> "Counter[Variable]":
+    """Occurrences of each free variable of t, in order of first
+    occurrence."""
+    return Counter(s.var for _, s in occurrences(t) if isinstance(s, Var))
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +417,6 @@ class Environment:
             if w == v:
                 return typ
         return None
-
-    def domain(self) -> tuple:
-        return tuple(v for v, _ in self.bindings)
-
-    def dom_set(self) -> frozenset:
-        return frozenset(v for v, _ in self.bindings)
-
-    def dom_sorted(self, sort: Sort) -> frozenset:
-        return frozenset(v for v, _ in self.bindings if v.sort == sort)
 
     def __iter__(self):
         return iter(self.bindings)

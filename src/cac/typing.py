@@ -8,15 +8,14 @@ conversion is checked at argument boundaries and at `check`'s root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
 from .terms import (Abs, App, BOX, BVar, CacError, Environment, FuelExhausted,
                     Prod, STAR, Sort, SortT, Symb, Term, Var, Variable,
-                    alpha_eq, free_vars, lam, open_, open_fresh, pi,
-                    sort_class_of_type, subst_apply)
+                    alpha_eq, open_, open_fresh, pi, subst_apply)
 
 
 class TypingError(CacError):
@@ -28,13 +27,19 @@ class TypingDerivation:
     env: Environment
     term: Term
     typ: Term
-    rule_tag: str  # ax | symb | var | weak | prod | abs | app | conv
+    # ax | symb | var | prod | abs | app | conv, and in the closure
+    # judgment acc (for var) and symb< / symb= (for symb)
+    rule_tag: str
     premises: tuple = ()
+    note: str = ""
 
     def nodes(self):
         yield self
         for p in self.premises:
             yield from p.nodes()
+
+    def notes(self) -> List[str]:
+        return [n.note for n in self.nodes() if n.note]
 
 
 class TypeChecker:
@@ -44,7 +49,6 @@ class TypeChecker:
         self.rules = RuleSet.of(rules)
         self.fuel = fuel
         self.confluent = confluent
-        self._tau_sorts = {}
 
     # -- conversion ----------------------------------------------------------
 
@@ -143,11 +147,7 @@ class TypeChecker:
         actual, d = self.infer(env, t)
         if alpha_eq(actual, expected):
             return d
-        try:
-            conv = self.convertible(actual, expected)
-        except FuelExhausted:
-            raise
-        if not conv:
+        if not self.convertible(actual, expected):
             raise TypingError(
                 "type-mismatch",
                 f"{t} has type {self._display(actual)}, expected "
@@ -202,10 +202,10 @@ def replay(deriv: TypingDerivation, tc: TypeChecker) -> bool:
         return False
     if tag == "ax":
         return t == STAR and typ == BOX
-    if tag == "var":
+    if tag in ("var", "acc"):
         bound = env.lookup(t.var) if isinstance(t, Var) else None
         return bound is not None and alpha_eq(bound, typ)
-    if tag == "symb":
+    if tag in ("symb", "symb<", "symb="):
         if not isinstance(t, Symb):
             return False
         decl = tc.sig.decls.get(t.name)

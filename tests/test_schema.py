@@ -3,9 +3,12 @@ judgment, and the termination-schema verdict."""
 
 import pytest
 
-from cac import (RewriteRule, STAR, Symb, Var, Variable, acc_step, alpha_eq,
-                 args_greater, cc_check, check_well_formed, derived_type,
-                 load, satisfies_general_schema)
+import dataclasses
+
+from cac import (RewriteRule, STAR, Symb, TypeChecker, Var, Variable,
+                 acc_step, alpha_eq, args_greater, cc_check, check_admissible,
+                 check_well_formed, derived_type, load, replay,
+                 satisfies_general_schema)
 from cac.schema import AccPair, SchemaError, acc_reachable
 from cac.terms import CacError, Sort
 from tests.conftest import corpus_source
@@ -99,6 +102,55 @@ def test_cc_derivation_for_app(app):
     assert "acc" in tags or "var" in tags
     assert any("⟨cons(A', x, l), list(A)⟩ > ⟨l, list(A)⟩" in n
                for n in deriv.notes())
+
+
+def test_cc_derivation_replays(app):
+    rule = _app_rule2(app)
+    deriv = cc_check(rule, app.signature, app.rules)
+    tc = TypeChecker(app.signature, app.rules)
+    assert replay(deriv, tc)
+    assert not replay(dataclasses.replace(deriv, typ=STAR), tc)
+
+
+# g(x) -> k needs el(pair(add(3, 0), add(3, 0))) converted to
+# el(pair(3, 3)): six leftmost-outermost steps, but the breadth-first
+# search walks every interleaving of the two independent additions
+CONVERSION_UNDER_CONFLUENCE = """
+symbol nat : * .
+symbol zero : nat .
+symbol s : nat -> nat .
+symbol add : nat -> nat -> nat .
+symbol pair : nat -> nat -> nat .
+symbol el : nat -> * .
+pragma acc(s) = {1} .
+pragma prec add > s .
+rule add(zero, y) -> y .
+rule add(s(x), y) -> s(add(x, y)) .
+symbol k : el(pair(add(s(s(s(zero))), zero), add(s(s(s(zero))), zero))) .
+symbol g : nat -> el(pair(s(s(s(zero))), s(s(s(zero))))) .
+pragma prec g > k .
+pragma non_algebraic g .
+rule g(x) -> k .
+"""
+
+
+def test_cc_converts_by_normalizing_under_confluence():
+    lf = load(CONVERSION_UNDER_CONFLUENCE)
+    rule = next(r for r in lf.rules if r.head_name() == "g")
+    with pytest.raises(SchemaError, match="fuel exhausted during "
+                                          "joinability search"):
+        cc_check(rule, lf.signature, lf.rules, fuel=20)
+    deriv = cc_check(rule, lf.signature, lf.rules, fuel=20, confluent=True)
+    assert deriv.rule_tag == "conv"
+
+
+def test_admissibility_gives_the_closure_its_confluence_verdict():
+    lf = load(CONVERSION_UNDER_CONFLUENCE)
+    report = check_admissible(lf.signature, lf.rules, fuel=20,
+                              force_non_algebraic=lf.non_algebraic)
+    assert report.a1.positive
+    assert report.a4_non_algebraic == {"g"}
+    assert report.a4_non_algebraic_props.recursive.holds
 
 
 def test_general_schema_app(app):

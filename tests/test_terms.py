@@ -4,7 +4,8 @@ from cac import (Abs, App, BOX, BVar, Prod, STAR, Symb, Var, Variable,
                  alpha_eq, arrow, free_vars, is_algebraic, lam, pi,
                  positions, positions_of, replace_at, subst_apply,
                  subterm_at)
-from cac.terms import Sort, is_kind, sort_class_of_type
+from cac.terms import (Sort, is_kind, occurrences, sort_class_of_type,
+                       symbols_of, var_counts)
 
 
 def v(name, sort=Sort.STAR):
@@ -57,6 +58,28 @@ def test_positions_of_symbol_and_var():
     t = Symb("f", (Var(x), Symb("f", (Var(x),))))
     assert positions_of(t, x) == {(1,), (2, 1)}
     assert positions_of(t, "f") == {(), (2,)}
+
+
+def test_occurrences_pair_positions_with_subterms():
+    x = v("x")
+    t = Symb("f", (lam(x, STAR, App(Var(x), Symb("c"))), Var(x)))
+    assert list(occurrences(t)) == [(p, subterm_at(t, p))
+                                    for p in positions(t)]
+    assert [p for p, _ in occurrences(t)] == [
+        (), (1,), (1, 1), (1, 2), (1, 2, 1), (1, 2, 2), (2,)]
+    assert var_counts(Symb("f", (Var(x), Symb("g", (Var(x),))))) == {x: 2}
+
+
+def test_occurrence_walks_survive_deep_terms():
+    # the walk keeps its own stack, so depth is not bounded by the
+    # interpreter's recursion limit
+    x = v("x")
+    t = Var(x)
+    for _ in range(3000):
+        t = Symb("s", (t,))
+    assert symbols_of(t) == {"s"}
+    assert var_counts(t) == {x: 1}
+    assert positions_of(t, x) == {(1,) * 3000}
 
 
 def test_abs_prod_positions_domain_is_1_body_is_2():
