@@ -16,8 +16,9 @@ from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
 from .schema import derived_type, rule_type, satisfies_general_schema
 from .signature import Signature
 from .terms import (Abs, CacError, EPSILON, Sort, Symb, Term, Var, Variable,
-                    alpha_eq, free_vars, is_algebraic, positions_of, spine,
-                    subst_apply, subterm_at, symbols_of, var_counts)
+                    _map_leaves, alpha_eq, free_vars, is_algebraic,
+                    positions_of, spine, subst_apply, subterm_at, symbols_of,
+                    var_counts)
 from .typing import TypeChecker
 
 
@@ -417,18 +418,13 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
 def _top_overlap_free(grules: Sequence[RewriteRule]) -> Optional[TriState]:
     """FAILS when two linearized lhs with the same head unify (then two
     rules could apply at the top of the same term); None when fine."""
-    lin = []
-    for r in grules:
-        fresh = {v: Var(Variable.fresh(v.name, v.sort))
-                 for v in free_vars(r.lhs)}
+    def relin(u: Term, _) -> Term:
         # linearize: every variable occurrence becomes a fresh variable
-        def relin(t: Term) -> Term:
-            if isinstance(t, Var):
-                return Var(Variable.fresh(t.var.name, t.var.sort))
-            if isinstance(t, Symb):
-                return Symb(t.name, tuple(relin(a) for a in t.args))
-            return subst_apply(t, fresh)
-        lin.append((r.name, relin(r.lhs)))
+        if isinstance(u, Var):
+            return Var(Variable.fresh(u.var.name, u.var.sort))
+        return u
+
+    lin = [(r.name, _map_leaves(r.lhs, relin, 0)) for r in grules]
     same_head: Dict[str, List[int]] = {}
     for k, (_, lk) in enumerate(lin):
         same_head.setdefault(lk.name, []).append(k)

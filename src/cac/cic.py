@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rewriting import RewriteRule
 from .signature import Signature
-from .terms import (CacError, Environment, Sort, STAR, Symb, Term, Var,
+from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
                     Variable, alpha_eq, apply_spine, free_vars, map_children,
                     pi, spine, strip_products, subst_apply)
 
@@ -263,8 +263,15 @@ def is_small(d: InductiveDecl) -> bool:
 def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
                      sig: Signature, motive: Term,
                      fuel: int = 10000) -> Tuple[str, List[RewriteRule]]:
-    """Declare a strong recursor specialized to a closed motive of the
-    shape [x-vec:A-vec]K with K a kind, and its computation rules."""
+    """Declare a strong recursor specialized to a closed kind K as the
+    motive, and its computation rules.  A type whose arity has binders
+    (parameters or indices), such as `list : * -> *`, is refused: a
+    motive over them would be an abstraction whose body is a kind, and
+    that has no type in the calculus."""
+    if isinstance(d.arity_type, Prod):
+        raise BridgeError("parameterized-type",
+                          f"{d.name} has parameters; strong elimination "
+                          "needs a type of arity *")
     if not is_small(d):
         raise BridgeError("not-small",
                           f"{d.name} does not support strong elimination")
@@ -277,9 +284,8 @@ def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
             return name, [r for r in bundle.rules
                           if bundle.provenance.get(r.name, ("",))[0] == name]
     name = f"SElim_{d.name}_{len(known) + 1}"
-    params, _ = strip_products(d.arity_type)
-    sig.declare(name, len(d.constructors) + len(params) + 1,
-                _recursor_type(d, params, motive), fuel=fuel)
+    sig.declare(name, len(d.constructors) + 1,
+                _recursor_type(d, [], motive), fuel=fuel)
     known.append((name, motive))
     return name, generate_iota_rules(d, bundle, sig, name, motive)
 

@@ -1,7 +1,8 @@
 """Command-line driver: load a declaration file, run its directives,
 or run the full admissibility pipeline, with text or structured output.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage/parse error.
+Exit codes: 0 all checks passed, 1 a check failed (also when a term is
+nested beyond the interpreter's recursion limit), 2 usage/parse error.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def _uses_sufficient(report) -> bool:
 
 def cmd_normalize(args) -> int:
     loaded = _load_file(args.file, args.fuel)
-    codes = 0
     outputs = []
     for expr in args.expr:
         t = _parse_expr(loaded, expr, args.fuel)
@@ -122,7 +122,7 @@ def cmd_normalize(args) -> int:
     _emit({"file": args.file, "results": outputs},
           args.report == "structured",
           "\n".join(o["normal_form"] for o in outputs))
-    return codes
+    return 0
 
 
 def cmd_convert(args) -> int:
@@ -205,6 +205,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except CacError as e:
         print(f"error [{e.code}]: {e.message}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error [depth-exceeded]: a term is nested beyond the "
+              f"recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return 1
 
 

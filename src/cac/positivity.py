@@ -11,8 +11,8 @@ from typing import FrozenSet, List, Optional, Sequence
 
 from .signature import Signature
 from .terms import (Abs, App, BVar, EPSILON, Position, Prod, Sort, SortT,
-                    Symb, Term, Var, Variable, free_vars, positions,
-                    positions_of, spine)
+                    Symb, Term, Var, free_vars, positions, positions_of,
+                    spine, symbols_of)
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,12 @@ class StructureViolation:
                 f"constructor {self.constructor}{where}: {self.detail}")
 
 
-def _free_predicates(sig: Signature, rules=()) -> List[str]:
-    return sig.free_predicate_symbols(rules)
-
-
 def check_inductive_structure(sig: Signature,
                               rules=()) -> List[StructureViolation]:
     """All violations of the six structural conditions; empty means the
     declared (Ind, Acc) structure is admissible."""
     out: List[StructureViolation] = []
-    frees = _free_predicates(sig, rules)
+    frees = sig.free_predicate_symbols(rules)
     defined_preds = set(sig.defined_predicate_symbols(rules))
     prec = sig.precedence
 
@@ -229,12 +225,12 @@ def classify_predicate(sig: Signature, cname: str,
     over all equivalent predicates and their constructors' accessible
     argument types."""
     prec = sig.precedence
-    frees = _free_predicates(sig, rules)
+    frees = sig.free_predicate_symbols(rules)
     cls = {d for d in frees if prec.eq(d, cname)}
 
     def eq_occurs(u: Term, dname: str) -> bool:
         return any(prec.eq(e, dname)
-                   for e in _symbol_names(u) if e in frees)
+                   for e in symbols_of(u) if e in frees)
 
     primitive = basic = strictly = True
     for dname in sorted(cls):
@@ -289,8 +285,3 @@ def classify_predicate(sig: Signature, cname: str,
 def _is_basic_shape(sig: Signature, cname: str, rules=()) -> bool:
     return classify_predicate(sig, cname, rules) in (
         PredicateClass.PRIMITIVE, PredicateClass.BASIC)
-
-
-def _symbol_names(t: Term) -> FrozenSet[str]:
-    from .terms import symbols_of
-    return symbols_of(t)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .terms import (Abs, App, BVar, Prod, Sort, SortT, Symb, Term, Var,
-                    binds, free_vars, open_, Var as _Var, Variable)
+                    Variable, free_vars, open_)
 
 
 def _pick_name(hint: str, taken: set) -> str:
@@ -32,20 +32,20 @@ def _pp(t: Term, taken: set, top: bool = False) -> str:
     if isinstance(t, Abs):
         name = _pick_name(t.hint, taken)
         v = Variable.fresh(name, Sort.STAR)
-        body = open_(t.body, _Var(v))
+        body = open_(t.body, Var(v))
         s = f"fun ({name}:{_pp(t.domain, taken)}) => {_pp(body, taken | {name}, top=True)}"
         return s if top else f"({s})"
     if isinstance(t, Prod):
-        if not binds(t):
+        name = _pick_name(t.hint, taken)
+        v = Variable.fresh(name, Sort.STAR)
+        cod = open_(t.codomain, Var(v))
+        if v in free_vars(cod):
+            s = f"({name}:{_pp(t.domain, taken)}) -> {_pp(cod, taken | {name}, top=True)}"
+        else:  # an arrow
             dom = _pp(t.domain, taken, top=True)
             if isinstance(t.domain, (Prod, Abs)):
                 dom = f"({dom})"
-            s = f"{dom} -> {_pp(open_(t.codomain, STAR_DUMMY), taken, top=True)}"
-            return s if top else f"({s})"
-        name = _pick_name(t.hint, taken)
-        v = Variable.fresh(name, Sort.STAR)
-        cod = open_(t.codomain, _Var(v))
-        s = f"({name}:{_pp(t.domain, taken)}) -> {_pp(cod, taken | {name}, top=True)}"
+            s = f"{dom} -> {_pp(cod, taken, top=True)}"
         return s if top else f"({s})"
     if isinstance(t, App):
         # application is left-associative: no parens around an App head
@@ -56,6 +56,3 @@ def _pp(t: Term, taken: set, top: bool = False) -> str:
         return f"{head} {arg}" if top else f"({head} {arg})"
     return repr(t)
 
-
-# placeholder used to open a vacuous binder (the index cannot occur)
-STAR_DUMMY = SortT(Sort.STAR)

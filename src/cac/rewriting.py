@@ -6,11 +6,12 @@ from __future__ import annotations
 import collections.abc
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from .terms import (Abs, App, CacError, Environment, FuelExhausted, Position,
-                    Prod, Symb, Term, Var, Variable, alpha_eq, free_vars,
-                    is_algebraic, occurrences, open_, open_fresh, lam,
+                    Prod, Symb, Term, Var, Variable, alpha_eq, close,
+                    free_vars, is_algebraic, occurrences, open_, open_fresh,
                     replace_at, subst_apply, symbols_of, var_counts)
 
 
@@ -159,99 +160,50 @@ def rename_apart(rule: RewriteRule) -> RewriteRule:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _root_reducts(t: Term, rules: RuleSet) -> List[Term]:
-    out = []
+def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
+    """Every one-step reduct of t, lazily, in leftmost-outermost order:
+    at a position the rules of its head in declaration order, then beta;
+    then the children in order, a binder's domain before its body."""
     if isinstance(t, Symb):
         for rule in rules.by_head.get(t.name, ()):
             sigma = match_first_order(rule.lhs, t)
             if sigma is not None:
-                out.append(subst_apply(rule.rhs, sigma))
-    if isinstance(t, App) and isinstance(t.head, Abs):
-        out.append(open_(t.head.body, t.arg))
-    return out
+                yield subst_apply(rule.rhs, sigma)
+        args = t.args
+        for i, a in enumerate(args):
+            for r in _reducts(a, rules):
+                yield Symb(t.name, args[:i] + (r,) + args[i + 1:])
+    elif isinstance(t, App):
+        if isinstance(t.head, Abs):
+            yield open_(t.head.body, t.arg)
+        for r in _reducts(t.head, rules):
+            yield App(r, t.arg)
+        for r in _reducts(t.arg, rules):
+            yield App(t.head, r)
+    elif isinstance(t, (Abs, Prod)):
+        node = type(t)
+        raw = t.body if node is Abs else t.codomain
+        for r in _reducts(t.domain, rules):
+            yield node(r, raw, t.hint)
+        v, body = open_fresh(t)
+        for r in _reducts(body, rules):
+            yield node(t.domain, close(r, v), t.hint)
 
 
 def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
-    """All one-step reducts of t (rule steps and beta steps, anywhere)."""
-    rules = RuleSet.of(rules)
+    """All one-step reducts of t (rule steps and beta steps, anywhere),
+    without alpha-equal duplicates."""
     out: List[Term] = []
-
-    def add(u):
+    for u in _reducts(t, RuleSet.of(rules)):
         if all(not alpha_eq(u, w) for w in out):
             out.append(u)
-
-    for u in _root_reducts(t, rules):
-        add(u)
-    if isinstance(t, Symb):
-        for i, a in enumerate(t.args):
-            for ra in reduce_one(a, rules):
-                add(Symb(t.name, t.args[:i] + (ra,) + t.args[i + 1:]))
-    elif isinstance(t, App):
-        for rh in reduce_one(t.head, rules):
-            add(App(rh, t.arg))
-        for ra in reduce_one(t.arg, rules):
-            add(App(t.head, ra))
-    elif isinstance(t, Abs):
-        for rd in reduce_one(t.domain, rules):
-            add(Abs(rd, t.body, t.hint))
-        v, body = open_fresh(t)
-        for rb in reduce_one(body, rules):
-            add(lam(v, t.domain, rb))
-    elif isinstance(t, Prod):
-        for rd in reduce_one(t.domain, rules):
-            add(Prod(rd, t.codomain, t.hint))
-        v, body = open_fresh(t)
-        from .terms import pi
-        for rb in reduce_one(body, rules):
-            add(pi(v, t.domain, rb))
     return out
 
 
 def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:
-    """Leftmost-outermost single step; rules take priority over beta at
-    the same position.  None when t is in normal form."""
-    rules = RuleSet.of(rules)
-    if isinstance(t, Symb):
-        for rule in rules.by_head.get(t.name, ()):
-            sigma = match_first_order(rule.lhs, t)
-            if sigma is not None:
-                return subst_apply(rule.rhs, sigma)
-    if isinstance(t, App) and isinstance(t.head, Abs):
-        return open_(t.head.body, t.arg)
-    if isinstance(t, Symb):
-        for i, a in enumerate(t.args):
-            r = step(a, rules)
-            if r is not None:
-                return Symb(t.name, t.args[:i] + (r,) + t.args[i + 1:])
-        return None
-    if isinstance(t, App):
-        r = step(t.head, rules)
-        if r is not None:
-            return App(r, t.arg)
-        r = step(t.arg, rules)
-        if r is not None:
-            return App(t.head, r)
-        return None
-    if isinstance(t, Abs):
-        r = step(t.domain, rules)
-        if r is not None:
-            return Abs(r, t.body, t.hint)
-        v, body = open_fresh(t)
-        r = step(body, rules)
-        if r is not None:
-            return lam(v, t.domain, r)
-        return None
-    if isinstance(t, Prod):
-        r = step(t.domain, rules)
-        if r is not None:
-            return Prod(r, t.codomain, t.hint)
-        v, body = open_fresh(t)
-        r = step(body, rules)
-        if r is not None:
-            from .terms import pi
-            return pi(v, t.domain, r)
-        return None
-    return None
+    """Leftmost-outermost single step: the first of t's reducts.  None
+    when t is in normal form."""
+    return next(_reducts(t, RuleSet.of(rules)), None)
 
 
 def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:

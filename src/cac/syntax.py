@@ -24,15 +24,16 @@ term application by juxtaposition.  `#` starts a line comment."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .cic import InductiveDecl, translate_inductive
 from .rewriting import RewriteRule
 from .schema import derived_type
 from .signature import Signature
-from .terms import (Abs, App, CacError, Environment, Prod, Sort, SortT, STAR,
-                    Symb, Term, Var, Variable, free_vars, is_kind, lam, pi,
-                    positions_of, sort_class_of_type, subst_apply)
+from .positivity import is_predicate_term
+from .terms import (App, CacError, Environment, Prod, Sort, STAR, Symb, Term,
+                    Var, Variable, free_vars, is_kind, lam, pi, positions_of,
+                    sort_class_of_type, subst_apply)
 
 
 class ParseError(CacError):
@@ -517,7 +518,7 @@ class Elaborator:
         rho: Dict[Variable, Term] = {}
         for x, pimg in payload["rho"] or []:
             img = self.term(pimg, scope)
-            sort = Sort.BOX if _is_pred(img, self.sig) else Sort.STAR
+            sort = Sort.BOX if is_predicate_term(img, self.sig) else Sort.STAR
             v = Variable.fresh(x, sort)
             scope[x] = v
             rho[v] = img
@@ -584,11 +585,6 @@ class Elaborator:
         bundle = translate_inductive(decl, self.sig, fuel=self.fuel)
         self.rules.extend(bundle.rules)
         return bundle
-
-
-def _is_pred(t: Term, sig: Signature) -> bool:
-    from .positivity import is_predicate_term
-    return is_predicate_term(t, sig)
 
 
 def load(source: str, fuel: int = 10000) -> LoadedFile:

@@ -70,6 +70,11 @@ class Term:
     __slots__ = ()
 
 
+def _pp_str(t: Term) -> str:
+    from .printer import pp  # the printer imports this module
+    return pp(t)
+
+
 @dataclass(frozen=True)
 class SortT(Term):
     sort: Sort
@@ -119,9 +124,7 @@ class Abs(Term):
     body: Term
     hint: str = field(default="x", compare=False)
 
-    def __str__(self):
-        from .printer import pp
-        return pp(self)
+    __str__ = _pp_str
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,7 @@ class Prod(Term):
     codomain: Term
     hint: str = field(default="x", compare=False)
 
-    def __str__(self):
-        from .printer import pp
-        return pp(self)
+    __str__ = _pp_str
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,7 @@ class App(Term):
     head: Term
     arg: Term
 
-    def __str__(self):
-        from .printer import pp
-        return pp(self)
+    __str__ = _pp_str
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
@@ -170,34 +169,40 @@ def sort_class_of_type(t: Term) -> Sort:
 # ---------------------------------------------------------------------------
 # binder plumbing
 
+def _map_leaves(t: Term, leaf, depth: int) -> Term:
+    """t rebuilt with leaf(u, d) in place of each sort or variable u,
+    where d is depth plus the number of binders above u.  One frame per
+    term level, so a term as deep as the recursion limit allows is
+    walked to the bottom."""
+    if isinstance(t, Symb):
+        args = []
+        for a in t.args:
+            args.append(_map_leaves(a, leaf, depth))
+        return Symb(t.name, tuple(args))
+    if isinstance(t, App):
+        return App(_map_leaves(t.head, leaf, depth),
+                   _map_leaves(t.arg, leaf, depth))
+    if isinstance(t, Abs):
+        return Abs(_map_leaves(t.domain, leaf, depth),
+                   _map_leaves(t.body, leaf, depth + 1), t.hint)
+    if isinstance(t, Prod):
+        return Prod(_map_leaves(t.domain, leaf, depth),
+                    _map_leaves(t.codomain, leaf, depth + 1), t.hint)
+    return leaf(t, depth)
+
+
 def close(t: Term, v: Variable, depth: int = 0) -> Term:
     """Replace free occurrences of v by the bound index `depth`."""
-    if isinstance(t, Var):
-        return BVar(depth) if t.var == v else t
-    if isinstance(t, Symb):
-        return Symb(t.name, tuple(close(a, v, depth) for a in t.args))
-    if isinstance(t, Abs):
-        return Abs(close(t.domain, v, depth), close(t.body, v, depth + 1), t.hint)
-    if isinstance(t, Prod):
-        return Prod(close(t.domain, v, depth), close(t.codomain, v, depth + 1), t.hint)
-    if isinstance(t, App):
-        return App(close(t.head, v, depth), close(t.arg, v, depth))
-    return t
+    return _map_leaves(
+        t, lambda u, d: BVar(d) if isinstance(u, Var) and u.var == v else u,
+        depth)
 
 
 def open_(t: Term, image: Term, depth: int = 0) -> Term:
     """Instantiate the bound index `depth` with `image` (locally closed)."""
-    if isinstance(t, BVar):
-        return image if t.index == depth else t
-    if isinstance(t, Symb):
-        return Symb(t.name, tuple(open_(a, image, depth) for a in t.args))
-    if isinstance(t, Abs):
-        return Abs(open_(t.domain, image, depth), open_(t.body, image, depth + 1), t.hint)
-    if isinstance(t, Prod):
-        return Prod(open_(t.domain, image, depth), open_(t.codomain, image, depth + 1), t.hint)
-    if isinstance(t, App):
-        return App(open_(t.head, image, depth), open_(t.arg, image, depth))
-    return t
+    return _map_leaves(
+        t, lambda u, d: image if isinstance(u, BVar) and u.index == d else u,
+        depth)
 
 
 def lam(v: Variable, domain: Term, body: Term) -> Abs:
@@ -218,26 +223,6 @@ def open_fresh(t: Union[Abs, Prod]) -> "tuple[Variable, Term]":
     v = Variable.fresh(t.hint, sort_class_of_type(t.domain))
     body = t.body if isinstance(t, Abs) else t.codomain
     return v, open_(body, Var(v))
-
-
-def binds(t: Union[Abs, Prod]) -> bool:
-    """True iff the binder's variable actually occurs in the body."""
-    body = t.body if isinstance(t, Abs) else t.codomain
-
-    def occ(u, depth):
-        if isinstance(u, BVar):
-            return u.index == depth
-        if isinstance(u, Symb):
-            return any(occ(a, depth) for a in u.args)
-        if isinstance(u, Abs):
-            return occ(u.domain, depth) or occ(u.body, depth + 1)
-        if isinstance(u, Prod):
-            return occ(u.domain, depth) or occ(u.codomain, depth + 1)
-        if isinstance(u, App):
-            return occ(u.head, depth) or occ(u.arg, depth)
-        return False
-
-    return occ(body, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +260,8 @@ def subst_apply(t: Term, theta: Substitution) -> Term:
     """Capture-avoiding simultaneous substitution (images locally closed)."""
     if not theta:
         return t
-    if isinstance(t, Var):
-        return theta.get(t.var, t)
-    if isinstance(t, Symb):
-        return Symb(t.name, tuple(subst_apply(a, theta) for a in t.args))
-    if isinstance(t, Abs):
-        return Abs(subst_apply(t.domain, theta), subst_apply(t.body, theta), t.hint)
-    if isinstance(t, Prod):
-        return Prod(subst_apply(t.domain, theta), subst_apply(t.codomain, theta), t.hint)
-    if isinstance(t, App):
-        return App(subst_apply(t.head, theta), subst_apply(t.arg, theta))
-    return t
+    return _map_leaves(
+        t, lambda u, _: theta.get(u.var, u) if isinstance(u, Var) else u, 0)
 
 
 def compose_subst(theta: Substitution, sigma: Substitution) -> Substitution:

@@ -7,7 +7,7 @@ from cac import (InductiveDecl, OverallVerdict, STAR, Signature, Symb,
                  TypeChecker, Var, Variable, alpha_eq, arrow, certify_bundle,
                  normalize, pi, pp, selim_for_motive, translate_inductive)
 from cac.cic import BridgeError, is_small
-from cac.terms import Environment, Sort
+from cac.terms import App, Environment, Sort
 
 
 def nat_decl():
@@ -112,12 +112,10 @@ def _swap_recursion_argument(rule):
     return fix(rule.rhs)
 
 
-def test_polymorphic_inductive_list():
-    sig = Signature()
+def list_decl():
     x = Variable.fresh("list", Sort.BOX)
     a = Variable.fresh("A", Sort.BOX)
-    from cac.terms import App
-    decl = InductiveDecl(
+    return InductiveDecl(
         "list", arrow(STAR, STAR), x, (
             ("nil", pi(a, STAR, App(Var(x), Var(a)))),
             ("cons", pi(a, STAR,
@@ -125,10 +123,27 @@ def test_polymorphic_inductive_list():
                               arrow(App(Var(x), Var(a)),
                                     App(Var(x), Var(a)))))),
         ))
+
+
+def test_polymorphic_inductive_list():
+    sig = Signature()
+    decl = list_decl()
     bundle = translate_inductive(decl, sig)
     assert sig.decls["cons"].arity == 3
     report = certify_bundle(bundle, sig)
     assert report.overall == OverallVerdict.ADMISSIBLE
+
+
+def test_strong_elimination_of_parameterized_type_rejected():
+    # a motive over list's parameter would abstract over a kind, which
+    # has no type in the calculus
+    sig = Signature()
+    decl = list_decl()
+    bundle = translate_inductive(decl, sig)
+    with pytest.raises(BridgeError) as e:
+        selim_for_motive(decl, bundle, sig, STAR)
+    assert e.value.code == "parameterized-type"
+    assert "SElim_list_1" not in sig.decls
 
 
 def test_heterogeneous_inductive_rejected():

@@ -104,3 +104,31 @@ def test_structured_admissibility_keys(capsys):
     assert sorted(obj["a4"]["strong_normalization"]) == ["status", "witness"]
     for conds in obj["s_conditions"].values():
         assert sorted(conds) == ["s1", "s2", "s3", "s4", "s5"]
+
+
+DEEP = 10_000
+NAT = "inductive nat : * := zero : nat | succ : nat -> nat .\n"
+
+
+def deep_numeral(k):
+    return "succ(" * k + "zero" + ")" * k
+
+
+def assert_depth_exceeded(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error [depth-exceeded]: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_deep_directive_is_refused_without_traceback(tmp_path, capsys):
+    f = tmp_path / "deep.cac"
+    f.write_text(NAT + f"normalize {deep_numeral(DEEP)} .\n", encoding="utf-8")
+    assert_depth_exceeded(main(["check", str(f)]), capsys)
+
+
+def test_deep_expression_is_refused_without_traceback(tmp_path, capsys):
+    f = tmp_path / "nat.cac"
+    f.write_text(NAT, encoding="utf-8")
+    assert_depth_exceeded(
+        main(["normalize", str(f), "-e", deep_numeral(DEEP)]), capsys)

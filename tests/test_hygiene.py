@@ -1,0 +1,69 @@
+"""Source hygiene: every name a checker module imports is used in it,
+and no module imports one thing twice."""
+
+import ast
+import pathlib
+from collections import Counter
+
+import cac
+
+SOURCES = sorted(p for p in pathlib.Path(cac.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """(name bound, dotted name imported, line) of every import anywhere
+    in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield (a.asname or a.name.split(".")[0]), a.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = "." * node.level + (node.module or "")
+            for a in node.names:
+                yield (a.asname or a.name), f"{source}.{a.name}", node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for a in (args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg]):
+                if a is not None and a.annotation is not None:
+                    yield a.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree):
+    """Every name read in tree, including inside string annotations."""
+    trees = [tree]
+    for ann in _annotations(tree):
+        for c in ast.walk(ann):
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                trees.append(ast.parse(c.value, mode="eval"))
+    return {n.id for t in trees for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used(tree)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, _, line in _imported(tree) if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_nothing_is_imported_twice():
+    twice = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        counts = Counter(what for _, what, _ in _imported(tree))
+        twice += [f"{path.name}: {what}" for what, n in counts.items()
+                  if n > 1]
+    assert not twice, "imported twice:\n" + "\n".join(twice)

@@ -1,6 +1,7 @@
 """Randomized, seed-fixed property suites (500 cases each):
 substitution composition, one-step subject reduction, polarity
-disjointness, match/substitute round trips, normalization idempotence."""
+disjointness, match/substitute round trips, normalization idempotence,
+and agreement of `step` with `reduce_one` under binders."""
 
 import random
 
@@ -9,7 +10,8 @@ import pytest
 from cac import (Environment, STAR, Symb, TypeChecker, Var, Variable,
                  alpha_eq, match_first_order, normalize, polarity, pp,
                  reduce_one, step, subst_apply)
-from cac.terms import arrow, compose_subst, free_vars, lam, pi, Sort
+from cac.terms import (App, arrow, compose_subst, free_vars, lam, pi,
+                       Sort)
 
 CASES = 500
 
@@ -128,3 +130,42 @@ def test_normalize_idempotent(intf):
         nf = normalize(t, intf.rules)
         assert step(nf, intf.rules) is None
         assert normalize(nf, intf.rules) == nf
+
+
+def random_binder_term(rng, vars_, depth):
+    """An int term that may also hold abstractions, products and
+    beta-redexes; the binder domains are int terms too, so they can
+    reduce."""
+    if depth == 0 or rng.random() < 0.2:
+        return random_int_term(rng, vars_, 0)
+    choice = rng.randrange(7)
+    if choice < 4:
+        name = ("s", "p", "plus", "times")[choice]
+        arity = 1 if choice < 2 else 2
+        return Symb(name, tuple(random_binder_term(rng, vars_, depth - 1)
+                                for _ in range(arity)))
+    x = Variable.fresh("x", Sort.STAR)
+    dom = random_int_term(rng, vars_, rng.randrange(0, 3))
+    body = random_binder_term(rng, vars_ + [x], depth - 1)
+    if choice == 4:
+        return lam(x, dom, body)
+    if choice == 5:
+        return pi(x, dom, body)
+    return App(lam(x, dom, body), random_binder_term(rng, vars_, depth - 1))
+
+
+def test_step_is_first_of_reduce_one(intf):
+    rng = random.Random(1610)
+    under_binder = 0
+    for _ in range(CASES):
+        t = random_binder_term(rng, _int_vars(rng, 2), rng.randrange(1, 6))
+        reducts = reduce_one(t, intf.rules)
+        s = step(t, intf.rules)
+        if not reducts:
+            assert s is None, pp(t)
+            continue
+        assert s is not None and alpha_eq(s, reducts[0]), pp(t)
+        for i, u in enumerate(reducts):
+            assert not any(alpha_eq(u, w) for w in reducts[i + 1:]), pp(t)
+        under_binder += not isinstance(t, (Symb, App))
+    assert under_binder >= CASES // 20  # binders with a redex inside

@@ -9,8 +9,9 @@ from cac import (ConfluenceLevel, RewriteRule, STAR, Symb, Var, Variable,
                  left_linear, match_first_order, normalize, reduce_one,
                  step, unify)
 from cac.rewriting import RuleError, RuleSet, rename_apart
-from cac.terms import (Abs, App, BVar, FuelExhausted, Sort, free_vars, lam,
-                       positions, replace_at, subst_apply, subterm_at)
+from cac.terms import (Abs, App, BVar, FuelExhausted, Prod, Sort, free_vars,
+                       lam, pi, positions, replace_at, subst_apply,
+                       subterm_at)
 
 
 def v(name):
@@ -90,6 +91,49 @@ def test_reduce_one_collects_all_redexes():
     reducts = reduce_one(t, rules)
     assert sy("plus", sy("0"), sy("p", sy("s", sy("0")))) in reducts
     assert sy("plus", sy("s", sy("p", sy("0"))), sy("0")) in reducts
+
+
+def test_rules_at_a_position_come_before_beta_below_it():
+    # a symbol position is never a beta-redex, so rules and beta meet
+    # only as outer and inner redexes: the outer one comes first, and
+    # the rules of one head come in declaration order
+    x, y = v("x"), v("y")
+    first = RewriteRule("first", sy("f", Var(x)), sy("a"))
+    second = RewriteRule("second", sy("f", Var(x)), sy("b"))
+    ident = lam(y, STAR, Var(y))
+    t = sy("f", App(ident, sy("c")))
+    assert step(t, [first, second]) == sy("a")
+    assert reduce_one(t, [first, second]) == [sy("a"), sy("b"),
+                                              sy("f", sy("c"))]
+    u = App(ident, sy("f", sy("c")))
+    assert step(u, [first, second]) == sy("f", sy("c"))
+    assert reduce_one(u, [first, second]) == [
+        sy("f", sy("c")), App(ident, sy("a")), App(ident, sy("b"))]
+
+
+def test_binder_domain_reduces_before_body():
+    rules = int_rules()
+    x = v("x")
+    redex = sy("p", sy("s", sy("int")))
+    for make, node in ((lam, Abs), (pi, Prod)):
+        t = make(x, redex, sy("p", sy("s", Var(x))))
+        domain_first = node(sy("int"), sy("p", sy("s", BVar(0))))
+        assert step(t, rules) == domain_first
+        assert reduce_one(t, rules) == [domain_first, node(redex, BVar(0))]
+
+
+def test_step_reaches_the_bottom_of_a_deep_term():
+    # built in Python, since the parser and the printer stop far higher;
+    # compared by identity, since the recursive __eq__ would overflow
+    one = sy("one")
+    t = sy("zero")
+    for _ in range(700):
+        t = sy("succ", t)
+    r = step(t, [RewriteRule("z", sy("zero"), one)])
+    for _ in range(700):
+        assert r.name == "succ"
+        r = r.args[0]
+    assert r is one
 
 
 def test_fuel_exhaustion():

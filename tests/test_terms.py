@@ -82,6 +82,20 @@ def test_occurrence_walks_survive_deep_terms():
     assert positions_of(t, x) == {(1,) * 3000}
 
 
+def test_subst_apply_reaches_the_bottom_of_a_deep_term():
+    # one interpreter frame per term level; compared by identity, since
+    # the recursive __eq__ would overflow
+    x, zero = v("x"), Symb("zero", ())
+    t = Var(x)
+    for _ in range(700):
+        t = Symb("succ", (t,))
+    u = subst_apply(t, {x: zero})
+    for _ in range(700):
+        assert u.name == "succ"
+        u = u.args[0]
+    assert u is zero
+
+
 def test_abs_prod_positions_domain_is_1_body_is_2():
     x = v("x")
     t = pi(x, STAR, Var(x))
