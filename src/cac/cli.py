@@ -27,6 +27,11 @@ def _emit(obj, as_json: bool, text: str) -> None:
         print(text)
 
 
+def _too_deep() -> str:
+    return ("a term is nested beyond the recursion limit "
+            f"({sys.getrecursionlimit()})")
+
+
 def _load_file(path: str, fuel: int) -> LoadedFile:
     with open(path, encoding="utf-8") as f:
         return load(f.read(), fuel=fuel)
@@ -73,6 +78,10 @@ def cmd_check(args) -> int:
         except CacError as e:
             entry["outcome"] = "failed"
             entry["detail"] = e.message
+            ok = False
+        except RecursionError:
+            entry["outcome"] = "failed"
+            entry["detail"] = f"depth-exceeded: {_too_deep()}"
             ok = False
         results.append(entry)
     obj = {"file": args.file, "directives": results, "ok": ok}
@@ -207,8 +216,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error [{e.code}]: {e.message}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error [depth-exceeded]: a term is nested beyond the "
-              f"recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
+        print(f"error [depth-exceeded]: {_too_deep()}", file=sys.stderr)
         return 1
 
 

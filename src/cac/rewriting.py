@@ -192,12 +192,9 @@ def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
 
 def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
     """All one-step reducts of t (rule steps and beta steps, anywhere),
-    without alpha-equal duplicates."""
-    out: List[Term] = []
-    for u in _reducts(t, RuleSet.of(rules)):
-        if all(not alpha_eq(u, w) for w in out):
-            out.append(u)
-    return out
+    without alpha-equal duplicates, each where it first occurs.  Alpha
+    equality is structural equality, so a dict drops the duplicates."""
+    return list(dict.fromkeys(_reducts(t, RuleSet.of(rules))))
 
 
 def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:
@@ -224,21 +221,19 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
              fuel: int = 10000, confluent: bool = False) -> bool:
     """Do t and u have a common reduct?  Under a positive confluence
     verdict this is normalize-and-compare; otherwise a bounded
-    breadth-first search of both reduction graphs."""
+    breadth-first search of both reduction graphs, whose visited terms
+    are kept in hash sets (alpha equality is structural equality)."""
     if alpha_eq(t, u):
         return True
     rules = RuleSet.of(rules)
     if confluent:
         return alpha_eq(normalize(t, rules, fuel), normalize(u, rules, fuel))
-    seen_t, seen_u = [t], [u]
+    seen_t, seen_u = {t}, {u}
     frontier_t, frontier_u = [t], [u]
     budget = fuel
 
-    def meets(xs, ys):
-        return any(alpha_eq(x, y) for x in xs for y in ys)
-
     while frontier_t or frontier_u:
-        if meets(seen_t, seen_u):
+        if not seen_t.isdisjoint(seen_u):
             return True
         nxt_t, nxt_u = [], []
         for x in frontier_t:
@@ -246,19 +241,19 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
                 budget -= 1
                 if budget < 0:
                     raise FuelExhausted("joinability search")
-                if all(not alpha_eq(r, s) for s in seen_t):
-                    seen_t.append(r)
+                if r not in seen_t:
+                    seen_t.add(r)
                     nxt_t.append(r)
         for y in frontier_u:
             for r in reduce_one(y, rules):
                 budget -= 1
                 if budget < 0:
                     raise FuelExhausted("joinability search")
-                if all(not alpha_eq(r, s) for s in seen_u):
-                    seen_u.append(r)
+                if r not in seen_u:
+                    seen_u.add(r)
                     nxt_u.append(r)
         frontier_t, frontier_u = nxt_t, nxt_u
-    return meets(seen_t, seen_u)
+    return not seen_t.isdisjoint(seen_u)
 
 
 # ---------------------------------------------------------------------------

@@ -58,21 +58,23 @@ def acc_step(t: Term, T: Term, sig: Signature) -> List[AccPair]:
 
 def acc_reachable(start: AccPair, sig: Signature,
                   limit: int = 10000) -> List[AccPair]:
-    """Reflexive-transitive closure of acc_step from `start`."""
-    seen = [start]
+    """Reflexive-transitive closure of acc_step from `start`, in the
+    order the pairs are first reached."""
+    # keyed by AccPair, whose equality is alpha equality of term and type;
+    # a dict keeps insertion order
+    seen = {start: None}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
             for q in acc_step(p.term, p.type, sig):
-                if all(not (alpha_eq(q.term, s.term)
-                            and alpha_eq(q.type, s.type)) for s in seen):
-                    seen.append(q)
+                if q not in seen:
+                    seen[q] = None
                     nxt.append(q)
                     if len(seen) > limit:
                         raise FuelExhausted("accessibility closure")
         frontier = nxt
-    return seen
+    return list(seen)
 
 
 def derived_type(l: Term, p: Position, sig: Signature) -> Term:

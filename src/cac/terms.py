@@ -5,7 +5,8 @@ Bruijn indices (`BVar`), free variables are globally unique `Variable`
 objects.  Alpha-equivalence is therefore plain structural equality and
 substitution is capture-free by construction.  Display names are kept
 on binders and variables for printing only and are excluded from
-comparison and hashing.
+comparison and hashing.  The term classes are slotted, so a term holds
+no instance dictionary: reduction searches keep many terms in hash sets.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class Sort(enum.Enum):
 _var_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     """A free variable with a fixed sort class (object or predicate)."""
 
@@ -75,7 +76,7 @@ def _pp_str(t: Term) -> str:
     return pp(t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SortT(Term):
     sort: Sort
 
@@ -87,7 +88,7 @@ STAR = SortT(Sort.STAR)
 BOX = SortT(Sort.BOX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     var: Variable
 
@@ -95,7 +96,7 @@ class Var(Term):
         return self.var.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BVar(Term):
     """Bound variable (de Bruijn index); never user-visible."""
 
@@ -105,7 +106,7 @@ class BVar(Term):
         return f"#{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symb(Term):
     """Fully applied symbol f(t1, ..., tn); arity is fixed by the signature."""
 
@@ -118,7 +119,7 @@ class Symb(Term):
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     domain: Term
     body: Term
@@ -127,7 +128,7 @@ class Abs(Term):
     __str__ = _pp_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod(Term):
     domain: Term
     codomain: Term
@@ -136,7 +137,7 @@ class Prod(Term):
     __str__ = _pp_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     head: Term
     arg: Term
@@ -375,7 +376,7 @@ def var_counts(t: Term) -> "Counter[Variable]":
 # ---------------------------------------------------------------------------
 # environments
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Environment:
     """Ordered list of typed variable bindings; also the Gamma of rules."""
 

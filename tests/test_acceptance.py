@@ -189,3 +189,19 @@ def test_acceptance_7_determinism():
         ok &= reports[0] == reports[1]
     _report(7, ok, "admissibility reports are byte-identical across runs "
                    "on every corpus file")
+
+
+def test_acceptance_8_joinability_search():
+    # plus(p(s(0)), ...) nested 9 deep has value 0, so it never meets
+    # s(0), and the breadth-first search visits every reduct of both
+    with Timer() as tm:
+        lf = load(corpus_source("int") + "rule p(0) -> 0 .\n")
+        chain = Symb("0", ())
+        for _ in range(9):
+            chain = Symb("plus", (Symb("p", (Symb("s", (Symb("0", ()),)),)),
+                                  chain))
+        ok = not joinable(chain, Symb("s", (Symb("0", ()),)), lf.rules)
+    ok &= tm.elapsed < 2.0
+    _report(8, ok, "joinability search: plus(p(s(0)), ...) 9 deep and "
+                   "s(0) have no common reduct under the int rules plus "
+                   f"p(0) -> 0 ({tm.elapsed:.2f}s)")

@@ -132,3 +132,22 @@ def test_deep_expression_is_refused_without_traceback(tmp_path, capsys):
     f.write_text(NAT, encoding="utf-8")
     assert_depth_exceeded(
         main(["normalize", str(f), "-e", deep_numeral(DEEP)]), capsys)
+
+
+def test_deep_result_fails_only_its_own_directive(tmp_path, capsys):
+    # 200 + 200 as a recursor call parses, and normalizes to succ^400,
+    # which is deeper than the printer can go: that directive fails,
+    # as one out of fuel would, and the next one still runs
+    n = deep_numeral(200)
+    f = tmp_path / "add.cac"
+    f.write_text(NAT + f"normalize WElim_nat(nat, {n}, fun (x:nat) => "
+                 f"fun (y:nat) => succ(y), {n}) .\n"
+                 "normalize succ(zero) .\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith(
+        "normalize (line 2): failed — depth-exceeded: ")
+    assert lines[1:] == ["normalize (line 3): ok — succ(zero)",
+                         "some checks failed"]
+    assert captured.err == ""

@@ -1,11 +1,13 @@
 """Source hygiene: every name a checker module imports is used in it,
-and no module imports one thing twice."""
+no module imports one thing twice, and terms carry no instance
+dictionary."""
 
 import ast
 import pathlib
 from collections import Counter
 
 import cac
+import cac.terms
 
 SOURCES = sorted(p for p in pathlib.Path(cac.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -67,3 +69,20 @@ def test_nothing_is_imported_twice():
         twice += [f"{path.name}: {what}" for what, n in counts.items()
                   if n > 1]
     assert not twice, "imported twice:\n" + "\n".join(twice)
+
+
+def test_terms_have_no_instance_dict():
+    # the joinability search holds its visited terms in hash sets, which
+    # the slots pay for: a __dict__ per node raised its peak memory
+    path = pathlib.Path(cac.terms.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(b, ast.Name) and b.id == "Term"
+                     for b in node.bases)}
+    names |= {"Term", "Variable", "Environment"}
+    assert {"SortT", "Var", "BVar", "Symb", "Abs", "Prod", "App"} <= names
+    with_dict = [n for n in sorted(names)
+                 if hasattr(object.__new__(getattr(cac.terms, n)),
+                            "__dict__")]
+    assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)

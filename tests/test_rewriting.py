@@ -8,7 +8,7 @@ from cac import (ConfluenceLevel, RewriteRule, STAR, Symb, Var, Variable,
                  alpha_eq, confluence_check, critical_pairs, joinable,
                  left_linear, match_first_order, normalize, reduce_one,
                  step, unify)
-from cac.rewriting import RuleError, RuleSet, rename_apart
+from cac.rewriting import RuleError, RuleSet, _reducts, rename_apart
 from cac.terms import (Abs, App, BVar, FuelExhausted, Prod, Sort, free_vars,
                        lam, pi, positions, replace_at, subst_apply,
                        subterm_at)
@@ -91,6 +91,18 @@ def test_reduce_one_collects_all_redexes():
     reducts = reduce_one(t, rules)
     assert sy("plus", sy("0"), sy("p", sy("s", sy("0")))) in reducts
     assert sy("plus", sy("s", sy("p", sy("0"))), sy("0")) in reducts
+
+
+def test_reduce_one_keeps_first_occurrences():
+    # the raw stream repeats f(c): the root's first rule gives it, and
+    # so does the first rule at position 1, after the root's e
+    x, y = v("x"), v("y")
+    rules = [RewriteRule("drop", sy("f", Var(x)), Var(x)),
+             RewriteRule("const", sy("f", Var(y)), sy("e"))]
+    t = sy("f", sy("f", sy("c")))
+    fc, e = sy("f", sy("c")), sy("e")
+    assert list(_reducts(t, RuleSet.of(rules))) == [fc, e, fc, sy("f", e)]
+    assert reduce_one(t, rules) == [fc, e, sy("f", e)]
 
 
 def test_rules_at_a_position_come_before_beta_below_it():
@@ -302,3 +314,102 @@ def test_critical_pairs_match_all_pairs_reference():
             [str(r) for r in rules]
         found += len(got)
     assert found > 100  # the generator does produce overlaps
+
+
+# -- joinability search against a list-based reference -----------------------
+
+def reference_reduce_one(t, rules):
+    """Every one-step reduct, alpha-duplicates dropped by pairwise
+    comparison."""
+    out = []
+    for u in _reducts(t, RuleSet.of(rules)):
+        if all(not alpha_eq(u, w) for w in out):
+            out.append(u)
+    return out
+
+
+def reference_joinable(t, u, rules, fuel):
+    """Breadth-first search for a common reduct with the visited terms
+    in lists, each new reduct compared with every visited one."""
+    if alpha_eq(t, u):
+        return True
+    seen_t, seen_u = [t], [u]
+    frontier_t, frontier_u = [t], [u]
+    budget = fuel
+
+    def meets(xs, ys):
+        return any(alpha_eq(x, y) for x in xs for y in ys)
+
+    while frontier_t or frontier_u:
+        if meets(seen_t, seen_u):
+            return True
+        nxt_t, nxt_u = [], []
+        for x in frontier_t:
+            for r in reference_reduce_one(x, rules):
+                budget -= 1
+                if budget < 0:
+                    raise FuelExhausted("joinability search")
+                if all(not alpha_eq(r, s) for s in seen_t):
+                    seen_t.append(r)
+                    nxt_t.append(r)
+        for y in frontier_u:
+            for r in reference_reduce_one(y, rules):
+                budget -= 1
+                if budget < 0:
+                    raise FuelExhausted("joinability search")
+                if all(not alpha_eq(r, s) for s in seen_u):
+                    seen_u.append(r)
+                    nxt_u.append(r)
+        frontier_t, frontier_u = nxt_t, nxt_u
+    return meets(seen_t, seen_u)
+
+
+def join_rules():
+    """The int rules plus the truncating p(0) -> 0, under which s(p(0))
+    reduces to both 0 and s(0): not confluent, so `joinable` searches."""
+    from cac import load
+    from tests.conftest import corpus_source
+    return load(corpus_source("int") + "rule p(0) -> 0 .\n").rules
+
+
+def random_int_term(rng, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return sy("0")
+    head = rng.choice(["s", "p", "s", "p", "plus", "times"])
+    arity = 1 if head in ("s", "p") else 2
+    return Symb(head, tuple(random_int_term(rng, depth - 1)
+                            for _ in range(arity)))
+
+
+def outcome(search, t, u, rules, fuel):
+    try:
+        return search(t, u, rules, fuel)
+    except FuelExhausted:
+        return "fuel"
+
+
+def test_joinable_matches_list_reference():
+    rules = join_rules()
+    rng = random.Random(20261018)
+    results = {True: 0, False: 0}
+    ran_out = 0
+    for _ in range(300):
+        t = random_int_term(rng, 4)
+        if rng.random() < 0.5:
+            u = random_int_term(rng, 3)
+        else:  # a reduct of t, wrapped or not: joinable more often
+            u = t
+            for _ in range(rng.randrange(1, 4)):
+                reducts = reference_reduce_one(u, rules)
+                u = rng.choice(reducts) if reducts else u
+            if rng.random() < 0.5:
+                u = sy(rng.choice(["s", "p"]), u)
+        assert reduce_one(t, rules) == reference_reduce_one(t, rules)
+        want = reference_joinable(t, u, rules, 10000)
+        assert joinable(t, u, rules) == want, (t, u)
+        results[want] += 1
+        small = outcome(reference_joinable, t, u, rules, 8)
+        assert outcome(joinable, t, u, rules, 8) == small, (t, u)
+        ran_out += small == "fuel"
+    assert min(results.values()) > 50, results  # both outcomes occur
+    assert 20 < ran_out < 280, ran_out  # fuel 8 runs out on some pairs

@@ -10,7 +10,7 @@ from cac import (RewriteRule, STAR, Symb, TypeChecker, Var, Variable,
                  check_well_formed, derived_type, load, replay,
                  satisfies_general_schema)
 from cac.schema import AccPair, SchemaError, acc_reachable
-from cac.terms import CacError, Sort
+from cac.terms import CacError, FuelExhausted, Sort
 from tests.conftest import corpus_source
 
 
@@ -47,6 +47,13 @@ def test_acc_reachable_transitive(app):
     start = AccPair(nested, Symb("list", (Var(a),)))
     reached = acc_reachable(start, sig)
     assert any(alpha_eq(p.term, Var(l)) for p in reached)
+    # first-reached order; the inner cons reaches A and x a second time
+    assert [str(p) for p in reached] == [
+        str(start), "⟨A, ★⟩", "⟨x, A⟩", "⟨cons(A, x, l), list(A)⟩",
+        "⟨l, list(A)⟩"]
+    assert acc_reachable(start, sig, limit=5) == reached
+    with pytest.raises(FuelExhausted):
+        acc_reachable(start, sig, limit=4)
 
 
 def test_derived_type_app_rule(app):
