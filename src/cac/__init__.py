@@ -11,7 +11,7 @@ from .cic import (GeneratedBundle, InductiveDecl, certify_bundle,
 from .orderings import rpo_greater, rpo_terminates
 from .positivity import (PolarityReport, PredicateClass,
                          check_inductive_structure, classify_predicate,
-                         polarity)
+                         polarity, predicate_classes)
 from .printer import pp
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, CriticalPair,
                         RewriteRule, RuleSet, confluence_check, critical_pairs,

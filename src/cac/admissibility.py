@@ -10,12 +10,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .orderings import rpo_terminates
 from .positivity import (PredicateClass, check_inductive_structure,
-                         classify_predicate, polarity)
+                         polarity, predicate_classes)
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
                         RuleSet, confluence_check, unify)
-from .schema import derived_type, rule_type, satisfies_general_schema
+from .schema import (derived_type, rule_type, satisfies_general_schema,
+                     typed_occurrences)
 from .signature import Signature
-from .terms import (Abs, CacError, EPSILON, Sort, Symb, Term, Var, Variable,
+from .terms import (Abs, CacError, Sort, Symb, Term, Var, Variable,
                     _map_leaves, alpha_eq, free_vars, is_algebraic,
                     positions_of, spine, subst_apply, subterm_at, symbols_of,
                     var_counts)
@@ -91,22 +92,9 @@ def check_type_preservation(rule: RewriteRule, sig: Signature,
         out["s4"] = ConditionResult("s4", Outcome.PASS,
                                     "vacuous: empty environment")
     else:
-        missing = []
-        for x, xtyp in gamma_env:
-            occ = sorted(positions_of(lhs, x))
-            witness = None
-            for p in occ:
-                if p == EPSILON:
-                    continue
-                try:
-                    tau = derived_type(lhs, p, sig)
-                except CacError:
-                    continue
-                if alpha_eq(subst_apply(tau, rho), xtyp):
-                    witness = p
-                    break
-            if witness is None:
-                missing.append(x)
+        missing = [x for x, xtyp in gamma_env
+                   if next(typed_occurrences(rule, x, xtyp, sig), None)
+                   is None]
         uncovered = [v for v in free_vars(lhs)
                      if gamma_env.lookup(v) is None and v not in rho]
         if missing or uncovered:
@@ -256,15 +244,6 @@ class SystemProperties:
                           "simple", "positive", "recursive", "safe")}
 
 
-def _is_primitive_predicate(sig: Signature, name: str, rules) -> bool:
-    d = sig.decls.get(name)
-    if d is None or d.sort != Sort.BOX:
-        return False
-    if name not in sig.free_predicate_symbols(rules):
-        return False
-    return classify_predicate(sig, name, rules) == PredicateClass.PRIMITIVE
-
-
 def _duplication(r: RewriteRule) -> Optional[str]:
     """Why r is duplicating (a variable with more occurrences in the rhs
     than in the lhs), or None."""
@@ -285,6 +264,7 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                                               "safe")) -> SystemProperties:
     props = SystemProperties()
     rules = RuleSet.of(all_rules or grules)
+    classes = predicate_classes(sig, rules)
 
     if "algebraic" in which:
         verdict = HOLDS
@@ -295,8 +275,8 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                 break
             if d.sort == Sort.BOX:
                 continue
-            target = sig.constructor_target(g)
-            if target is None or not _is_primitive_predicate(sig, target, rules):
+            if classes.get(sig.constructor_target(g)) \
+                    is not PredicateClass.PRIMITIVE:
                 verdict = fails(f"{g} is neither a predicate symbol nor a "
                                 "constructor of a primitive predicate")
                 break
@@ -324,7 +304,7 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                                 f"is {head}, not a symbol application")
                 break
             g = head.name
-            if g not in gset and not _is_primitive_predicate(sig, g, rules):
+            if g not in gset and classes.get(g) is not PredicateClass.PRIMITIVE:
                 verdict = fails(f"rule {r.name}: head symbol {g} is outside "
                                 "the system and not a primitive predicate")
                 break
@@ -336,8 +316,7 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
             assert isinstance(r.lhs, Symb)
             inner = frozenset().union(*[symbols_of(a) for a in r.lhs.args]) \
                 if r.lhs.args else frozenset()
-            not_free = [s for s in sorted(inner)
-                        if not sig.is_free(s, rules)]
+            not_free = [s for s in sorted(inner) if s in rules.heads]
             if not_free:
                 verdict = fails(f"rule {r.name}: lhs argument mentions "
                                 f"defined symbol {not_free[0]}")
@@ -464,18 +443,17 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
     algebraic part."""
     rules = RuleSet.of(rules)
     _, defined = sig.free_and_defined(rules)
+    classes = predicate_classes(sig, rules)
     by_head = rules.by_head
     reasons: Dict[str, str] = {}
 
     def demote(g: str) -> Optional[str]:
         if g in force_non_algebraic:
             return "excluded by pragma"
-        d = sig.decls[g]
-        if d.sort != Sort.BOX:
-            target = sig.constructor_target(g)
-            if target is None or not _is_primitive_predicate(sig, target, rules):
-                return ("object symbol whose target is not a primitive "
-                        "predicate")
+        if sig.decls[g].sort != Sort.BOX and classes.get(
+                sig.constructor_target(g)) is not PredicateClass.PRIMITIVE:
+            return ("object symbol whose target is not a primitive "
+                    "predicate")
         for r in by_head[g]:
             if not is_algebraic(r.rhs):
                 return f"rule {r.name} has a non-algebraic right-hand side"

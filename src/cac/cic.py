@@ -5,8 +5,9 @@ closed small motive), ready for the admissibility pipeline."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from .admissibility import check_admissible
 from .rewriting import RewriteRule
 from .signature import Signature
 from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
@@ -36,7 +37,6 @@ class GeneratedBundle:
     symbols: List[str]
     welim: str
     rules: List[RewriteRule] = field(default_factory=list)
-    provenance: Dict[str, Tuple[str, int, str]] = field(default_factory=dict)
 
 
 def _self_applications_ok(b: Term, x: Variable) -> bool:
@@ -46,6 +46,15 @@ def _self_applications_ok(b: Term, x: Variable) -> bool:
     if isinstance(head, Var) and head.var == x:
         return all(x not in free_vars(a) for a in args)
     return x not in free_vars(b)
+
+
+def _hidden_predicates(ctype: Term) -> List[Variable]:
+    """The predicate arguments of a constructor type that are not
+    parameters of its output type (I6 forbids them)."""
+    binders, output = strip_products(ctype)
+    _, margs = spine(output)
+    exposed = {m.var for m in margs if isinstance(m, Var)}
+    return [v for v, _ in binders if v.sort == Sort.BOX and v not in exposed]
 
 
 def _map_self(t: Term, x: Variable,
@@ -106,13 +115,12 @@ def translate_inductive(d: InductiveDecl, sig: Signature,
             raise BridgeError(
                 "non-basic-constructor",
                 f"constructor {cname}: output indices mention the type")
-        for v, b in binders:
-            if v.sort == Sort.BOX and not any(
-                    isinstance(m, Var) and m.var == v for m in margs):
-                raise BridgeError(
-                    "i6-violation",
-                    f"constructor {cname}: predicate argument {v} is not "
-                    "a parameter of the output type")
+        hidden = _hidden_predicates(ctype)
+        if hidden:
+            raise BridgeError(
+                "i6-violation",
+                f"constructor {cname}: predicate argument {hidden[0]} is "
+                "not a parameter of the output type")
         to_type = _to_symbol(d.name, arity)
         ctor_type = _rebuild_telescope(
             [(v, _map_self(b, x, to_type)) for v, b in binders],
@@ -232,12 +240,10 @@ def generate_iota_rules(d: InductiveDecl, bundle: GeneratedBundle,
         assert isinstance(cdecl.output, Symb)
         rho = {a: subst_apply(m, cgamma)
                for a, m in zip(avars, cdecl.output.args)}
-        rname = f"iota_{name}_{cname}"
-        rule = RewriteRule(rname, lhs, rhs, Environment.of(env), rho)
+        rule = RewriteRule(f"iota_{name}_{cname}", lhs, rhs,
+                           Environment.of(env), rho)
         rules.append(rule)
         bundle.rules.append(rule)
-        bundle.provenance[rname] = ((d.name, idx, "weak") if motive is None
-                                    else (name, idx, "strong"))
     return rules
 
 
@@ -249,15 +255,7 @@ def is_small(d: InductiveDecl) -> bool:
     """Small: no constructor has predicate arguments beyond the
     parameters of the type (which basic I6-checked inductives expose as
     output arguments)."""
-    x = d.self_var
-    for cname, ctype in d.constructors:
-        binders, output = strip_products(ctype)
-        _, margs = spine(output)
-        for v, _ in binders:
-            if v.sort == Sort.BOX and not any(
-                    isinstance(m, Var) and m.var == v for m in margs):
-                return False
-    return True
+    return not any(_hidden_predicates(ctype) for _, ctype in d.constructors)
 
 
 def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
@@ -281,8 +279,7 @@ def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
     known = sig.selim_cache.setdefault(d.name, [])
     for name, m in known:
         if alpha_eq(m, motive):
-            return name, [r for r in bundle.rules
-                          if bundle.provenance.get(r.name, ("",))[0] == name]
+            return name, [r for r in bundle.rules if r.head_name() == name]
     name = f"SElim_{d.name}_{len(known) + 1}"
     sig.declare(name, len(d.constructors) + 1,
                 _recursor_type(d, [], motive), fuel=fuel)
@@ -294,7 +291,6 @@ def certify_bundle(bundle: GeneratedBundle, sig: Signature,
                    rules: Sequence[RewriteRule] = (), fuel: int = 10000):
     """Run the admissibility pipeline over the generated rules (plus any
     caller-supplied ones)."""
-    from .admissibility import check_admissible
     all_rules = list(bundle.rules) + [r for r in rules
                                       if r not in bundle.rules]
     return check_admissible(sig, all_rules, fuel=fuel)

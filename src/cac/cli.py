@@ -15,7 +15,8 @@ from typing import List, Optional
 from .admissibility import Outcome, OverallVerdict, check_admissible
 from .printer import pp
 from .rewriting import confluence_check, joinable, normalize
-from .syntax import ElabError, LoadedFile, ParseError, load
+from .syntax import (ElabError, Elaborator, LoadedFile, ParseError, Parser,
+                     lex, load)
 from .terms import CacError, Environment
 from .typing import TypeChecker
 
@@ -38,7 +39,6 @@ def _load_file(path: str, fuel: int) -> LoadedFile:
 
 
 def _parse_expr(loaded: LoadedFile, text: str, fuel: int):
-    from .syntax import Elaborator, Parser, lex
     elab = Elaborator(fuel=fuel)
     elab.sig = loaded.signature
     elab.rules = loaded.rules

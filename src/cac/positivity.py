@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from .signature import Signature
 from .terms import (Abs, App, BVar, EPSILON, Position, Prod, Sort, SortT,
@@ -219,69 +219,73 @@ def check_inductive_structure(sig: Signature,
     return out
 
 
-def classify_predicate(sig: Signature, cname: str,
-                       rules=()) -> PredicateClass:
-    """Strongest shape class of a free predicate symbol, quantifying
-    over all equivalent predicates and their constructors' accessible
-    argument types."""
+def predicate_classes(sig: Signature,
+                      rules=()) -> Dict[str, PredicateClass]:
+    """Strongest shape class of every free predicate symbol.  A class
+    quantifies over all equivalent predicates and their constructors'
+    accessible argument types, so it is decided once per equivalence
+    class; a primitive class may use basic classes strictly below it.
+    A class met again while it is still being decided (which only a
+    cyclic precedence allows) counts as not basic."""
     prec = sig.precedence
     frees = sig.free_predicate_symbols(rules)
-    cls = {d for d in frees if prec.eq(d, cname)}
+    free_set = set(frees)
+    members: Dict[str, Set[str]] = {}
+    for d in frees:
+        members.setdefault(prec.find(d), set()).add(d)
+    decided: Dict[str, Optional[PredicateClass]] = {}  # None: in progress
 
-    def eq_occurs(u: Term, dname: str) -> bool:
-        return any(prec.eq(e, dname)
-                   for e in symbols_of(u) if e in frees)
+    def decide(name: str) -> Optional[PredicateClass]:
+        root = prec.find(name)
+        if root in decided:
+            return decided[root]
+        decided[root] = None
+        cls = members[root]
 
-    primitive = basic = strictly = True
-    for dname in sorted(cls):
-        for con in sig.constructors_of(dname):
-            decl = sig.decls[con]
-            for j in sorted(sig.structure.acc_of(con)):
-                if not (1 <= j <= decl.arity):
-                    continue
-                uj = decl.binders[j - 1][1]
-                # primitive: U_j is E(t-vec) with E basic below D, or
-                # E equivalent to D
-                if isinstance(uj, Symb) and uj.name in frees:
-                    e = uj.name
-                    if prec.eq(e, dname):
-                        pass
-                    elif prec.gt(dname, e) and _is_basic_shape(sig, e, rules):
-                        pass
-                    else:
+        def occurs(u: Term) -> bool:
+            return not symbols_of(u).isdisjoint(cls)
+
+        primitive = basic = strictly = True
+        for dname in sorted(cls):
+            for con in sig.constructors_of(dname):
+                decl = sig.decls[con]
+                for j in sorted(sig.structure.acc_of(con)):
+                    if not (1 <= j <= decl.arity):
+                        continue
+                    uj = decl.binders[j - 1][1]
+                    # primitive: U_j is E(t-vec) with E equivalent to D,
+                    # or E basic and below D
+                    e = uj.name if isinstance(uj, Symb) else None
+                    if not (e in cls or e in free_set and prec.gt(dname, e)
+                            and decide(e) in (PredicateClass.PRIMITIVE,
+                                              PredicateClass.BASIC)):
                         primitive = False
-                else:
-                    primitive = False
-                # basic: equivalent symbols occur only at the root
-                if eq_occurs(uj, dname):
-                    if not (isinstance(uj, Symb) and uj.name in frees
-                            and prec.eq(uj.name, dname)):
+                    if not occurs(uj):
+                        continue
+                    # basic: equivalent symbols occur only at the root
+                    if e not in cls or any(map(occurs, uj.args)):
                         basic = False
-                    elif any(eq_occurs(a, dname) for a in uj.args):
-                        basic = False
-                # strictly positive: (z-vec:V-vec) E(t-vec), no
-                # equivalent symbol in the domains
-                if eq_occurs(uj, dname):
-                    core = uj
-                    domains = []
+                    # strictly positive: (z-vec:V-vec) E(t-vec), no
+                    # equivalent symbol in the domains
+                    core, domains = uj, []
                     while isinstance(core, Prod):
                         domains.append(core.domain)
                         core = core.codomain
-                    ok = (isinstance(core, Symb) and core.name in frees
-                          and prec.eq(core.name, dname)
-                          and not any(eq_occurs(v, dname) for v in domains)
-                          and not any(eq_occurs(a, dname) for a in core.args))
-                    if not ok:
+                    if not (isinstance(core, Symb) and core.name in cls
+                            and not any(map(occurs, domains))
+                            and not any(map(occurs, core.args))):
                         strictly = False
-    if primitive and basic:
-        return PredicateClass.PRIMITIVE
-    if basic:
-        return PredicateClass.BASIC
-    if strictly:
-        return PredicateClass.STRICTLY_POSITIVE
-    return PredicateClass.GENERAL
+        decided[root] = (PredicateClass.PRIMITIVE if primitive and basic
+                         else PredicateClass.BASIC if basic
+                         else PredicateClass.STRICTLY_POSITIVE if strictly
+                         else PredicateClass.GENERAL)
+        return decided[root]
+
+    return {d: decide(d) for d in frees}
 
 
-def _is_basic_shape(sig: Signature, cname: str, rules=()) -> bool:
-    return classify_predicate(sig, cname, rules) in (
-        PredicateClass.PRIMITIVE, PredicateClass.BASIC)
+def classify_predicate(sig: Signature, cname: str,
+                       rules=()) -> PredicateClass:
+    """Strongest shape class of the free predicate symbol cname (see
+    `predicate_classes`)."""
+    return predicate_classes(sig, rules)[cname]

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from .orderings import rpo_terminates
 from .terms import (Abs, App, CacError, Environment, FuelExhausted, Position,
                     Prod, Symb, Term, Var, Variable, alpha_eq, close,
                     free_vars, is_algebraic, occurrences, open_, open_fresh,
@@ -365,7 +366,6 @@ def confluence_check(rules: Sequence[RewriteRule], signature=None,
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL,
                                  ["left-linear", "no critical pairs"])
     if signature is not None:
-        from .orderings import rpo_terminates
         trace = rpo_terminates(signature, rules)
         if trace is not None:
             evidence = ["termination by recursive path order"]

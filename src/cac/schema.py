@@ -5,7 +5,7 @@ the termination-schema verdict for a rule."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .rewriting import RewriteRule
 from .signature import Signature
@@ -120,6 +120,22 @@ class WellFormedness:
     failures: List[str]
 
 
+def typed_occurrences(rule: RewriteRule, x: Variable, xtyp: Term,
+                      sig: Signature) -> Iterator[Tuple[Position, Term]]:
+    """The proper positions of x in the lhs, in order, whose derived
+    type, corrected by the annotation substitution, is xtyp; each with
+    its uncorrected derived type."""
+    for p in sorted(positions_of(rule.lhs, x)):
+        if p == EPSILON:
+            continue
+        try:
+            tau = derived_type(rule.lhs, p, sig)
+        except CacError:
+            continue
+        if alpha_eq(subst_apply(tau, rule.ann_subst), xtyp):
+            yield p, tau
+
+
 def check_well_formed(rule: RewriteRule, sig: Signature) -> WellFormedness:
     """Every variable of the annotation environment must be reachable by
     accessibility inside some lhs argument, at a position whose derived
@@ -131,28 +147,19 @@ def check_well_formed(rule: RewriteRule, sig: Signature) -> WellFormedness:
         return WellFormedness(False, {},
                               [f"undeclared head symbol {l.name}"])
     gamma = decl.inst(l.args)
+    reach: Dict[int, List[AccPair]] = {}  # per lhs argument, on demand
     witnesses: Dict[Variable, AccessWitness] = {}
     failures: List[str] = []
     for x, xtyp in rule.ann_env:
-        found = None
-        for i, li in enumerate(l.args, start=1):
-            ti_gamma = subst_apply(decl.binders[i - 1][1], gamma)
-            reach = acc_reachable(AccPair(li, ti_gamma), sig)
-            for p_x in sorted(positions_of(li, x)):
-                pos = (i,) + p_x
-                try:
-                    tau = derived_type(l, pos, sig)
-                except CacError:
-                    continue
-                reached = any(alpha_eq(q.term, Var(x))
-                              and alpha_eq(q.type, tau) for q in reach)
-                if reached and alpha_eq(subst_apply(tau, rule.ann_subst), xtyp):
-                    found = AccessWitness(x, i, pos, tau)
-                    break
-            if found:
+        for p, tau in typed_occurrences(rule, x, xtyp, sig):
+            i = p[0]
+            if i not in reach:
+                reach[i] = acc_reachable(AccPair(
+                    l.args[i - 1],
+                    subst_apply(decl.binders[i - 1][1], gamma)), sig)
+            if AccPair(Var(x), tau) in reach[i]:
+                witnesses[x] = AccessWitness(x, i, p, tau)
                 break
-        if found:
-            witnesses[x] = found
         else:
             failures.append(
                 f"{rule.name}: variable {x} has no accessible occurrence "

@@ -66,16 +66,17 @@ class Precedence:
         self._cycle: Optional[List[str]] = None
         self._cycle_known = False
 
-    def _find(self, a: str) -> str:
+    def find(self, a: str) -> str:
+        """The representative of a's equivalence class."""
         p = self._parent.get(a, a)
         if p == a:
             return a
-        root = self._find(p)
+        root = self.find(p)
         self._parent[a] = root
         return root
 
     def add_eq(self, a: str, b: str):
-        ra, rb = self._find(a), self._find(b)
+        ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[ra] = rb
         self._changed()
@@ -89,15 +90,15 @@ class Precedence:
         self._changed()
 
     def eq(self, a: str, b: str) -> bool:
-        return self._find(a) == self._find(b)
+        return self.find(a) == self.find(b)
 
     def _strict_edges(self) -> set:
         """Effective strict edges on class representatives."""
         edges = set()
         for a, b in self._user_gt:
-            edges.add((self._find(a), self._find(b)))
+            edges.add((self.find(a), self.find(b)))
         for a, b in self._default_gt:
-            ra, rb = self._find(a), self._find(b)
+            ra, rb = self.find(a), self.find(b)
             if ra == rb:
                 continue  # user pragma made them equivalent
             if (rb, ra) in edges:
@@ -117,7 +118,7 @@ class Precedence:
 
     def gt(self, a: str, b: str) -> bool:
         """a >_F b in the transitive closure of the strict class order."""
-        ra, rb = self._find(a), self._find(b)
+        ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
         succ = self._successors()
@@ -185,6 +186,9 @@ class InductiveStructure:
 class Signature:
     def __init__(self):
         self.decls: Dict[str, SymbolDecl] = {}
+        # Co(C): the object symbols whose output is headed by C, in
+        # declaration order
+        self.constructors: Dict[str, List[str]] = {}
         self.precedence = Precedence()
         self.structure = InductiveStructure()
         # per-symbol argument status: the 1-based positions compared by
@@ -222,6 +226,9 @@ class Signature:
 
         decl = SymbolDecl(name, arity, typ, sort, binders, output)
         self.decls[name] = decl
+        target = self.constructor_target(name)
+        if target is not None:
+            self.constructors.setdefault(target, []).append(name)
         # default precedence: symbols used in tau_f are strictly below f
         for g in symbols_of(typ):
             self.precedence.add_default_gt(name, g)
@@ -234,36 +241,26 @@ class Signature:
         free = frozenset(self.decls) - defined
         return free, defined
 
-    def is_free(self, name: str, rules) -> bool:
-        return name not in RuleSet.of(rules).heads
-
     def free_predicate_symbols(self, rules) -> List[str]:
-        free, _ = self.free_and_defined(rules)
-        return [n for n in self.decls
-                if n in free and self.decls[n].sort == Sort.BOX]
+        heads = RuleSet.of(rules).heads
+        return [n for n, d in self.decls.items()
+                if d.sort == Sort.BOX and n not in heads]
 
     def defined_predicate_symbols(self, rules) -> List[str]:
-        _, defined = self.free_and_defined(rules)
-        return [n for n in self.decls
-                if n in defined and self.decls[n].sort == Sort.BOX]
+        heads = RuleSet.of(rules).heads
+        return [n for n, d in self.decls.items()
+                if d.sort == Sort.BOX and n in heads]
 
     def constructors_of(self, cname: str) -> List[str]:
         """Co(C): object symbols whose fully applied output type is headed
         by C — including defined symbols."""
-        out = []
-        for name, d in self.decls.items():
-            if d.sort != Sort.STAR:
-                continue
-            if isinstance(d.output, Symb) and d.output.name == cname:
-                out.append(name)
-        return out
+        return list(self.constructors.get(cname, ()))
 
     def constructor_target(self, cname: str) -> Optional[str]:
-        """The free predicate a constructor builds, from its output head."""
+        """The predicate a constructor builds: the head of its output."""
         d = self.decls.get(cname)
-        if d is None or d.sort != Sort.STAR:
-            return None
-        if isinstance(d.output, Symb):
+        if d is not None and d.sort == Sort.STAR \
+                and isinstance(d.output, Symb):
             return d.output.name
         return None
 

@@ -32,8 +32,8 @@ from .schema import derived_type
 from .signature import Signature
 from .positivity import is_predicate_term
 from .terms import (App, CacError, Environment, Prod, Sort, STAR, Symb, Term,
-                    Var, Variable, free_vars, is_kind, lam, pi, positions_of,
-                    sort_class_of_type, subst_apply)
+                    Var, Variable, arrow, free_vars, is_kind, lam, pi,
+                    positions_of, sort_class_of_type, subst_apply)
 
 
 class ParseError(CacError):
@@ -477,7 +477,6 @@ class Elaborator:
         if isinstance(p, PProd):
             dom = self.term(p.domain, scope, allow_free, free_out)
             if p.var is None:
-                from .terms import arrow
                 return arrow(dom, self.term(p.codomain, scope,
                                             allow_free, free_out))
             v = Variable.fresh(p.var, sort_class_of_type(dom))

@@ -2,6 +2,7 @@
 pass/fail line and enforcing its runtime bound."""
 
 import json
+import sys
 import time
 
 from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb,
@@ -170,7 +171,7 @@ def test_acceptance_6_property_suites():
             capture_output=True, text=True)
         ok = proc.returncode == 0
     ok &= tm.elapsed < 60.0
-    _report(6, ok, "five randomized property suites (500 seed-fixed cases "
+    _report(6, ok, "seven randomized property suites (500 seed-fixed cases "
                    f"each) all pass ({tm.elapsed:.2f}s)")
 
 
@@ -205,3 +206,48 @@ def test_acceptance_8_joinability_search():
     _report(8, ok, "joinability search: plus(p(s(0)), ...) 9 deep and "
                    "s(0) have no common reduct under the int rules plus "
                    f"p(0) -> 0 ({tm.elapsed:.2f}s)")
+
+
+def _synthetic(n):
+    """n binary symbols over one constant in a precedence chain, with
+    two overlapping rules each: fi(c, y) -> f(i+1)(y, c) and
+    fi(x, c) -> x."""
+    lines = ["symbol o : * .", "symbol c : o ."]
+    lines += [f"symbol f{i} : o -> o -> o ." for i in range(n)]
+    lines += [f"pragma prec f{i} > f{i + 1} ." for i in range(n - 1)]
+    for i in range(n):
+        rhs = f"f{i + 1}(y, c)" if i + 1 < n else "y"
+        lines.append(f"rule f{i}(c, y) -> {rhs} .")
+        lines.append(f"rule f{i}(x, c) -> x .")
+    return "\n".join(lines) + "\n"
+
+
+def _admissibility_calls(n):
+    """Python and builtin calls made by check_admissible on
+    synthetic(n), counted with a profile hook (loading not counted)."""
+    lf = load(_synthetic(n))
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        report = check_admissible(lf.signature, lf.rules)
+    finally:
+        sys.setprofile(previous)
+    assert report.overall == OverallVerdict.ADMISSIBLE
+    return count
+
+
+def test_acceptance_9_admissibility_scales_linearly():
+    # a count of calls, not a time: it repeats exactly from run to run
+    small, large = _admissibility_calls(80), _admissibility_calls(160)
+    ratio = large / small
+    _report(9, ratio <= 2.1,
+            "admissibility work grows linearly in the symbols: calls on "
+            f"synthetic(160) / synthetic(80) = {large} / {small} = "
+            f"{ratio:.2f} (bound 2.1)")

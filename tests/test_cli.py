@@ -88,6 +88,25 @@ def test_cyclic_precedence_rejected(tmp_path, capsys):
     assert "overall: REJECTED" in out
 
 
+def test_cyclic_free_predicates_rejected(tmp_path, capsys):
+    # the classifier used to recurse between a and b until the
+    # interpreter's stack ran out, and no report was printed
+    from tests.test_positivity import CYCLIC_FREE_PREDICATES
+    f = tmp_path / "cycle.cac"
+    f.write_text(CYCLIC_FREE_PREDICATES, encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 1
+    captured = capsys.readouterr()
+    out = captured.out
+    assert "I4 violated for a at constructor ca, argument 1: greater " \
+        "predicate b occurs at () in b" in out
+    assert "I4 violated for b at constructor cb, argument 1: greater " \
+        "predicate a occurs at () in a" in out
+    assert "strong normalization: FAILS (the precedence is cyclic: " \
+        "a > b > a)" in out
+    assert out.rstrip().endswith("overall: REJECTED")
+    assert captured.err == ""
+
+
 def test_structured_admissibility_keys(capsys):
     # the layout the README documents
     assert main(["--report", "structured", "admissibility",

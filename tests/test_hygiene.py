@@ -1,6 +1,6 @@
 """Source hygiene: every name a checker module imports is used in it,
-no module imports one thing twice, and terms carry no instance
-dictionary."""
+no module imports one thing twice, imports sit at module level unless
+they break an import cycle, and terms carry no instance dictionary."""
 
 import ast
 import pathlib
@@ -69,6 +69,27 @@ def test_nothing_is_imported_twice():
         twice += [f"{path.name}: {what}" for what, n in counts.items()
                   if n > 1]
     assert not twice, "imported twice:\n" + "\n".join(twice)
+
+
+# the two imports that must wait until first use, because the module
+# they import imports the importing one: the printer imports terms, and
+# typing imports signature
+CYCLE_BREAKERS = {("terms.py", ".printer.pp"),
+                  ("signature.py", ".typing.TypeChecker")}
+
+
+def test_imports_are_at_module_level():
+    nested = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and id(node) not in top:
+                nested += [f"{path.name}:{line}: {what}"
+                           for _, what, line in _imported(node)
+                           if (path.name, what) not in CYCLE_BREAKERS]
+    assert not nested, "imports below module level:\n" + "\n".join(nested)
 
 
 def test_terms_have_no_instance_dict():

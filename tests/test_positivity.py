@@ -1,12 +1,14 @@
 """Polarity of occurrences, inductive-structure conditions, predicate
 classification."""
 
+import random
+
 import pytest
 
-from cac import (PredicateClass, STAR, Signature, Symb, Var, Variable,
-                 arrow, check_inductive_structure, classify_predicate,
-                 load, pi, polarity)
-from cac.terms import Sort
+from cac import (PredicateClass, Prod, STAR, Signature, Symb, Term, Var,
+                 Variable, arrow, check_inductive_structure,
+                 classify_predicate, load, pi, polarity, predicate_classes)
+from cac.terms import Sort, symbols_of
 from tests.conftest import corpus_source
 
 
@@ -129,3 +131,178 @@ def test_classification_strictly_positive():
     sig.structure.acc["lim"] = frozenset({1})
     cls = classify_predicate(sig, "ordt", [])
     assert cls == PredicateClass.STRICTLY_POSITIVE
+
+
+
+def test_primitive_needs_basic_predicates_below():
+    # d's constructors store a box (primitive) and an ordt (strictly
+    # positive, not basic), both below d: d is primitive until the ordt
+    # argument becomes accessible
+    sig = Signature()
+    sig.declare("nat", 0, STAR)
+    sig.declare("ordt", 0, STAR)
+    sig.declare("box", 0, STAR)
+    x = Variable.fresh("x", Sort.STAR)
+    sig.declare("lim", 1, pi(x, arrow(Symb("nat", ()), Symb("ordt", ())),
+                             Symb("ordt", ())))
+    sig.structure.acc["lim"] = frozenset({1})
+    sig.declare("d", 0, STAR)
+    sig.declare("cb", 1, arrow(Symb("box", ()), Symb("d", ())))
+    sig.declare("co", 1, arrow(Symb("ordt", ()), Symb("d", ())))
+    sig.structure.acc["cb"] = frozenset({1})
+    sig.precedence.add_gt("d", "ordt")
+    sig.precedence.add_gt("d", "box")
+    classes = predicate_classes(sig)
+    assert classes["ordt"] is PredicateClass.STRICTLY_POSITIVE
+    assert classes["d"] is PredicateClass.PRIMITIVE
+    sig.structure.acc["co"] = frozenset({1})
+    assert predicate_classes(sig)["d"] is PredicateClass.BASIC
+
+CYCLIC_FREE_PREDICATES = """
+symbol a : * .
+symbol b : * .
+symbol ca : b -> a .
+symbol cb : a -> b .
+pragma acc(ca) = {1} .
+pragma acc(cb) = {1} .
+pragma prec a > b .
+pragma prec b > a .
+symbol f : a -> a .
+rule f(x) -> x .
+"""
+
+
+def test_classification_terminates_under_cyclic_precedence():
+    # each of a and b is built from the other and sits above it, so
+    # deciding one asks for the other while the first is still open
+    lf = load(CYCLIC_FREE_PREDICATES)
+    classes = predicate_classes(lf.signature, lf.rules)
+    assert sorted(classes) == ["a", "b"]
+    for name in ("a", "b"):
+        assert classify_predicate(lf.signature, name, lf.rules) \
+            is classes[name]
+
+
+# ---------------------------------------------------------------------------
+# the classifier against a per-call reference
+
+
+def reference_classify(sig, cname, rules=()):
+    """The classifier as one recursive function per predicate: it
+    rebuilds the free predicates and the equivalence class on every
+    call and asks again for every basic predicate below."""
+    prec = sig.precedence
+    frees = sig.free_predicate_symbols(rules)
+    cls = {d for d in frees if prec.eq(d, cname)}
+
+    def eq_occurs(u, dname):
+        return any(prec.eq(e, dname) for e in symbols_of(u) if e in frees)
+
+    primitive = basic = strictly = True
+    for dname in sorted(cls):
+        for con in sig.constructors_of(dname):
+            decl = sig.decls[con]
+            for j in sorted(sig.structure.acc_of(con)):
+                if not (1 <= j <= decl.arity):
+                    continue
+                uj = decl.binders[j - 1][1]
+                if isinstance(uj, Symb) and uj.name in frees:
+                    e = uj.name
+                    if not (prec.eq(e, dname)
+                            or prec.gt(dname, e) and reference_classify(
+                                sig, e, rules) in (PredicateClass.PRIMITIVE,
+                                                   PredicateClass.BASIC)):
+                        primitive = False
+                else:
+                    primitive = False
+                if eq_occurs(uj, dname):
+                    if not (isinstance(uj, Symb) and uj.name in frees
+                            and prec.eq(uj.name, dname)):
+                        basic = False
+                    elif any(eq_occurs(a, dname) for a in uj.args):
+                        basic = False
+                    core = uj
+                    domains = []
+                    while isinstance(core, Prod):
+                        domains.append(core.domain)
+                        core = core.codomain
+                    if not (isinstance(core, Symb) and core.name in frees
+                            and prec.eq(core.name, dname)
+                            and not any(eq_occurs(v, dname) for v in domains)
+                            and not any(eq_occurs(a, dname)
+                                        for a in core.args)):
+                        strictly = False
+    if primitive and basic:
+        return PredicateClass.PRIMITIVE
+    if basic:
+        return PredicateClass.BASIC
+    if strictly:
+        return PredicateClass.STRICTLY_POSITIVE
+    return PredicateClass.GENERAL
+
+
+def random_signature(rng):
+    """1-4 free predicates, nullary ones and some of type * -> *, plus
+    a base type B; constructors take arguments built from them by
+    arrows and application (so occurrences nest), with random
+    accessible positions and an acyclic precedence: predicates of one
+    rank are equivalent, and a higher rank is sometimes declared
+    greater."""
+    sig = Signature()
+    preds = [(f"P{i}", rng.random() < 0.3) for i in range(rng.randint(1, 4))]
+    for name, unary in preds:
+        sig.declare(name, int(unary), arrow(STAR, STAR) if unary else STAR)
+    sig.declare("B", 0, STAR)  # a base type outside the precedence
+    nullary = ["B"] + [n for n, unary in preds if not unary]
+
+    def atom(depth) -> Term:
+        name, unary = rng.choice(preds)
+        if not unary:
+            return Symb(name, ())
+        arg = atom(depth + 1) if depth < 2 and rng.random() < 0.5 \
+            else Symb(rng.choice(nullary), ())
+        return Symb(name, (arg,))
+
+    def typ(depth=0) -> Term:
+        if depth < 2 and rng.random() < 0.3:
+            dom = Symb("B", ()) if rng.random() < 0.5 else typ(depth + 1)
+            return arrow(dom, typ(depth + 1))
+        return atom(depth)
+
+    k = 0
+    for name, unary in preds:
+        for _ in range(rng.randint(0, 2)):
+            args = [typ() for _ in range(rng.randint(0, 3))]
+            out = Symb(name, (Symb(rng.choice(nullary), ()),) if unary
+                       else ())
+            t = out
+            for u in reversed(args):
+                t = arrow(u, t)
+            con = f"c{k}"
+            k += 1
+            sig.declare(con, len(args), t)
+            sig.structure.acc[con] = frozenset(
+                j for j in range(1, len(args) + 2) if rng.random() < 0.7)
+    rank = {name: rng.randint(0, 2) for name, _ in preds}
+    names = sorted(rank)
+    for a in names:
+        for b in names:
+            if a < b and rank[a] == rank[b]:
+                sig.precedence.add_eq(a, b)
+            elif rank[a] > rank[b] and rng.random() < 0.7:
+                sig.precedence.add_gt(a, b)
+    assert sig.check_precedence() is None
+    return sig
+
+
+def test_predicate_classes_match_reference():
+    rng = random.Random(20061)
+    seen = set()
+    for _ in range(300):
+        sig = random_signature(rng)
+        classes = predicate_classes(sig)
+        expected = {d: reference_classify(sig, d)
+                    for d in sig.free_predicate_symbols(())}
+        assert classes == expected
+        seen |= set(classes.values())
+    assert seen == set(PredicateClass)

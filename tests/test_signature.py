@@ -109,6 +109,21 @@ def test_constructors_of_includes_non_free_symbols(intf):
     assert {"0", "s", "p", "plus", "times"} <= names
 
 
+def test_constructors_are_indexed_in_declaration_order():
+    sig = Signature()
+    sig.declare("A", 0, STAR)
+    sig.declare("B", 0, STAR)
+    sig.declare("a1", 0, Symb("A", ()))
+    sig.declare("b1", 1, arrow(Symb("A", ()), Symb("B", ())))
+    sig.declare("a2", 1, arrow(Symb("B", ()), Symb("A", ())))
+    assert sig.constructors_of("A") == ["a1", "a2"]
+    assert sig.constructors_of("B") == ["b1"]
+    assert sig.constructors_of("a1") == []
+    # each call hands out its own list
+    sig.constructors_of("A").append("x")
+    assert sig.constructors_of("A") == ["a1", "a2"]
+
+
 def test_free_and_defined(intf):
     free, defined = intf.signature.free_and_defined(intf.rules)
     assert defined == frozenset({"s", "p", "plus", "times"})
