@@ -5,15 +5,17 @@ from __future__ import annotations
 
 import collections.abc
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from .orderings import rpo_terminates
 from .terms import (Abs, App, CacError, Environment, FuelExhausted, Position,
-                    Prod, Symb, Term, Var, Variable, alpha_eq, close,
-                    free_vars, is_algebraic, occurrences, open_, open_fresh,
-                    replace_at, subst_apply, symbols_of, var_counts)
+                    Prod, Symb, Term, Var, Variable, _children, _rebuild,
+                    alpha_eq, close, free_vars, is_algebraic, occurrences,
+                    open_, open_fresh, replace_at, subst_apply, symbols_of,
+                    var_counts)
 
 
 class RuleError(CacError):
@@ -161,22 +163,29 @@ def rename_apart(rule: RewriteRule) -> RewriteRule:
 # ---------------------------------------------------------------------------
 # reduction
 
-def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
-    """Every one-step reduct of t, lazily, in leftmost-outermost order:
-    at a position the rules of its head in declaration order, then beta;
-    then the children in order, a binder's domain before its body."""
+def _root_reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
+    """The reducts of t at its root, lazily, in order: the rules of its
+    head in declaration order, then beta."""
     if isinstance(t, Symb):
         for rule in rules.by_head.get(t.name, ()):
             sigma = match_first_order(rule.lhs, t)
             if sigma is not None:
                 yield subst_apply(rule.rhs, sigma)
+    elif isinstance(t, App) and isinstance(t.head, Abs):
+        yield open_(t.head.body, t.arg)
+
+
+def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
+    """Every one-step reduct of t, lazily, in leftmost-outermost order:
+    the reducts at the root, then those of the children in order, a
+    binder's domain before its body."""
+    yield from _root_reducts(t, rules)
+    if isinstance(t, Symb):
         args = t.args
         for i, a in enumerate(args):
             for r in _reducts(a, rules):
                 yield Symb(t.name, args[:i] + (r,) + args[i + 1:])
     elif isinstance(t, App):
-        if isinstance(t.head, Abs):
-            yield open_(t.head.body, t.arg)
         for r in _reducts(t.head, rules):
             yield App(r, t.arg)
         for r in _reducts(t.arg, rules):
@@ -204,18 +213,107 @@ def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:
     return next(_reducts(t, RuleSet.of(rules)), None)
 
 
+def _reach(rules: Sequence[RewriteRule]) -> float:
+    """How far below a symbol a contraction can change whether one of
+    its `rules` matches there: the depth of the deepest symbol in their
+    left-hand sides, or any depth when one of them is not left-linear
+    (a contraction can make two images equal)."""
+    if not all(left_linear(r) for r in rules):
+        return math.inf
+    return max(len(p) for r in rules for p, s in occurrences(r.lhs)
+               if isinstance(s, Symb))
+
+
+def _redex_above(t: Term, path: List[list], ruled: List[Tuple[int, float]],
+                 rules: RuleSet) -> Tuple[Optional[int], Optional[Term]]:
+    """After a contraction that left t at the focus: the outermost
+    ancestor that is now a redex, as its index in `path`, with its first
+    reduct; (None, None) when there is none.  Only the ancestors whose
+    head has rules (`ruled`, outermost first, each with its reach) and
+    that lie within their reach of t can have become redexes, and the
+    parent application when t is its head and an abstraction."""
+    candidates = [k for k, reach in ruled if len(path) - k <= reach]
+    if path and isinstance(t, Abs) and isinstance(path[-1][0], App) \
+            and path[-1][2] == 0:
+        candidates.append(len(path) - 1)
+    if not candidates:
+        return None, None
+    subterms = {}
+    for j in range(len(path) - 1, candidates[0] - 1, -1):
+        node, kids, i, v = path[j]
+        kids = kids.copy()
+        kids[i] = t if v is None else close(t, v)
+        t = subterms[j] = _rebuild(node, kids)
+    for k in candidates:
+        r = next(_root_reducts(subterms[k], rules), None)
+        if r is not None:
+            return k, r
+    return None, None
+
+
 def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
     """Leftmost-outermost normal form; raises FuelExhausted rather than
-    ever returning a reducible term."""
+    ever returning a reducible term.
+
+    One left-to-right pass over t with a zipper of its ancestors (Huet,
+    The Zipper, JFP 1997).  Everything left of the focus is normal and
+    no ancestor is a redex, so after a contraction only the ancestors
+    `_redex_above` names are examined before the pass goes on inside the
+    contractum.  Fuel is one unit per contraction."""
     rules = RuleSet.of(rules)
-    for _ in range(fuel):
-        r = step(t, rules)
-        if r is None:
-            return t
-        t = r
-    if step(t, rules) is None:
-        return t
-    raise FuelExhausted("normalization")
+    # one frame [node, children, index, variable] per ancestor of the
+    # focus: its children (those left of `index` normal, those right of
+    # it untouched), the index of the child holding the focus, and the
+    # variable that opens a binder's body when the focus is inside it
+    path: List[list] = []
+    # (index in path, reach) of each ancestor whose head has rules
+    ruled: List[Tuple[int, float]] = []
+    reach: Dict[str, float] = {}
+    steps = 0
+    r = next(_root_reducts(t, rules), None)
+    while True:
+        if r is not None:
+            if steps >= fuel:
+                raise FuelExhausted("normalization")
+            steps += 1
+            t = r
+            k, r = _redex_above(t, path, ruled, rules)
+            if k is None:
+                r = next(_root_reducts(t, rules), None)
+            else:
+                del path[k:]
+                while ruled and ruled[-1][0] >= k:
+                    ruled.pop()
+            continue
+        kids = _children(t)
+        if kids:
+            if isinstance(t, Symb) and t.name in rules.by_head:
+                if t.name not in reach:
+                    reach[t.name] = _reach(rules.by_head[t.name])
+                ruled.append((len(path), reach[t.name]))
+            path.append([t, kids, 0, None])
+            t = kids[0]
+        else:  # t is normal: fill it in, then move right or up
+            while path:
+                frame = path[-1]
+                node, kids, i, v = frame
+                kids[i] = t if v is None else close(t, v)
+                i += 1
+                if i < len(kids):
+                    frame[2] = i
+                    if isinstance(node, (Abs, Prod)):
+                        # open the body once, under the normal domain
+                        frame[3], t = open_fresh(_rebuild(node, kids))
+                    else:
+                        t = kids[i]
+                    break
+                path.pop()
+                if ruled and ruled[-1][0] == len(path):
+                    ruled.pop()
+                t = _rebuild(node, kids)
+            else:
+                return t
+        r = next(_root_reducts(t, rules), None)
 
 
 def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],

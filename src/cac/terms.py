@@ -146,8 +146,25 @@ class App(Term):
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    """Equality up to bound-variable names (structural here)."""
-    return t == u
+    """Equality up to bound-variable names: the structural `==`, which
+    leaves out binder hints and variable names, walked with an explicit
+    stack so that it has no depth limit."""
+    stack = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Symb):
+            if a.name != b.name or len(a.args) != len(b.args):
+                return False
+        elif not isinstance(a, (Abs, Prod, App)):
+            if a != b:  # a sort or a variable
+                return False
+            continue
+        stack.extend(zip(_children(a), _children(b)))
+    return True
 
 
 def is_kind(t: Term) -> bool:

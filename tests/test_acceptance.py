@@ -5,11 +5,13 @@ import json
 import sys
 import time
 
-from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb,
+from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb, Var,
+                 Variable,
                  check_admissible, check_inductive_structure,
                  check_type_preservation, check_well_formed, cc_check,
                  critical_pairs, joinable, left_linear, load, normalize,
                  satisfies_general_schema, system_properties)
+from cac.terms import lam
 from tests.conftest import CORPUS, corpus_source
 
 
@@ -251,3 +253,51 @@ def test_acceptance_9_admissibility_scales_linearly():
             "admissibility work grows linearly in the symbols: calls on "
             f"synthetic(160) / synthetic(80) = {large} / {small} = "
             f"{ratio:.2f} (bound 2.1)")
+
+
+def _peano_add(n):
+    """WElim_nat(nat, succ^n(zero), fun x y => succ(y), succ^n(zero)),
+    built from symbols, so no parser depth limit applies."""
+    nat, numeral = Symb("nat", ()), Symb("zero", ())
+    for _ in range(n):
+        numeral = Symb("succ", (numeral,))
+    x, y = Variable.fresh("x"), Variable.fresh("y")
+    add_step = lam(x, nat, lam(y, nat, Symb("succ", (Var(y),))))
+    return Symb("WElim_nat", (nat, numeral, add_step, numeral))
+
+
+def _normalize_calls(rules, n):
+    """Python and builtin calls made by normalize on peano-add(n),
+    counted with a profile hook (building the term not counted)."""
+    t = _peano_add(n)
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        normalize(t, rules)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_acceptance_10_normalization_scales_linearly():
+    rules = load(corpus_source("nat")).rules
+    small, large = _normalize_calls(rules, 400), _normalize_calls(rules, 800)
+    ratio = large / small
+    nf = normalize(_peano_add(1000), rules)
+    depth = 0
+    while nf.name == "succ":  # walked, since == recurses on deep terms
+        depth += 1
+        nf = nf.args[0]
+    ok = ratio <= 2.1 and depth == 2000 and nf == Symb("zero", ())
+    _report(10, ok,
+            "normalization work grows linearly in the term: calls on "
+            f"peano-add(800) / peano-add(400) = {large} / {small} = "
+            f"{ratio:.2f} (bound 2.1); peano-add(1000) normalizes to "
+            f"succ^{depth}(zero)")

@@ -170,3 +170,16 @@ def test_deep_result_fails_only_its_own_directive(tmp_path, capsys):
     assert lines[1:] == ["normalize (line 3): ok — succ(zero)",
                          "some checks failed"]
     assert captured.err == ""
+
+
+def test_deep_normal_forms_convert(tmp_path, capsys):
+    # 150 + 150 and 151 + 149 both normalize to succ^300(zero), which
+    # is deeper than a recursive structural comparison can go
+    step = "fun (x:nat) => fun (y:nat) => succ(y)"
+    f = tmp_path / "deep_convert.cac"
+    f.write_text(NAT + f"convert WElim_nat(nat, {deep_numeral(150)}, {step}, "
+                 f"{deep_numeral(150)}) , WElim_nat(nat, {deep_numeral(151)}, "
+                 f"{step}, {deep_numeral(149)}) .\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "convert (line 2): ok — convertible", "all checks passed"]

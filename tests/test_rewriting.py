@@ -4,14 +4,16 @@ import random
 
 import pytest
 
+import cac.rewriting
 from cac import (ConfluenceLevel, RewriteRule, STAR, Symb, Var, Variable,
                  alpha_eq, confluence_check, critical_pairs, joinable,
-                 left_linear, match_first_order, normalize, reduce_one,
+                 left_linear, match_first_order, normalize, pp, reduce_one,
                  step, unify)
 from cac.rewriting import RuleError, RuleSet, _reducts, rename_apart
 from cac.terms import (Abs, App, BVar, FuelExhausted, Prod, Sort, free_vars,
                        lam, pi, positions, replace_at, subst_apply,
                        subterm_at)
+from tests.test_properties import _int_vars, random_binder_term
 
 
 def v(name):
@@ -413,3 +415,109 @@ def test_joinable_matches_list_reference():
         ran_out += small == "fuel"
     assert min(results.values()) > 50, results  # both outcomes occur
     assert 20 < ran_out < 280, ran_out  # fuel 8 runs out on some pairs
+
+
+# -- normalize against the restart-at-root reference --------------------------
+
+def reference_normalize(t, rules, fuel):
+    """Leftmost-outermost normalization by `step` from the root, one
+    step at a time: FuelExhausted exactly when more than `fuel` steps
+    are needed."""
+    for _ in range(fuel):
+        r = step(t, rules)
+        if r is None:
+            return t
+        t = r
+    if step(t, rules) is None:
+        return t
+    raise FuelExhausted("normalization")
+
+
+def extended_int_rules(int_file):
+    """The int rules plus a non-left-linear rule, a rule that overlaps
+    r4, and a rule whose right-hand side is a beta-redex."""
+    x, y, z, w, k = v("x"), v("y"), v("z"), v("w"), v("k")
+    return int_file.rules + [
+        RewriteRule("dup", sy("plus", Var(x), Var(x)),
+                    sy("times", Var(x), Var(x))),
+        RewriteRule("unit", sy("times", Var(y), sy("0")), Var(y)),
+        RewriteRule("mul", sy("times", sy("s", Var(z)), Var(w)),
+                    App(lam(k, sy("int"), sy("plus", Var(k), Var(w))),
+                        sy("times", Var(z), Var(w))))]
+
+
+def head_becomes_abstraction(rng):
+    """(g(u) a) under 0-2 of s/p, with g(x) -> fun (y:int) =>
+    plus(y, x): the contraction at the head makes its parent a
+    beta-redex."""
+    vars_ = _int_vars(rng, 2)
+    t = App(sy("g", random_binder_term(rng, vars_, rng.randrange(0, 4))),
+            random_binder_term(rng, vars_, rng.randrange(0, 4)))
+    for _ in range(rng.randrange(0, 3)):
+        t = sy(rng.choice(["s", "p"]), t)
+    return t
+
+
+def g_rule():
+    x, y = v("x"), v("y")
+    return RewriteRule("g", sy("g", Var(x)),
+                       lam(y, sy("int"), sy("plus", Var(y), Var(x))))
+
+
+def normalize_outcome(norm, t, rules, fuel):
+    try:
+        return norm(t, rules, fuel)
+    except FuelExhausted:
+        return "fuel"
+
+
+def test_normalize_matches_restart_reference(intf):
+    systems = [intf.rules, join_rules(), extended_int_rules(intf)]
+    rng = random.Random(20261019)
+    cases = ran_out = 0
+    for rules in systems:
+        rules = RuleSet.of(rules + [g_rule()])
+        for k in range(1000):
+            if k % 4:
+                t = random_binder_term(rng, _int_vars(rng, 2),
+                                       rng.randrange(1, 7))
+            else:
+                t = head_becomes_abstraction(rng)
+            for fuel in (0, 1, 3, 8, 10000):
+                want = normalize_outcome(reference_normalize, t, rules, fuel)
+                got = normalize_outcome(normalize, t, rules, fuel)
+                if want == "fuel":
+                    assert got == "fuel", pp(t)
+                    ran_out += 1
+                else:
+                    assert got == want and pp(got) == pp(want), pp(t)
+                cases += 1
+    assert cases == 15000
+    assert 2000 < ran_out < 10000, ran_out  # the fuel limit is exercised
+
+
+def test_rule_headed_ancestor_is_rematched_only_within_reach(natf,
+                                                             monkeypatch):
+    # h(zero, y) -> y can only start to match when a contraction lands
+    # at depth 1 below h; the 3n contractions deeper down never rebuild
+    # or match h, so normalizing under h stays linear
+    y, x, z = v("y"), v("x"), v("z")
+    zero, nat = sy("zero"), sy("nat")
+    rules = natf.rules + [RewriteRule("h", sy("h", zero, Var(y)), Var(y))]
+    numeral = zero
+    for _ in range(50):
+        numeral = sy("succ", numeral)
+    add_step = lam(x, nat, lam(z, nat, sy("succ", Var(z))))
+    t = sy("h", sy("succ", zero), sy("WElim_nat", nat, numeral, add_step,
+                                      numeral))
+    seen = []
+
+    def counting_match(pattern, subject, sigma=None):
+        seen.append(getattr(subject, "name", None))
+        return match_first_order(pattern, subject, sigma)
+
+    monkeypatch.setattr(cac.rewriting, "match_first_order", counting_match)
+    nf = normalize(t, rules)
+    assert nf.name == "h" and nf.args[0] == sy("succ", zero)
+    assert seen.count("h") <= 4, seen.count("h")
+    assert seen.count("WElim_nat") == 2 * 50 + 1  # the zero rule first

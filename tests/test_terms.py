@@ -1,11 +1,14 @@
 """Term substrate: binding, substitution, positions, sort classes."""
 
+import random
+
 from cac import (Abs, App, BOX, BVar, Prod, STAR, Symb, Var, Variable,
                  alpha_eq, arrow, free_vars, is_algebraic, lam, pi,
                  positions, positions_of, replace_at, subst_apply,
                  subterm_at)
 from cac.terms import (Sort, is_kind, occurrences, sort_class_of_type,
                        symbols_of, var_counts)
+from tests.test_properties import _int_vars, random_binder_term
 
 
 def v(name, sort=Sort.STAR):
@@ -94,6 +97,29 @@ def test_subst_apply_reaches_the_bottom_of_a_deep_term():
         assert u.name == "succ"
         u = u.args[0]
     assert u is zero
+
+
+def test_alpha_eq_is_structural_equality_at_any_depth():
+    rng = random.Random(20261020)
+    vars_ = _int_vars(rng, 2)
+    equal = 0
+    for _ in range(2000):
+        t = random_binder_term(rng, vars_, rng.randrange(0, 4))
+        u = random_binder_term(rng, vars_, rng.randrange(0, 4))
+        assert alpha_eq(t, u) == (t == u)
+        equal += t == u
+    assert equal > 100  # equal but distinct objects occur too
+    # two separately built 5000-deep terms, equal and unequal at the
+    # bottom; the recursive __eq__ overflows near depth 250
+    x, y = v("x"), v("y")
+    deep = []
+    for bottom in (Var(x), Var(x), Var(y)):
+        t = bottom
+        for k in range(5000):
+            t = Abs(STAR, t) if k % 2 else Symb("s", (t,))
+        deep.append(t)
+    assert alpha_eq(deep[0], deep[1]) and deep[0] is not deep[1]
+    assert not alpha_eq(deep[0], deep[2])
 
 
 def test_abs_prod_positions_domain_is_1_body_is_2():
