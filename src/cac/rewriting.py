@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import collections.abc
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -178,14 +177,19 @@ def _root_reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
 def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
     """Every one-step reduct of t, lazily, in leftmost-outermost order:
     the reducts at the root, then those of the children in order, a
-    binder's domain before its body."""
-    yield from _root_reducts(t, rules)
+    binder's domain before its body.  Only a symbol whose head has
+    rules and an application of an abstraction have reducts at the
+    root, so only they pay for a `_root_reducts` generator."""
     if isinstance(t, Symb):
+        if t.name in rules.by_head:
+            yield from _root_reducts(t, rules)
         args = t.args
         for i, a in enumerate(args):
             for r in _reducts(a, rules):
                 yield Symb(t.name, args[:i] + (r,) + args[i + 1:])
     elif isinstance(t, App):
+        if isinstance(t.head, Abs):
+            yield from _root_reducts(t, rules)
         for r in _reducts(t.head, rules):
             yield App(r, t.arg)
         for r in _reducts(t.arg, rules):
@@ -213,26 +217,14 @@ def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:
     return next(_reducts(t, RuleSet.of(rules)), None)
 
 
-def _reach(rules: Sequence[RewriteRule]) -> float:
-    """How far below a symbol a contraction can change whether one of
-    its `rules` matches there: the depth of the deepest symbol in their
-    left-hand sides, or any depth when one of them is not left-linear
-    (a contraction can make two images equal)."""
-    if not all(left_linear(r) for r in rules):
-        return math.inf
-    return max(len(p) for r in rules for p, s in occurrences(r.lhs)
-               if isinstance(s, Symb))
-
-
-def _redex_above(t: Term, path: List[list], ruled: List[Tuple[int, float]],
+def _redex_above(t: Term, path: List[list], ruled: List[int],
                  rules: RuleSet) -> Tuple[Optional[int], Optional[Term]]:
     """After a contraction that left t at the focus: the outermost
     ancestor that is now a redex, as its index in `path`, with its first
     reduct; (None, None) when there is none.  Only the ancestors whose
-    head has rules (`ruled`, outermost first, each with its reach) and
-    that lie within their reach of t can have become redexes, and the
-    parent application when t is its head and an abstraction."""
-    candidates = [k for k, reach in ruled if len(path) - k <= reach]
+    head has rules (`ruled`, outermost first) can have become redexes,
+    and the parent application when t is its head and an abstraction."""
+    candidates = list(ruled)
     if path and isinstance(t, Abs) and isinstance(path[-1][0], App) \
             and path[-1][2] == 0:
         candidates.append(len(path) - 1)
@@ -266,9 +258,8 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
     # it untouched), the index of the child holding the focus, and the
     # variable that opens a binder's body when the focus is inside it
     path: List[list] = []
-    # (index in path, reach) of each ancestor whose head has rules
-    ruled: List[Tuple[int, float]] = []
-    reach: Dict[str, float] = {}
+    # the index in path of each ancestor whose head has rules
+    ruled: List[int] = []
     steps = 0
     r = next(_root_reducts(t, rules), None)
     while True:
@@ -282,15 +273,13 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
                 r = next(_root_reducts(t, rules), None)
             else:
                 del path[k:]
-                while ruled and ruled[-1][0] >= k:
+                while ruled and ruled[-1] >= k:
                     ruled.pop()
             continue
         kids = _children(t)
         if kids:
             if isinstance(t, Symb) and t.name in rules.by_head:
-                if t.name not in reach:
-                    reach[t.name] = _reach(rules.by_head[t.name])
-                ruled.append((len(path), reach[t.name]))
+                ruled.append(len(path))
             path.append([t, kids, 0, None])
             t = kids[0]
         else:  # t is normal: fill it in, then move right or up
@@ -308,7 +297,7 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
                         t = kids[i]
                     break
                 path.pop()
-                if ruled and ruled[-1][0] == len(path):
+                if ruled and ruled[-1] == len(path):
                     ruled.pop()
                 t = _rebuild(node, kids)
             else:
