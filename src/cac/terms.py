@@ -159,11 +159,11 @@ def alpha_eq(t: Term, u: Term) -> bool:
         if isinstance(a, Symb):
             if a.name != b.name or len(a.args) != len(b.args):
                 return False
-        elif not isinstance(a, (Abs, Prod, App)):
-            if a != b:  # a sort or a variable
-                return False
-            continue
-        stack.extend(zip(_children(a), _children(b)))
+            stack.extend(zip(a.args, b.args))
+        elif isinstance(a, (Abs, Prod, App)):
+            stack.extend(zip(_children(a), _children(b)))
+        elif a != b:  # a sort or a variable
+            return False
     return True
 
 
