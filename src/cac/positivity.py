@@ -235,11 +235,9 @@ def predicate_classes(sig: Signature,
         members.setdefault(prec.find(d), set()).add(d)
     decided: Dict[str, Optional[PredicateClass]] = {}  # None: in progress
 
-    def decide(name: str) -> Optional[PredicateClass]:
-        root = prec.find(name)
-        if root in decided:
-            return decided[root]
-        decided[root] = None
+    def shape(root: str):
+        """Decides the class of root; yields each predicate whose class
+        it needs and is sent that class back."""
         cls = members[root]
 
         def occurs(u: Term) -> bool:
@@ -257,7 +255,7 @@ def predicate_classes(sig: Signature,
                     # or E basic and below D
                     e = uj.name if isinstance(uj, Symb) else None
                     if not (e in cls or e in free_set and prec.gt(dname, e)
-                            and decide(e) in (PredicateClass.PRIMITIVE,
+                            and (yield e) in (PredicateClass.PRIMITIVE,
                                               PredicateClass.BASIC)):
                         primitive = False
                     if not occurs(uj):
@@ -275,10 +273,32 @@ def predicate_classes(sig: Signature,
                             and not any(map(occurs, domains))
                             and not any(map(occurs, core.args))):
                         strictly = False
-        decided[root] = (PredicateClass.PRIMITIVE if primitive and basic
-                         else PredicateClass.BASIC if basic
-                         else PredicateClass.STRICTLY_POSITIVE if strictly
-                         else PredicateClass.GENERAL)
+        return (PredicateClass.PRIMITIVE if primitive and basic
+                else PredicateClass.BASIC if basic
+                else PredicateClass.STRICTLY_POSITIVE if strictly
+                else PredicateClass.GENERAL)
+
+    def decide(name: str) -> Optional[PredicateClass]:
+        # an explicit stack of open classes, so a long descending chain
+        # of predicates cannot overflow the interpreter's stack
+        root = prec.find(name)
+        if root not in decided:
+            decided[root] = None
+            stack = [(root, shape(root))]
+            reply = None
+            while stack:
+                top, gen = stack[-1]
+                try:
+                    e = gen.send(reply)
+                except StopIteration as done:
+                    stack.pop()
+                    decided[top] = reply = done.value
+                    continue
+                below = prec.find(e)
+                reply = decided.get(below)
+                if below not in decided:
+                    decided[below] = None
+                    stack.append((below, shape(below)))
         return decided[root]
 
     return {d: decide(d) for d in frees}

@@ -23,8 +23,9 @@ term application by juxtaposition.  `#` starts a line comment."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .cic import InductiveDecl, translate_inductive
 from .rewriting import RewriteRule
@@ -48,12 +49,16 @@ UNICODE_ALIASES = {
     "⊤": "top", "⊥": "bot", "λ": "fun", "ℓ": "l",
 }
 
-MULTI = ["->", "=>", ":=", "/\\", "\\/"]
-SINGLE = "()[]{}:,.*=>|"
+# one alternative per token class, after optional blanks: a newline, a
+# comment, punctuation, a name (the connective spellings are ordinary
+# names), and any other character, which is an error.  In a str
+# pattern, \w is exactly isalnum() plus "_".
+_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|(#[^\n]*)|(->|=>|:=|[()\[\]{}:,.*=>|])"
+                    r"|(/\\|\\/|[\w']+)|([^ \t\r]))")
+_NEWLINE, _COMMENT, _PUNCT, _NAME, _OTHER = 1, 2, 3, 4, 5
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # "name" | "punct" | "eof"
     text: str
     line: int
@@ -62,48 +67,31 @@ class Token:
 
 def lex(source: str) -> List[Token]:
     for u, a in UNICODE_ALIASES.items():
-        source = source.replace(u, f" {a} ")
+        if u in source:
+            source = source.replace(u, f" {a} ")
     tokens: List[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    append = tokens.append
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN.finditer(source):
+        k = m.lastindex
+        start, end = m.span(k)
+        if k == _NAME:
+            append(Token("name", source[start:end], line,
+                         start - line_start + 1))
+        elif k == _PUNCT:
+            append(Token("punct", source[start:end], line,
+                         start - line_start + 1))
+        elif k == _NEWLINE:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        matched = next((m for m in MULTI if source.startswith(m, i)), None)
-        if matched:
-            # the connective spellings are ordinary names
-            kind = "name" if matched in ("/\\", "\\/") else "punct"
-            tokens.append(Token(kind, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch in SINGLE:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalnum() or ch in "_'":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            tokens.append(Token("name", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = end
+        elif k == _OTHER:
+            raise ParseError(f"unexpected character {source[start]!r}",
+                             line, start - line_start + 1)
+    # a comment does not advance the column
+    end = (m.start(_COMMENT) if m is not None and m.lastindex == _COMMENT
+           else len(source))
+    append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -111,41 +99,35 @@ def lex(source: str) -> List[Token]:
 # term AST (names unresolved until elaboration)
 
 
-@dataclass(frozen=True)
-class PName:
+class PName(NamedTuple):
     name: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class PStar:
+class PStar(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class PSymbApp:
+class PSymbApp(NamedTuple):
     name: str
     args: tuple
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class PApp:
+class PApp(NamedTuple):
     head: object
     arg: object
 
 
-@dataclass(frozen=True)
-class PAbs:
+class PAbs(NamedTuple):
     var: str
     domain: object
     body: object
 
 
-@dataclass(frozen=True)
-class PProd:
+class PProd(NamedTuple):
     var: Optional[str]   # None for a plain arrow
     domain: object
     codomain: object
@@ -164,10 +146,15 @@ class Parser:
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        # `next` never moves past the final eof, so only a look ahead can
+        # fall off the end
+        try:
+            return self.toks[self.i + ahead]
+        except IndexError:
+            return self.toks[-1]
 
     def next(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != "eof":
             self.i += 1
         return t
@@ -218,7 +205,7 @@ class Parser:
         return Item("symbol", {"name": name, "type": typ}, t.line)
 
     def _rule(self, t: Token) -> Item:
-        lhs = self.parse_app()  # application level: '->' separates sides
+        lhs = self.parse_term(arrows=False)  # '->' separates sides
         self.expect("->")
         rhs = self.parse_term()
         env = None
@@ -322,40 +309,36 @@ class Parser:
 
     # -- terms ---------------------------------------------------------------
 
-    def parse_term(self):
-        """arrow level (right associative)."""
-        left = self.parse_app()
-        if self.peek().text == "->":
-            self.next()
-            return PProd(None, left, self.parse_term())
-        return left
-
-    def parse_app(self):
+    def parse_term(self, arrows: bool = True):
+        """Application by juxtaposition (left associative), then arrows
+        (right associative) unless `arrows` is off."""
         t = self.parse_atom()
-        while self._starts_atom():
+        toks = self.toks
+        while True:
+            tok = toks[self.i]
+            if tok.kind == "name":
+                if tok.text in ("with", "env", "rho"):
+                    break
+            elif tok.text != "*" and tok.text != "(":
+                break
             t = PApp(t, self.parse_atom())
+        if arrows and tok.text == "->":
+            self.i += 1
+            return PProd(None, t, self.parse_term())
         return t
-
-    def _starts_atom(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text not in (
-                "with", "env", "rho"):
-            return True
-        if tok.text in ("*", "fun", "("):
-            return True
-        return False
 
     def _binder_ahead(self) -> bool:
         return (self.peek().text == "(" and self.peek(1).kind == "name"
                 and self.peek(2).text == ":")
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.text == "*":
-            self.next()
+        tok = self.toks[self.i]
+        text = tok.text
+        if text == "*":
+            self.i += 1
             return PStar()
-        if tok.text == "fun":
-            self.next()
+        if text == "fun":
+            self.i += 1
             self.expect("(")
             x = self.expect_name().text
             self.expect(":")
@@ -363,31 +346,31 @@ class Parser:
             self.expect(")")
             self.expect("=>")
             return PAbs(x, dom, self.parse_term())
-        if tok.text == "(":
+        if text == "(":
             if self._binder_ahead():
-                self.next()
+                self.i += 1
                 x = self.expect_name().text
                 self.expect(":")
                 dom = self.parse_term()
                 self.expect(")")
                 self.expect("->")
                 return PProd(x, dom, self.parse_term())
-            self.next()
+            self.i += 1
             t = self.parse_term()
             self.expect(")")
             return t
         if tok.kind == "name":
-            self.next()
-            if self.peek().text == "(" and not self._binder_ahead():
-                self.next()
+            self.i += 1
+            if self.toks[self.i].text == "(" and not self._binder_ahead():
+                self.i += 1
                 args = []
-                while self.peek().text != ")":
+                while self.toks[self.i].text != ")":
                     args.append(self.parse_term())
-                    if self.peek().text == ",":
-                        self.next()
+                    if self.toks[self.i].text == ",":
+                        self.i += 1
                 self.expect(")")
-                return PSymbApp(tok.text, tuple(args), tok.line, tok.col)
-            return PName(tok.text, tok.line, tok.col)
+                return PSymbApp(text, tuple(args), tok.line, tok.col)
+            return PName(text, tok.line, tok.col)
         raise self.error("expected a term")
 
 

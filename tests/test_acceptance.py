@@ -11,6 +11,7 @@ from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb, Var,
                  check_type_preservation, check_well_formed, cc_check,
                  critical_pairs, joinable, left_linear, load, normalize,
                  satisfies_general_schema, system_properties)
+from cac.syntax import lex, parse
 from cac.terms import lam
 from tests.conftest import CORPUS, corpus_source
 
@@ -301,3 +302,39 @@ def test_acceptance_10_normalization_scales_linearly():
             f"peano-add(800) / peano-add(400) = {large} / {small} = "
             f"{ratio:.2f} (bound 2.1); peano-add(1000) normalizes to "
             f"succ^{depth}(zero)")
+
+
+def _tree_source(d, leaf=8):
+    """The benchmark's peano tree_d input: a tree of 2^d additions
+    leaf + leaf, each through the generated recursor."""
+    numeral = "succ(" * leaf + "zero" + ")" * leaf
+    tree = (f"WElim_nat(nat, {numeral}, fun (x : nat) => fun (y : nat) => "
+            f"succ(y), {numeral})")
+    for _ in range(d):
+        tree = f"node({tree}, {tree})"
+    return ("inductive nat : * := zero : nat | succ : nat -> nat .\n"
+            "symbol node : nat -> nat -> nat .\n"
+            f"normalize {tree} .\n")
+
+
+def test_acceptance_11_front_end_calls_per_token():
+    source = _tree_source(6)
+    tokens = len(lex(source))
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        parse(source)
+    finally:
+        sys.setprofile(previous)
+    per_token = count / tokens
+    _report(11, per_token <= 15,
+            "the front end is cheap per token: lex and parse of peano "
+            f"tree_6 make {count} calls for {tokens} tokens = "
+            f"{per_token:.1f} per token (bound 15)")

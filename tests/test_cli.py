@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cac import cli
 from cac.cli import main
 from tests.conftest import CORPUS
 
@@ -59,6 +60,28 @@ def test_convert(capsys):
                  "-e", "s(p(0))", "-e", "p(s(0))"]) == 0
     assert main(["convert", path("int"), "-e", "0", "-e", "s(0)"]) == 1
     capsys.readouterr()
+
+
+def test_argument_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._argument_parser.cache_clear()
+    try:
+        assert main(["normalize", path("int"), "-e", "p(s(p(s(0))))",
+                     "-e", "plus(0, s(0))"]) == 0
+        assert main(["normalize", path("int"), "-e", "s(p(0))"]) == 0
+        assert main(["convert", path("int"), "-e", "0"]) == 2
+        # the -e lists of two parses are independent of each other
+        ap = cli._argument_parser()
+        first = ap.parse_args(["normalize", "f", "-e", "a", "-e", "b"])
+        second = ap.parse_args(["normalize", "f", "-e", "c"])
+    finally:
+        cli._argument_parser.cache_clear()
+    assert built == [1]
+    assert capsys.readouterr().out.splitlines() == ["0", "s(0)", "0"]
+    assert first.expr == ["a", "b"] and second.expr == ["c"]
 
 
 def test_usage_errors(capsys):

@@ -1,12 +1,14 @@
 """Source hygiene: every name a checker module imports is used in it,
 no module imports one thing twice, imports sit at module level unless
-they break an import cycle, and terms carry no instance dictionary."""
+they break an import cycle, and terms, tokens and parse nodes carry no
+instance dictionary."""
 
 import ast
 import pathlib
 from collections import Counter
 
 import cac
+import cac.syntax
 import cac.terms
 
 SOURCES = sorted(p for p in pathlib.Path(cac.__file__).parent.glob("*.py")
@@ -106,4 +108,15 @@ def test_terms_have_no_instance_dict():
     with_dict = [n for n in sorted(names)
                  if hasattr(object.__new__(getattr(cac.terms, n)),
                             "__dict__")]
+    assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)
+
+
+def test_tokens_and_parse_nodes_have_no_instance_dict():
+    # a file of n tokens holds n tokens and about as many parse nodes
+    syn = cac.syntax
+    name = syn.PName("x", 1, 1)
+    samples = [syn.Token("name", "x", 1, 1), name, syn.PStar(),
+               syn.PSymbApp("f", (name,), 1, 1), syn.PApp(name, name),
+               syn.PAbs("x", name, name), syn.PProd(None, name, name)]
+    with_dict = [type(s).__name__ for s in samples if hasattr(s, "__dict__")]
     assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)

@@ -306,3 +306,22 @@ def test_predicate_classes_match_reference():
         assert classes == expected
         seen |= set(classes.values())
     assert seen == set(PredicateClass)
+
+
+def test_classification_of_a_long_descending_chain():
+    # the predicates are declared top-first, so deciding the top one
+    # asks for every class below it before any of them is decided
+    n = 1200
+    sig = Signature()
+    for i in reversed(range(n)):
+        sig.declare(f"p{i}", 0, STAR)
+    sig.declare("c0", 0, Symb("p0", ()))
+    for i in range(1, n):
+        sig.declare(f"c{i}", 1, arrow(Symb(f"p{i - 1}", ()),
+                                      Symb(f"p{i}", ())))
+        sig.structure.acc[f"c{i}"] = frozenset({1})
+        sig.precedence.add_gt(f"p{i}", f"p{i - 1}")
+    classes = predicate_classes(sig)
+    assert sig.free_predicate_symbols(())[0] == f"p{n - 1}"
+    assert len(classes) == n
+    assert set(classes.values()) == {PredicateClass.PRIMITIVE}
