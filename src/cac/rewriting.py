@@ -305,42 +305,46 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
         r = next(_root_reducts(t, rules), None)
 
 
+def _next_level(frontier: set, seen: set, rules: RuleSet,
+                budget: int) -> Tuple[set, int]:
+    """The distinct one-step reducts of the frontier that `seen` lacks,
+    which join `seen`, and the budget left after paying one unit per
+    distinct reduct of each frontier term.  Each reduct is hashed once,
+    by `dict.fromkeys`; the set operations reuse the stored hashes."""
+    level = set()
+    for x in frontier:
+        reducts = dict.fromkeys(_reducts(x, rules))
+        budget -= len(reducts)
+        if budget < 0:
+            raise FuelExhausted("joinability search")
+        level.update(reducts)
+    level = level - seen
+    seen |= level
+    return level, budget
+
+
 def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
              fuel: int = 10000, confluent: bool = False) -> bool:
     """Do t and u have a common reduct?  Under a positive confluence
     verdict this is normalize-and-compare; otherwise a bounded
     breadth-first search of both reduction graphs, whose visited terms
-    are kept in hash sets (alpha equality is structural equality)."""
+    are kept in hash sets (alpha equality is structural equality).  A
+    level costs the same and yields the same next level in any order,
+    so the frontiers are sets too."""
     if alpha_eq(t, u):
         return True
     rules = RuleSet.of(rules)
     if confluent:
         return alpha_eq(normalize(t, rules, fuel), normalize(u, rules, fuel))
     seen_t, seen_u = {t}, {u}
-    frontier_t, frontier_u = [t], [u]
+    frontier_t, frontier_u = {t}, {u}
     budget = fuel
 
     while frontier_t or frontier_u:
         if not seen_t.isdisjoint(seen_u):
             return True
-        nxt_t, nxt_u = [], []
-        for x in frontier_t:
-            for r in reduce_one(x, rules):
-                budget -= 1
-                if budget < 0:
-                    raise FuelExhausted("joinability search")
-                if r not in seen_t:
-                    seen_t.add(r)
-                    nxt_t.append(r)
-        for y in frontier_u:
-            for r in reduce_one(y, rules):
-                budget -= 1
-                if budget < 0:
-                    raise FuelExhausted("joinability search")
-                if r not in seen_u:
-                    seen_u.add(r)
-                    nxt_u.append(r)
-        frontier_t, frontier_u = nxt_t, nxt_u
+        frontier_t, budget = _next_level(frontier_t, seen_t, rules, budget)
+        frontier_u, budget = _next_level(frontier_u, seen_u, rules, budget)
     return not seen_t.isdisjoint(seen_u)
 
 

@@ -67,12 +67,16 @@ class Precedence:
         self._cycle_known = False
 
     def find(self, a: str) -> str:
-        """The representative of a's equivalence class."""
-        p = self._parent.get(a, a)
-        if p == a:
-            return a
-        root = self.find(p)
-        self._parent[a] = root
+        """The representative of a's equivalence class.  Walks the
+        links with a loop, so a long chain of `=` pragmas cannot exhaust
+        the interpreter's stack, then points every symbol on the path
+        at the root."""
+        parent = self._parent
+        root = a
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while a != root:
+            parent[a], a = root, parent[a]
         return root
 
     def add_eq(self, a: str, b: str):

@@ -59,6 +59,10 @@ class Variable:
     sort: Sort
     name: str = field(compare=False)
 
+    def __hash__(self):
+        # ids come from one counter, so the id alone fixes (id, sort)
+        return hash(self.id)
+
     def __str__(self):
         return self.name
 

@@ -195,16 +195,21 @@ def test_acceptance_7_determinism():
                    "on every corpus file")
 
 
+def _bfs_chain(n):
+    """plus(p(s(0)), ...) nested n deep, s(0), and the int rules plus
+    p(0) -> 0.  The chain has value 0, so it never meets s(0), and the
+    breadth-first search visits every reduct of both."""
+    lf = load(corpus_source("int") + "rule p(0) -> 0 .\n")
+    chain = Symb("0", ())
+    for _ in range(n):
+        chain = Symb("plus", (Symb("p", (Symb("s", (Symb("0", ()),)),)),
+                              chain))
+    return chain, Symb("s", (Symb("0", ()),)), lf.rules
+
+
 def test_acceptance_8_joinability_search():
-    # plus(p(s(0)), ...) nested 9 deep has value 0, so it never meets
-    # s(0), and the breadth-first search visits every reduct of both
     with Timer() as tm:
-        lf = load(corpus_source("int") + "rule p(0) -> 0 .\n")
-        chain = Symb("0", ())
-        for _ in range(9):
-            chain = Symb("plus", (Symb("p", (Symb("s", (Symb("0", ()),)),)),
-                                  chain))
-        ok = not joinable(chain, Symb("s", (Symb("0", ()),)), lf.rules)
+        ok = not joinable(*_bfs_chain(9))
     ok &= tm.elapsed < 2.0
     _report(8, ok, "joinability search: plus(p(s(0)), ...) 9 deep and "
                    "s(0) have no common reduct under the int rules plus "
@@ -338,3 +343,26 @@ def test_acceptance_11_front_end_calls_per_token():
             "the front end is cheap per token: lex and parse of peano "
             f"tree_6 make {count} calls for {tokens} tokens = "
             f"{per_token:.1f} per token (bound 15)")
+
+
+def test_acceptance_12_joinability_hashes_each_term_once():
+    # the search of gate 8; a count of frames, not a time, so it
+    # repeats exactly from run to run
+    search = _bfs_chain(9)
+    hashes = 0
+
+    def hook(frame, event, arg):
+        nonlocal hashes
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            hashes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        answer = joinable(*search)
+    finally:
+        sys.setprofile(previous)
+    _report(12, not answer and hashes <= 260_000,
+            "the joinability search hashes each visited term once: "
+            f"bfs-chain(9) against s(0) makes {hashes} __hash__ frames "
+            "(bound 260000)")

@@ -174,6 +174,29 @@ rule g(x) -> f(x) .
 """
 
 
+def equivalence_chain(n):
+    """n `=` pragmas chaining p0 ~ p1 ~ ... ~ pn, one rule on p0, and
+    one user edge, so that the first precedence query made by
+    `check_admissible` walks the whole chain from p0."""
+    lines = ["symbol o : * .", "symbol z : o ."]
+    lines += [f"symbol p{i} : o -> o ." for i in range(n + 1)]
+    lines += [f"pragma prec p{i} = p{i + 1} ." for i in range(n)]
+    lines.append("pragma prec p0 > z .")
+    lines.append("rule p0(z) -> z .")
+    return "\n".join(lines) + "\n"
+
+
+def test_long_precedence_equivalence_chain_gets_a_verdict(tmp_path, capsys):
+    from cac.cli import main
+    lf = load(equivalence_chain(1200))
+    report = check_admissible(lf.signature, lf.rules)
+    assert report.overall == OverallVerdict.ADMISSIBLE
+    f = tmp_path / "chain.cac"
+    f.write_text(equivalence_chain(1200), encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 0
+    assert "depth-exceeded" not in capsys.readouterr().err
+
+
 def test_cyclic_precedence_is_rejected():
     # each rule is RPO-oriented by one half of the cycle; neither the
     # termination proof nor the closure's symb< rule may rest on it

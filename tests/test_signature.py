@@ -101,6 +101,17 @@ def test_long_precedence_chain_has_no_cycle():
     assert len(prec.find_cycle()) == 3002
 
 
+def test_long_precedence_equivalence_chain():
+    # add_eq links root to root in pragma order, so p0 sits 1,200 links
+    # below its class representative
+    prec = base_sig().precedence
+    for i in range(1200):
+        prec.add_eq(f"p{i}", f"p{i + 1}")
+    assert prec.find("p0") == "p1200"
+    assert all(prec.find(f"p{i}") == "p1200" for i in range(1201))
+    assert prec.eq("p0", "p1200") and not prec.gt("p0", "p1200")
+
+
 def test_constructors_of_includes_non_free_symbols(intf):
     sig = intf.signature
     names = set(sig.constructors_of("int"))

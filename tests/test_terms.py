@@ -122,6 +122,15 @@ def test_alpha_eq_is_structural_equality_at_any_depth():
     assert not alpha_eq(deep[0], deep[2])
 
 
+def test_variable_hash_is_its_id():
+    x = v("x")
+    renamed = Variable(x.id, x.sort, "y")
+    assert renamed == x and hash(renamed) == hash(x) == hash(x.id)
+    assert Variable(x.id, Sort.BOX, "x") != x
+    assert v("x") != x
+    assert {Var(x): 1}[Var(renamed)] == 1
+
+
 def test_abs_prod_positions_domain_is_1_body_is_2():
     x = v("x")
     t = pi(x, STAR, Var(x))
