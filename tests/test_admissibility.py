@@ -188,11 +188,12 @@ def equivalence_chain(n):
 
 def test_long_precedence_equivalence_chain_gets_a_verdict(tmp_path, capsys):
     from cac.cli import main
-    lf = load(equivalence_chain(1200))
+    source = equivalence_chain(1200)
+    lf = load(source)
     report = check_admissible(lf.signature, lf.rules)
     assert report.overall == OverallVerdict.ADMISSIBLE
     f = tmp_path / "chain.cac"
-    f.write_text(equivalence_chain(1200), encoding="utf-8")
+    f.write_text(source, encoding="utf-8")
     assert main(["admissibility", str(f)]) == 0
     assert "depth-exceeded" not in capsys.readouterr().err
 
