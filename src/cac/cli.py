@@ -16,8 +16,7 @@ from typing import List, Optional
 from .admissibility import Outcome, OverallVerdict, check_admissible
 from .printer import pp
 from .rewriting import confluence_check, joinable, normalize
-from .syntax import (ElabError, Elaborator, LoadedFile, ParseError, Parser,
-                     lex, load)
+from .syntax import ElabError, LoadedFile, ParseError, Parser, lex, load
 from .terms import CacError, Environment
 from .typing import TypeChecker
 
@@ -39,16 +38,13 @@ def _load_file(path: str, fuel: int) -> LoadedFile:
         return load(f.read(), fuel=fuel)
 
 
-def _parse_expr(loaded: LoadedFile, text: str, fuel: int):
-    elab = Elaborator(fuel=fuel)
-    elab.sig = loaded.signature
-    elab.rules = loaded.rules
+def _parse_expr(loaded: LoadedFile, text: str):
     parser = Parser(lex(text))
     term = parser.parse_term()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return elab.term(term, {})
+    return loaded.term(term, {})
 
 
 def cmd_check(args) -> int:
@@ -126,7 +122,7 @@ def cmd_normalize(args) -> int:
     loaded = _load_file(args.file, args.fuel)
     outputs = []
     for expr in args.expr:
-        t = _parse_expr(loaded, expr, args.fuel)
+        t = _parse_expr(loaded, expr)
         nf = normalize(t, loaded.rules, args.fuel)
         outputs.append({"input": expr, "normal_form": pp(nf)})
     _emit({"file": args.file, "results": outputs},
@@ -142,8 +138,8 @@ def cmd_convert(args) -> int:
         return 2
     verdict = confluence_check(loaded.rules, loaded.signature, args.fuel,
                                loaded.assume_confluent)
-    a = _parse_expr(loaded, args.expr[0], args.fuel)
-    b = _parse_expr(loaded, args.expr[1], args.fuel)
+    a = _parse_expr(loaded, args.expr[0])
+    b = _parse_expr(loaded, args.expr[1])
     conv = joinable(a, b, loaded.rules, args.fuel, verdict.positive)
     _emit({"file": args.file, "convertible": conv},
           args.report == "structured",

@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .signature import Signature
 from .terms import (Abs, App, BVar, EPSILON, Position, Prod, Sort, SortT,
-                    Symb, Term, Var, free_vars, positions, positions_of,
-                    spine, symbols_of)
+                    Symb, Term, Var, free_vars, occurrences, positions,
+                    positions_of, spine, symbols_of)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _prefixed(i: int, ps: FrozenSet[Position]) -> set:
 
 
 def polarity(t: Term, sig: Signature,
-             free_predicates: Optional[Sequence[str]] = None) -> PolarityReport:
+             free_predicates: Optional[FrozenSet[str]] = None) -> PolarityReport:
     """Positive and negative positions of t.
 
     The two sets follow the mutual definition: products flip the
@@ -61,10 +61,10 @@ def polarity(t: Term, sig: Signature,
     consults their sign, only membership in the positive set or
     emptiness of occurrence sets.
     """
-    if free_predicates is None:
-        free_predicates = [n for n, d in sig.decls.items()
-                           if d.sort == Sort.BOX]
-    free_set = set(free_predicates)
+    free_set = free_predicates
+    if free_set is None:
+        free_set = frozenset(n for n, d in sig.decls.items()
+                             if d.sort == Sort.BOX)
 
     def go(u: Term, delta: int):
         """Returns (same-polarity set, flipped-polarity set)."""
@@ -137,7 +137,9 @@ def check_inductive_structure(sig: Signature,
     declared (Ind, Acc) structure is admissible."""
     out: List[StructureViolation] = []
     frees = sig.free_predicate_symbols(rules)
-    defined_preds = set(sig.defined_predicate_symbols(rules))
+    free_set = frozenset(frees)
+    defined_preds = frozenset(sig.defined_predicate_symbols(rules))
+    rank = {n: k for k, n in enumerate(sig.decls)}   # declaration order
     prec = sig.precedence
 
     for cname in frees:
@@ -167,7 +169,7 @@ def check_inductive_structure(sig: Signature,
                         "accessible index exceeds the arity"))
                     continue
                 uj = binders[j - 1][1]
-                rep = polarity(uj, sig, frees)
+                rep = polarity(uj, sig, free_set)
                 # I2: inductive-argument variables occur positively
                 for i in ind:
                     if not (1 <= i <= len(vs)):
@@ -182,12 +184,15 @@ def check_inductive_structure(sig: Signature,
                             "I2", cname, con, j,
                             f"variable {vi} occurs non-positively at "
                             f"{sorted(bad)[0]} in {uj}"))
+                # the positions of each symbol in uj, from one walk
+                where: Dict[str, Set[Position]] = {}
+                for p, s in occurrences(uj):
+                    if isinstance(s, Symb):
+                        where.setdefault(s.name, set()).add(p)
                 # I3: equivalent free predicates occur positively
                 # I4: strictly greater free predicates do not occur
-                for e in frees:
-                    occ = positions_of(uj, e)
-                    if not occ:
-                        continue
+                for e in sorted(free_set.intersection(where), key=rank.get):
+                    occ = where[e]
                     if prec.eq(e, cname):
                         bad = occ - rep.positive
                         if bad:
@@ -201,13 +206,12 @@ def check_inductive_structure(sig: Signature,
                             f"greater predicate {e} occurs at "
                             f"{sorted(occ)[0]} in {uj}"))
                 # I5: defined predicates do not occur
-                for f in defined_preds:
-                    occ = positions_of(uj, f)
-                    if occ:
-                        out.append(StructureViolation(
-                            "I5", cname, con, j,
-                            f"defined predicate {f} occurs at "
-                            f"{sorted(occ)[0]} in {uj}"))
+                for f in sorted(defined_preds.intersection(where),
+                                key=rank.get):
+                    out.append(StructureViolation(
+                        "I5", cname, con, j,
+                        f"defined predicate {f} occurs at "
+                        f"{min(where[f])} in {uj}"))
                 # I6: predicate free variables are output parameters
                 for x in sorted(free_vars(uj, Sort.BOX),
                                 key=lambda v: v.id):

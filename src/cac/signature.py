@@ -26,12 +26,9 @@ class SymbolDecl:
     binders: Tuple = ()   # tuple of (Variable, Term)
     output: Term = STAR
 
-    def binder_vars(self) -> List[Variable]:
-        return [v for v, _ in self.binders]
-
     def inst(self, args: Iterable[Term]) -> dict:
         """The substitution gamma = {x-vec -> t-vec}."""
-        return dict(zip(self.binder_vars(), args))
+        return dict(zip((v for v, _ in self.binders), args))
 
 
 def split_telescope(typ: Term, arity: int, name: str) -> Tuple[Tuple, Term]:
@@ -207,9 +204,6 @@ class Signature:
 
     def __getitem__(self, name: str) -> SymbolDecl:
         return self.decls[name]
-
-    def names(self) -> List[str]:
-        return list(self.decls)
 
     def declare(self, name: str, arity: int, typ: Term,
                 rules=(), fuel: int = 10000) -> SymbolDecl:

@@ -133,11 +133,13 @@ class PProd(NamedTuple):
     codomain: object
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
-    kind: str            # symbol | rule | inductive | pragma | directive
-    payload: dict
+    """One parsed item: the `LoadedFile` method that takes it in, called
+    with the item's line and then `args`."""
+    method: object
     line: int
+    args: list
 
 
 class Parser:
@@ -175,6 +177,22 @@ class Parser:
             raise self.error("expected a name")
         return self.next()
 
+    def _until(self, close: str, element) -> list:
+        """Comma-separated `element()`s up to and including `close`."""
+        out = []
+        while self.peek().text != close:
+            out.append(element())
+            if self.peek().text == ",":
+                self.next()
+        self.expect(close)
+        return out
+
+    def _binding(self, sep: str) -> tuple:
+        """`name sep term`, as in `x : T` and `x := t`."""
+        x = self.expect_name().text
+        self.expect(sep)
+        return x, self.parse_term()
+
     # -- items ---------------------------------------------------------------
 
     def parse_file(self) -> List[Item]:
@@ -185,76 +203,52 @@ class Parser:
 
     def parse_item(self) -> Item:
         t = self.peek()
-        handlers = {"symbol": self._symbol, "rule": self._rule,
-                    "inductive": self._inductive, "pragma": self._pragma,
-                    "check": self._check, "normalize": self._normalize,
-                    "convert": self._convert}
-        h = handlers.get(t.text)
+        h = self.ITEMS.get(t.text)
         if h is None:
             raise self.error("expected a declaration, rule, pragma or "
                              "directive")
         self.next()
-        item = h(t)
+        method, args = h(self)
         self.expect(".")
-        return item
+        return Item(method, t.line, args)
 
-    def _symbol(self, t: Token) -> Item:
-        name = self.expect_name().text
-        self.expect(":")
-        typ = self.parse_term()
-        return Item("symbol", {"name": name, "type": typ}, t.line)
+    def _symbol(self):
+        return LoadedFile.add_symbol, list(self._binding(":"))
 
-    def _rule(self, t: Token) -> Item:
+    def _rule(self):
         lhs = self.parse_term(arrows=False)  # '->' separates sides
         self.expect("->")
         rhs = self.parse_term()
-        env = None
-        rho = None
+        env = rho = None
         if self.peek().text == "with":
             self.next()
             self.expect("env")
             self.expect("[")
-            env = []
-            while self.peek().text != "]":
-                x = self.expect_name().text
-                self.expect(":")
-                env.append((x, self.parse_term()))
-                if self.peek().text == ",":
-                    self.next()
-            self.expect("]")
-            rho = []
+            env = self._until("]", lambda: self._binding(":"))
             if self.peek().text == "rho":
                 self.next()
                 self.expect("{")
-                while self.peek().text != "}":
-                    x = self.expect_name().text
-                    self.expect(":=")
-                    rho.append((x, self.parse_term()))
-                    if self.peek().text == ",":
-                        self.next()
-                self.expect("}")
-        return Item("rule", {"lhs": lhs, "rhs": rhs, "env": env,
-                             "rho": rho}, t.line)
+                rho = self._until("}", lambda: self._binding(":="))
+        return LoadedFile.add_rule, [lhs, rhs, env, rho]
 
-    def _inductive(self, t: Token) -> Item:
-        name = self.expect_name().text
-        self.expect(":")
-        typ = self.parse_term()
+    def _inductive(self):
+        name, typ = self._binding(":")
         ctors = []
         if self.peek().text == ":=":
             self.next()
-            while True:
-                cname = self.expect_name().text
-                self.expect(":")
-                ctors.append((cname, self.parse_term()))
-                if self.peek().text == "|":
-                    self.next()
-                    continue
-                break
-        return Item("inductive", {"name": name, "type": typ,
-                                  "ctors": ctors}, t.line)
+            ctors.append(self._binding(":"))
+            while self.peek().text == "|":
+                self.next()
+                ctors.append(self._binding(":"))
+        return LoadedFile.add_inductive, [name, typ, ctors]
 
-    def _pragma(self, t: Token) -> Item:
+    def _index(self) -> int:
+        tok = self.expect_name()
+        if not tok.text.isdigit():
+            raise ParseError("expected an argument index", tok.line, tok.col)
+        return int(tok.text)
+
+    def _pragma(self):
         kind = self.expect_name().text
         if kind in ("ind", "acc"):
             self.expect("(")
@@ -262,50 +256,38 @@ class Parser:
             self.expect(")")
             self.expect("=")
             self.expect("{")
-            idxs = []
-            while self.peek().text != "}":
-                tok = self.expect_name()
-                if not tok.text.isdigit():
-                    raise ParseError("expected an argument index",
-                                     tok.line, tok.col)
-                idxs.append(int(tok.text))
-                if self.peek().text == ",":
-                    self.next()
-            self.expect("}")
-            return Item("pragma", {"kind": kind, "name": name,
-                                   "indices": idxs}, t.line)
+            return LoadedFile.set_positions, [kind, name,
+                                              self._until("}", self._index)]
         if kind == "prec":
             a = self.expect_name().text
             op = self.next().text
             if op not in (">", "="):
                 raise self.error("expected '>' or '=' in a precedence pragma")
             b = self.expect_name().text
-            return Item("pragma", {"kind": "prec", "op": op,
-                                   "left": a, "right": b}, t.line)
+            return (LoadedFile.prec_gt if op == ">" else LoadedFile.prec_eq,
+                    [a, b])
         if kind in ("assume_confluent", "assume_terminating"):
-            return Item("pragma", {"kind": kind}, t.line)
+            return LoadedFile.assume, [kind]
         if kind == "non_algebraic":
-            name = self.expect_name().text
-            return Item("pragma", {"kind": kind, "name": name}, t.line)
+            return LoadedFile.add_non_algebraic, [self.expect_name().text]
         raise self.error(f"unknown pragma {kind!r}")
 
-    def _check(self, t: Token) -> Item:
+    def _check(self):
         term = self.parse_term()
         self.expect(":")
-        typ = self.parse_term()
-        return Item("directive", {"kind": "check", "term": term,
-                                  "type": typ}, t.line)
+        return LoadedFile.add_directive, ["check", term, self.parse_term()]
 
-    def _normalize(self, t: Token) -> Item:
-        return Item("directive", {"kind": "normalize",
-                                  "term": self.parse_term()}, t.line)
+    def _normalize(self):
+        return LoadedFile.add_directive, ["normalize", self.parse_term()]
 
-    def _convert(self, t: Token) -> Item:
+    def _convert(self):
         a = self.parse_term()
         self.expect(",")
-        b = self.parse_term()
-        return Item("directive", {"kind": "convert", "left": a,
-                                  "right": b}, t.line)
+        return LoadedFile.add_directive, ["convert", a, self.parse_term()]
+
+    ITEMS = {"symbol": _symbol, "rule": _rule, "inductive": _inductive,
+             "pragma": _pragma, "check": _check, "normalize": _normalize,
+             "convert": _convert}
 
     # -- terms ---------------------------------------------------------------
 
@@ -395,124 +377,117 @@ class Directive:
 
 @dataclass
 class LoadedFile:
-    signature: Signature
-    rules: List[RewriteRule]
-    directives: List[Directive]
+    """A file elaborated item by item: the signature and rules built so
+    far, the directives to run and the pragmas' flags."""
+    fuel: int = 10000
+    signature: Signature = field(default_factory=Signature)
+    rules: List[RewriteRule] = field(default_factory=list)
+    directives: List[Directive] = field(default_factory=list)
     assume_confluent: bool = False
     assume_terminating: bool = False
     non_algebraic: frozenset = frozenset()
     bundles: list = field(default_factory=list)
 
-
-class Elaborator:
-    def __init__(self, fuel: int = 10000):
-        self.sig = Signature()
-        self.rules: List[RewriteRule] = []
-        self.fuel = fuel
-
     def term(self, p, scope: Dict[str, Variable],
-             allow_free: bool = False,
-             free_out: Optional[Dict[str, Variable]] = None) -> Term:
+             free: Optional[Dict[str, Variable]] = None) -> Term:
         """Resolve a parsed term: bound names from `scope`, then symbols
-        from the signature; other names are fresh variables when
-        `allow_free` (shared through free_out), otherwise errors."""
+        from the signature; other names are errors, or fresh variables
+        shared through `free` when it is given."""
         if isinstance(p, PStar):
             return STAR
         if isinstance(p, PName):
             if p.name in scope:
                 return Var(scope[p.name])
-            if p.name in self.sig:
-                d = self.sig[p.name]
+            if p.name in self.signature:
+                d = self.signature[p.name]
                 if d.arity != 0:
                     raise ElabError(
                         "arity-error",
                         f"{p.line}:{p.col}: symbol {p.name} expects "
                         f"{d.arity} argument(s)")
                 return Symb(p.name, ())
-            if allow_free:
-                assert free_out is not None
-                if p.name not in free_out:
-                    free_out[p.name] = Variable.fresh(p.name, Sort.STAR)
-                return Var(free_out[p.name])
+            if free is not None:
+                if p.name not in free:
+                    free[p.name] = Variable.fresh(p.name, Sort.STAR)
+                return Var(free[p.name])
             raise ElabError("unbound-name",
                             f"{p.line}:{p.col}: unknown name {p.name}")
         if isinstance(p, PSymbApp):
-            if p.name not in self.sig:
+            if p.name not in self.signature:
                 raise ElabError("unbound-name",
                                 f"{p.line}:{p.col}: unknown symbol {p.name}")
-            d = self.sig[p.name]
+            d = self.signature[p.name]
             if d.arity != len(p.args):
                 raise ElabError(
                     "arity-error",
                     f"{p.line}:{p.col}: {p.name} expects {d.arity} "
                     f"argument(s), got {len(p.args)}")
-            return Symb(p.name, tuple(
-                self.term(a, scope, allow_free, free_out) for a in p.args))
+            return Symb(p.name, tuple(self.term(a, scope, free)
+                                      for a in p.args))
         if isinstance(p, PApp):
-            return App(self.term(p.head, scope, allow_free, free_out),
-                       self.term(p.arg, scope, allow_free, free_out))
+            return App(self.term(p.head, scope, free),
+                       self.term(p.arg, scope, free))
         if isinstance(p, PAbs):
-            dom = self.term(p.domain, scope, allow_free, free_out)
+            dom = self.term(p.domain, scope, free)
             v = Variable.fresh(p.var, sort_class_of_type(dom))
             inner = dict(scope)
             inner[p.var] = v
-            return lam(v, dom, self.term(p.body, inner, allow_free, free_out))
+            return lam(v, dom, self.term(p.body, inner, free))
         if isinstance(p, PProd):
-            dom = self.term(p.domain, scope, allow_free, free_out)
+            dom = self.term(p.domain, scope, free)
             if p.var is None:
-                return arrow(dom, self.term(p.codomain, scope,
-                                            allow_free, free_out))
+                return arrow(dom, self.term(p.codomain, scope, free))
             v = Variable.fresh(p.var, sort_class_of_type(dom))
             inner = dict(scope)
             inner[p.var] = v
-            return pi(v, dom, self.term(p.codomain, inner,
-                                        allow_free, free_out))
+            return pi(v, dom, self.term(p.codomain, inner, free))
         raise ElabError("internal", f"unknown parse node {p!r}")
 
-    # -- items ---------------------------------------------------------------
+    # -- items: each takes the item's line, then what the parser read -------
 
-    def add_symbol(self, name: str, ptype) -> None:
+    def add_symbol(self, line: int, name: str, ptype) -> None:
         typ = self.term(ptype, {})
         arity = 0
         t = typ
         while isinstance(t, Prod):
             arity += 1
             t = t.codomain
-        self.sig.declare(name, arity, typ, self.rules, fuel=self.fuel)
+        self.signature.declare(name, arity, typ, self.rules, fuel=self.fuel)
 
-    def add_rule(self, payload: dict, line: int) -> RewriteRule:
+    def add_rule(self, line: int, lhs, rhs, env, rho) -> None:
         name = f"rule{len(self.rules) + 1}"
-        if payload["env"] is not None:
-            rule = self._annotated_rule(name, payload)
+        if env is not None:
+            rule = self._annotated_rule(name, lhs, rhs, env, rho)
         else:
-            rule = self._inferred_rule(name, payload, line)
+            rule = self._inferred_rule(name, lhs, rhs, line)
         self.rules.append(rule)
-        return rule
 
-    def _annotated_rule(self, name: str, payload: dict) -> RewriteRule:
+    def _annotated_rule(self, name: str, plhs, prhs, penv,
+                        prho) -> RewriteRule:
         scope: Dict[str, Variable] = {}
         env = Environment()
-        for x, ptyp in payload["env"]:
+        for x, ptyp in penv:
             typ = self.term(ptyp, scope)
             v = Variable.fresh(x, Sort.BOX if is_kind(typ) else Sort.STAR)
             scope[x] = v
             env = env.extend(v, typ)
         rho: Dict[Variable, Term] = {}
-        for x, pimg in payload["rho"] or []:
+        for x, pimg in prho or ():
             img = self.term(pimg, scope)
-            sort = Sort.BOX if is_predicate_term(img, self.sig) else Sort.STAR
+            sort = (Sort.BOX if is_predicate_term(img, self.signature)
+                    else Sort.STAR)
             v = Variable.fresh(x, sort)
             scope[x] = v
             rho[v] = img
-        lhs = self.term(payload["lhs"], scope)
-        rhs = self.term(payload["rhs"], scope)
+        lhs = self.term(plhs, scope)
+        rhs = self.term(prhs, scope)
         return RewriteRule(name, lhs, rhs, env, rho)
 
-    def _inferred_rule(self, name: str, payload: dict,
+    def _inferred_rule(self, name: str, plhs, prhs,
                        line: int) -> RewriteRule:
         free: Dict[str, Variable] = {}
-        lhs = self.term(payload["lhs"], {}, allow_free=True, free_out=free)
-        rhs = self.term(payload["rhs"], {}, allow_free=True, free_out=free)
+        lhs = self.term(plhs, {}, free)
+        rhs = self.term(prhs, {}, free)
         if not isinstance(lhs, Symb):
             raise ElabError("bad-lhs",
                             f"line {line}: rule left-hand side must be a "
@@ -526,7 +501,7 @@ class Elaborator:
                     "bad-rhs",
                     f"line {line}: variable {v.name} does not occur in the "
                     "left-hand side; annotate the rule explicitly")
-            types[v] = derived_type(lhs, occ[0], self.sig)
+            types[v] = derived_type(lhs, occ[0], self.signature)
         # correct the sort classes and rebuild
         repl: Dict[Variable, Term] = {}
         fixed: Dict[Variable, Variable] = {}
@@ -556,73 +531,52 @@ class Elaborator:
         env = Environment.of((v, types[v]) for v in order)
         return RewriteRule(name, lhs, rhs, env, {})
 
-    def add_inductive(self, payload: dict) -> None:
-        name = payload["name"]
-        arity_type = self.term(payload["type"], {})
+    def add_inductive(self, line: int, name: str, ptype, pctors) -> None:
+        arity_type = self.term(ptype, {})
         self_var = Variable.fresh(name, Sort.BOX)
-        ctors = []
-        for cname, ptyp in payload["ctors"]:
-            ctors.append((cname, self.term(ptyp, {name: self_var})))
-        decl = InductiveDecl(name, arity_type, self_var, tuple(ctors))
-        bundle = translate_inductive(decl, self.sig, fuel=self.fuel)
+        ctors = tuple((cname, self.term(ptyp, {name: self_var}))
+                      for cname, ptyp in pctors)
+        decl = InductiveDecl(name, arity_type, self_var, ctors)
+        bundle = translate_inductive(decl, self.signature, fuel=self.fuel)
         self.rules.extend(bundle.rules)
-        return bundle
+        self.bundles.append(bundle)
+
+    def set_positions(self, line: int, table: str, name: str,
+                      indices: List[int]) -> None:
+        """`pragma ind(name) = {...}` or `pragma acc(name) = {...}`."""
+        self._require_symbol(line, name)
+        getattr(self.signature.structure, table)[name] = frozenset(indices)
+
+    def prec_gt(self, line: int, left: str, right: str) -> None:
+        self._require_symbol(line, left, right)
+        self.signature.precedence.add_gt(left, right)
+
+    def prec_eq(self, line: int, left: str, right: str) -> None:
+        self._require_symbol(line, left, right)
+        self.signature.precedence.add_eq(left, right)
+
+    def assume(self, line: int, flag: str) -> None:
+        setattr(self, flag, True)
+
+    def add_non_algebraic(self, line: int, name: str) -> None:
+        self._require_symbol(line, name)
+        self.non_algebraic = self.non_algebraic | {name}
+
+    def add_directive(self, line: int, kind: str, *parsed) -> None:
+        self.directives.append(
+            Directive(kind, line, [self.term(p, {}) for p in parsed]))
+
+    def _require_symbol(self, line: int, *names: str) -> None:
+        for name in names:
+            if name not in self.signature:
+                raise ElabError("unbound-name",
+                                f"line {line}: unknown symbol {name}")
 
 
 def load(source: str, fuel: int = 10000) -> LoadedFile:
+    """Parse the whole file, then elaborate its items in order."""
     items = parse(source)
-    elab = Elaborator(fuel=fuel)
-    out = LoadedFile(elab.sig, elab.rules, [])
+    out = LoadedFile(fuel)
     for item in items:
-        if item.kind == "symbol":
-            elab.add_symbol(item.payload["name"], item.payload["type"])
-        elif item.kind == "rule":
-            elab.add_rule(item.payload, item.line)
-        elif item.kind == "inductive":
-            out.bundles.append(elab.add_inductive(item.payload))
-        elif item.kind == "pragma":
-            _apply_pragma(elab, out, item)
-        elif item.kind == "directive":
-            d = item.payload
-            if d["kind"] == "check":
-                out.directives.append(Directive(
-                    "check", item.line,
-                    [elab.term(d["term"], {}), elab.term(d["type"], {})]))
-            elif d["kind"] == "normalize":
-                out.directives.append(Directive(
-                    "normalize", item.line, [elab.term(d["term"], {})]))
-            else:
-                out.directives.append(Directive(
-                    "convert", item.line,
-                    [elab.term(d["left"], {}), elab.term(d["right"], {})]))
+        item.method(out, item.line, *item.args)
     return out
-
-
-def _apply_pragma(elab: Elaborator, out: LoadedFile, item: Item) -> None:
-    p = item.payload
-    if p["kind"] == "ind":
-        _require_symbol(elab, p["name"], item)
-        elab.sig.structure.ind[p["name"]] = frozenset(p["indices"])
-    elif p["kind"] == "acc":
-        _require_symbol(elab, p["name"], item)
-        elab.sig.structure.acc[p["name"]] = frozenset(p["indices"])
-    elif p["kind"] == "prec":
-        _require_symbol(elab, p["left"], item)
-        _require_symbol(elab, p["right"], item)
-        if p["op"] == ">":
-            elab.sig.precedence.add_gt(p["left"], p["right"])
-        else:
-            elab.sig.precedence.add_eq(p["left"], p["right"])
-    elif p["kind"] == "assume_confluent":
-        out.assume_confluent = True
-    elif p["kind"] == "assume_terminating":
-        out.assume_terminating = True
-    elif p["kind"] == "non_algebraic":
-        _require_symbol(elab, p["name"], item)
-        out.non_algebraic = out.non_algebraic | {p["name"]}
-
-
-def _require_symbol(elab: Elaborator, name: str, item: Item) -> None:
-    if name not in elab.sig:
-        raise ElabError("unbound-name",
-                        f"line {item.line}: unknown symbol {name}")

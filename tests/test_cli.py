@@ -62,6 +62,13 @@ def test_convert(capsys):
     capsys.readouterr()
 
 
+def test_convert_refuses_trailing_input(capsys):
+    assert main(["convert", path("int"), "-e", "s(0) , 0", "-e", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1:6: trailing input ','\n"
+
+
 def test_argument_parser_is_built_once(monkeypatch, capsys):
     built = []
     build = cli.build_parser

@@ -112,11 +112,13 @@ def test_terms_have_no_instance_dict():
 
 
 def test_tokens_and_parse_nodes_have_no_instance_dict():
-    # a file of n tokens holds n tokens and about as many parse nodes
+    # a file of n tokens holds n tokens and about as many parse nodes,
+    # and one item per declaration
     syn = cac.syntax
     name = syn.PName("x", 1, 1)
     samples = [syn.Token("name", "x", 1, 1), name, syn.PStar(),
                syn.PSymbApp("f", (name,), 1, 1), syn.PApp(name, name),
-               syn.PAbs("x", name, name), syn.PProd(None, name, name)]
+               syn.PAbs("x", name, name), syn.PProd(None, name, name),
+               syn.Item(syn.LoadedFile.add_symbol, 1, ["x", name])]
     with_dict = [type(s).__name__ for s in samples if hasattr(s, "__dict__")]
     assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)

@@ -1,9 +1,15 @@
 """Polarity of occurrences, inductive-structure conditions, predicate
 classification."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+
+import cac
 
 from cac import (PredicateClass, Prod, STAR, Signature, Symb, Term, Var,
                  Variable, arrow, check_inductive_structure,
@@ -325,3 +331,28 @@ def test_classification_of_a_long_descending_chain():
     assert sig.free_predicate_symbols(())[0] == f"p{n - 1}"
     assert len(classes) == n
     assert set(classes.values()) == {PredicateClass.PRIMITIVE}
+
+
+def test_i5_violations_follow_declaration_order_under_any_hash_seed(tmp_path):
+    # both defined predicates occur in the one accessible argument; the
+    # report must not depend on the order of a set of strings
+    f = tmp_path / "i5.cac"
+    f.write_text(
+        "symbol o : * . symbol a : o . symbol F : o -> * . "
+        "symbol G : o -> * . rule F(x) -> o . rule G(x) -> o . "
+        "symbol D : * . symbol c : (F(a) -> G(a)) -> D . "
+        "pragma acc(c) = {1} .\n", encoding="utf-8")
+    src = str(pathlib.Path(cac.__file__).parents[1])
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "cac.cli", "admissibility", str(f)],
+            env=env, capture_output=True, check=False)
+        assert run.returncode == 1
+        outputs.add(run.stdout)
+    (out,) = outputs
+    i5 = [line for line in out.decode().splitlines()
+          if line.startswith("  I5 ")]
+    assert [line.split("defined predicate ")[1][0] for line in i5] \
+        == ["F", "G"]

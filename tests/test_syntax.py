@@ -1,12 +1,15 @@
 """Surface syntax: lexer, parser, elaboration, pragmas, directives."""
 
+import pathlib
 import random
+import re
 
 import pytest
 
 from cac import ParseError, Prod, STAR, Symb, Var, load, pp
-from cac.syntax import UNICODE_ALIASES, ElabError, Token, lex
-from cac.terms import Abs, App, Sort
+from cac.signature import DeclarationError
+from cac.syntax import UNICODE_ALIASES, ElabError, Parser, Token, lex, parse
+from cac.terms import Abs, App, CacError, Sort
 from tests.conftest import CORPUS
 
 
@@ -205,15 +208,96 @@ def test_assume_pragmas():
     assert lf.non_algebraic == frozenset({"o"})
 
 
+O_A_F = "symbol o : * . symbol a : o . symbol f : o -> o . "
+
+# (source, error class, code, message): one row per way a file can fail
+# to load
+LOAD_ERRORS = [
+    ("symbol o : * ", ParseError, "parse-error",
+     "1:14: expected '.' (found '')"),
+    ("rule -> x .", ParseError, "parse-error",
+     "1:6: expected a term (found '->')"),
+    ("symbol o : * . frob .", ParseError, "parse-error",
+     "1:16: expected a declaration, rule, pragma or directive "
+     "(found 'frob')"),
+    ("symbol : * .", ParseError, "parse-error",
+     "1:8: expected a name (found ':')"),
+    ("symbol o : * . pragma ind(o) = {x} .", ParseError, "parse-error",
+     "1:33: expected an argument index"),
+    # the message names the token after the operator
+    ("symbol o : * . pragma prec o -> o .", ParseError, "parse-error",
+     "1:33: expected '>' or '=' in a precedence pragma (found 'o')"),
+    ("pragma frob .", ParseError, "parse-error",
+     "1:13: unknown pragma 'frob' (found '.')"),
+    ("rule f(x) -> x with rho { } .", ParseError, "parse-error",
+     "1:21: expected 'env' (found 'rho')"),
+    ("rule f(x) -> x with env [x o] .", ParseError, "parse-error",
+     "1:28: expected ':' (found 'o')"),
+    ("inductive n : * := z : n | .", ParseError, "parse-error",
+     "1:28: expected a name (found '.')"),
+    ("convert a b .", ParseError, "parse-error",
+     "1:13: expected ',' (found '.')"),
+    ("check a o .", ParseError, "parse-error",
+     "1:11: expected ':' (found '.')"),
+    ("symbol o : * . !", ParseError, "parse-error",
+     "1:16: unexpected character '!'"),
+    # the whole file is parsed before any item is elaborated, so a late
+    # syntax error wins over an earlier elaboration error
+    ("symbol f : o -> o . symbol o : *", ParseError, "parse-error",
+     "1:33: expected '.' (found '')"),
+    ("symbol f : o -> o .", ElabError, "unbound-name",
+     "1:12: unknown name o"),
+    ("symbol o : * . rule f(x) -> x .", ElabError, "unbound-name",
+     "1:21: unknown symbol f"),
+    (O_A_F + "normalize f(a, a) .", ElabError, "arity-error",
+     "1:61: f expects 1 argument(s), got 2"),
+    (O_A_F + "normalize f .", ElabError, "arity-error",
+     "1:61: symbol f expects 1 argument(s)"),
+    ("pragma ind(p) = {1} .", ElabError, "unbound-name",
+     "line 1: unknown symbol p"),
+    ("symbol o : * .\npragma acc(c) = {1} .", ElabError, "unbound-name",
+     "line 2: unknown symbol c"),
+    (O_A_F + "pragma prec f = g .", ElabError, "unbound-name",
+     "line 1: unknown symbol g"),
+    (O_A_F + "pragma non_algebraic q .", ElabError, "unbound-name",
+     "line 1: unknown symbol q"),
+    (O_A_F + "\nrule x -> f(x) .", ElabError, "bad-lhs",
+     "line 2: rule left-hand side must be a symbol application"),
+    (O_A_F + "rule f(a) -> y .", ElabError, "bad-rhs",
+     "line 1: variable y does not occur in the left-hand side; annotate "
+     "the rule explicitly"),
+    ("symbol o : * . symbol o : * .", DeclarationError, "duplicate-name",
+     "symbol o already declared"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        load("symbol o : * ")          # missing terminator
-    with pytest.raises(ParseError):
-        load("rule -> x .")            # missing lhs
-    with pytest.raises(ElabError):
-        load("symbol f : o -> o .")    # o undeclared
-    with pytest.raises(ElabError):
-        load("symbol o : * . rule f(x) -> x .")  # undeclared head
+    wrong = []
+    for source, error, code, message in LOAD_ERRORS:
+        try:
+            load(source)
+            got = None
+        except CacError as e:
+            got = (type(e), e.code, e.message)
+        if got != (error, code, message):
+            wrong.append(f"{source!r}: {got}")
+    assert not wrong, "\n".join(wrong)
+
+
+def test_readme_input_format_covers_the_grammar():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"## Input format\n.*?```text\n(.*?)```", readme,
+                      re.S).group(1)
+    assert len(parse(block)) > 0
+    toks = [t.text for t in lex(block)]
+    starts = {b for a, b in zip(["."] + toks, toks) if a == "."}
+    assert set(Parser.ITEMS) <= starts
+    forms = {toks[k + 1] + (" " + toks[k + 3] if toks[k + 1] == "prec"
+                            else "")
+             for k, t in enumerate(toks) if t == "pragma"}
+    assert forms == {"ind", "acc", "prec >", "prec =", "assume_confluent",
+                     "assume_terminating", "non_algebraic"}
 
 
 def test_printer_round_trip_through_parser():
