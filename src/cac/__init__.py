@@ -8,7 +8,7 @@ from .admissibility import (AdmissibilityReport, Outcome, OverallVerdict,
                             partition_defined, system_properties)
 from .cic import (GeneratedBundle, InductiveDecl, certify_bundle,
                   generate_iota_rules, selim_for_motive, translate_inductive)
-from .orderings import rpo_greater, rpo_terminates
+from .orderings import Orientation, rpo_greater, rpo_terminates
 from .positivity import (PolarityReport, PredicateClass,
                          check_inductive_structure, classify_predicate,
                          polarity, predicate_classes)

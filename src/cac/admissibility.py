@@ -8,7 +8,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .orderings import rpo_terminates
+from .orderings import Orientation
 from .positivity import (PredicateClass, check_inductive_structure,
                          polarity, predicate_classes)
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
@@ -255,13 +255,24 @@ def _duplication(r: RewriteRule) -> Optional[str]:
     return None
 
 
+def _duplications(rules: Sequence[RewriteRule]) -> Dict[int, Optional[str]]:
+    """`_duplication` of each rule, keyed by the rule's identity: built
+    once per admissibility run and read by every check that asks."""
+    return {id(r): _duplication(r) for r in rules}
+
+
 def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                       sig: Signature, all_rules: Sequence[RewriteRule] = (),
                       fuel: int = 10000, confluent: bool = False,
                       which: Sequence[str] = ("algebraic", "non_duplicating",
                                               "primitive", "simple",
                                               "positive", "recursive",
-                                              "safe")) -> SystemProperties:
+                                              "safe"),
+                      duplication: Optional[Dict[int, Optional[str]]] = None
+                      ) -> SystemProperties:
+    """The properties named in `which` of the rules `grules` of the
+    symbols `gset`.  `duplication` is `_duplications` of the run's rules;
+    without it, it is built here for `grules`."""
     props = SystemProperties()
     rules = RuleSet.of(all_rules or grules)
     classes = predicate_classes(sig, rules)
@@ -289,7 +300,9 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
         props.algebraic = verdict
 
     if "non_duplicating" in which:
-        why = next(filter(None, map(_duplication, grules)), None)
+        if duplication is None:
+            duplication = _duplications(grules)
+        why = next(filter(None, (duplication[id(r)] for r in grules)), None)
         props.non_duplicating = HOLDS if why is None else fails(why)
 
     if "primitive" in which:
@@ -430,7 +443,9 @@ def partition_defined(sig: Signature, rules: Sequence[RewriteRule],
 
 def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
                         force_non_algebraic: FrozenSet[str] = frozenset(),
-                        assume_terminating: bool = False
+                        assume_terminating: bool = False,
+                        orientation: Optional[Orientation] = None,
+                        duplication: Optional[Dict[int, Optional[str]]] = None
                         ) -> Tuple[FrozenSet[str], FrozenSet[str],
                                    Dict[str, str]]:
     """Split the defined symbols into an algebraic part and the rest by
@@ -440,8 +455,13 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
     admit a recursive-path-order orientation (unless termination is
     asserted), and mention no non-algebraic symbol.  Returns the two
     parts plus, for each demoted symbol, the reason it left the
-    algebraic part."""
+    algebraic part.  `orientation` and `duplication` are the run's
+    tables (see `check_admissible`); without them they are built here."""
     rules = RuleSet.of(rules)
+    if orientation is None:
+        orientation = Orientation(sig)
+    if duplication is None:
+        duplication = _duplications(rules)
     _, defined = sig.free_and_defined(rules)
     classes = predicate_classes(sig, rules)
     by_head = rules.by_head
@@ -457,10 +477,10 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
         for r in by_head[g]:
             if not is_algebraic(r.rhs):
                 return f"rule {r.name} has a non-algebraic right-hand side"
-            why = _duplication(r)
+            why = duplication[id(r)]
             if why is not None:
                 return why
-            if not assume_terminating and rpo_terminates(sig, [r]) is None:
+            if not assume_terminating and orientation.line(r) is None:
                 return (f"rule {r.name} admits no recursive-path-order "
                         "orientation")
         return None
@@ -487,6 +507,28 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
                               f"{sorted(shared)[0]}")
                 changed = True
     return frozenset(fa), frozenset(defined - fa), reasons
+
+
+TERMINATION_ASSERTED = TriState("HOLDS", "termination asserted by pragma")
+
+
+def algebraic_termination(sig: Signature, fa_rules: Sequence[RewriteRule],
+                          orientation: Orientation,
+                          assume_terminating: bool = False) -> TriState:
+    """A4's strong-normalization obligation on the rules of the
+    algebraic part: the recursive-path-order trace read from
+    `orientation`, or TERMINATION_ASSERTED under the pragma."""
+    cycle = sig.check_precedence()
+    if cycle is not None:
+        return fails("the precedence is cyclic: " + " > ".join(cycle))
+    if not fa_rules:
+        return TriState("HOLDS", "no algebraic rules")
+    trace = orientation.terminates(fa_rules)
+    if trace is not None:
+        return TriState("HOLDS", "; ".join(trace))
+    if assume_terminating:
+        return TERMINATION_ASSERTED
+    return fails("no recursive-path-order proof and no assertion")
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +631,12 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
     rules = RuleSet.of(rules)
     failures: List[str] = []
     assertions: List[str] = []
+    # what is decided once per rule for the whole run
+    orientation = Orientation(sig)
+    duplication = _duplications(rules)
 
     # A1 --------------------------------------------------------------
-    a1 = confluence_check(rules, sig, fuel, assume_confluent)
+    a1 = confluence_check(rules, orientation, fuel, assume_confluent)
     if a1.level == ConfluenceLevel.UNKNOWN:
         failures.append("A1")
     elif a1.level == ConfluenceLevel.ASSERTED:
@@ -613,7 +658,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
     else:
         gset = frozenset(dfb)
         a3_props = system_properties(gset, dfb_rules, sig, rules, fuel,
-                                     confluent)
+                                     confluent, duplication=duplication)
         if a3_props.primitive.holds:
             a3_branch = "primitive"
         elif a3_props.simple.holds and a3_props.positive.holds:
@@ -626,28 +671,20 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
 
     # A4: partition of all defined symbols ----------------------------
     fa, fna, demotions = partition_explained(sig, rules, force_non_algebraic,
-                                             assume_terminating)
+                                             assume_terminating, orientation,
+                                             duplication)
     fa_rules = [r for r in rules if r.head_name() in fa]
     fna_rules = [r for r in rules if r.head_name() in fna]
     fa_props = system_properties(fa, fa_rules, sig, rules, fuel, confluent,
-                                 which=("algebraic", "non_duplicating"))
+                                 which=("algebraic", "non_duplicating"),
+                                 duplication=duplication)
     fna_props = system_properties(fna, fna_rules, sig, rules, fuel,
                                   confluent, which=("safe", "recursive"))
-    cycle = sig.check_precedence()
-    if cycle is not None:
-        a4_sn = fails("the precedence is cyclic: " + " > ".join(cycle))
-    elif fa_rules:
-        trace = rpo_terminates(sig, fa_rules)
-        if trace is not None:
-            a4_sn = TriState("HOLDS", "; ".join(trace))
-        elif assume_terminating:
-            a4_sn = TriState("HOLDS", "termination asserted by pragma")
-            assertions.append("termination of the algebraic part asserted "
-                              "by pragma")
-        else:
-            a4_sn = fails("no recursive-path-order proof and no assertion")
-    else:
-        a4_sn = TriState("HOLDS", "no algebraic rules")
+    a4_sn = algebraic_termination(sig, fa_rules, orientation,
+                                  assume_terminating)
+    if a4_sn is TERMINATION_ASSERTED:
+        assertions.append("termination of the algebraic part asserted "
+                          "by pragma")
     sep_bad = [
         (r.name, s) for r in fa_rules
         for s in sorted((symbols_of(r.lhs) | symbols_of(r.rhs)) & fna)]

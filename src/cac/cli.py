@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 from .admissibility import Outcome, OverallVerdict, check_admissible
+from .orderings import Orientation
 from .printer import pp
 from .rewriting import confluence_check, joinable, normalize
 from .syntax import ElabError, LoadedFile, ParseError, Parser, lex, load
@@ -21,11 +22,39 @@ from .terms import CacError, Environment
 from .typing import TypeChecker
 
 
+def to_json(obj, indent: str = "\n") -> str:
+    """The bytes of `json.dumps(obj, indent=2, sort_keys=True)` for
+    dicts with string keys, lists, tuples, strings, ints, bools and
+    None.  Strings go through the C encoder and each container is one
+    join, so no pure-Python encoder runs and no list of every chunk of
+    the report is built."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + to_json(v, inner)
+            for k, v in sorted(obj.items())) + indent + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            to_json(v, inner) for v in obj) + indent + "]")
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def _emit(obj, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(to_json(obj) if as_json else text)
 
 
 def _too_deep() -> str:
@@ -49,8 +78,8 @@ def _parse_expr(loaded: LoadedFile, text: str):
 
 def cmd_check(args) -> int:
     loaded = _load_file(args.file, args.fuel)
-    verdict = confluence_check(loaded.rules, loaded.signature, args.fuel,
-                               loaded.assume_confluent)
+    verdict = confluence_check(loaded.rules, Orientation(loaded.signature),
+                               args.fuel, loaded.assume_confluent)
     tc = TypeChecker(loaded.signature, loaded.rules, fuel=args.fuel,
                      confluent=verdict.positive)
     results = []
@@ -136,8 +165,8 @@ def cmd_convert(args) -> int:
     if len(args.expr) != 2:
         print("convert requires exactly two -e expressions", file=sys.stderr)
         return 2
-    verdict = confluence_check(loaded.rules, loaded.signature, args.fuel,
-                               loaded.assume_confluent)
+    verdict = confluence_check(loaded.rules, Orientation(loaded.signature),
+                               args.fuel, loaded.assume_confluent)
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
     conv = joinable(a, b, loaded.rules, args.fuel, verdict.positive)

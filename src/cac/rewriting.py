@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from .orderings import rpo_terminates
+from .orderings import Orientation
 from .terms import (Abs, App, CacError, Environment, FuelExhausted, Position,
                     Prod, Symb, Term, Var, Variable, _children, _rebuild,
                     alpha_eq, close, free_vars, is_algebraic, occurrences,
@@ -441,13 +441,15 @@ class ConfluenceVerdict:
         return {"level": self.level.value, "evidence": list(self.evidence)}
 
 
-def confluence_check(rules: Sequence[RewriteRule], signature=None,
+def confluence_check(rules: Sequence[RewriteRule],
+                     orientation: Optional[Orientation] = None,
                      fuel: int = 10000,
                      assume_confluent: bool = False) -> ConfluenceVerdict:
     """ORTHOGONAL: left-linear with no critical pairs (van Oostrom gives
-    confluence of the combination with beta).  NEWMAN: a recursive path
-    order proves termination of the rules and all critical pairs join.
-    ASSERTED: user flag.  Otherwise UNKNOWN."""
+    confluence of the combination with beta).  NEWMAN: the recursive
+    path order of `orientation` orients every rule, so the rules
+    terminate, and all critical pairs join; without an orientation table
+    NEWMAN is not tried.  ASSERTED: user flag.  Otherwise UNKNOWN."""
     rules = RuleSet.of(rules)
     if not rules:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL, ["empty rule set"])
@@ -456,22 +458,21 @@ def confluence_check(rules: Sequence[RewriteRule], signature=None,
     if ll and not cps:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL,
                                  ["left-linear", "no critical pairs"])
-    if signature is not None:
-        trace = rpo_terminates(signature, rules)
-        if trace is not None:
-            evidence = ["termination by recursive path order"]
-            all_join = True
-            for cp in cps:
-                try:
-                    ok = joinable(cp.left_reduct, cp.right_reduct, rules, fuel)
-                except FuelExhausted:
-                    ok = False
-                evidence.append(f"critical pair {cp}: "
-                                + ("joinable" if ok else "NOT joinable"))
-                if not ok:
-                    all_join = False
-            if all_join:
-                return ConfluenceVerdict(ConfluenceLevel.NEWMAN, evidence)
+    if (orientation is not None
+            and orientation.terminates(rules) is not None):
+        evidence = ["termination by recursive path order"]
+        all_join = True
+        for cp in cps:
+            try:
+                ok = joinable(cp.left_reduct, cp.right_reduct, rules, fuel)
+            except FuelExhausted:
+                ok = False
+            evidence.append(f"critical pair {cp}: "
+                            + ("joinable" if ok else "NOT joinable"))
+            if not ok:
+                all_join = False
+        if all_join:
+            return ConfluenceVerdict(ConfluenceLevel.NEWMAN, evidence)
     if assume_confluent:
         return ConfluenceVerdict(ConfluenceLevel.ASSERTED,
                                  ["assume-confluent pragma"])

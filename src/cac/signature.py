@@ -60,8 +60,9 @@ class Precedence:
     def _changed(self):
         """Drop what is derived from the pragmas; rebuilt on demand."""
         self._succ: Optional[Dict[str, List[str]]] = None
-        self._cycle: Optional[List[str]] = None
-        self._cycle_known = False
+        self._order: Optional[Tuple[Optional[List[str]],
+                                    Dict[str, int]]] = None
+        self._reach: Dict[str, Tuple[set, List[str]]] = {}
 
     def find(self, a: str) -> str:
         """The representative of a's equivalence class.  Walks the
@@ -112,42 +113,54 @@ class Precedence:
         state; sorted so that find_cycle's witness is reproducible."""
         if self._succ is None:
             succ: Dict[str, List[str]] = {}
-            for u, v in sorted(self._strict_edges()):
+            for u, v in self._strict_edges():
                 succ.setdefault(u, []).append(v)
-            self._succ = succ
+            self._succ = {u: sorted(succ[u]) for u in sorted(succ)}
         return self._succ
 
     def gt(self, a: str, b: str) -> bool:
-        """a >_F b in the transitive closure of the strict class order."""
+        """a >_F b in the transitive closure of the strict class order.
+        False at once when a's rank is not above b's.  Otherwise b is
+        looked up among the classes found below a so far; a search from
+        a, kept until the next pragma, goes on only until it finds b,
+        so each source's edges are walked at most once per pragma state
+        and a long chain costs no quadratic memory."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
+        rank = self._analysed()[1]
+        if rank and rank.get(ra, 0) <= rank.get(rb, 0):
+            return False
+        search = self._reach.get(ra)
+        if search is None:
+            search = self._reach[ra] = (set(), [ra])
+        below, stack = search
         succ = self._successors()
-        seen = {ra}
-        stack = [ra]
-        while stack:
+        while stack and rb not in below:
             for v in succ.get(stack.pop(), ()):
-                if v not in seen:
-                    if v == rb:
-                        return True
-                    seen.add(v)
+                if v not in below:
+                    below.add(v)
                     stack.append(v)
-        return False
+        return rb in below
 
     def find_cycle(self) -> Optional[List[str]]:
         """A cycle in the strict class order, or None if acyclic."""
-        if not self._cycle_known:
-            self._cycle = self._search_cycle()
-            self._cycle_known = True
-        return self._cycle
+        return self._analysed()[0]
 
-    def _search_cycle(self) -> Optional[List[str]]:
-        """Depth-first search with an explicit stack, so that long
-        precedence chains cannot exhaust the interpreter's stack."""
+    def _analysed(self) -> Tuple[Optional[List[str]], Dict[str, int]]:
+        """One depth-first search of the strict class order per pragma
+        state, with an explicit stack so that long precedence chains
+        cannot exhaust the interpreter's stack.  It gives a cycle, or
+        None, and each class's rank: its height, the length of the
+        longest chain of strict edges below it, so that a > b implies
+        rank(a) > rank(b).  A cyclic order has no such rank, and its
+        ranks are empty."""
+        if self._order is not None:
+            return self._order
         succ = self._successors()
-        done: set = set()
+        rank: Dict[str, int] = {}
         for root in succ:
-            if root in done:
+            if root in rank:
                 continue
             path = [root]
             on_path = {root: 0}
@@ -155,8 +168,9 @@ class Precedence:
             while pending:
                 for v in pending[-1]:
                     if v in on_path:
-                        return path[on_path[v]:] + [v]
-                    if v not in done:
+                        self._order = (path[on_path[v]:] + [v], {})
+                        return self._order
+                    if v not in rank:
                         on_path[v] = len(path)
                         path.append(v)
                         pending.append(iter(succ.get(v, ())))
@@ -165,8 +179,10 @@ class Precedence:
                     pending.pop()
                     u = path.pop()
                     del on_path[u]
-                    done.add(u)
-        return None
+                    rank[u] = 1 + max(map(rank.__getitem__,
+                                          succ.get(u, ())), default=-1)
+        self._order = (None, rank)
+        return self._order
 
 
 @dataclass

@@ -11,6 +11,17 @@ def corpus_source(name: str) -> str:
     return (CORPUS / f"{name}.cac").read_text(encoding="utf-8")
 
 
+def plus_family_source(k: int) -> str:
+    """One rule, plus(s^k(x), y) -> s^k(plus(x, y)), under prec plus > s:
+    the recursive path order without a memo decides the same subterm
+    pairs exponentially often in k."""
+    lhs = "s(" * k + "x" + ")" * k
+    rhs = "s(" * k + "plus(x, y)" + ")" * k
+    return ("symbol o : * .\nsymbol s : o -> o .\n"
+            "symbol plus : o -> o -> o .\npragma prec plus > s .\n"
+            f"rule plus({lhs}, y) -> {rhs} .\n")
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """All corpus files, loaded once."""

@@ -10,10 +10,10 @@ from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb, Var,
                  check_admissible, check_inductive_structure,
                  check_type_preservation, check_well_formed, cc_check,
                  critical_pairs, joinable, left_linear, load, normalize,
-                 satisfies_general_schema, system_properties)
+                 rpo_terminates, satisfies_general_schema, system_properties)
 from cac.syntax import lex, parse
 from cac.terms import lam
-from tests.conftest import CORPUS, corpus_source
+from tests.conftest import CORPUS, corpus_source, plus_family_source
 
 
 def _report(num, ok, label):
@@ -366,3 +366,35 @@ def test_acceptance_12_joinability_hashes_each_term_once():
             "the joinability search hashes each visited term once: "
             f"bfs-chain(9) against s(0) makes {hashes} __hash__ frames "
             "(bound 260000)")
+
+
+def _rpo_calls(k):
+    """Python and builtin calls made by rpo_terminates on the plus
+    family at k, counted with a profile hook (loading not counted)."""
+    lf = load(plus_family_source(k))
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        trace = rpo_terminates(lf.signature, lf.rules)
+    finally:
+        sys.setprofile(previous)
+    assert trace is not None
+    return count
+
+
+def test_acceptance_13_rpo_is_polynomial():
+    # a count of calls, not a time; cubic, since each subterm pair is
+    # decided once but still starts with a full alpha_eq
+    small, large = _rpo_calls(20), _rpo_calls(40)
+    ratio = large / small
+    _report(13, ratio <= 8,
+            "the recursive path order decides each subterm pair once: "
+            f"calls on plus(s^40(x), y) -> s^40(plus(x, y)) / on k = 20 "
+            f"= {large} / {small} = {ratio:.2f} (bound 8)")

@@ -6,8 +6,9 @@ import pytest
 from cac import (Outcome, OverallVerdict, check_admissible,
                  check_type_preservation, load, partition_defined,
                  system_properties)
-from cac.admissibility import partition_explained
-from cac.orderings import rpo_terminates
+from cac.admissibility import (TERMINATION_ASSERTED, algebraic_termination,
+                               fails, partition_explained)
+from cac.orderings import Orientation, rpo_terminates
 from tests.conftest import corpus_source
 
 
@@ -114,6 +115,68 @@ def test_verdicts(corpus):
         report = check_admissible(lf.signature, lf.rules,
                                   force_non_algebraic=lf.non_algebraic)
         assert report.overall == verdict, (name, report.to_text())
+
+
+# rule1 admits no recursive-path-order orientation, rule2 does.  d's
+# two rules overlap, so A1 asks for the orientation of every rule before
+# A4 does, and d sorts before f in the partition.
+ONE_LOOPING_RULE = """
+symbol o : * .
+symbol a : o .
+symbol d : o -> o .
+symbol f : o -> o .
+pragma prec f > a .
+rule d(x) -> d(d(x)) .
+rule f(x) -> a .
+rule d(a) -> a .
+"""
+
+
+def _admissibility(source):
+    lf = load(source)
+    return check_admissible(lf.signature, lf.rules,
+                            assume_terminating=lf.assume_terminating,
+                            force_non_algebraic=lf.non_algebraic)
+
+
+def test_partition_demotes_only_the_rule_rpo_cannot_orient():
+    report = _admissibility(ONE_LOOPING_RULE)
+    assert report.a4_demotions == {
+        "d": "rule rule1 admits no recursive-path-order orientation"}
+    assert report.a4_algebraic == frozenset({"f"})
+    assert report.a4_sn.status == "HOLDS"
+    assert report.a4_sn.witness == "rule2: f(x) >rpo a"
+
+
+def test_asserted_termination_is_used_only_for_unoriented_rules():
+    asserted = _admissibility(ONE_LOOPING_RULE
+                              + "pragma assume_terminating .\n")
+    assert asserted.a4_algebraic == frozenset({"d", "f"})
+    assert asserted.a4_sn is TERMINATION_ASSERTED
+    assert asserted.assertions == [
+        "termination of the algebraic part asserted by pragma"]
+    # with d forced out, RPO orients what is left: no assertion needed
+    oriented = _admissibility(ONE_LOOPING_RULE
+                              + "pragma assume_terminating .\n"
+                              + "pragma non_algebraic d .\n")
+    assert oriented.a4_algebraic == frozenset({"f"})
+    assert oriented.a4_sn.witness == "rule2: f(x) >rpo a"
+    assert oriented.assertions == []
+
+
+def test_algebraic_termination_without_proof_or_assertion():
+    # check_admissible never reaches this branch: its partition demotes
+    # every rule RPO cannot orient unless termination is asserted
+    lf = load(ONE_LOOPING_RULE)
+    looping, oriented, _ = lf.rules
+    table = Orientation(lf.signature)
+    assert algebraic_termination(lf.signature, [looping, oriented], table) \
+        == fails("no recursive-path-order proof and no assertion")
+    assert algebraic_termination(lf.signature, [looping, oriented], table,
+                                 assume_terminating=True) \
+        is TERMINATION_ASSERTED
+    assert algebraic_termination(lf.signature, [oriented], table).witness \
+        == "rule2: f(x) >rpo a"
 
 
 def test_assertion_downgrades_verdict():

@@ -1,12 +1,15 @@
 """The command-line driver: subcommands, report formats, exit codes."""
 
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cac import cli
 from cac.cli import main
-from tests.conftest import CORPUS
+from tests.conftest import CORPUS, plus_family_source
 
 
 def path(name):
@@ -213,3 +216,38 @@ def test_deep_normal_forms_convert(tmp_path, capsys):
     assert main(["check", str(f)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "convert (line 2): ok — convertible", "all checks passed"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"é": ["☃ 𝄞", "\"q\" \\ \n\t\x00\x1f\x7f\u2028"]})
+@example({"": {}, "a": [], "b": [[], {}], "c": {"d": [None, True, False]}})
+@example([-2 ** 70, 0, 7, (1, "x")])
+def test_report_emitter_writes_the_bytes_of_json_dumps(value):
+    assert cli.to_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_emitter_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError):
+        cli.to_json({"x": {1, 2}})
+
+
+def test_admissibility_of_a_long_plus_rule_is_fast(tmp_path, capsys):
+    # without the memo the order decides about 24 million subterm pairs
+    # here, and the run takes about a minute and a half
+    f = tmp_path / "plus20.cac"
+    f.write_text(plus_family_source(20), encoding="utf-8")
+    t0 = time.perf_counter()
+    code = main(["admissibility", str(f)])
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    assert code == 0 and out.endswith("overall: ADMISSIBLE\n")
+    assert "strong normalization: HOLDS (rule1: plus(" in out
+    assert elapsed < 1.0
