@@ -255,24 +255,15 @@ def _duplication(r: RewriteRule) -> Optional[str]:
     return None
 
 
-def _duplications(rules: Sequence[RewriteRule]) -> Dict[int, Optional[str]]:
-    """`_duplication` of each rule, keyed by the rule's identity: built
-    once per admissibility run and read by every check that asks."""
-    return {id(r): _duplication(r) for r in rules}
-
-
 def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                       sig: Signature, all_rules: Sequence[RewriteRule] = (),
                       fuel: int = 10000, confluent: bool = False,
                       which: Sequence[str] = ("algebraic", "non_duplicating",
                                               "primitive", "simple",
                                               "positive", "recursive",
-                                              "safe"),
-                      duplication: Optional[Dict[int, Optional[str]]] = None
-                      ) -> SystemProperties:
+                                              "safe")) -> SystemProperties:
     """The properties named in `which` of the rules `grules` of the
-    symbols `gset`.  `duplication` is `_duplications` of the run's rules;
-    without it, it is built here for `grules`."""
+    symbols `gset`."""
     props = SystemProperties()
     rules = RuleSet.of(all_rules or grules)
     classes = predicate_classes(sig, rules)
@@ -300,9 +291,7 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
         props.algebraic = verdict
 
     if "non_duplicating" in which:
-        if duplication is None:
-            duplication = _duplications(grules)
-        why = next(filter(None, (duplication[id(r)] for r in grules)), None)
+        why = next(filter(None, map(_duplication, grules)), None)
         props.non_duplicating = HOLDS if why is None else fails(why)
 
     if "primitive" in which:
@@ -444,8 +433,7 @@ def partition_defined(sig: Signature, rules: Sequence[RewriteRule],
 def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
                         force_non_algebraic: FrozenSet[str] = frozenset(),
                         assume_terminating: bool = False,
-                        orientation: Optional[Orientation] = None,
-                        duplication: Optional[Dict[int, Optional[str]]] = None
+                        orientation: Optional[Orientation] = None
                         ) -> Tuple[FrozenSet[str], FrozenSet[str],
                                    Dict[str, str]]:
     """Split the defined symbols into an algebraic part and the rest by
@@ -455,13 +443,11 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
     admit a recursive-path-order orientation (unless termination is
     asserted), and mention no non-algebraic symbol.  Returns the two
     parts plus, for each demoted symbol, the reason it left the
-    algebraic part.  `orientation` and `duplication` are the run's
-    tables (see `check_admissible`); without them they are built here."""
+    algebraic part.  `orientation` is the run's table (see
+    `check_admissible`); without it, it is built here."""
     rules = RuleSet.of(rules)
     if orientation is None:
         orientation = Orientation(sig)
-    if duplication is None:
-        duplication = _duplications(rules)
     _, defined = sig.free_and_defined(rules)
     classes = predicate_classes(sig, rules)
     by_head = rules.by_head
@@ -477,7 +463,7 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
         for r in by_head[g]:
             if not is_algebraic(r.rhs):
                 return f"rule {r.name} has a non-algebraic right-hand side"
-            why = duplication[id(r)]
+            why = _duplication(r)
             if why is not None:
                 return why
             if not assume_terminating and orientation.line(r) is None:
@@ -550,10 +536,8 @@ class AdmissibilityReport:
     a3_properties: SystemProperties
     a4_algebraic: FrozenSet[str]
     a4_non_algebraic: FrozenSet[str]
-    a4_algebraic_props: SystemProperties
     a4_non_algebraic_props: SystemProperties
     a4_sn: TriState
-    a4_separation: TriState
     a4_demotions: Dict[str, str]
     s_conditions: Dict[str, Dict[str, ConditionResult]]
     overall: OverallVerdict
@@ -570,11 +554,13 @@ class AdmissibilityReport:
             "a4": {
                 "algebraic": sorted(self.a4_algebraic),
                 "non_algebraic": sorted(self.a4_non_algebraic),
-                "algebraic_properties": self.a4_algebraic_props.to_dict(),
+                # what the partition guarantees of the algebraic part
+                "algebraic_properties": SystemProperties(
+                    algebraic=HOLDS, non_duplicating=HOLDS).to_dict(),
                 "non_algebraic_properties":
                     self.a4_non_algebraic_props.to_dict(),
                 "strong_normalization": self.a4_sn.to_dict(),
-                "separation": self.a4_separation.to_dict(),
+                "separation": HOLDS.to_dict(),
                 "demotions": dict(sorted(self.a4_demotions.items())),
             },
             "s_conditions": {
@@ -601,14 +587,10 @@ class AdmissibilityReport:
                      + (f" ({self.a4_sn.witness})" if self.a4_sn.witness else ""))
         for sym, why in sorted(self.a4_demotions.items()):
             lines.append(f"  {sym} is non-algebraic: {why}")
-        for label, props in (("algebraic part", self.a4_algebraic_props),
-                             ("non-algebraic part",
-                              self.a4_non_algebraic_props)):
-            for k, ts in sorted(props.to_dict().items()):
-                if ts["status"] == "FAILS":
-                    lines.append(f"  {label}: {k} FAILS ({ts['witness']})")
-        if self.a4_separation.status == "FAILS":
-            lines.append(f"  separation FAILS ({self.a4_separation.witness})")
+        for k, ts in sorted(self.a4_non_algebraic_props.to_dict().items()):
+            if ts["status"] == "FAILS":
+                lines.append(f"  non-algebraic part: {k} FAILS "
+                             f"({ts['witness']})")
         for rule, conds in sorted(self.s_conditions.items()):
             summary = ", ".join(f"{k.upper()}={v.outcome.value}"
                                 for k, v in sorted(conds.items()))
@@ -633,7 +615,6 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
     assertions: List[str] = []
     # what is decided once per rule for the whole run
     orientation = Orientation(sig)
-    duplication = _duplications(rules)
 
     # A1 --------------------------------------------------------------
     a1 = confluence_check(rules, orientation, fuel, assume_confluent)
@@ -658,7 +639,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
     else:
         gset = frozenset(dfb)
         a3_props = system_properties(gset, dfb_rules, sig, rules, fuel,
-                                     confluent, duplication=duplication)
+                                     confluent)
         if a3_props.primitive.holds:
             a3_branch = "primitive"
         elif a3_props.simple.holds and a3_props.positive.holds:
@@ -670,14 +651,13 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
             failures.append("A3")
 
     # A4: partition of all defined symbols ----------------------------
+    # The partition keeps a symbol algebraic only while its rules are
+    # algebraic, non-duplicating and mention no non-algebraic symbol, so
+    # of the algebraic part only termination is left to check.
     fa, fna, demotions = partition_explained(sig, rules, force_non_algebraic,
-                                             assume_terminating, orientation,
-                                             duplication)
+                                             assume_terminating, orientation)
     fa_rules = [r for r in rules if r.head_name() in fa]
     fna_rules = [r for r in rules if r.head_name() in fna]
-    fa_props = system_properties(fa, fa_rules, sig, rules, fuel, confluent,
-                                 which=("algebraic", "non_duplicating"),
-                                 duplication=duplication)
     fna_props = system_properties(fna, fna_rules, sig, rules, fuel,
                                   confluent, which=("safe", "recursive"))
     a4_sn = algebraic_termination(sig, fa_rules, orientation,
@@ -685,18 +665,9 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
     if a4_sn is TERMINATION_ASSERTED:
         assertions.append("termination of the algebraic part asserted "
                           "by pragma")
-    sep_bad = [
-        (r.name, s) for r in fa_rules
-        for s in sorted((symbols_of(r.lhs) | symbols_of(r.rhs)) & fna)]
-    a4_separation = (fails(f"rule {sep_bad[0][0]} mentions the "
-                           f"non-algebraic symbol {sep_bad[0][1]}")
-                     if sep_bad else HOLDS)
-    for ts, label in ((fa_props.algebraic, "A4"),
-                      (fa_props.non_duplicating, "A4"),
-                      (a4_sn, "A4"), (a4_separation, "A4"),
-                      (fna_props.safe, "A4"), (fna_props.recursive, "A4")):
-        if not ts.holds and label not in failures:
-            failures.append(label)
+    if not (a4_sn.holds and fna_props.safe.holds
+            and fna_props.recursive.holds):
+        failures.append("A4")
 
     # S conditions ----------------------------------------------------
     s_conditions: Dict[str, Dict[str, ConditionResult]] = {}
@@ -717,6 +688,6 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         a1=a1, a2_violations=a2_violations,
         a3_branch=a3_branch, a3_properties=a3_props,
         a4_algebraic=fa, a4_non_algebraic=fna,
-        a4_algebraic_props=fa_props, a4_non_algebraic_props=fna_props,
-        a4_sn=a4_sn, a4_separation=a4_separation, a4_demotions=demotions,
+        a4_non_algebraic_props=fna_props, a4_sn=a4_sn,
+        a4_demotions=demotions,
         s_conditions=s_conditions, overall=overall, assertions=assertions)

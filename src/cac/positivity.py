@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .signature import Signature
 from .terms import (Abs, App, BVar, EPSILON, Position, Prod, Sort, SortT,
@@ -48,6 +48,43 @@ def _prefixed(i: int, ps: FrozenSet[Position]) -> set:
     return {(i,) + p for p in ps}
 
 
+def _polarity(u: Term, delta: int, sig: Signature,
+              free_set: FrozenSet[str]) -> Tuple[set, set]:
+    """Returns (same-polarity set, flipped-polarity set) of u."""
+    if isinstance(u, (SortT, Var, BVar)):
+        return {EPSILON}, set()
+    if isinstance(u, Symb):
+        pos = {EPSILON}
+        neg: set = set()
+        if u.name in free_set:
+            for i in sig.structure.ind_of(u.name):
+                if 1 <= i <= len(u.args):
+                    p, n = _polarity(u.args[i - 1], delta, sig, free_set)
+                    pos |= _prefixed(i, frozenset(p))
+                    neg |= _prefixed(i, frozenset(n))
+        return pos, neg
+    if isinstance(u, Prod):
+        dp, dn = _polarity(u.domain, -delta, sig, free_set)
+        cp, cn = _polarity(u.codomain, delta, sig, free_set)
+        pos = {EPSILON} | _prefixed(1, frozenset(dn)) | _prefixed(2, frozenset(cp))
+        neg = _prefixed(1, frozenset(dp)) | _prefixed(2, frozenset(cn))
+        return pos, neg
+    if isinstance(u, Abs):
+        bp, bn = _polarity(u.body, delta, sig, free_set)
+        pos = {EPSILON} | _prefixed(1, set(positions(u.domain))) \
+            | _prefixed(2, frozenset(bp))
+        neg = _prefixed(2, frozenset(bn))
+        return pos, neg
+    if isinstance(u, App):
+        hp, hn = _polarity(u.head, delta, sig, free_set)
+        pos = {EPSILON} | _prefixed(1, frozenset(hp))
+        neg = _prefixed(1, frozenset(hn))
+        if not is_predicate_term(u.arg, sig):
+            pos |= _prefixed(2, set(positions(u.arg)))
+        return pos, neg
+    return {EPSILON}, set()
+
+
 def polarity(t: Term, sig: Signature,
              free_predicates: Optional[FrozenSet[str]] = None) -> PolarityReport:
     """Positive and negative positions of t.
@@ -65,44 +102,8 @@ def polarity(t: Term, sig: Signature,
     if free_set is None:
         free_set = frozenset(n for n, d in sig.decls.items()
                              if d.sort == Sort.BOX)
-
-    def go(u: Term, delta: int):
-        """Returns (same-polarity set, flipped-polarity set)."""
-        if isinstance(u, (SortT, Var, BVar)):
-            return {EPSILON}, set()
-        if isinstance(u, Symb):
-            pos = {EPSILON}
-            neg: set = set()
-            if u.name in free_set:
-                for i in sig.structure.ind_of(u.name):
-                    if 1 <= i <= len(u.args):
-                        p, n = go(u.args[i - 1], delta)
-                        pos |= _prefixed(i, frozenset(p))
-                        neg |= _prefixed(i, frozenset(n))
-            return pos, neg
-        if isinstance(u, Prod):
-            dp, dn = go(u.domain, -delta)
-            cp, cn = go(u.codomain, delta)
-            pos = {EPSILON} | _prefixed(1, frozenset(dn)) | _prefixed(2, frozenset(cp))
-            neg = _prefixed(1, frozenset(dp)) | _prefixed(2, frozenset(cn))
-            return pos, neg
-        if isinstance(u, Abs):
-            bp, bn = go(u.body, delta)
-            pos = {EPSILON} | _prefixed(1, set(positions(u.domain))) \
-                | _prefixed(2, frozenset(bp))
-            neg = _prefixed(2, frozenset(bn))
-            return pos, neg
-        if isinstance(u, App):
-            hp, hn = go(u.head, delta)
-            pos = {EPSILON} | _prefixed(1, frozenset(hp))
-            neg = _prefixed(1, frozenset(hn))
-            if not is_predicate_term(u.arg, sig):
-                pos |= _prefixed(2, set(positions(u.arg)))
-            return pos, neg
-        return {EPSILON}, set()
-
     # with delta=+1 the "same-polarity" set is the positive one
-    pos, neg = go(t, +1)
+    pos, neg = _polarity(t, +1, sig, free_set)
     return PolarityReport(t, frozenset(pos), frozenset(neg))
 
 

@@ -106,51 +106,53 @@ def match_first_order(pattern: Term, subject: Term,
     raise RuleError("bad-pattern", "pattern must be algebraic")
 
 
+def _walk(t: Term, sigma: dict) -> Term:
+    while isinstance(t, Var) and t.var in sigma:
+        t = sigma[t.var]
+    return t
+
+
+def _occurs(v: Variable, t: Term, sigma: dict) -> bool:
+    t = _walk(t, sigma)
+    if isinstance(t, Var):
+        return t.var == v
+    if isinstance(t, Symb):
+        return any(_occurs(v, a, sigma) for a in t.args)
+    return False
+
+
+def _resolve(t: Term, sigma: dict) -> Term:
+    t = _walk(t, sigma)
+    if isinstance(t, Symb):
+        return Symb(t.name, tuple(_resolve(a, sigma) for a in t.args))
+    return t
+
+
 def unify(a: Term, b: Term, sigma: Optional[dict] = None) -> Optional[dict]:
-    """First-order unification of algebraic terms (shared variable space)."""
+    """First-order unification of algebraic terms (shared variable space).
+    The pairs are solved depth-first, left to right, so the bindings are
+    made in the order of a recursive descent."""
     if sigma is None:
         sigma = {}
-
-    def walk(t):
-        while isinstance(t, Var) and t.var in sigma:
-            t = sigma[t.var]
-        return t
-
-    def occurs(v, t):
-        t = walk(t)
-        if isinstance(t, Var):
-            return t.var == v
-        if isinstance(t, Symb):
-            return any(occurs(v, a) for a in t.args)
-        return False
-
-    def go(x, y):
-        x, y = walk(x), walk(y)
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        x, y = _walk(x, sigma), _walk(y, sigma)
         if isinstance(x, Var) and isinstance(y, Var) and x.var == y.var:
-            return True
+            continue
+        if isinstance(y, Var) and not isinstance(x, Var):
+            x, y = y, x
         if isinstance(x, Var):
-            if occurs(x.var, y):
-                return False
+            if _occurs(x.var, y, sigma):
+                return None
             sigma[x.var] = y
-            return True
-        if isinstance(y, Var):
-            return go(y, x)
-        if isinstance(x, Symb) and isinstance(y, Symb):
-            if x.name != y.name or len(x.args) != len(y.args):
-                return False
-            return all(go(p, q) for p, q in zip(x.args, y.args))
-        return False
-
-    if not go(a, b):
-        return None
+        elif isinstance(x, Symb) and isinstance(y, Symb) \
+                and x.name == y.name and len(x.args) == len(y.args):
+            todo += reversed(tuple(zip(x.args, y.args)))
+        else:
+            return None
     # resolve chains so images are fully substituted
-    def resolve(t):
-        t = walk(t)
-        if isinstance(t, Symb):
-            return Symb(t.name, tuple(resolve(a) for a in t.args))
-        return t
-
-    return {v: resolve(u) for v, u in sigma.items()}
+    return {v: _resolve(u, sigma) for v, u in sigma.items()}
 
 
 def rename_apart(rule: RewriteRule) -> RewriteRule:

@@ -250,26 +250,26 @@ def open_fresh(t: Union[Abs, Prod]) -> "tuple[Variable, Term]":
 # ---------------------------------------------------------------------------
 # free variables and substitution
 
+def _collect_vars(u: Term, out: set) -> None:
+    if isinstance(u, Var):
+        out.add(u.var)
+    elif isinstance(u, Symb):
+        for a in u.args:
+            _collect_vars(a, out)
+    elif isinstance(u, Abs):
+        _collect_vars(u.domain, out)
+        _collect_vars(u.body, out)
+    elif isinstance(u, Prod):
+        _collect_vars(u.domain, out)
+        _collect_vars(u.codomain, out)
+    elif isinstance(u, App):
+        _collect_vars(u.head, out)
+        _collect_vars(u.arg, out)
+
+
 def free_vars(t: Term, sort_filter: Optional[Sort] = None) -> frozenset:
     out = set()
-
-    def go(u):
-        if isinstance(u, Var):
-            out.add(u.var)
-        elif isinstance(u, Symb):
-            for a in u.args:
-                go(a)
-        elif isinstance(u, Abs):
-            go(u.domain)
-            go(u.body)
-        elif isinstance(u, Prod):
-            go(u.domain)
-            go(u.codomain)
-        elif isinstance(u, App):
-            go(u.head)
-            go(u.arg)
-
-    go(t)
+    _collect_vars(t, out)
     if sort_filter is not None:
         out = {v for v in out if v.sort == sort_filter}
     return frozenset(out)

@@ -2,13 +2,17 @@
 partition, and the overall verdict."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cac import (Outcome, OverallVerdict, check_admissible,
                  check_type_preservation, load, partition_defined,
                  system_properties)
-from cac.admissibility import (TERMINATION_ASSERTED, algebraic_termination,
-                               fails, partition_explained)
+from cac.admissibility import (HOLDS, TERMINATION_ASSERTED,
+                               algebraic_termination, fails,
+                               partition_explained)
 from cac.orderings import Orientation, rpo_terminates
+from cac.terms import symbols_of
 from tests.conftest import corpus_source
 
 
@@ -236,6 +240,39 @@ rule f(x) -> g(x) .
 rule g(x) -> f(x) .
 """
 
+# k is non-algebraic by pragma, h's rule mentions k and g's rule mentions
+# h: the partition's fixpoint demotes h in its first pass and g only in
+# its second, once h has left the algebraic part
+DEMOTION_CHAIN = """
+symbol o : * .
+symbol a : o .
+symbol k : o -> o .
+symbol h : o -> o .
+symbol g : o -> o .
+pragma prec g > h .
+pragma prec h > k .
+pragma non_algebraic k .
+rule k(x) -> x .
+rule h(x) -> k(x) .
+rule g(x) -> h(x) .
+"""
+
+
+def test_partition_demotes_through_a_chain_of_mentions():
+    lf = load(DEMOTION_CHAIN)
+    fa, fna, reasons = partition_explained(lf.signature, lf.rules,
+                                           lf.non_algebraic)
+    assert fa == frozenset()
+    assert fna == frozenset({"g", "h", "k"})
+    assert reasons == {
+        "k": "excluded by pragma",
+        "h": "rules mention the non-algebraic symbol k",
+        "g": "rules mention the non-algebraic symbol h",
+    }
+    # without the pragma nothing is demoted
+    assert partition_defined(lf.signature, lf.rules) == (
+        frozenset({"g", "h", "k"}), frozenset())
+
 
 def equivalence_chain(n):
     """n `=` pragmas chaining p0 ~ p1 ~ ... ~ pn, one rule on p0, and
@@ -271,3 +308,109 @@ def test_cyclic_precedence_is_rejected():
     assert report.a4_sn.witness == "the precedence is cyclic: f > g > f"
     assert rpo_terminates(lf.signature, lf.rules) is None
     assert "cyclic" in report.a4_non_algebraic_props.recursive.witness
+
+
+# ---------------------------------------------------------------------------
+# what the partition guarantees of the algebraic part
+
+
+def reference_algebraic_part(sig, rules, fa, fna):
+    """Reference checks of the algebraic part fa, computed from its rules
+    rather than read from the partition: (algebraic, non_duplicating,
+    separation)."""
+    fa_rules = [r for r in rules if r.head_name() in fa]
+    props = system_properties(fa, fa_rules, sig, rules,
+                              which=("algebraic", "non_duplicating"))
+    sep_bad = [(r.name, s) for r in fa_rules
+               for s in sorted((symbols_of(r.lhs) | symbols_of(r.rhs))
+                               & fna)]
+    separation = (fails(f"rule {sep_bad[0][0]} mentions the "
+                        f"non-algebraic symbol {sep_bad[0][1]}")
+                  if sep_bad else HOLDS)
+    return props.algebraic, props.non_duplicating, separation
+
+
+def test_algebraic_part_passes_the_reference_checks(corpus):
+    systems = dict(corpus, demotion_chain=load(DEMOTION_CHAIN),
+                   cyclic_precedence=load(CYCLIC_PRECEDENCE))
+    for name, lf in sorted(systems.items()):
+        report = check_admissible(
+            lf.signature, lf.rules, assume_confluent=lf.assume_confluent,
+            assume_terminating=lf.assume_terminating,
+            force_non_algebraic=lf.non_algebraic)
+        ref = reference_algebraic_part(lf.signature, lf.rules,
+                                       report.a4_algebraic,
+                                       report.a4_non_algebraic)
+        assert ref == (HOLDS, HOLDS, HOLDS), name
+        a4 = report.to_dict()["a4"]
+        shown = (a4["algebraic_properties"]["algebraic"],
+                 a4["algebraic_properties"]["non_duplicating"],
+                 a4["separation"])
+        assert shown == tuple(ts.to_dict() for ts in ref), name
+
+
+@st.composite
+def first_order_systems(draw):
+    """Source of a first-order system over o and nat: symbols f0..fn
+    with up to two rules each, whose right-hand sides may duplicate a
+    variable or hide under a beta-redex, random `prec` pragmas and a
+    random `non_algebraic` set."""
+    n = draw(st.integers(2, 5))
+    arity = [draw(st.integers(0, 2)) for _ in range(n)]
+    target = [draw(st.sampled_from(("o", "nat"))) for _ in range(n)]
+
+    def term(ty, xs, depth, top):
+        heads = [i for i in range(top) if target[i] == ty]
+        pick = draw(st.integers(0, 3 if depth else 0))
+        if pick == 0 or (not heads and ty == "o"):
+            return draw(st.sampled_from(["a"] + xs if ty == "o"
+                                        else ["zero"]))
+        if ty == "nat" and (pick == 1 or not heads):
+            return f"succ({term('nat', xs, depth - 1, top)})"
+        i = draw(st.sampled_from(heads))
+        args = ", ".join(term("o", xs, depth - 1, top)
+                         for _ in range(arity[i]))
+        return f"f{i}({args})" if arity[i] else f"f{i}"
+
+    lines = ["symbol o : * .", "symbol a : o .",
+             "inductive nat : * := zero : nat | succ : nat -> nat ."]
+    for i in range(n):
+        lines.append(f"symbol f{i} : " + "o -> " * arity[i]
+                     + f"{target[i]} .")
+    for i in range(n):
+        xs = [f"x{k}" for k in range(arity[i])]
+        lhs = f"f{i}({', '.join(xs)})" if xs else f"f{i}"
+        for _ in range(draw(st.integers(0, 2))):
+            # mostly calls of lower symbols, which may orient
+            top = i if draw(st.integers(0, 4)) else n
+            rhs = term(target[i], xs, 3, top)
+            if draw(st.integers(0, 4)) == 0:
+                rhs = f"(fun (z:{target[i]}) => z) {rhs}"
+            lines.append(f"rule {lhs} -> {rhs} .")
+    # mostly downward, so that many rules orient; an upward pair may
+    # close a cycle
+    for i in range(n):
+        lines += [f"pragma prec f{i} > {c} ." for c in ("a", "zero", "succ")]
+        lines += [f"pragma prec f{i} > f{j} ." for j in range(i)
+                  if draw(st.integers(0, 3))]
+    if draw(st.integers(0, 3)) == 0:
+        i, j = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2,
+                                   max_size=2)))
+        lines.append(f"pragma prec f{i} > f{j} .")
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        lines.append(f"pragma non_algebraic f{i} .")
+    if draw(st.booleans()):
+        lines.append("pragma assume_terminating .")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(first_order_systems())
+def test_partition_passes_the_reference_checks_on_generated_systems(src):
+    lf = load(src)
+    fa, fna, reasons = partition_explained(lf.signature, lf.rules,
+                                           lf.non_algebraic,
+                                           lf.assume_terminating)
+    assert set(reasons) == fna
+    assert reference_algebraic_part(lf.signature, lf.rules, fa, fna) \
+        == (HOLDS, HOLDS, HOLDS), src

@@ -1,5 +1,6 @@
 """Golden reports: the structured `check` and `admissibility` output of
-every corpus file and of the cyclic-precedence system, plus a dump of
+every corpus file and of the cyclic-precedence system, the
+admissibility report of a chain of partition demotions, plus a dump of
 generated recursors, compared byte for byte with tests/golden/.
 
 Refresh the files only for an intended output change:
@@ -48,12 +49,20 @@ def _corpus_report(name: str, command: str) -> str:
     return _cli_stdout(CORPUS, f"{name}.cac", command)
 
 
+def _source_report(stem: str, source: str, command: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        pathlib.Path(tmp, f"{stem}.cac").write_text(source, encoding="utf-8")
+        return _cli_stdout(tmp, f"{stem}.cac", command)
+
+
 def _cyclic_report(command: str) -> str:
     from tests.test_admissibility import CYCLIC_PRECEDENCE
-    with tempfile.TemporaryDirectory() as tmp:
-        pathlib.Path(tmp, "cyclic_precedence.cac").write_text(
-            CYCLIC_PRECEDENCE, encoding="utf-8")
-        return _cli_stdout(tmp, "cyclic_precedence.cac", command)
+    return _source_report("cyclic_precedence", CYCLIC_PRECEDENCE, command)
+
+
+def _demotion_chain_report() -> str:
+    from tests.test_admissibility import DEMOTION_CHAIN
+    return _source_report("demotion_chain", DEMOTION_CHAIN, "admissibility")
 
 
 def _nat_decl():
@@ -105,6 +114,7 @@ for _p in sorted(CORPUS.glob("*.cac")):
 for _cmd in COMMANDS:
     CASES[f"cyclic_precedence.{_cmd}.json"] = \
         (lambda c=_cmd: _cyclic_report(c))
+CASES["demotion_chain.admissibility.json"] = _demotion_chain_report
 CASES["recursors_nat.txt"] = lambda: _recursor_dump(_nat_decl(), STAR)
 CASES["recursors_list.txt"] = lambda: _recursor_dump(_list_decl())
 

@@ -1,15 +1,19 @@
 """Source hygiene: every name a checker module imports is used in it,
 no module imports one thing twice, imports sit at module level unless
-they break an import cycle, and terms, tokens and parse nodes carry no
-instance dictionary."""
+they break an import cycle, terms, tokens and parse nodes carry no
+instance dictionary, and no nested function refers to itself, so no
+call leaves cyclic garbage."""
 
 import ast
+import gc
 import pathlib
 from collections import Counter
 
 import cac
 import cac.syntax
 import cac.terms
+from cac.positivity import polarity
+from cac.rewriting import rename_apart, unify
 
 SOURCES = sorted(p for p in pathlib.Path(cac.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -122,3 +126,65 @@ def test_tokens_and_parse_nodes_have_no_instance_dict():
                syn.Item(syn.LoadedFile.add_symbol, 1, ["x", name])]
     with_dict = [type(s).__name__ for s in samples if hasattr(s, "__dict__")]
     assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)
+
+
+def _nested_cycles(tree):
+    """Nested functions that reach themselves through the names they read:
+    each call of the enclosing function then builds a closure that
+    refers to itself, a reference cycle only the cyclic collector frees."""
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = {n.name: n for n in ast.walk(outer)
+                 if n is not outer
+                 and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        reads = {name: {n.id for n in ast.walk(node)
+                        if isinstance(n, ast.Name) and n.id in inner}
+                 for name, node in inner.items()}
+        for name, node in inner.items():
+            seen, todo = set(), list(reads[name])
+            while todo:
+                g = todo.pop()
+                if g not in seen:
+                    seen.add(g)
+                    todo += reads[g]
+            if name in seen:
+                found.append((node.lineno, f"{outer.name}.{name}"))
+    return sorted(set(found))
+
+
+def test_no_nested_function_refers_to_itself():
+    cyclic = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        cyclic += [f"{path.name}:{line}: {name}"
+                   for line, name in _nested_cycles(tree)]
+    assert not cyclic, ("nested functions that refer to themselves:\n"
+                        + "\n".join(cyclic))
+
+
+def test_unify_free_vars_and_polarity_leave_no_cyclic_garbage(corpus):
+    # a recursive closure is a reference cycle: with the collector off,
+    # every call of its enclosing function would leave one behind
+    calls = {"unify": [], "free_vars": [], "polarity": []}
+    for lf in corpus.values():
+        for r in lf.rules:
+            calls["free_vars"] += [(cac.terms.free_vars, (r.lhs,)),
+                                   (cac.terms.free_vars, (r.rhs,))]
+            calls["unify"] += [(unify, (r.lhs, rename_apart(r2).lhs))
+                               for r2 in lf.rules]
+        calls["polarity"] += [(polarity, (d.typ, lf.signature))
+                              for d in lf.signature.decls.values()]
+    assert all(len(c) >= 20 for c in calls.values())
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, todo in calls.items():
+            for f, args in todo:
+                f(*args)
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == {"unify": 0, "free_vars": 0, "polarity": 0}
