@@ -5,8 +5,8 @@ symbols, and the top-level admissibility verdict (A1-A4)."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .orderings import Orientation
 from .positivity import (PredicateClass, check_inductive_structure,
@@ -29,8 +29,7 @@ class Outcome(enum.Enum):
     FAIL = "FAIL"
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     name: str
     outcome: Outcome
     detail: str = ""
@@ -207,8 +206,7 @@ def _index_linked(lhs: Symb, xp: Variable, image: Term,
 # rewrite-system properties
 
 
-@dataclass(frozen=True)
-class TriState:
+class TriState(NamedTuple):
     status: str           # HOLDS | FAILS | NOT_CHECKED
     witness: str = ""
 
@@ -228,15 +226,16 @@ def fails(witness: str) -> TriState:
     return TriState("FAILS", witness)
 
 
-@dataclass
 class SystemProperties:
-    algebraic: TriState = NOT_CHECKED
-    non_duplicating: TriState = NOT_CHECKED
-    primitive: TriState = NOT_CHECKED
-    simple: TriState = NOT_CHECKED
-    positive: TriState = NOT_CHECKED
-    recursive: TriState = NOT_CHECKED
-    safe: TriState = NOT_CHECKED
+    """The properties of a set of rules, each NOT_CHECKED until
+    `system_properties` decides it."""
+
+    def __init__(self, algebraic: TriState = NOT_CHECKED,
+                 non_duplicating: TriState = NOT_CHECKED):
+        self.algebraic = algebraic
+        self.non_duplicating = non_duplicating
+        self.primitive = self.simple = self.positive = NOT_CHECKED
+        self.recursive = self.safe = NOT_CHECKED
 
     def to_dict(self):
         return {k: getattr(self, k).to_dict()
@@ -527,8 +526,7 @@ class OverallVerdict(enum.Enum):
     REJECTED = "REJECTED"
 
 
-@dataclass
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     a1: ConfluenceVerdict
     a2_violations: List[str]
     a3_branch: str                 # primitive | simple+positive |

@@ -4,8 +4,7 @@ closed small motive), ready for the admissibility pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .admissibility import check_admissible
 from .rewriting import RewriteRule
@@ -19,8 +18,7 @@ class BridgeError(CacError):
     pass
 
 
-@dataclass(frozen=True)
-class InductiveDecl:
+class InductiveDecl(NamedTuple):
     """An inductive type: its name, its arity (x-vec:A-vec)*, and the
     constructor types (z-vec:B-vec) X m-vec written over the
     self-reference variable `self_var`."""
@@ -31,12 +29,11 @@ class InductiveDecl:
     constructors: Tuple[Tuple[str, Term], ...]  # (name, type) pairs
 
 
-@dataclass
-class GeneratedBundle:
+class GeneratedBundle(NamedTuple):
     inductive: str
     symbols: List[str]
     welim: str
-    rules: List[RewriteRule] = field(default_factory=list)
+    rules: List[RewriteRule]
 
 
 def _self_applications_ok(b: Term, x: Variable) -> bool:
@@ -93,8 +90,7 @@ def translate_inductive(d: InductiveDecl, sig: Signature,
     sig.declare(d.name, arity, d.arity_type, fuel=fuel)
     sig.structure.ind[d.name] = frozenset()
 
-    bundle = GeneratedBundle(inductive=d.name, symbols=[d.name],
-                             welim=f"WElim_{d.name}")
+    bundle = GeneratedBundle(d.name, [d.name], f"WElim_{d.name}", [])
     x = d.self_var
 
     for cname, ctype in d.constructors:

@@ -6,8 +6,7 @@ types."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .signature import Signature
 from .terms import (Abs, App, BVar, EPSILON, Position, Prod, Sort, SortT,
@@ -15,15 +14,10 @@ from .terms import (Abs, App, BVar, EPSILON, Position, Prod, Sort, SortT,
                     positions_of, spine, symbols_of)
 
 
-@dataclass(frozen=True)
-class PolarityReport:
+class PolarityReport(NamedTuple):
     subject: Term
     positive: FrozenSet[Position]
     negative: FrozenSet[Position]
-
-    def __post_init__(self):
-        overlap = self.positive & self.negative
-        assert not overlap, f"polarity sets overlap at {sorted(overlap)}"
 
 
 def is_predicate_term(t: Term, sig: Optional[Signature] = None) -> bool:
@@ -48,7 +42,7 @@ def _prefixed(i: int, ps: FrozenSet[Position]) -> set:
     return {(i,) + p for p in ps}
 
 
-def _polarity(u: Term, delta: int, sig: Signature,
+def _polarity(u: Term, sig: Signature,
               free_set: FrozenSet[str]) -> Tuple[set, set]:
     """Returns (same-polarity set, flipped-polarity set) of u."""
     if isinstance(u, (SortT, Var, BVar)):
@@ -59,24 +53,24 @@ def _polarity(u: Term, delta: int, sig: Signature,
         if u.name in free_set:
             for i in sig.structure.ind_of(u.name):
                 if 1 <= i <= len(u.args):
-                    p, n = _polarity(u.args[i - 1], delta, sig, free_set)
+                    p, n = _polarity(u.args[i - 1], sig, free_set)
                     pos |= _prefixed(i, frozenset(p))
                     neg |= _prefixed(i, frozenset(n))
         return pos, neg
     if isinstance(u, Prod):
-        dp, dn = _polarity(u.domain, -delta, sig, free_set)
-        cp, cn = _polarity(u.codomain, delta, sig, free_set)
+        dp, dn = _polarity(u.domain, sig, free_set)
+        cp, cn = _polarity(u.codomain, sig, free_set)
         pos = {EPSILON} | _prefixed(1, frozenset(dn)) | _prefixed(2, frozenset(cp))
         neg = _prefixed(1, frozenset(dp)) | _prefixed(2, frozenset(cn))
         return pos, neg
     if isinstance(u, Abs):
-        bp, bn = _polarity(u.body, delta, sig, free_set)
+        bp, bn = _polarity(u.body, sig, free_set)
         pos = {EPSILON} | _prefixed(1, set(positions(u.domain))) \
             | _prefixed(2, frozenset(bp))
         neg = _prefixed(2, frozenset(bn))
         return pos, neg
     if isinstance(u, App):
-        hp, hn = _polarity(u.head, delta, sig, free_set)
+        hp, hn = _polarity(u.head, sig, free_set)
         pos = {EPSILON} | _prefixed(1, frozenset(hp))
         neg = _prefixed(1, frozenset(hn))
         if not is_predicate_term(u.arg, sig):
@@ -102,8 +96,10 @@ def polarity(t: Term, sig: Signature,
     if free_set is None:
         free_set = frozenset(n for n, d in sig.decls.items()
                              if d.sort == Sort.BOX)
-    # with delta=+1 the "same-polarity" set is the positive one
-    pos, neg = _polarity(t, +1, sig, free_set)
+    # at the root the same-polarity set is the positive one
+    pos, neg = _polarity(t, sig, free_set)
+    overlap = pos & neg
+    assert not overlap, f"polarity sets overlap at {sorted(overlap)}"
     return PolarityReport(t, frozenset(pos), frozenset(neg))
 
 
@@ -118,8 +114,7 @@ class PredicateClass(enum.Enum):
     GENERAL = "GENERAL"
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class StructureViolation(NamedTuple):
     condition: str       # "I1" .. "I6"
     predicate: str       # the free predicate C
     constructor: str

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import collections.abc
 import enum
-from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .orderings import Orientation
 from .terms import (Abs, App, CacError, Environment, FuelExhausted, Position,
@@ -21,26 +20,38 @@ class RuleError(CacError):
     pass
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    """l -> r with the annotation environment Gamma and substitution rho
-    of the type-preservation conditions."""
-
+class _RuleFields(NamedTuple):
     name: str
     lhs: Term
     rhs: Term
-    ann_env: Environment = Environment()
-    ann_subst: dict = field(default_factory=dict)
+    ann_env: Environment
+    ann_subst: dict
 
-    def __post_init__(self):
-        if not (is_algebraic(self.lhs) and isinstance(self.lhs, Symb)):
-            raise RuleError("bad-lhs", f"{self.name}: left-hand side must be an "
+
+class RewriteRule(_RuleFields):
+    """l -> r with the annotation environment Gamma and substitution rho
+    of the type-preservation conditions."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, lhs: Term, rhs: Term,
+                ann_env: Environment = Environment(),
+                ann_subst: Optional[dict] = None):
+        if not (is_algebraic(lhs) and isinstance(lhs, Symb)):
+            raise RuleError("bad-lhs", f"{name}: left-hand side must be an "
                                        "algebraic term headed by a symbol")
-        extra = free_vars(self.rhs) - free_vars(self.lhs)
+        extra = free_vars(rhs) - free_vars(lhs)
         if extra:
-            raise RuleError("bad-rhs", f"{self.name}: right-hand side has free "
+            raise RuleError("bad-rhs", f"{name}: right-hand side has free "
                                        f"variables {sorted(v.name for v in extra)} "
                                        "not in the left-hand side")
+        return super().__new__(cls, name, lhs, rhs, ann_env,
+                               {} if ann_subst is None else ann_subst)
+
+    @classmethod
+    def _make(cls, fields):
+        # `_replace` builds through `_make`, so it is checked here too
+        return cls(*fields)
 
     def head_name(self) -> str:
         return self.lhs.name  # type: ignore[union-attr]
@@ -353,8 +364,7 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
 # ---------------------------------------------------------------------------
 # critical pairs and confluence
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(NamedTuple):
     peak: Term
     left_reduct: Term
     right_reduct: Term
@@ -430,10 +440,9 @@ class ConfluenceLevel(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass
-class ConfluenceVerdict:
+class ConfluenceVerdict(NamedTuple):
     level: ConfluenceLevel
-    evidence: List[str] = field(default_factory=list)
+    evidence: List[str]
 
     @property
     def positive(self) -> bool:

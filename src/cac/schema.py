@@ -4,8 +4,7 @@ the termination-schema verdict for a rule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rewriting import RewriteRule
 from .signature import Signature
@@ -19,8 +18,7 @@ class SchemaError(CacError):
     pass
 
 
-@dataclass(frozen=True)
-class AccPair:
+class AccPair(NamedTuple):
     """A term together with its formally assigned type (not re-inferred)."""
 
     term: Term
@@ -101,8 +99,7 @@ def derived_type(l: Term, p: Position, sig: Signature) -> Term:
 # well-formed rules
 
 
-@dataclass(frozen=True)
-class AccessWitness:
+class AccessWitness(NamedTuple):
     variable: Variable
     arg_index: int           # the i with p_x in Pos(x, l_i)
     position: Position       # i . p_x
@@ -113,8 +110,7 @@ class AccessWitness:
                 f"with derived type {self.derived}")
 
 
-@dataclass
-class WellFormedness:
+class WellFormedness(NamedTuple):
     ok: bool
     witnesses: Dict[Variable, AccessWitness]
     failures: List[str]
@@ -237,7 +233,7 @@ class ClosureChecker(TypeChecker):
     def infer(self, env: Environment, t: Term) -> Tuple[Term, TypingDerivation]:
         typ, d = super().infer(env, t)
         if isinstance(t, Var) and self.rule.ann_env.lookup(t.var) is not None:
-            d = replace(d, rule_tag="acc")
+            d = d._replace(rule_tag="acc")
         return typ, d
 
     def _infer_symb(self, env: Environment,
@@ -265,7 +261,7 @@ class ClosureChecker(TypeChecker):
             self.fail(t, f"symbol {t.name} is not below or equivalent to "
                          f"{self.fname} in the precedence")
         typ, d = super()._infer_symb(env, t)
-        return typ, replace(d, rule_tag=tag, note=note)
+        return typ, d._replace(rule_tag=tag, note=note)
 
 
 def cc_check(rule: RewriteRule, sig: Signature,
@@ -295,8 +291,7 @@ def rule_type(rule: RewriteRule, sig: Signature) -> Term:
     return subst_apply(subst_apply(decl.output, gamma), rule.ann_subst)
 
 
-@dataclass
-class SchemaVerdict:
+class SchemaVerdict(NamedTuple):
     ok: bool
     well_formed: WellFormedness
     derivation: Optional[TypingDerivation]

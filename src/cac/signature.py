@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .rewriting import RuleSet
 from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
@@ -14,8 +13,7 @@ class DeclarationError(CacError):
     pass
 
 
-@dataclass(frozen=True)
-class SymbolDecl:
+class SymbolDecl(NamedTuple):
     """A symbol with its arity and declared type (x1:T1)...(xn:Tn)U."""
 
     name: str
@@ -185,13 +183,13 @@ class Precedence:
         return self._order
 
 
-@dataclass
 class InductiveStructure:
     """User-supplied Ind (inductive positions of free predicate symbols)
     and Acc (accessible argument positions of constructors)."""
 
-    ind: Dict[str, FrozenSet[int]] = field(default_factory=dict)
-    acc: Dict[str, FrozenSet[int]] = field(default_factory=dict)
+    def __init__(self):
+        self.ind: Dict[str, FrozenSet[int]] = {}
+        self.acc: Dict[str, FrozenSet[int]] = {}
 
     def ind_of(self, name: str) -> FrozenSet[int]:
         return self.ind.get(name, frozenset())

@@ -24,7 +24,6 @@ term application by juxtaposition.  `#` starts a line comment."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
 from .cic import InductiveDecl, translate_inductive
@@ -133,8 +132,7 @@ class PProd(NamedTuple):
     codomain: object
 
 
-@dataclass(slots=True)
-class Item:
+class Item(NamedTuple):
     """One parsed item: the `LoadedFile` method that takes it in, called
     with the item's line and then `args`."""
     method: object
@@ -368,25 +366,25 @@ class ElabError(CacError):
     pass
 
 
-@dataclass
-class Directive:
+class Directive(NamedTuple):
     kind: str            # check | normalize | convert
     line: int
     terms: List[Term]
 
 
-@dataclass
 class LoadedFile:
     """A file elaborated item by item: the signature and rules built so
     far, the directives to run and the pragmas' flags."""
-    fuel: int = 10000
-    signature: Signature = field(default_factory=Signature)
-    rules: List[RewriteRule] = field(default_factory=list)
-    directives: List[Directive] = field(default_factory=list)
-    assume_confluent: bool = False
-    assume_terminating: bool = False
-    non_algebraic: frozenset = frozenset()
-    bundles: list = field(default_factory=list)
+
+    def __init__(self, fuel: int = 10000):
+        self.fuel = fuel
+        self.signature = Signature()
+        self.rules: List[RewriteRule] = []
+        self.directives: List[Directive] = []
+        self.assume_confluent = False
+        self.assume_terminating = False
+        self.non_algebraic: frozenset = frozenset()
+        self.bundles: list = []
 
     def term(self, p, scope: Dict[str, Variable],
              free: Optional[Dict[str, Variable]] = None) -> Term:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 Position = tuple  # tuple of positive ints; () is the root position
@@ -49,15 +48,41 @@ class Sort(enum.Enum):
 
 
 _var_ids = itertools.count(1)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    """A free variable with a fixed sort class (object or predicate)."""
+class _Frozen:
+    """A slotted record whose `__init__` sets each field once, with
+    `_set`; assigning or deleting a field afterwards raises."""
 
-    id: int
-    sort: Sort
-    name: str = field(compare=False)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Variable(_Frozen):
+    """A free variable with a fixed sort class (object or predicate);
+    `==` and `hash` leave out its display name."""
+
+    __slots__ = ("id", "sort", "name")
+
+    def __init__(self, id: int, sort: Sort, name: str):
+        _set(self, "id", id)
+        _set(self, "sort", sort)
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Variable:
+            return NotImplemented
+        return (self.id, self.sort) == (other.id, other.sort)
 
     def __hash__(self):
         # ids come from one counter, so the id alone fixes (id, sort)
@@ -71,7 +96,10 @@ class Variable:
         return Variable(next(_var_ids), sort, name)
 
 
-class Term:
+class Term(_Frozen):
+    """Each term class compares and hashes the tuple of its fields, less
+    the binder hint, so `==` is identity-fast on shared subterms."""
+
     __slots__ = ()
 
 
@@ -80,9 +108,19 @@ def _pp_str(t: Term) -> str:
     return pp(t)
 
 
-@dataclass(frozen=True, slots=True)
 class SortT(Term):
-    sort: Sort
+    __slots__ = ("sort",)
+
+    def __init__(self, sort: Sort):
+        _set(self, "sort", sort)
+
+    def __eq__(self, other):
+        if other.__class__ is not SortT:
+            return NotImplemented
+        return self.sort == other.sort
+
+    def __hash__(self):
+        return hash((self.sort,))
 
     def __str__(self):
         return str(self.sort)
@@ -92,30 +130,60 @@ STAR = SortT(Sort.STAR)
 BOX = SortT(Sort.BOX)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    var: Variable
+    __slots__ = ("var",)
+
+    def __init__(self, var: Variable):
+        _set(self, "var", var)
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return (self.var,) == (other.var,)
+
+    def __hash__(self):
+        return hash((self.var,))
 
     def __str__(self):
         return self.var.name
 
 
-@dataclass(frozen=True, slots=True)
 class BVar(Term):
     """Bound variable (de Bruijn index); never user-visible."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not BVar:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __str__(self):
         return f"#{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
 class Symb(Term):
     """Fully applied symbol f(t1, ..., tn); arity is fixed by the signature."""
 
-    name: str
-    args: tuple = ()
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        _set(self, "name", name)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is not Symb:
+            return NotImplemented
+        return (self.name, self.args) == (other.name, other.args)
+
+    def __hash__(self):
+        return hash((self.name, self.args))
 
     def __str__(self):
         if not self.args:
@@ -123,28 +191,58 @@ class Symb(Term):
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True, slots=True)
 class Abs(Term):
-    domain: Term
-    body: Term
-    hint: str = field(default="x", compare=False)
+    __slots__ = ("domain", "body", "hint")
+
+    def __init__(self, domain: Term, body: Term, hint: str = "x"):
+        _set(self, "domain", domain)
+        _set(self, "body", body)
+        _set(self, "hint", hint)
+
+    def __eq__(self, other):
+        if other.__class__ is not Abs:
+            return NotImplemented
+        return (self.domain, self.body) == (other.domain, other.body)
+
+    def __hash__(self):
+        return hash((self.domain, self.body))
 
     __str__ = _pp_str
 
 
-@dataclass(frozen=True, slots=True)
 class Prod(Term):
-    domain: Term
-    codomain: Term
-    hint: str = field(default="x", compare=False)
+    __slots__ = ("domain", "codomain", "hint")
+
+    def __init__(self, domain: Term, codomain: Term, hint: str = "x"):
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "hint", hint)
+
+    def __eq__(self, other):
+        if other.__class__ is not Prod:
+            return NotImplemented
+        return (self.domain, self.codomain) == (other.domain, other.codomain)
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain))
 
     __str__ = _pp_str
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    head: Term
-    arg: Term
+    __slots__ = ("head", "arg")
+
+    def __init__(self, head: Term, arg: Term):
+        _set(self, "head", head)
+        _set(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not App:
+            return NotImplemented
+        return (self.head, self.arg) == (other.head, other.arg)
+
+    def __hash__(self):
+        return hash((self.head, self.arg))
 
     __str__ = _pp_str
 
@@ -397,11 +495,21 @@ def var_counts(t: Term) -> "Counter[Variable]":
 # ---------------------------------------------------------------------------
 # environments
 
-@dataclass(frozen=True, slots=True)
-class Environment:
+class Environment(_Frozen):
     """Ordered list of typed variable bindings; also the Gamma of rules."""
 
-    bindings: tuple = ()
+    __slots__ = ("bindings",)
+
+    def __init__(self, bindings: tuple = ()):
+        _set(self, "bindings", bindings)
+
+    def __eq__(self, other):
+        if other.__class__ is not Environment:
+            return NotImplemented
+        return (self.bindings,) == (other.bindings,)
+
+    def __hash__(self):
+        return hash((self.bindings,))
 
     @staticmethod
     def of(pairs: Iterable) -> "Environment":

@@ -8,8 +8,7 @@ conversion is checked at argument boundaries and at `check`'s root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
@@ -22,8 +21,7 @@ class TypingError(CacError):
     pass
 
 
-@dataclass(frozen=True)
-class TypingDerivation:
+class TypingDerivation(NamedTuple):
     env: Environment
     term: Term
     typ: Term

@@ -2,9 +2,12 @@
 pass/fail line and enforcing its runtime bound."""
 
 import json
+import pathlib
+import subprocess
 import sys
 import time
 
+import cac
 from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb, Var,
                  Variable,
                  check_admissible, check_inductive_structure,
@@ -398,3 +401,34 @@ def test_acceptance_13_rpo_is_polynomial():
             "the recursive path order decides each subterm pair once: "
             f"calls on plus(s^40(x), y) -> s^40(plus(x, y)) / on k = 20 "
             f"= {large} / {small} = {ratio:.2f} (bound 8)")
+
+
+IMPORT_CALLS_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+count = 0
+
+def hook(frame, event, arg):
+    global count
+    if event in ("call", "c_call"):
+        count += 1
+
+sys.setprofile(hook)
+import cac.cli
+sys.setprofile(None)
+print(count)
+"""
+
+
+def test_acceptance_14_import_is_cheap():
+    # every `cac` command starts a fresh interpreter and imports the
+    # whole checker first; a count of calls, not a time, and it moves by
+    # a few hundred with the state of the bytecode cache
+    src = str(pathlib.Path(cac.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_CALLS_PROBE,
+                           src], capture_output=True, text=True, check=True)
+    calls = int(proc.stdout)
+    _report(14, calls <= 20_000,
+            "importing the checker builds its classes without generated "
+            f"code: a fresh `import cac.cli` makes {calls} Python and "
+            "builtin calls (bound 20000)")

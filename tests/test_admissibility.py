@@ -33,19 +33,17 @@ def test_app_s_conditions(app):
 
 
 def test_s1_fails_when_rho_hits_env(app):
-    import dataclasses
     rule = app.rules[0]
     (gamma_var, _) = tuple(rule.ann_env)[0]
-    bad = dataclasses.replace(rule, ann_subst={gamma_var: rule.lhs.args[0]})
+    bad = rule._replace(ann_subst={gamma_var: rule.lhs.args[0]})
     c = check_type_preservation(bad, app.signature, app.rules)
     assert c["s1"].outcome == Outcome.FAIL
 
 
 def test_s3_fails_on_ill_typed_rhs(app):
-    import dataclasses
     from cac import STAR, Symb
     rule = next(r for r in app.rules if r.name == "rule1")
-    bad = dataclasses.replace(rule, rhs=rule.lhs.args[0])  # a type, not a list
+    bad = rule._replace(rhs=rule.lhs.args[0])  # a type, not a list
     c = check_type_preservation(bad, app.signature, app.rules)
     assert c["s3"].outcome == Outcome.FAIL
 

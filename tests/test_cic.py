@@ -81,13 +81,12 @@ def test_bundle_certifies_admissible():
 
 
 def test_corrupted_bundle_fails_schema():
-    import dataclasses
     sig = Signature()
     bundle = translate_inductive(nat_decl(), sig)
     succ_rule = next(r for r in bundle.rules if "succ" in r.name)
     # swap the structural recursion argument for the whole scrutinee
     bad_rhs = _swap_recursion_argument(succ_rule)
-    bad = dataclasses.replace(succ_rule, rhs=bad_rhs)
+    bad = succ_rule._replace(rhs=bad_rhs)
     rules = [r if "succ" not in r.name else bad for r in bundle.rules]
     from cac import satisfies_general_schema
     v = satisfies_general_schema(bad, sig, rules)

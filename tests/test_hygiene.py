@@ -1,12 +1,15 @@
 """Source hygiene: every name a checker module imports is used in it,
 no module imports one thing twice, imports sit at module level unless
-they break an import cycle, terms, tokens and parse nodes carry no
-instance dictionary, and no nested function refers to itself, so no
-call leaves cyclic garbage."""
+they break an import cycle, importing the CLI pulls in no class
+generator, terms, tokens and parse nodes carry no instance dictionary,
+and no nested function refers to itself, so no call leaves cyclic
+garbage."""
 
 import ast
 import gc
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import cac
@@ -96,6 +99,18 @@ def test_imports_are_at_module_level():
                            for _, what, line in _imported(node)
                            if (path.name, what) not in CYCLE_BREAKERS]
     assert not nested, "imports below module level:\n" + "\n".join(nested)
+
+
+def test_importing_the_cli_loads_no_class_generator():
+    # every `cac` command pays for its imports: `dataclasses` brings in
+    # `inspect`, `ast`, `dis` and `tokenize`, and runs generated code
+    # through `exec` for every class it decorates
+    src = str(pathlib.Path(cac.__file__).parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import cac.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_terms_have_no_instance_dict():

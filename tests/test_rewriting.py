@@ -52,6 +52,41 @@ def test_rule_validation():
         RewriteRule("r", sy("f", Var(x)), Var(y))  # rhs var not in lhs
 
 
+def test_every_way_to_build_a_rule_checks_it():
+    x, y = v("x"), v("y")
+    good = RewriteRule("r", sy("f", Var(x)), Var(x))
+    fields = good._asdict()
+    builders = [
+        lambda **kw: RewriteRule(*{**fields, **kw}.values()),
+        lambda **kw: RewriteRule(**{**fields, **kw}),
+        lambda **kw: good._replace(**kw),
+        lambda **kw: RewriteRule._make({**fields, **kw}.values()),
+    ]
+    for build in builders:
+        assert build() == good
+        with pytest.raises(RuleError) as bad:
+            build(lhs=Var(x))
+        assert bad.value.code == "bad-lhs"
+        with pytest.raises(RuleError) as bad:
+            build(rhs=Var(y))
+        assert bad.value.code == "bad-rhs"
+
+
+def test_rule_fields_are_read_only():
+    x = v("x")
+    rule = RewriteRule("r", sy("f", Var(x)), Var(x))
+    # each rule has its own annotation substitution, as with a factory
+    assert rule.ann_subst == {} \
+        and rule.ann_subst is not RewriteRule("r", rule.lhs, Var(x)).ann_subst
+    for name in rule._fields:
+        with pytest.raises(AttributeError):
+            setattr(rule, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rule, name)
+    with pytest.raises(AttributeError):
+        rule.extra = 1
+
+
 def int_rules():
     x, y1, y2 = v("x"), v("y"), v("y")
     return [

@@ -2,12 +2,14 @@
 
 import random
 
-from cac import (Abs, App, BOX, BVar, Prod, STAR, Symb, Var, Variable,
-                 alpha_eq, arrow, free_vars, is_algebraic, lam, pi,
+import pytest
+
+from cac import (Abs, App, BOX, BVar, Environment, Prod, STAR, Symb, Var,
+                 Variable, alpha_eq, arrow, free_vars, is_algebraic, lam, pi,
                  positions, positions_of, replace_at, subst_apply,
                  subterm_at)
-from cac.terms import (Sort, is_kind, occurrences, sort_class_of_type,
-                       symbols_of, var_counts)
+from cac.terms import (Sort, SortT, Term, is_kind, occurrences,
+                       sort_class_of_type, symbols_of, var_counts)
 from tests.test_properties import _int_vars, random_binder_term
 
 
@@ -129,6 +131,69 @@ def test_variable_hash_is_its_id():
     assert Variable(x.id, Sort.BOX, "x") != x
     assert v("x") != x
     assert {Var(x): 1}[Var(renamed)] == 1
+
+
+def _one_of_each():
+    """A value of every term class, of Variable and of Environment."""
+    x = v("x")
+    return [x, STAR, Var(x), BVar(0), Symb("f", (Var(x),)),
+            Abs(STAR, BVar(0), "y"), Prod(STAR, BVar(0), "y"),
+            App(Var(x), STAR), Environment.of([(x, STAR)])]
+
+
+def test_terms_variables_and_environments_are_read_only():
+    samples = _one_of_each()
+    assert set(Term.__subclasses__()) <= {type(t) for t in samples}
+    for t in samples:
+        for name in t.__slots__:
+            before = getattr(t, name)
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+            assert getattr(t, name) is before
+        with pytest.raises(AttributeError):
+            t.extra = 1
+
+
+def test_equality_and_hash_leave_out_hints_and_variable_names():
+    x = v("x")
+    renamed = Variable(x.id, x.sort, "other")
+    for make in (lambda w, h: Abs(Var(w), BVar(0), h),
+                 lambda w, h: Prod(Var(w), BVar(0), h)):
+        a, b = make(x, "a"), make(renamed, "b")
+        assert a == b and hash(a) == hash(b) and not a != b
+    assert Abs(STAR, BVar(0)) != Prod(STAR, BVar(0))
+    assert Var(x) != v("x") and STAR != BOX
+    # each hash is that of the tuple of the compared fields, so sets of
+    # terms iterate in the same order as with generated methods
+    for t in _one_of_each()[1:]:
+        fields = tuple(getattr(t, k) for k in t.__slots__ if k != "hint")
+        assert hash(t) == hash(fields)
+
+
+def test_equality_stops_at_shared_subterms():
+    # deeper than a recursive comparison can go: only identity answers
+    deep = Symb("zero", ())
+    for k in range(5000):
+        deep = Abs(STAR, deep) if k % 2 else Symb("s", (deep,))
+    assert App(deep, STAR) == App(deep, STAR)
+    assert Symb("f", (deep, STAR)) != Symb("f", (deep, BOX))
+
+
+def test_repr_lists_every_field():
+    x = Variable(7, Sort.STAR, "x")
+    star = "SortT(sort=<Sort.STAR: '*'>)"
+    var = "Variable(id=7, sort=<Sort.STAR: '*'>, name='x')"
+    assert repr(Symb("f", ())) == "Symb(name='f', args=())"
+    assert repr(Abs(STAR, Var(x), "y")) == \
+        f"Abs(domain={star}, body=Var(var={var}), hint='y')"
+    assert repr(Prod(STAR, BVar(0))) == \
+        f"Prod(domain={star}, codomain=BVar(index=0), hint='x')"
+    assert repr(App(BVar(0), STAR)) == f"App(head=BVar(index=0), arg={star})"
+    assert repr(Environment.of([(x, STAR)])) == \
+        f"Environment(bindings=(({var}, {star}),))"
+    assert repr(SortT(Sort.BOX)) == "SortT(sort=<Sort.BOX: '[]'>)"
 
 
 def test_abs_prod_positions_domain_is_1_body_is_2():

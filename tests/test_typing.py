@@ -127,8 +127,7 @@ def test_derivation_replay_detects_tampering(app):
     env = Environment().extend(a, STAR)
     d = tc.check(env, Symb("nil", (Var(a),)), Symb("list", (Var(a),)))
     assert replay(d, tc)
-    import dataclasses
-    corrupted = dataclasses.replace(d, typ=STAR)
+    corrupted = d._replace(typ=STAR)
     assert not replay(corrupted, tc)
 
 
