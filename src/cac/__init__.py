@@ -5,13 +5,13 @@ and inductive-structure checks, and a strong-normalization verdict."""
 
 from .admissibility import (AdmissibilityReport, Outcome, OverallVerdict,
                             check_admissible, check_type_preservation,
-                            partition_defined, system_properties)
+                            system_properties)
 from .cic import (GeneratedBundle, InductiveDecl, certify_bundle,
                   generate_iota_rules, selim_for_motive, translate_inductive)
 from .orderings import Orientation, rpo_greater, rpo_terminates
 from .positivity import (PolarityReport, PredicateClass,
-                         check_inductive_structure, classify_predicate,
-                         polarity, predicate_classes)
+                         check_inductive_structure, polarity,
+                         predicate_classes)
 from .printer import pp
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, CriticalPair,
                         RewriteRule, RuleSet, confluence_check, critical_pairs,

@@ -43,14 +43,14 @@ class ConditionResult(NamedTuple):
 # S1-S5
 
 
-def check_type_preservation(rule: RewriteRule, sig: Signature,
-                            rules: Sequence[RewriteRule] = (),
-                            fuel: int = 10000,
-                            confluent: bool = False) -> Dict[str, ConditionResult]:
-    """The five per-rule conditions that make rewriting preserve typing.
-    S1-S3 are decided exactly; S4 and S5 by sufficient syntactic
-    conditions, reported as PASS_SUFFICIENT when used non-vacuously."""
+def check_type_preservation(rule: RewriteRule,
+                            tc: TypeChecker) -> Dict[str, ConditionResult]:
+    """The five per-rule conditions that make rewriting preserve typing,
+    typed in the context of `tc`.  S1-S3 are decided exactly; S4 and S5
+    by sufficient syntactic conditions, reported as PASS_SUFFICIENT when
+    used non-vacuously."""
     out: Dict[str, ConditionResult] = {}
+    sig = tc.sig
     gamma_env = rule.ann_env
     rho = rule.ann_subst
     lhs = rule.lhs
@@ -67,7 +67,6 @@ def check_type_preservation(rule: RewriteRule, sig: Signature,
     else:
         out["s1"] = ConditionResult("s1", Outcome.PASS)
 
-    tc = TypeChecker(sig, rules, fuel=fuel, confluent=confluent)
     expected = rule_type(rule, sig)
 
     def typed(name: str, term: Term) -> ConditionResult:
@@ -94,7 +93,8 @@ def check_type_preservation(rule: RewriteRule, sig: Signature,
         missing = [x for x, xtyp in gamma_env
                    if next(typed_occurrences(rule, x, xtyp, sig), None)
                    is None]
-        uncovered = [v for v in free_vars(lhs)
+        # in order of first occurrence, not of the variables' hashes
+        uncovered = [v for v in var_counts(lhs)
                      if gamma_env.lookup(v) is None and v not in rho]
         if missing or uncovered:
             parts = []
@@ -255,16 +255,15 @@ def _duplication(r: RewriteRule) -> Optional[str]:
 
 
 def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
-                      sig: Signature, all_rules: Sequence[RewriteRule] = (),
-                      fuel: int = 10000, confluent: bool = False,
+                      tc: TypeChecker,
                       which: Sequence[str] = ("algebraic", "non_duplicating",
                                               "primitive", "simple",
                                               "positive", "recursive",
                                               "safe")) -> SystemProperties:
     """The properties named in `which` of the rules `grules` of the
-    symbols `gset`."""
+    symbols `gset`, among all the rules of `tc`'s typing context."""
     props = SystemProperties()
-    rules = RuleSet.of(all_rules or grules)
+    sig, rules = tc.sig, tc.rules
     classes = predicate_classes(sig, rules)
 
     if "algebraic" in which:
@@ -355,7 +354,7 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
     if "recursive" in which:
         verdict = HOLDS
         for r in grules:
-            sv = satisfies_general_schema(r, sig, rules, fuel, confluent)
+            sv = satisfies_general_schema(r, tc)
             if not sv.ok:
                 why = sv.failure or "; ".join(sv.well_formed.failures)
                 verdict = fails(f"rule {r.name}: {why}")
@@ -418,15 +417,6 @@ def _top_overlap_free(grules: Sequence[RewriteRule]) -> Optional[TriState]:
 
 # ---------------------------------------------------------------------------
 # the partition of defined symbols (A4)
-
-
-def partition_defined(sig: Signature, rules: Sequence[RewriteRule],
-                      force_non_algebraic: FrozenSet[str] = frozenset(),
-                      assume_terminating: bool = False
-                      ) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    fa, fna, _ = partition_explained(sig, rules, force_non_algebraic,
-                                     assume_terminating)
-    return fa, fna
 
 
 def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
@@ -503,7 +493,7 @@ def algebraic_termination(sig: Signature, fa_rules: Sequence[RewriteRule],
     """A4's strong-normalization obligation on the rules of the
     algebraic part: the recursive-path-order trace read from
     `orientation`, or TERMINATION_ASSERTED under the pragma."""
-    cycle = sig.check_precedence()
+    cycle = sig.precedence.find_cycle()
     if cycle is not None:
         return fails("the precedence is cyclic: " + " > ".join(cycle))
     if not fa_rules:
@@ -620,7 +610,8 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         failures.append("A1")
     elif a1.level == ConfluenceLevel.ASSERTED:
         assertions.append("confluence asserted by pragma")
-    confluent = a1.positive
+    # the one typing context of A3, A4 and S1-S5
+    tc = TypeChecker(sig, rules, fuel, confluent=a1.positive)
 
     # A2 --------------------------------------------------------------
     violations = check_inductive_structure(sig, rules)
@@ -636,8 +627,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         a3_branch = "vacuous"
     else:
         gset = frozenset(dfb)
-        a3_props = system_properties(gset, dfb_rules, sig, rules, fuel,
-                                     confluent)
+        a3_props = system_properties(gset, dfb_rules, tc)
         if a3_props.primitive.holds:
             a3_branch = "primitive"
         elif a3_props.simple.holds and a3_props.positive.holds:
@@ -656,8 +646,8 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
                                              assume_terminating, orientation)
     fa_rules = [r for r in rules if r.head_name() in fa]
     fna_rules = [r for r in rules if r.head_name() in fna]
-    fna_props = system_properties(fna, fna_rules, sig, rules, fuel,
-                                  confluent, which=("safe", "recursive"))
+    fna_props = system_properties(fna, fna_rules, tc,
+                                  which=("safe", "recursive"))
     a4_sn = algebraic_termination(sig, fa_rules, orientation,
                                   assume_terminating)
     if a4_sn is TERMINATION_ASSERTED:
@@ -670,7 +660,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
     # S conditions ----------------------------------------------------
     s_conditions: Dict[str, Dict[str, ConditionResult]] = {}
     for r in rules:
-        conds = check_type_preservation(r, sig, rules, fuel, confluent)
+        conds = check_type_preservation(r, tc)
         s_conditions[r.name] = conds
         if any(c.outcome == Outcome.FAIL for c in conds.values()):
             failures.append(f"S({r.name})")

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 from typing import List, Optional
 
 from .admissibility import Outcome, OverallVerdict, check_admissible
 from .orderings import Orientation
 from .printer import pp
-from .rewriting import confluence_check, joinable, normalize
+from .rewriting import RuleSet, confluence_check, normalize
 from .syntax import ElabError, LoadedFile, ParseError, Parser, lex, load
 from .terms import CacError, Environment
 from .typing import TypeChecker
@@ -76,12 +76,18 @@ def _parse_expr(loaded: LoadedFile, text: str):
     return loaded.term(term, {})
 
 
+def _checker(loaded: LoadedFile, fuel: int) -> TypeChecker:
+    """The file's typing context, which converts by comparing normal
+    forms once A1 finds the rules confluent."""
+    rules = RuleSet(loaded.rules)
+    a1 = confluence_check(rules, Orientation(loaded.signature), fuel,
+                          loaded.assume_confluent)
+    return TypeChecker(loaded.signature, rules, fuel, a1.positive)
+
+
 def cmd_check(args) -> int:
     loaded = _load_file(args.file, args.fuel)
-    verdict = confluence_check(loaded.rules, Orientation(loaded.signature),
-                               args.fuel, loaded.assume_confluent)
-    tc = TypeChecker(loaded.signature, loaded.rules, fuel=args.fuel,
-                     confluent=verdict.positive)
+    tc = _checker(loaded, args.fuel)
     results = []
     ok = True
     for d in loaded.directives:
@@ -91,12 +97,11 @@ def cmd_check(args) -> int:
                 tc.check(Environment(), d.terms[0], d.terms[1])
                 entry["outcome"] = "ok"
             elif d.kind == "normalize":
-                nf = normalize(d.terms[0], loaded.rules, args.fuel)
+                nf = normalize(d.terms[0], tc.rules, args.fuel)
                 entry["outcome"] = "ok"
                 entry["normal_form"] = pp(nf)
             else:  # convert
-                conv = joinable(d.terms[0], d.terms[1], loaded.rules,
-                                args.fuel, verdict.positive)
+                conv = tc.convertible(d.terms[0], d.terms[1])
                 entry["outcome"] = "ok" if conv else "failed"
                 entry["detail"] = ("convertible" if conv
                                    else "no common reduct found")
@@ -165,11 +170,10 @@ def cmd_convert(args) -> int:
     if len(args.expr) != 2:
         print("convert requires exactly two -e expressions", file=sys.stderr)
         return 2
-    verdict = confluence_check(loaded.rules, Orientation(loaded.signature),
-                               args.fuel, loaded.assume_confluent)
+    tc = _checker(loaded, args.fuel)
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
-    conv = joinable(a, b, loaded.rules, args.fuel, verdict.positive)
+    conv = tc.convertible(a, b)
     _emit({"file": args.file, "convertible": conv},
           args.report == "structured",
           "convertible" if conv else "not convertible")

@@ -302,10 +302,3 @@ def predicate_classes(sig: Signature,
         return decided[root]
 
     return {d: decide(d) for d in frees}
-
-
-def classify_predicate(sig: Signature, cname: str,
-                       rules=()) -> PredicateClass:
-    """Strongest shape class of the free predicate symbol cname (see
-    `predicate_classes`)."""
-    return predicate_classes(sig, rules)[cname]

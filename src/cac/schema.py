@@ -205,21 +205,19 @@ def args_greater(lhs_args: Sequence[AccPair], callee_args: Sequence[AccPair],
 
 class ClosureChecker(TypeChecker):
     """The computable-closure judgment of one rule: the typing judgment
-    with a guard on symbol applications.  A callee must be below the
-    rule's head in the precedence (tag `symb<`), or equivalent to it
-    with accessibly smaller arguments (tag `symb=`, noted with the
-    deciding comparison).  Variables of the rule's annotation
-    environment are tagged `acc`."""
+    of `tc`'s context with a guard on symbol applications.  A callee
+    must be below the rule's head in the precedence (tag `symb<`), or
+    equivalent to it with accessibly smaller arguments (tag `symb=`,
+    noted with the deciding comparison).  Variables of the rule's
+    annotation environment are tagged `acc`."""
 
-    def __init__(self, rule: RewriteRule, sig: Signature,
-                 rules: Sequence[RewriteRule] = (), fuel: int = 10000,
-                 confluent: bool = False):
-        super().__init__(sig, rules, fuel=fuel, confluent=confluent)
+    def __init__(self, rule: RewriteRule, tc: TypeChecker):
+        super().__init__(tc.sig, tc.rules, tc.fuel, tc.confluent)
         self.rule = rule
         lhs = rule.lhs
         assert isinstance(lhs, Symb)
         self.fname = lhs.name
-        decl = sig.decls[lhs.name]
+        decl = tc.sig.decls[lhs.name]
         gamma0 = decl.inst(lhs.args)
         self.lhs_pairs = [
             AccPair(arg, subst_apply(t, gamma0))
@@ -264,15 +262,13 @@ class ClosureChecker(TypeChecker):
         return typ, d._replace(rule_tag=tag, note=note)
 
 
-def cc_check(rule: RewriteRule, sig: Signature,
-             rules: Sequence[RewriteRule] = (), fuel: int = 10000,
-             confluent: bool = False) -> TypingDerivation:
-    """Derive the closure judgment Γ ⊢c rhs : Uγρ for a rule; raises
-    SchemaError("no-derivation") otherwise, naming the blocking
-    subterm when the guard fails."""
-    cc = ClosureChecker(rule, sig, rules, fuel, confluent)
+def cc_check(rule: RewriteRule, tc: TypeChecker) -> TypingDerivation:
+    """Derive the closure judgment Γ ⊢c rhs : Uγρ for a rule, in the
+    typing context of `tc`; raises SchemaError("no-derivation")
+    otherwise, naming the blocking subterm when the guard fails."""
+    cc = ClosureChecker(rule, tc)
     try:
-        return cc.check(rule.ann_env, rule.rhs, rule_type(rule, sig))
+        return cc.check(rule.ann_env, rule.rhs, rule_type(rule, tc.sig))
     except SchemaError:
         raise
     except CacError as e:
@@ -298,15 +294,13 @@ class SchemaVerdict(NamedTuple):
     failure: Optional[str]
 
 
-def satisfies_general_schema(rule: RewriteRule, sig: Signature,
-                             rules: Sequence[RewriteRule] = (),
-                             fuel: int = 10000,
-                             confluent: bool = False) -> SchemaVerdict:
-    wf = check_well_formed(rule, sig)
+def satisfies_general_schema(rule: RewriteRule,
+                             tc: TypeChecker) -> SchemaVerdict:
+    wf = check_well_formed(rule, tc.sig)
     if not wf.ok:
         return SchemaVerdict(False, wf, None, None)
     try:
-        deriv = cc_check(rule, sig, rules, fuel, confluent)
+        deriv = cc_check(rule, tc)
     except CacError as e:
         return SchemaVerdict(False, wf, None, e.message)
     return SchemaVerdict(True, wf, deriv, None)

@@ -275,7 +275,3 @@ class Signature:
                 and isinstance(d.output, Symb):
             return d.output.name
         return None
-
-    def check_precedence(self) -> Optional[List[str]]:
-        """None when the strict class order is acyclic, else a witness cycle."""
-        return self.precedence.find_cycle()

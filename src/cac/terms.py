@@ -550,10 +550,10 @@ def apply_spine(head: Term, args: Iterable[Term]) -> Term:
     return head
 
 
-def strip_products(t: Term, limit: Optional[int] = None) -> "tuple[list, Term]":
+def strip_products(t: Term) -> "tuple[list, Term]":
     """Open leading products with fresh variables: ((v, dom) list, core)."""
     binders = []
-    while isinstance(t, Prod) and (limit is None or len(binders) < limit):
+    while isinstance(t, Prod):
         v, body = open_fresh(t)
         binders.append((v, t.domain))
         t = body

@@ -8,8 +8,8 @@ import sys
 import time
 
 import cac
-from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb, Var,
-                 Variable,
+from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb, TypeChecker,
+                 Var, Variable,
                  check_admissible, check_inductive_structure,
                  check_type_preservation, check_well_formed, cc_check,
                  critical_pairs, joinable, left_linear, load, normalize,
@@ -37,17 +37,18 @@ def test_acceptance_1_list_append():
     with Timer() as tm:
         lf = load(corpus_source("app"))
         ok = True
+        tc = TypeChecker(lf.signature, lf.rules)
         for r in lf.rules:
-            conds = check_type_preservation(r, lf.signature, lf.rules)
+            conds = check_type_preservation(r, tc)
             ok &= all(conds[k].outcome == Outcome.PASS
                       for k in ("s1", "s2", "s3"))
             ok &= conds["s4"].outcome == Outcome.PASS_SUFFICIENT
             ok &= conds["s5"].outcome == Outcome.PASS_SUFFICIENT
             ok &= left_linear(r)
             ok &= check_well_formed(r, lf.signature).ok
-            ok &= satisfies_general_schema(r, lf.signature, lf.rules).ok
+            ok &= satisfies_general_schema(r, tc).ok
         rule2 = next(r for r in lf.rules if r.name == "rule2")
-        deriv = cc_check(rule2, lf.signature, lf.rules)
+        deriv = cc_check(rule2, tc)
         ok &= any("⟨cons(A', x, l), list(A)⟩ > ⟨l, list(A)⟩" in n
                   for n in deriv.notes())
     ok &= tm.elapsed < 1.0
@@ -60,7 +61,8 @@ def test_acceptance_2_propositional_system():
     with Timer() as tm:
         lf = load(corpus_source("ndm_prop"))
         gset = frozenset(lf.signature.defined_predicate_symbols(lf.rules))
-        props = system_properties(gset, lf.rules, lf.signature, lf.rules,
+        props = system_properties(gset, lf.rules,
+                                  TypeChecker(lf.signature, lf.rules),
                                   which=("algebraic", "non_duplicating",
                                          "primitive"))
         ok = (props.algebraic.holds and props.non_duplicating.holds
@@ -147,7 +149,7 @@ def test_acceptance_5_negative_controls():
 
     lf2 = load(corpus_source("neg_schema"))
     (r2,) = lf2.rules
-    v2 = satisfies_general_schema(r2, lf2.signature, lf2.rules)
+    v2 = satisfies_general_schema(r2, TypeChecker(lf2.signature, lf2.rules))
     ok &= not v2.ok and v2.failure is not None
     rep2 = check_admissible(lf2.signature, lf2.rules)
     ok &= rep2.overall == OverallVerdict.REJECTED
@@ -156,8 +158,9 @@ def test_acceptance_5_negative_controls():
               ["non_algebraic_properties"].values())
 
     lf3 = load(corpus_source("neg_dup"))
-    props = system_properties(frozenset({"f"}), lf3.rules, lf3.signature,
-                              lf3.rules, which=("non_duplicating",))
+    props = system_properties(frozenset({"f"}), lf3.rules,
+                              TypeChecker(lf3.signature, lf3.rules),
+                              which=("non_duplicating",))
     ok &= props.non_duplicating.status == "FAILS"
     ok &= "duplicates x" in props.non_duplicating.witness
     rep3 = check_admissible(lf3.signature, lf3.rules)

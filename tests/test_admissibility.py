@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cac import (Outcome, OverallVerdict, check_admissible,
-                 check_type_preservation, load, partition_defined,
-                 system_properties)
+from cac import (Outcome, OverallVerdict, TypeChecker, check_admissible,
+                 check_type_preservation, load, system_properties)
 from cac.admissibility import (HOLDS, TERMINATION_ASSERTED,
                                algebraic_termination, fails,
                                partition_explained)
@@ -18,12 +17,12 @@ from tests.conftest import corpus_source
 
 def _conds(lf, name):
     rule = next(r for r in lf.rules if r.name == name)
-    return check_type_preservation(rule, lf.signature, lf.rules)
+    return check_type_preservation(rule, TypeChecker(lf.signature, lf.rules))
 
 
 def test_app_s_conditions(app):
     for r in app.rules:
-        c = check_type_preservation(r, app.signature, app.rules)
+        c = check_type_preservation(r, TypeChecker(app.signature, app.rules))
         # S1-S3 exact, S4-S5 via the sufficient conditions
         assert c["s1"].outcome == Outcome.PASS
         assert c["s2"].outcome == Outcome.PASS
@@ -36,7 +35,7 @@ def test_s1_fails_when_rho_hits_env(app):
     rule = app.rules[0]
     (gamma_var, _) = tuple(rule.ann_env)[0]
     bad = rule._replace(ann_subst={gamma_var: rule.lhs.args[0]})
-    c = check_type_preservation(bad, app.signature, app.rules)
+    c = check_type_preservation(bad, TypeChecker(app.signature, app.rules))
     assert c["s1"].outcome == Outcome.FAIL
 
 
@@ -44,14 +43,36 @@ def test_s3_fails_on_ill_typed_rhs(app):
     from cac import STAR, Symb
     rule = next(r for r in app.rules if r.name == "rule1")
     bad = rule._replace(rhs=rule.lhs.args[0])  # a type, not a list
-    c = check_type_preservation(bad, app.signature, app.rules)
+    c = check_type_preservation(bad, TypeChecker(app.signature, app.rules))
     assert c["s3"].outcome == Outcome.FAIL
+
+
+def test_s4_lists_uncovered_variables_in_lhs_order():
+    # variables hash by their id, so a set of them iterates in an order
+    # that shifts with how many variables the process has made; each
+    # base below, far above the ids that `Variable.fresh` hands out,
+    # moves a and b to other slots of such a set
+    from cac import RewriteRule, Symb, Var, Variable
+    from cac.terms import Environment, Sort
+    lf = load("symbol o : * .\nsymbol z : o .\n"
+              "symbol g : o -> o -> o -> o .\n")
+    tc = TypeChecker(lf.signature, lf.rules)
+    for base in range(10 ** 9, 10 ** 9 + 8):
+        x, a, b = (Variable(base + k, Sort.STAR, name)
+                   for k, name in ((2, "x"), (0, "a"), (1, "b")))
+        rule = RewriteRule("r", Symb("g", (Var(x), Var(a), Var(b))),
+                           Symb("z", ()),
+                           Environment().extend(x, Symb("o", ())))
+        c = check_type_preservation(rule, tc)
+        assert c["s4"].detail == ("lhs variables outside env and "
+                                  "substitution: a, b"), base
 
 
 def test_ndm_properties(ndm):
     gset = frozenset(ndm.signature.defined_predicate_symbols(ndm.rules))
     assert gset == {"/\\", "\\/", "not"}
-    props = system_properties(gset, ndm.rules, ndm.signature, ndm.rules)
+    props = system_properties(gset, ndm.rules,
+                              TypeChecker(ndm.signature, ndm.rules))
     assert props.algebraic.holds
     assert props.non_duplicating.holds
     assert props.primitive.holds
@@ -63,8 +84,9 @@ def test_ndm_properties(ndm):
 
 def test_non_duplication_witness():
     lf = load(corpus_source("neg_dup"))
-    props = system_properties(frozenset({"f"}), lf.rules, lf.signature,
-                              lf.rules, which=("non_duplicating",))
+    props = system_properties(frozenset({"f"}), lf.rules,
+                              TypeChecker(lf.signature, lf.rules),
+                              which=("non_duplicating",))
     assert props.non_duplicating.status == "FAILS"
     assert "duplicates x" in props.non_duplicating.witness
 
@@ -78,14 +100,15 @@ def test_top_overlap_detection():
     rule f(a) -> a .
     """
     lf = load(src)
-    props = system_properties(frozenset({"f"}), lf.rules, lf.signature,
-                              lf.rules, which=("simple",))
+    props = system_properties(frozenset({"f"}), lf.rules,
+                              TypeChecker(lf.signature, lf.rules),
+                              which=("simple",))
     assert props.simple.status == "FAILS"
     assert "top" in props.simple.witness
 
 
 def test_partition_int(intf):
-    fa, fna = partition_defined(intf.signature, intf.rules)
+    fa, fna = partition_explained(intf.signature, intf.rules)[:2]
     assert fa == frozenset({"s", "p", "plus", "times"})
     assert fna == frozenset()
 
@@ -97,8 +120,8 @@ def test_partition_demotes_with_reasons(natf):
 
 
 def test_partition_force_non_algebraic(intf):
-    fa, fna = partition_defined(intf.signature, intf.rules,
-                                force_non_algebraic=frozenset({"plus"}))
+    fa, fna = partition_explained(intf.signature, intf.rules,
+                                  force_non_algebraic=frozenset({"plus"}))[:2]
     assert "plus" in fna
 
 
@@ -268,7 +291,7 @@ def test_partition_demotes_through_a_chain_of_mentions():
         "g": "rules mention the non-algebraic symbol h",
     }
     # without the pragma nothing is demoted
-    assert partition_defined(lf.signature, lf.rules) == (
+    assert partition_explained(lf.signature, lf.rules)[:2] == (
         frozenset({"g", "h", "k"}), frozenset())
 
 
@@ -317,7 +340,7 @@ def reference_algebraic_part(sig, rules, fa, fna):
     rather than read from the partition: (algebraic, non_duplicating,
     separation)."""
     fa_rules = [r for r in rules if r.head_name() in fa]
-    props = system_properties(fa, fa_rules, sig, rules,
+    props = system_properties(fa, fa_rules, TypeChecker(sig, rules),
                               which=("algebraic", "non_duplicating"))
     sep_bad = [(r.name, s) for r in fa_rules
                for s in sorted((symbols_of(r.lhs) | symbols_of(r.rhs))

@@ -89,7 +89,7 @@ def test_corrupted_bundle_fails_schema():
     bad = succ_rule._replace(rhs=bad_rhs)
     rules = [r if "succ" not in r.name else bad for r in bundle.rules]
     from cac import satisfies_general_schema
-    v = satisfies_general_schema(bad, sig, rules)
+    v = satisfies_general_schema(bad, TypeChecker(sig, rules))
     assert not v.ok
 
 

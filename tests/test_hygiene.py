@@ -104,10 +104,12 @@ def test_imports_are_at_module_level():
 def test_importing_the_cli_loads_no_class_generator():
     # every `cac` command pays for its imports: `dataclasses` brings in
     # `inspect`, `ast`, `dis` and `tokenize`, and runs generated code
-    # through `exec` for every class it decorates
+    # through `exec` for every class it decorates; `json` loads its
+    # decoder and scanner, and the CLI needs only the C string encoder
     src = str(pathlib.Path(cac.__file__).parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import cac.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'json'}"
+             " & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-I", "-c", probe, src],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -1,11 +1,12 @@
 """The recursive path order and the precedence it reads: the memoized
 order and the ranked `Precedence.gt` against naive references kept
-here, and one orientation per rule per admissibility run."""
+here, and one orientation per rule and one typing context per
+admissibility run."""
 
 import random
 
 import cac.orderings
-from cac import (Orientation, Precedence, Symb, Var, Variable,
+from cac import (Orientation, Precedence, Symb, TypeChecker, Var, Variable,
                  check_admissible, load, rpo_greater, rpo_terminates)
 from cac.terms import alpha_eq, free_vars, is_algebraic
 from tests.conftest import CORPUS, plus_family_source
@@ -181,6 +182,24 @@ def test_each_rule_is_oriented_once_per_admissibility_run(monkeypatch):
     report = check_admissible(lf.signature, lf.rules)
     assert report.a1.level.value == "NEWMAN"
     assert sorted(oriented) == sorted(r.name for r in lf.rules)
+
+
+def test_one_type_checker_per_admissibility_run(monkeypatch):
+    # A3, A4 and S1-S5 of every rule type in the run's one context; the
+    # closure checkers of A3 and A4 are its subclass and are not counted
+    lf = load((CORPUS / "int.cac").read_text(encoding="utf-8"))
+    built = []
+    real = TypeChecker.__init__
+
+    def counting(self, *args, **kwargs):
+        if type(self) is TypeChecker:
+            built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TypeChecker, "__init__", counting)
+    report = check_admissible(lf.signature, lf.rules)
+    assert len(report.s_conditions) == 4
+    assert len(built) == 1
 
 
 def test_orientation_is_none_under_a_cyclic_precedence():

@@ -12,8 +12,8 @@ import pytest
 import cac
 
 from cac import (PredicateClass, Prod, STAR, Signature, Symb, Term, Var,
-                 Variable, arrow, check_inductive_structure,
-                 classify_predicate, load, pi, polarity, predicate_classes)
+                 Variable, arrow, check_inductive_structure, load, pi,
+                 polarity, predicate_classes)
 from cac.terms import Sort, symbols_of
 from tests.conftest import corpus_source
 
@@ -114,14 +114,14 @@ def test_i2_violation_inductive_variable_negative():
 
 
 def test_classification_primitive(intf):
-    assert classify_predicate(intf.signature, "int", intf.rules) \
+    assert predicate_classes(intf.signature, intf.rules)["int"] \
         == PredicateClass.PRIMITIVE
 
 
 def test_classification_list_is_basic_not_primitive(app):
     # cons stores elements of a predicate-variable type, so list is not
     # primitive, but recursion is through list itself: basic
-    cls = classify_predicate(app.signature, "list", app.rules)
+    cls = predicate_classes(app.signature, app.rules)["list"]
     assert cls == PredicateClass.BASIC
 
 
@@ -135,7 +135,7 @@ def test_classification_strictly_positive():
     sig.declare("lim", 1, pi(x, arrow(Symb("nat", ()), Symb("ordt", ())),
                              Symb("ordt", ())))
     sig.structure.acc["lim"] = frozenset({1})
-    cls = classify_predicate(sig, "ordt", [])
+    cls = predicate_classes(sig, [])["ordt"]
     assert cls == PredicateClass.STRICTLY_POSITIVE
 
 
@@ -185,7 +185,7 @@ def test_classification_terminates_under_cyclic_precedence():
     classes = predicate_classes(lf.signature, lf.rules)
     assert sorted(classes) == ["a", "b"]
     for name in ("a", "b"):
-        assert classify_predicate(lf.signature, name, lf.rules) \
+        assert predicate_classes(lf.signature, lf.rules)[name] \
             is classes[name]
 
 
@@ -297,7 +297,7 @@ def random_signature(rng):
                 sig.precedence.add_eq(a, b)
             elif rank[a] > rank[b] and rng.random() < 0.7:
                 sig.precedence.add_gt(a, b)
-    assert sig.check_precedence() is None
+    assert sig.precedence.find_cycle() is None
     return sig
 
 

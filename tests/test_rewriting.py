@@ -554,9 +554,10 @@ def test_normalize_matches_restart_reference(intf):
 
 
 @pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="the generated dataclass __hash__ recurses once "
-                          "per term level and overflows near depth 500; "
-                          "hash-consing (ROADMAP item 5) removes the limit")
+                   reason="each term's __hash__ hashes the tuple of its "
+                          "fields, so it recurses once per term level and "
+                          "overflows near depth 500; hash-consing (ROADMAP "
+                          "item 5) removes the limit")
 def test_joinable_hashes_a_deep_reduct():
     from cac import load
     lf = load("symbol o : * .\nsymbol zero : o .\nsymbol succ : o -> o .\n"

@@ -101,7 +101,7 @@ def test_args_greater_strict_decrease(app):
 
 def test_cc_derivation_for_app(app):
     rule = _app_rule2(app)
-    deriv = cc_check(rule, app.signature, app.rules)
+    deriv = cc_check(rule, TypeChecker(app.signature, app.rules))
     tags = {n.rule_tag for n in deriv.nodes()}
     assert "symb=" in tags  # the guarded recursive call
     assert "acc" in tags or "var" in tags
@@ -111,8 +111,8 @@ def test_cc_derivation_for_app(app):
 
 def test_cc_derivation_replays(app):
     rule = _app_rule2(app)
-    deriv = cc_check(rule, app.signature, app.rules)
     tc = TypeChecker(app.signature, app.rules)
+    deriv = cc_check(rule, tc)
     assert replay(deriv, tc)
     assert not replay(deriv._replace(typ=STAR), tc)
 
@@ -144,8 +144,9 @@ def test_cc_converts_by_normalizing_under_confluence():
     rule = next(r for r in lf.rules if r.head_name() == "g")
     with pytest.raises(SchemaError, match="fuel exhausted during "
                                           "joinability search"):
-        cc_check(rule, lf.signature, lf.rules, fuel=20)
-    deriv = cc_check(rule, lf.signature, lf.rules, fuel=20, confluent=True)
+        cc_check(rule, TypeChecker(lf.signature, lf.rules, fuel=20))
+    deriv = cc_check(rule, TypeChecker(lf.signature, lf.rules, fuel=20,
+                                       confluent=True))
     assert deriv.rule_tag == "conv"
 
 
@@ -160,14 +161,15 @@ def test_admissibility_gives_the_closure_its_confluence_verdict():
 
 def test_general_schema_app(app):
     for rule in app.rules:
-        v = satisfies_general_schema(rule, app.signature, app.rules)
+        v = satisfies_general_schema(rule,
+                                     TypeChecker(app.signature, app.rules))
         assert v.ok, v.failure
 
 
 def test_general_schema_rejects_self_loop():
     lf = load(corpus_source("neg_schema"))
     (rule,) = lf.rules
-    v = satisfies_general_schema(rule, lf.signature, lf.rules)
+    v = satisfies_general_schema(rule, TypeChecker(lf.signature, lf.rules))
     assert not v.ok
     assert "not smaller" in v.failure
 
@@ -175,7 +177,7 @@ def test_general_schema_rejects_self_loop():
 def test_cc_rejects_symbols_above_the_head():
     lf = load(corpus_source("neg_dup"))
     (rule,) = lf.rules
-    v = satisfies_general_schema(rule, lf.signature, lf.rules)
+    v = satisfies_general_schema(rule, TypeChecker(lf.signature, lf.rules))
     assert not v.ok
     assert "precedence" in v.failure
 
@@ -186,6 +188,7 @@ def test_schema_ndm_shallow_rules(ndm):
     # connectives, which grant no accessibility) and the system is
     # certified through the primitive branch instead
     for rule in ndm.rules:
-        v = satisfies_general_schema(rule, ndm.signature, ndm.rules)
+        v = satisfies_general_schema(rule,
+                                     TypeChecker(ndm.signature, ndm.rules))
         deep = rule.name in ("rule7", "rule8")
         assert v.ok != deep, (rule.name, v.failure)

@@ -138,3 +138,86 @@ def test_typed_rule_environments(app, ndm, natf, intf):
         tc = TypeChecker(lf.signature, lf.rules)
         for r in lf.rules:
             tc.env_valid(r.ann_env)
+
+
+# A type family F whose rule turns F(zero) into a product: applying g
+# needs its type reduced before it is a product.
+TYPE_LEVEL_RULE = """
+symbol nat : * .
+symbol zero : nat .
+symbol F : nat -> * .
+rule F(x) -> nat -> nat .
+symbol g : F(zero) .
+symbol h : nat .
+"""
+
+NAT, ZERO = Symb("nat", ()), Symb("zero", ())
+G_ZERO = App(Symb("g", ()), ZERO)
+
+
+def _type_level():
+    from cac import load
+    lf = load(TYPE_LEVEL_RULE)
+    return TypeChecker(lf.signature, lf.rules)
+
+
+def test_application_reduces_the_head_type_to_a_product():
+    tc = _type_level()
+    d = tc.check(Environment(), G_ZERO, NAT)
+    assert d.rule_tag == "app"
+    assert d.premises[0].typ == Symb("F", (ZERO,))
+
+
+def test_application_of_a_non_function_is_rejected():
+    tc = _type_level()
+    with pytest.raises(TypingError, match="expected a product type, "
+                                          "found nat") as e:
+        tc.infer(Environment(), App(Symb("h", ()), ZERO))
+    assert e.value.code == "not-a-product"
+
+
+def test_reduction_to_a_product_runs_on_fuel():
+    from cac import FuelExhausted, load
+    lf = load(TYPE_LEVEL_RULE.replace("rule F(x) -> nat -> nat",
+                                      "rule F(x) -> F(x)"))
+    tc = TypeChecker(lf.signature, lf.rules, fuel=5)
+    with pytest.raises(FuelExhausted, match="reduction to product"):
+        tc.infer(Environment(), G_ZERO)
+
+
+def test_replay_checks_a_product():
+    tc = _type_level()
+    _, d = tc.infer(Environment(), arrow(NAT, NAT))
+    assert d.rule_tag == "prod"
+    assert replay(d, tc)
+    assert not replay(d._replace(typ=NAT), tc)
+
+
+def test_replay_checks_an_abstraction():
+    tc = _type_level()
+    x = Variable.fresh("x", Sort.STAR)
+    _, d = tc.infer(Environment(), lam(x, NAT, Var(x)))
+    assert d.rule_tag == "abs"
+    assert replay(d, tc)
+    # the product's domain must be the abstraction's
+    assert not replay(d._replace(typ=arrow(Symb("F", (ZERO,)), NAT)), tc)
+
+
+def test_replay_checks_an_application():
+    tc = _type_level()
+    d = tc.check(Environment(), G_ZERO, NAT)
+    assert replay(d, tc)
+    assert not replay(d._replace(typ=ZERO), tc)
+    # a head whose type is no product, with a premise that replays
+    _, h = tc.infer(Environment(), Symb("h", ()))
+    assert replay(h, tc)
+    assert not replay(d._replace(premises=(h, d.premises[1])), tc)
+
+
+def test_replay_checks_a_conversion():
+    tc = _type_level()
+    d = tc.check(Environment(), Symb("g", ()), arrow(NAT, NAT))
+    assert d.rule_tag == "conv"
+    assert replay(d, tc)
+    assert not replay(d._replace(typ=NAT), tc)
+    assert not replay(d._replace(premises=()), tc)
