@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Type checker and admissibility checker for a "
                     "calculus of constructions with rewrite rules")
     ap.add_argument("--fuel", type=_positive_int, default=10000,
-                    help="reduction step budget (default 10000)")
+                    help="reduction budget: rewrite steps, or distinct "
+                         "reducts in a joinability search (default 10000)")
     ap.add_argument("--report", choices=("text", "structured"),
                     default="text", help="output format")
     ap.add_argument("--strict", action="store_true",

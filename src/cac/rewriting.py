@@ -9,8 +9,9 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from .orderings import Orientation
-from .terms import (Abs, App, CacError, Environment, FuelExhausted, Position,
-                    Prod, Symb, Term, Var, Variable, _children, _rebuild,
+from .terms import (Abs, App, BVar, CacError, Environment, FuelExhausted,
+                    Position, Prod, SortT, Symb, Term, Var, Variable,
+                    _children, _rebuild,
                     alpha_eq, close, free_vars, is_algebraic, occurrences,
                     open_, open_fresh, replace_at, subst_apply, symbols_of,
                     var_counts)
@@ -318,47 +319,179 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
         r = next(_root_reducts(t, rules), None)
 
 
-def _next_level(frontier: set, seen: set, rules: RuleSet,
-                budget: int) -> Tuple[set, int]:
-    """The distinct one-step reducts of the frontier that `seen` lacks,
-    which join `seen`, and the budget left after paying one unit per
-    distinct reduct of each frontier term.  Each reduct is hashed once,
-    by `dict.fromkeys`; the set operations reuse the stored hashes."""
-    level = set()
-    for x in frontier:
-        reducts = dict.fromkeys(_reducts(x, rules))
-        budget -= len(reducts)
-        if budget < 0:
-            raise FuelExhausted("joinability search")
-        level.update(reducts)
-    level = level - seen
-    seen |= level
-    return level, budget
+class _Search:
+    """The terms of one joinability search, hash-consed (Filliâtre and
+    Conchon, Type-safe modular hash-consing, 2006).  A term's handle is
+    its index in `term`.  A term is keyed by its head and its children's
+    handles, so building, hashing and deduping it costs O(arity), and
+    alpha-equal terms share a handle: keys leave out the binder hint, as
+    `==` does.  `handle` finds the handle of a canonical term, or of a
+    child of one, from its `id`; `term` keeps every canonical term alive,
+    and with it its children, so no id is reused while the search runs.
+    `memo` holds each canonical term's distinct one-step reducts once
+    computed, so a subterm shared by many terms is matched against the
+    rules once.  `seen` has bit 1 for each term visited from t and bit 2
+    for each visited from u.  Both walks keep their own stacks, so
+    neither has a depth limit."""
+
+    __slots__ = ("rules", "handle", "table", "term", "memo", "seen")
+
+    def __init__(self, rules: RuleSet):
+        self.rules = rules
+        self.handle: Dict[int, int] = {}   # id of a term -> handle
+        self.table: Dict[tuple, int] = {}  # (head, child handles) -> handle
+        self.term: List[Term] = []         # handle -> canonical term
+        self.memo: List[Optional[Tuple[int, ...]]] = []  # handle -> reducts
+        self.seen = bytearray()            # handle -> sides that visited it
+
+    def _make(self, t: Term, hs: list, kids: Optional[list] = None) -> int:
+        """The handle of t's node over the canonical children `hs`, keyed
+        by its head and `hs` (a leaf by its value), never by a binder
+        hint.  A new canonical term is t itself, whose children are
+        `kids`; it keeps them alive, so from now on a child that is not
+        the canonical one is found by its id too.  Without `kids`, t is
+        rebuilt over the canonical children."""
+        if t.__class__ is Symb:
+            key = (t.name, *hs)
+        elif hs:
+            key = (type(t), *hs)
+        elif t.__class__ is Var:
+            key = (Var, t.var)
+        elif t.__class__ is BVar:
+            key = (BVar, t.index)
+        else:
+            key = (SortT, t.sort.value)
+        h = self.table.get(key)
+        if h is None:
+            handle, term = self.handle, self.term
+            if kids is None:
+                kids = list(map(term.__getitem__, hs))
+                t = _rebuild(t, kids)
+            handle.update(zip(map(id, kids), hs))
+            h = handle[id(t)] = self.table[key] = len(term)
+            term.append(t)
+            # a leaf has no reducts unless it is a symbol with rules
+            self.memo.append(None if hs or t.__class__ is Symb
+                             and t.name in self.rules.by_head else ())
+            self.seen.append(0)
+        return h
+
+    def intern(self, t: Term) -> int:
+        """The handle of the canonical term alpha-equal to t."""
+        handle, make = self.handle, self._make
+        h = handle.get(id(t))
+        if h is not None:
+            return h
+        # one frame (node, its children, the handles of those done) per
+        # ancestor of the subterm being interned
+        stack = [(t, _children(t), [])]
+        while True:
+            x, kids, hs = stack[-1]
+            for c in kids[len(hs):]:
+                h = handle.get(id(c))
+                if h is None:
+                    grandkids = _children(c)
+                    if grandkids:
+                        stack.append((c, grandkids, []))
+                        break
+                    h = make(c, grandkids, grandkids)
+                hs.append(h)
+            else:
+                h = make(x, hs, kids)
+                stack.pop()
+                if not stack:
+                    return h
+                stack[-1][2].append(h)
+
+    def reducts(self, h: int) -> Tuple[int, ...]:
+        """The handles of the distinct one-step reducts of the canonical
+        term h.  Its descendants are expanded first, children before
+        parents, so each expansion reads its children's reducts from
+        `memo`."""
+        memo = self.memo
+        got = memo[h]
+        if got is not None:
+            return got
+        handle, term = self.handle, self.term
+        stack = [h]
+        while stack:
+            g = stack[-1]
+            if memo[g] is not None:
+                stack.pop()
+                continue
+            x = term[g]
+            hs = list(map(handle.__getitem__, map(id, _children(x))))
+            # a binder's body is expanded opened, by `_expand`
+            below = hs[:1] if isinstance(x, (Abs, Prod)) else hs
+            if None in map(memo.__getitem__, below):
+                stack += below
+            else:
+                stack.pop()
+                memo[g] = self._expand(x, hs)
+        return memo[h]
+
+    def _expand(self, t: Term, hs: List[int]) -> Tuple[int, ...]:
+        """`_reducts` of the canonical term t, deduped, from the memoized
+        reducts of its children `hs`."""
+        memo, make, out = self.memo, self._make, {}
+        if (t.__class__ is Symb and t.name in self.rules.by_head
+                or t.__class__ is App and t.head.__class__ is Abs):
+            for r in _root_reducts(t, self.rules):
+                out[self.intern(r)] = None
+        binder = isinstance(t, (Abs, Prod))
+        for i in range(1 if binder else len(hs)):
+            for r in memo[hs[i]]:
+                out[make(t, hs[:i] + [r] + hs[i + 1:])] = None
+        if binder:
+            v, body = open_fresh(t)
+            for r in self.reducts(self.intern(body)):
+                closed = self.intern(close(self.term[r], v))
+                out[make(t, [hs[0], closed])] = None
+        return tuple(out)
+
+    def next_level(self, frontier: List[int], side: int,
+                   budget: int) -> Tuple[List[int], int]:
+        """The distinct one-step reducts of the frontier that `side` has
+        not visited, now marked visited, and the budget left after paying
+        one unit per distinct reduct of each frontier term."""
+        seen, level = self.seen, []
+        for h in frontier:
+            reducts = self.reducts(h)
+            budget -= len(reducts)
+            if budget < 0:
+                raise FuelExhausted("joinability search")
+            for r in reducts:
+                if not seen[r] & side:
+                    seen[r] |= side
+                    level.append(r)
+        return level, budget
 
 
 def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
              fuel: int = 10000, confluent: bool = False) -> bool:
     """Do t and u have a common reduct?  Under a positive confluence
     verdict this is normalize-and-compare; otherwise a bounded
-    breadth-first search of both reduction graphs, whose visited terms
-    are kept in hash sets (alpha equality is structural equality).  A
-    level costs the same and yields the same next level in any order,
-    so the frontiers are sets too."""
-    if alpha_eq(t, u):
-        return True
+    breadth-first search of both reduction graphs over hash-consed
+    terms (`_Search`): they meet when a term is marked visited from both
+    sides.  A level costs the same and yields the same next level in any
+    order."""
     rules = RuleSet.of(rules)
     if confluent:
-        return alpha_eq(normalize(t, rules, fuel), normalize(u, rules, fuel))
-    seen_t, seen_u = {t}, {u}
-    frontier_t, frontier_u = {t}, {u}
+        return alpha_eq(t, u) or alpha_eq(normalize(t, rules, fuel),
+                                          normalize(u, rules, fuel))
+    search = _Search(rules)
+    frontier_t, frontier_u = [search.intern(t)], [search.intern(u)]
+    # alpha-equal terms share a handle, whose mark is then 3 at once
+    search.seen[frontier_t[0]] = 1
+    search.seen[frontier_u[0]] |= 2
     budget = fuel
 
     while frontier_t or frontier_u:
-        if not seen_t.isdisjoint(seen_u):
+        if 3 in search.seen:  # a term visited from both sides
             return True
-        frontier_t, budget = _next_level(frontier_t, seen_t, rules, budget)
-        frontier_u, budget = _next_level(frontier_u, seen_u, rules, budget)
-    return not seen_t.isdisjoint(seen_u)
+        frontier_t, budget = search.next_level(frontier_t, 1, budget)
+        frontier_u, budget = search.next_level(frontier_u, 2, budget)
+    return 3 in search.seen
 
 
 # ---------------------------------------------------------------------------

@@ -368,10 +368,31 @@ def test_acceptance_12_joinability_hashes_each_term_once():
         answer = joinable(*search)
     finally:
         sys.setprofile(previous)
-    _report(12, not answer and hashes <= 260_000,
-            "the joinability search hashes each visited term once: "
+    _report(12, not answer and hashes <= 5_000,
+            "the joinability search never hashes a term whole: "
             f"bfs-chain(9) against s(0) makes {hashes} __hash__ frames "
-            "(bound 260000)")
+            "(bound 5000)")
+
+
+def _joinable_calls(n):
+    """Python and builtin calls made by joinable on bfs-chain(n) against
+    s(0), counted with a profile hook (building the terms not counted)."""
+    search = _bfs_chain(n)
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        answer = joinable(*search)
+    finally:
+        sys.setprofile(previous)
+    assert not answer
+    return count
 
 
 def _rpo_calls(k):
@@ -435,3 +456,14 @@ def test_acceptance_14_import_is_cheap():
             "importing the checker builds its classes without generated "
             f"code: a fresh `import cac.cli` makes {calls} Python and "
             "builtin calls (bound 20000)")
+
+
+def test_acceptance_15_joinability_expands_each_term_once():
+    # a count of calls, not a time; the search hash-conses its terms and
+    # memoizes each one's reducts, so the work follows the distinct terms
+    small, large = _joinable_calls(8), _joinable_calls(9)
+    ratio = large / small
+    _report(15, ratio <= 2.2,
+            "the joinability search builds and expands each distinct term "
+            f"once: calls on bfs-chain(9) / bfs-chain(8) = {large} / "
+            f"{small} = {ratio:.2f} (bound 2.2)")

@@ -8,10 +8,10 @@ from cac import (ConfluenceLevel, Orientation, RewriteRule, STAR, Symb, Var,
                  Variable, alpha_eq, confluence_check, critical_pairs,
                  joinable, left_linear, match_first_order, normalize, pp,
                  reduce_one, step, unify)
-from cac.rewriting import RuleError, RuleSet, _reducts, rename_apart
-from cac.terms import (Abs, App, BVar, FuelExhausted, Prod, Sort, free_vars,
-                       lam, pi, positions, replace_at, subst_apply,
-                       subterm_at)
+from cac.rewriting import RuleError, RuleSet, _reducts, _Search, rename_apart
+from cac.terms import (Abs, App, BVar, FuelExhausted, Prod, Sort, _children,
+                       free_vars, lam, map_children, pi, positions,
+                       replace_at, subst_apply, subterm_at)
 from tests.test_properties import _int_vars, random_binder_term
 
 
@@ -424,11 +424,58 @@ def outcome(search, t, u, rules, fuel):
         return "fuel"
 
 
+def assert_search_matches_reference(t, u, rules, fuel, ran_out):
+    """joinable and the reference agree at `fuel` and at each smaller
+    fuel in `ran_out`, which counts the searches that run out there;
+    returns the reference's outcome at `fuel`."""
+    want = outcome(reference_joinable, t, u, rules, fuel)
+    assert outcome(joinable, t, u, rules, fuel) == want, (pp(t), pp(u))
+    # the fuel runs out at the same level as in the reference,
+    # whichever order the reducts of a level are paid for in
+    for small_fuel in ran_out:
+        small = outcome(reference_joinable, t, u, rules, small_fuel)
+        assert outcome(joinable, t, u, rules, small_fuel) == small, \
+            (pp(t), pp(u), small_fuel)
+        ran_out[small_fuel] += small == "fuel"
+    return want
+
+
+def assert_memo_matches_reduce_one(t, rules):
+    """Three levels of one search from t: every canonical term it
+    expanded has reduce_one's reducts, as a set and in number, and an
+    alpha-equal copy of t under other binder hints has t's handle.
+    Returns how many terms were expanded."""
+    search = _Search(RuleSet.of(rules))
+    frontier = [search.intern(t)]
+    assert search.intern(rehinted(t, "z")) == frontier[0]
+    for _ in range(3):
+        if len(frontier) > 100:
+            break
+        frontier, _ = search.next_level(frontier, 1, 10 ** 6)
+    expanded = 0
+    for h, reducts in enumerate(search.memo):
+        if reducts is not None:
+            expected = reduce_one(search.term[h], rules)
+            assert len(reducts) == len(expected), pp(search.term[h])
+            assert {search.term[r] for r in reducts} == set(expected)
+            expanded += 1
+    return expanded
+
+
+def rehinted(t, hint):
+    """An alpha-equal copy of t, built from new nodes, whose binders all
+    carry `hint`."""
+    if isinstance(t, (Abs, Prod)):
+        return type(t)(*(rehinted(c, hint) for c in _children(t)), hint)
+    return map_children(t, lambda c: rehinted(c, hint))
+
+
 def test_joinable_matches_list_reference():
     rules = join_rules()
     rng = random.Random(20261018)
     results = {True: 0, False: 0}
     ran_out = dict.fromkeys((1, 2, 3, 5, 8, 13), 0)
+    expanded = 0
     for _ in range(300):
         t = random_int_term(rng, 4)
         if rng.random() < 0.5:
@@ -441,18 +488,52 @@ def test_joinable_matches_list_reference():
             if rng.random() < 0.5:
                 u = sy(rng.choice(["s", "p"]), u)
         assert reduce_one(t, rules) == reference_reduce_one(t, rules)
-        want = reference_joinable(t, u, rules, 10000)
-        assert joinable(t, u, rules) == want, (t, u)
+        want = assert_search_matches_reference(t, u, rules, 10000, ran_out)
         results[want] += 1
-        # the fuel runs out at the same level as in the reference,
-        # whichever order the reducts of a level are paid for in
-        for fuel in ran_out:
-            small = outcome(reference_joinable, t, u, rules, fuel)
-            assert outcome(joinable, t, u, rules, fuel) == small, \
-                (t, u, fuel)
-            ran_out[fuel] += small == "fuel"
+        expanded += assert_memo_matches_reduce_one(t, rules)
     assert min(results.values()) > 50, results  # both outcomes occur
     assert 20 < ran_out[8] < 280, ran_out  # fuel 8 runs out on some pairs
+    assert expanded > 1500, expanded
+
+
+def binder_pair(rng, rules):
+    """A term with abstractions, products and beta-redexes, sometimes
+    plus(a, a') with a' an alpha-equal copy of a under other binder
+    hints (the dup rule's non-left-linear match), and a second term:
+    random, or a rehinted reduct of the first, wrapped or not."""
+    vars_ = _int_vars(rng, 2)
+    t = random_binder_term(rng, vars_, rng.randrange(1, 4))
+    if rng.random() < 0.3:
+        t = sy("plus", t, rehinted(t, "y"))
+    if rng.random() < 0.5:
+        return t, random_binder_term(rng, vars_, rng.randrange(0, 3))
+    u = t
+    for _ in range(rng.randrange(1, 4)):
+        reducts = reference_reduce_one(u, rules)
+        u = rng.choice(reducts) if reducts else u
+    u = rehinted(u, "w")
+    if rng.random() < 0.5:
+        u = sy(rng.choice(["s", "p"]), u)
+    return t, u
+
+
+def test_joinable_matches_list_reference_on_binders(intf):
+    # the join rules plus dup (non-left-linear), unit and mul (whose
+    # right-hand side is a beta-redex)
+    rules = RuleSet.of(list(join_rules())
+                       + extended_int_rules(intf)[len(intf.rules):])
+    rng = random.Random(20261020)
+    results = {True: 0, False: 0, "fuel": 0}
+    ran_out = dict.fromkeys((1, 2, 3, 5, 8, 13), 0)
+    expanded = 0
+    for _ in range(150):
+        t, u = binder_pair(rng, rules)
+        want = assert_search_matches_reference(t, u, rules, 300, ran_out)
+        results[want] += 1
+        expanded += assert_memo_matches_reduce_one(t, rules)
+    assert min(results[True], results[False]) > 30, results
+    assert 10 < ran_out[8] < 100, ran_out  # fuel 8 runs out on some pairs
+    assert expanded > 1000, expanded
 
 
 # -- normalize against the restart-at-root reference --------------------------
@@ -552,13 +633,20 @@ def test_normalize_matches_restart_reference(intf):
     assert 2000 < ran_out < 10000, ran_out  # the fuel limit is exercised
 
 
+@pytest.mark.parametrize("n, fuel", [(9, 6401), (10, 14337)])
+def test_joinable_minimal_fuel_is_pinned(n, fuel):
+    # one unit per distinct reduct of each frontier term: bfs-chain(n)
+    # against s(0) answers at exactly this fuel and runs out one below
+    from tests.test_acceptance import _bfs_chain
+    t, u, rules = _bfs_chain(n)
+    assert joinable(t, u, rules, fuel) is False
+    with pytest.raises(FuelExhausted):
+        joinable(t, u, rules, fuel - 1)
 
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="each term's __hash__ hashes the tuple of its "
-                          "fields, so it recurses once per term level and "
-                          "overflows near depth 500; hash-consing (ROADMAP "
-                          "item 5) removes the limit")
+
 def test_joinable_hashes_a_deep_reduct():
+    # the search keys terms by their children's handles and walks them
+    # with its own stacks, so a reduct 600 deep is never hashed whole
     from cac import load
     lf = load("symbol o : * .\nsymbol zero : o .\nsymbol succ : o -> o .\n"
               "symbol f : o -> o .\nrule f(x) -> zero .\nrule f(x) -> x .\n")
