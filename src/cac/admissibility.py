@@ -17,9 +17,8 @@ from .schema import (derived_type, rule_type, satisfies_general_schema,
                      typed_occurrences)
 from .signature import Signature
 from .terms import (Abs, CacError, Sort, Symb, Term, Var, Variable,
-                    _map_leaves, alpha_eq, free_vars, is_algebraic,
-                    positions_of, spine, subst_apply, subterm_at, symbols_of,
-                    var_counts)
+                    _map_leaves, free_vars, is_algebraic, positions_of,
+                    spine, subst_apply, subterm_at, symbols_of, var_counts)
 from .typing import TypeChecker
 
 
@@ -71,16 +70,21 @@ def check_type_preservation(rule: RewriteRule,
 
     def typed(name: str, term: Term) -> ConditionResult:
         try:
-            tc.env_valid(gamma_env)
             tc.check(gamma_env, term, expected)
             return ConditionResult(name, Outcome.PASS)
         except CacError as e:
             return ConditionResult(name, Outcome.FAIL, e.message)
 
-    # S2: the rho-corrected lhs types at the rule type
-    out["s2"] = typed("s2", subst_apply(lhs, rho))
-    # S3: the rhs types at the rule type
-    out["s3"] = typed("s3", rule.rhs)
+    try:
+        tc.env_valid(gamma_env)
+    except CacError as e:  # an invalid Gamma fails S2 and S3 alike
+        out["s2"] = ConditionResult("s2", Outcome.FAIL, e.message)
+        out["s3"] = ConditionResult("s3", Outcome.FAIL, e.message)
+    else:
+        # S2: the rho-corrected lhs types at the rule type
+        out["s2"] = typed("s2", subst_apply(lhs, rho))
+        # S3: the rhs types at the rule type
+        out["s3"] = typed("s3", rule.rhs)
 
     # S4: any typable instance of the lhs yields a substitution into Gamma.
     # Sufficient condition: every Gamma-variable occurs in the lhs at a
@@ -165,7 +169,7 @@ def _parameter_linked(lhs: Symb, xp: Variable, image: Term,
         except CacError:
             continue
         if isinstance(tau, Symb) and len(tau.args) >= k \
-                and alpha_eq(tau.args[k - 1], image):
+                and tau.args[k - 1] == image:
             return True
     return False
 
@@ -196,8 +200,8 @@ def _index_linked(lhs: Symb, xp: Variable, image: Term,
                 continue
             g2 = d2.inst(actual.args)
             for k in ks:
-                if k <= len(d2.output.args) and alpha_eq(
-                        subst_apply(d2.output.args[k - 1], g2), image):
+                if k <= len(d2.output.args) and subst_apply(
+                        d2.output.args[k - 1], g2) == image:
                     return True
     return False
 

@@ -10,7 +10,7 @@ from .admissibility import check_admissible
 from .rewriting import RewriteRule
 from .signature import Signature
 from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
-                    Variable, alpha_eq, apply_spine, free_vars, map_children,
+                    Variable, apply_spine, free_vars, map_children,
                     pi, spine, strip_products, subst_apply)
 
 
@@ -274,7 +274,7 @@ def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
     # reuse an existing symbol for an alpha-equal motive
     known = sig.selim_cache.setdefault(d.name, [])
     for name, m in known:
-        if alpha_eq(m, motive):
+        if m == motive:
             return name, [r for r in bundle.rules if r.head_name() == name]
     name = f"SElim_{d.name}_{len(known) + 1}"
     sig.declare(name, len(d.constructors) + 1,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .terms import Symb, Term, Var, alpha_eq, free_vars, is_algebraic
+from .terms import Symb, Term, Var, free_vars, is_algebraic
 
 
 def rpo_greater(prec, s: Term, t: Term,
@@ -24,7 +24,7 @@ def rpo_greater(prec, s: Term, t: Term,
     greater = memo.get(key)
     if greater is not None:
         return greater
-    if alpha_eq(s, t):
+    if s == t:
         greater = False
     elif isinstance(t, Var):
         greater = t.var in free_vars(s)
@@ -33,7 +33,7 @@ def rpo_greater(prec, s: Term, t: Term,
     else:
         assert isinstance(s, Symb) and isinstance(t, Symb)
         # subterm case, then the precedence and lexicographic cases
-        greater = any(alpha_eq(si, t) or rpo_greater(prec, si, t, memo)
+        greater = any(si == t or rpo_greater(prec, si, t, memo)
                       for si in s.args)
         if not greater and (prec.gt(s.name, t.name) or (
                 (s.name == t.name or prec.eq(s.name, t.name))
@@ -46,7 +46,7 @@ def rpo_greater(prec, s: Term, t: Term,
 def _lex_greater(prec, ss: Sequence[Term], ts: Sequence[Term],
                  memo: Dict[Tuple[int, int], bool]) -> bool:
     for si, ti in zip(ss, ts):
-        if alpha_eq(si, ti):
+        if si == ti:
             continue
         return rpo_greater(prec, si, ti, memo)
     return len(ss) > len(ts)

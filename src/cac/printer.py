@@ -47,12 +47,10 @@ def _pp(t: Term, taken: set, top: bool = False) -> str:
                 dom = f"({dom})"
             s = f"{dom} -> {_pp(cod, taken, top=True)}"
         return s if top else f"({s})"
-    if isinstance(t, App):
-        # application is left-associative: no parens around an App head
-        head = _pp(t.head, taken, top=isinstance(t.head, App))
-        arg = _pp(t.arg, taken)
-        if isinstance(t.arg, App):
-            arg = f"({arg})"
-        return f"{head} {arg}" if top else f"({head} {arg})"
-    return repr(t)
+    # an App; application is left-associative: no parens around an App head
+    head = _pp(t.head, taken, top=isinstance(t.head, App))
+    arg = _pp(t.arg, taken)
+    if isinstance(t.arg, App):
+        arg = f"({arg})"
+    return f"{head} {arg}" if top else f"({head} {arg})"
 

@@ -11,10 +11,9 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
 from .orderings import Orientation
 from .terms import (Abs, App, BVar, CacError, Environment, FuelExhausted,
                     Position, Prod, SortT, Symb, Term, Var, Variable,
-                    _children, _rebuild,
-                    alpha_eq, close, free_vars, is_algebraic, occurrences,
-                    open_, open_fresh, replace_at, subst_apply, symbols_of,
-                    var_counts)
+                    _children, _rebuild, close, free_vars, is_algebraic,
+                    occurrences, open_, open_fresh, replace_at, subst_apply,
+                    symbols_of, var_counts)
 
 
 class RuleError(CacError):
@@ -106,7 +105,7 @@ def match_first_order(pattern: Term, subject: Term,
         if bound is None:
             sigma[pattern.var] = subject
             return sigma
-        return sigma if alpha_eq(bound, subject) else None
+        return sigma if bound == subject else None
     if isinstance(pattern, Symb):
         if not (isinstance(subject, Symb) and subject.name == pattern.name
                 and len(subject.args) == len(pattern.args)):
@@ -220,9 +219,14 @@ def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
 
 def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
     """All one-step reducts of t (rule steps and beta steps, anywhere),
-    without alpha-equal duplicates, each where it first occurs.  Alpha
-    equality is structural equality, so a dict drops the duplicates."""
-    return list(dict.fromkeys(_reducts(t, RuleSet.of(rules))))
+    without alpha-equal duplicates, each where it first occurs.  Alpha-
+    equal reducts share a `_Search` handle, so deduping hashes no term
+    whole and has no depth limit."""
+    rules = RuleSet.of(rules)
+    search, out = _Search(rules), {}
+    for r in _reducts(t, rules):
+        out.setdefault(search.intern(r), r)
+    return list(out.values())
 
 
 def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:
@@ -477,8 +481,8 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
     order."""
     rules = RuleSet.of(rules)
     if confluent:
-        return alpha_eq(t, u) or alpha_eq(normalize(t, rules, fuel),
-                                          normalize(u, rules, fuel))
+        return t == u or (normalize(t, rules, fuel)
+                           == normalize(u, rules, fuel))
     search = _Search(rules)
     frontier_t, frontier_u = [search.intern(t)], [search.intern(u)]
     # alpha-equal terms share a handle, whose mark is then 3 at once

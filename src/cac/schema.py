@@ -10,7 +10,7 @@ from .rewriting import RewriteRule
 from .signature import Signature
 from .terms import (App, CacError, Environment, EPSILON, FuelExhausted,
                     InvalidPosition, Position, Symb, Term, Var, Variable,
-                    alpha_eq, positions_of, subst_apply)
+                    positions_of, subst_apply)
 from .typing import TypeChecker, TypingDerivation
 
 
@@ -128,7 +128,7 @@ def typed_occurrences(rule: RewriteRule, x: Variable, xtyp: Term,
             tau = derived_type(rule.lhs, p, sig)
         except CacError:
             continue
-        if alpha_eq(subst_apply(tau, rule.ann_subst), xtyp):
+        if subst_apply(tau, rule.ann_subst) == xtyp:
             yield p, tau
 
 
@@ -173,7 +173,7 @@ def pair_greater(p: AccPair, q: AccPair, sig: Signature) -> bool:
     for r in acc_reachable(p, sig):
         if r is p:
             continue
-        if alpha_eq(r.term, q.term):
+        if r.term == q.term:
             return True
     return False
 
@@ -191,7 +191,7 @@ def args_greater(lhs_args: Sequence[AccPair], callee_args: Sequence[AccPair],
         callee_args = [callee_args[i - 1] for i in status
                        if i <= len(callee_args)]
     for p, q in zip(lhs_args, callee_args):
-        if alpha_eq(p.term, q.term) and alpha_eq(p.type, q.type):
+        if p.term == q.term and p.type == q.type:
             continue
         if pair_greater(p, q, sig):
             return True, f"{p} > {q}"

@@ -97,10 +97,47 @@ class Variable(_Frozen):
 
 
 class Term(_Frozen):
-    """Each term class compares and hashes the tuple of its fields, less
-    the binder hint, so `==` is identity-fast on shared subterms."""
+    """Each term class hashes the tuple of its fields, less the binder
+    hint.  `==` is the one term equality, alpha-equivalence: class,
+    symbol name and arity, variable, bound index and sort, never a
+    binder hint or a variable name.  It walks both terms with an
+    explicit stack, so it has no depth limit, and it answers by
+    identity at shared subterms."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        a, b, stack = self, other, []
+        while True:
+            if a is not b:
+                cls = a.__class__
+                if cls is not b.__class__:
+                    return False if isinstance(b, Term) else NotImplemented
+                if cls is Symb:
+                    if a.name != b.name or len(a.args) != len(b.args):
+                        return False
+                    if a.args:
+                        stack += zip(a.args, b.args)
+                elif cls is App:
+                    stack.append((a.head, b.head))
+                    stack.append((a.arg, b.arg))
+                elif cls is Var:
+                    if a.var is not b.var and a.var != b.var:
+                        return False
+                elif cls is Abs:
+                    stack.append((a.domain, b.domain))
+                    stack.append((a.body, b.body))
+                elif cls is Prod:
+                    stack.append((a.domain, b.domain))
+                    stack.append((a.codomain, b.codomain))
+                elif cls is BVar:
+                    if a.index != b.index:
+                        return False
+                elif a.sort is not b.sort:
+                    return False
+            if not stack:
+                return True
+            a, b = stack.pop()
 
 
 def _pp_str(t: Term) -> str:
@@ -113,11 +150,6 @@ class SortT(Term):
 
     def __init__(self, sort: Sort):
         _set(self, "sort", sort)
-
-    def __eq__(self, other):
-        if other.__class__ is not SortT:
-            return NotImplemented
-        return self.sort == other.sort
 
     def __hash__(self):
         return hash((self.sort,))
@@ -136,11 +168,6 @@ class Var(Term):
     def __init__(self, var: Variable):
         _set(self, "var", var)
 
-    def __eq__(self, other):
-        if other.__class__ is not Var:
-            return NotImplemented
-        return (self.var,) == (other.var,)
-
     def __hash__(self):
         return hash((self.var,))
 
@@ -155,11 +182,6 @@ class BVar(Term):
 
     def __init__(self, index: int):
         _set(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not BVar:
-            return NotImplemented
-        return self.index == other.index
 
     def __hash__(self):
         return hash((self.index,))
@@ -176,11 +198,6 @@ class Symb(Term):
     def __init__(self, name: str, args: tuple = ()):
         _set(self, "name", name)
         _set(self, "args", args)
-
-    def __eq__(self, other):
-        if other.__class__ is not Symb:
-            return NotImplemented
-        return (self.name, self.args) == (other.name, other.args)
 
     def __hash__(self):
         return hash((self.name, self.args))
@@ -199,11 +216,6 @@ class Abs(Term):
         _set(self, "body", body)
         _set(self, "hint", hint)
 
-    def __eq__(self, other):
-        if other.__class__ is not Abs:
-            return NotImplemented
-        return (self.domain, self.body) == (other.domain, other.body)
-
     def __hash__(self):
         return hash((self.domain, self.body))
 
@@ -218,11 +230,6 @@ class Prod(Term):
         _set(self, "codomain", codomain)
         _set(self, "hint", hint)
 
-    def __eq__(self, other):
-        if other.__class__ is not Prod:
-            return NotImplemented
-        return (self.domain, self.codomain) == (other.domain, other.codomain)
-
     def __hash__(self):
         return hash((self.domain, self.codomain))
 
@@ -236,11 +243,6 @@ class App(Term):
         _set(self, "head", head)
         _set(self, "arg", arg)
 
-    def __eq__(self, other):
-        if other.__class__ is not App:
-            return NotImplemented
-        return (self.head, self.arg) == (other.head, other.arg)
-
     def __hash__(self):
         return hash((self.head, self.arg))
 
@@ -248,25 +250,8 @@ class App(Term):
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    """Equality up to bound-variable names: the structural `==`, which
-    leaves out binder hints and variable names, walked with an explicit
-    stack so that it has no depth limit."""
-    stack = [(t, u)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Symb):
-            if a.name != b.name or len(a.args) != len(b.args):
-                return False
-            stack.extend(zip(a.args, b.args))
-        elif isinstance(a, (Abs, Prod, App)):
-            stack.extend(zip(_children(a), _children(b)))
-        elif a != b:  # a sort or a variable
-            return False
-    return True
+    """Equality up to bound-variable names, which is `==`."""
+    return t == u
 
 
 def is_kind(t: Term) -> bool:
@@ -311,18 +296,18 @@ def _map_leaves(t: Term, leaf, depth: int) -> Term:
     return leaf(t, depth)
 
 
-def close(t: Term, v: Variable, depth: int = 0) -> Term:
-    """Replace free occurrences of v by the bound index `depth`."""
+def close(t: Term, v: Variable) -> Term:
+    """Replace free occurrences of v by the bound index 0."""
     return _map_leaves(
         t, lambda u, d: BVar(d) if isinstance(u, Var) and u.var == v else u,
-        depth)
+        0)
 
 
-def open_(t: Term, image: Term, depth: int = 0) -> Term:
-    """Instantiate the bound index `depth` with `image` (locally closed)."""
+def open_(t: Term, image: Term) -> Term:
+    """Instantiate the bound index 0 with `image` (locally closed)."""
     return _map_leaves(
         t, lambda u, d: image if isinstance(u, BVar) and u.index == d else u,
-        depth)
+        0)
 
 
 def lam(v: Variable, domain: Term, body: Term) -> Abs:

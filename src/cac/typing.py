@@ -12,9 +12,9 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
-from .terms import (Abs, App, BOX, BVar, CacError, Environment, FuelExhausted,
+from .terms import (Abs, App, BOX, CacError, Environment, FuelExhausted,
                     Prod, STAR, Sort, SortT, Symb, Term, Var, Variable,
-                    alpha_eq, open_, open_fresh, pi, subst_apply)
+                    open_, open_fresh, pi, subst_apply)
 
 
 class TypingError(CacError):
@@ -73,8 +73,6 @@ class TypeChecker:
             if t.sort is Sort.STAR:
                 return BOX, TypingDerivation(env, t, BOX, "ax")
             raise TypingError("sort-error", "the sort □ has no type")
-        if isinstance(t, BVar):
-            raise TypingError("internal", "dangling bound variable")
         if isinstance(t, Var):
             typ = env.lookup(t.var)
             if typ is None:
@@ -143,7 +141,7 @@ class TypeChecker:
 
     def check(self, env: Environment, t: Term, expected: Term) -> TypingDerivation:
         actual, d = self.infer(env, t)
-        if alpha_eq(actual, expected):
+        if actual == expected:
             return d
         if not self.convertible(actual, expected):
             raise TypingError(
@@ -202,7 +200,7 @@ def replay(deriv: TypingDerivation, tc: TypeChecker) -> bool:
         return t == STAR and typ == BOX
     if tag in ("var", "acc"):
         bound = env.lookup(t.var) if isinstance(t, Var) else None
-        return bound is not None and alpha_eq(bound, typ)
+        return bound is not None and bound == typ
     if tag in ("symb", "symb<", "symb="):
         if not isinstance(t, Symb):
             return False
@@ -210,12 +208,12 @@ def replay(deriv: TypingDerivation, tc: TypeChecker) -> bool:
         if decl is None or len(t.args) != decl.arity:
             return False
         gamma = decl.inst(t.args)
-        return alpha_eq(typ, subst_apply(decl.output, gamma))
+        return typ == subst_apply(decl.output, gamma)
     if tag == "prod":
         return isinstance(t, Prod) and isinstance(typ, SortT)
     if tag == "abs":
         return isinstance(t, Abs) and isinstance(typ, Prod) \
-            and alpha_eq(typ.domain, t.domain)
+            and typ.domain == t.domain
     if tag == "app":
         if not (isinstance(t, App) and len(prem) == 2):
             return False
@@ -224,7 +222,7 @@ def replay(deriv: TypingDerivation, tc: TypeChecker) -> bool:
             p = tc._whnf_product(hty)
         except CacError:
             return False
-        return alpha_eq(typ, open_(p.codomain, t.arg))
+        return typ == open_(p.codomain, t.arg)
     if tag == "conv":
         return len(prem) == 1 and tc.convertible(prem[0].typ, typ)
     return False

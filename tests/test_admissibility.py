@@ -47,6 +47,18 @@ def test_s3_fails_on_ill_typed_rhs(app):
     assert c["s3"].outcome == Outcome.FAIL
 
 
+def test_invalid_environment_fails_s2_and_s3_alike(app):
+    from cac import Symb, Variable
+    from cac.terms import Environment
+    rule = next(r for r in app.rules if r.name == "rule1")
+    x = Variable.fresh("x")
+    bad = rule._replace(ann_env=Environment.of([(x, Symb("undeclared", ()))]))
+    c = check_type_preservation(bad, TypeChecker(app.signature, app.rules))
+    why = "binding 1 (x:undeclared): undeclared symbol undeclared"
+    assert c["s2"] == ("s2", Outcome.FAIL, why)
+    assert c["s3"] == ("s3", Outcome.FAIL, why)
+
+
 def test_s4_lists_uncovered_variables_in_lhs_order():
     # variables hash by their id, so a set of them iterates in an order
     # that shifts with how many variables the process has made; each
@@ -162,6 +174,34 @@ def _admissibility(source):
     return check_admissible(lf.signature, lf.rules,
                             assume_terminating=lf.assume_terminating,
                             force_non_algebraic=lf.non_algebraic)
+
+
+A3_HEAD = """\
+inductive nat : * := zero : nat | succ : nat -> nat .
+symbol P : nat -> * .
+symbol Q : * .
+"""
+
+
+@pytest.mark.parametrize("rules, branch, positive, recursive", [
+    ("rule P(x) -> (y : nat) -> P(y) .\n",
+     "simple+positive", "HOLDS", "FAILS"),
+    ("pragma prec P > Q .\nrule P(succ(x)) -> P(x) -> Q .\n",
+     "simple+recursive", "FAILS", "HOLDS"),
+    # both hold: the positive branch is tried first
+    ("pragma prec P > Q .\nrule P(succ(x)) -> Q -> P(x) .\n",
+     "simple+positive", "HOLDS", "HOLDS"),
+    ("rule P(x) -> P(x) -> Q .\n", "none", "FAILS", "FAILS"),
+])
+def test_a3_branches_of_a_simple_system(rules, branch, positive, recursive):
+    report = _admissibility(A3_HEAD + rules)
+    props = report.a3_properties
+    assert report.a3_branch == branch
+    assert props.primitive.status == "FAILS"
+    assert props.simple.status == "HOLDS"
+    assert props.positive.status == positive
+    assert props.recursive.status == recursive
+    assert f"A3 predicate-level rules: branch = {branch}" in report.to_text()
 
 
 def test_partition_demotes_only_the_rule_rpo_cannot_orient():

@@ -172,7 +172,7 @@ def test_binder_domain_reduces_before_body():
 
 def test_step_reaches_the_bottom_of_a_deep_term():
     # built in Python, since the parser and the printer stop far higher;
-    # compared by identity, since the recursive __eq__ would overflow
+    # walked level by level, so the bottom is seen to be the rule's rhs
     one = sy("one")
     t = sy("zero")
     for _ in range(700):
@@ -654,3 +654,20 @@ def test_joinable_hashes_a_deep_reduct():
     for _ in range(600):
         t = Symb("succ", (t,))
     assert joinable(Symb("f", (t,)), Symb("zero", ()), lf.rules)
+
+
+def test_reduce_one_dedupes_a_deep_reduct():
+    # the reducts are deduped by their `_Search` handles, so a reduct
+    # 600 deep is never hashed whole; the third rule rebuilds the second
+    # one's reduct as a distinct but equal term, which is dropped
+    from cac import load
+    lf = load("symbol o : * .\nsymbol zero : o .\nsymbol succ : o -> o .\n"
+              "symbol f : o -> o .\nrule f(x) -> zero .\nrule f(x) -> x .\n"
+              "rule f(succ(x)) -> succ(x) .\n")
+    t = Symb("zero", ())
+    for _ in range(600):
+        t = Symb("succ", (t,))
+    reducts = reduce_one(Symb("f", (t,)), lf.rules)
+    assert len(reducts) == 2
+    assert reducts[0] == Symb("zero", ()) and reducts[1] is t
+    assert step(Symb("f", (t,)), lf.rules) == Symb("zero", ())

@@ -88,8 +88,8 @@ def test_occurrence_walks_survive_deep_terms():
 
 
 def test_subst_apply_reaches_the_bottom_of_a_deep_term():
-    # one interpreter frame per term level; compared by identity, since
-    # the recursive __eq__ would overflow
+    # one interpreter frame per term level; walked level by level, so
+    # the bottom is seen to be the image itself
     x, zero = v("x"), Symb("zero", ())
     t = Var(x)
     for _ in range(700):
@@ -111,8 +111,7 @@ def test_alpha_eq_is_structural_equality_at_any_depth():
         assert alpha_eq(t, u) == (t == u)
         equal += t == u
     assert equal > 100  # equal but distinct objects occur too
-    # two separately built 5000-deep terms, equal and unequal at the
-    # bottom; the recursive __eq__ overflows near depth 250
+    # two separately built 5000-deep terms, equal and unequal at the bottom
     x, y = v("x"), v("y")
     deep = []
     for bottom in (Var(x), Var(x), Var(y)):
@@ -122,6 +121,24 @@ def test_alpha_eq_is_structural_equality_at_any_depth():
         deep.append(t)
     assert alpha_eq(deep[0], deep[1]) and deep[0] is not deep[1]
     assert not alpha_eq(deep[0], deep[2])
+
+
+def test_equality_has_no_depth_limit():
+    # two distinct but equal 10^4-deep terms, and two that differ only at
+    # the bottom, compared under the default recursion limit
+    from cac.schema import AccPair
+
+    def succs(bottom):
+        t = bottom
+        for _ in range(10 ** 4):
+            t = Symb("succ", (t,))
+        return t
+
+    a, b = succs(Symb("zero", ())), succs(Symb("zero", ()))
+    c = succs(Symb("one", ()))
+    assert a is not b and a == b and not a != b
+    assert a != c and not a == c
+    assert AccPair(a, c) == AccPair(b, c) and AccPair(a, a) != AccPair(b, c)
 
 
 def test_variable_hash_is_its_id():
@@ -172,8 +189,24 @@ def test_equality_and_hash_leave_out_hints_and_variable_names():
         assert hash(t) == hash(fields)
 
 
+def test_equality_tells_each_compared_field_apart():
+    # pairs that differ in one compared field alone, met at the root and
+    # one and two levels down
+    x, y = v("x"), v("y")
+    pairs = [(STAR, BOX), (Var(x), Var(y)),
+             (Var(x), Var(Variable(x.id, Sort.BOX, "x"))), (BVar(0), BVar(1)),
+             (Symb("f", ()), Symb("g", ())), (Symb("f", ()), Symb("f", (STAR,))),
+             (Abs(STAR, BVar(0)), Prod(STAR, BVar(0))),
+             (App(STAR, STAR), App(STAR, BOX))]
+    for a, b in pairs:
+        for wrap in (lambda t: t, lambda t: Symb("s", (STAR, t)),
+                     lambda t: Abs(STAR, App(t, STAR))):
+            assert wrap(a) != wrap(b) and not wrap(a) == wrap(b)
+            assert wrap(a) == wrap(a) and not wrap(b) != wrap(b)
+
+
 def test_equality_stops_at_shared_subterms():
-    # deeper than a recursive comparison can go: only identity answers
+    # the shared 5000-deep subterm answers by identity, unwalked
     deep = Symb("zero", ())
     for k in range(5000):
         deep = Abs(STAR, deep) if k % 2 else Symb("s", (deep,))
