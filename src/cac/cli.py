@@ -17,7 +17,8 @@ from .admissibility import Outcome, OverallVerdict, check_admissible
 from .orderings import Orientation
 from .printer import pp
 from .rewriting import RuleSet, confluence_check, normalize
-from .syntax import ElabError, LoadedFile, ParseError, Parser, lex, load
+from .syntax import (ElabError, LoadedFile, ParseError, Parser, load,
+                     position)
 from .terms import CacError, Environment
 from .typing import TypeChecker
 
@@ -68,12 +69,15 @@ def _load_file(path: str, fuel: int) -> LoadedFile:
 
 
 def _parse_expr(loaded: LoadedFile, text: str):
-    parser = Parser(lex(text))
+    parser = Parser(text)
     term = parser.parse_term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return loaded.term(term, {})
+    if parser.peek():
+        raise ParseError(f"trailing input {parser.peek()!r}",
+                         *position(text, parser.i))
+    try:
+        return loaded.term(term, {})
+    except ElabError as e:
+        raise e.located(text) from None
 
 
 def _checker(loaded: LoadedFile, fuel: int) -> TypeChecker:

@@ -225,7 +225,8 @@ class Signature:
         |- typ : s against the current signature and rules."""
         if name in self.decls:
             raise DeclarationError("duplicate-name", f"symbol {name} already declared")
-        unknown = symbols_of(typ) - set(self.decls)
+        mentioned = symbols_of(typ)
+        unknown = mentioned - set(self.decls)
         if unknown:
             raise DeclarationError(
                 "unknown-symbol",
@@ -242,7 +243,7 @@ class Signature:
         if target is not None:
             self.constructors.setdefault(target, []).append(name)
         # default precedence: symbols used in tau_f are strictly below f
-        for g in symbols_of(typ):
+        for g in mentioned:
             self.precedence.add_default_gt(name, g)
         return decl
 

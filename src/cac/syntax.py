@@ -24,7 +24,8 @@ term application by juxtaposition.  `#` starts a line comment."""
 from __future__ import annotations
 
 import re
-from typing import Dict, List, NamedTuple, Optional
+from bisect import bisect_right
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cic import InductiveDecl, translate_inductive
 from .rewriting import RewriteRule
@@ -48,13 +49,18 @@ UNICODE_ALIASES = {
     "⊤": "top", "⊥": "bot", "λ": "fun", "ℓ": "l",
 }
 
-# one alternative per token class, after optional blanks: a newline, a
-# comment, punctuation, a name (the connective spellings are ordinary
-# names), and any other character, which is an error.  In a str
-# pattern, \w is exactly isalnum() plus "_".
-_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|(#[^\n]*)|(->|=>|:=|[()\[\]{}:,.*=>|])"
-                    r"|(/\\|\\/|[\w']+)|([^ \t\r]))")
-_NEWLINE, _COMMENT, _PUNCT, _NAME, _OTHER = 1, 2, 3, 4, 5
+# The texts of the tokens: punctuation, then names (the connective
+# spellings are ordinary names).  In a str pattern, \w is exactly
+# isalnum() plus "_".
+_VALID = re.compile(r"->|=>|:=|[()\[\]{}:,.*=>|]|/\\|\\/|[\w']+")
+# Every item of a source: a newline, a token, a `#` comment, or any
+# other character that is not a blank (space, tab, carriage return) as a
+# one-character item, which is an error.  Blanks match nothing.
+_TOKEN = re.compile(r"\n|" + _VALID.pattern + r"|#[^\n]*|[^ \t\r]")
+_PUNCT = frozenset(("->", "=>", ":=", "(", ")", "[", "]", "{", "}", ":",
+                    ",", ".", "*", "=", ">", "|"))
+# a token is a name unless it is punctuation or the eof marker ""
+_NOT_NAME = _PUNCT | {""}
 
 
 class Token(NamedTuple):
@@ -64,44 +70,81 @@ class Token(NamedTuple):
     col: int
 
 
-def lex(source: str) -> List[Token]:
+def _unalias(source: str) -> str:
     for u, a in UNICODE_ALIASES.items():
         if u in source:
             source = source.replace(u, f" {a} ")
+    return source
+
+
+def lex(source: str) -> List[Token]:
+    """The tokens of `source` with their lines and columns, ending in an
+    eof token.  Only messages need positions: the parser reads the texts
+    that `_texts` gives and calls this to place an error."""
+    source = _unalias(source)
     tokens: List[Token] = []
     append = tokens.append
     line, line_start = 1, 0
     m = None
     for m in _TOKEN.finditer(source):
-        k = m.lastindex
-        start, end = m.span(k)
-        if k == _NAME:
-            append(Token("name", source[start:end], line,
-                         start - line_start + 1))
-        elif k == _PUNCT:
-            append(Token("punct", source[start:end], line,
-                         start - line_start + 1))
-        elif k == _NEWLINE:
+        text = m.group()
+        col = m.start() - line_start + 1
+        if text == "\n":
             line += 1
-            line_start = end
-        elif k == _OTHER:
-            raise ParseError(f"unexpected character {source[start]!r}",
-                             line, start - line_start + 1)
+            line_start = m.end()
+        elif _VALID.fullmatch(text):
+            append(Token("punct" if text in _PUNCT else "name", text, line,
+                         col))
+        elif text[0] != "#":
+            raise ParseError(f"unexpected character {text!r}", line, col)
     # a comment does not advance the column
-    end = (m.start(_COMMENT) if m is not None and m.lastindex == _COMMENT
+    end = (m.start() if m is not None and m.group()[0] == "#"
            else len(source))
     append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
+def position(source: str, i: int) -> Tuple[int, int]:
+    """Line and column of the token at index i of `source`."""
+    tok = lex(source)[i]
+    return tok.line, tok.col
+
+
+def _texts(source: str) -> Tuple[List[str], List[int]]:
+    """The texts of `lex(source)`, the eof token's being "", and the line
+    marks: the number of tokens before each newline, so that token i is
+    on line 1 + bisect_right(marks, i).  One `findall` reads them; when
+    a distinct text is no token, `lex` raises the error at its place."""
+    items = _TOKEN.findall(_unalias(source))
+    toks: List[str] = []
+    marks: List[int] = []
+    start = 0
+    while True:
+        try:
+            k = items.index("\n", start)
+        except ValueError:
+            k = len(items)
+        # a comment runs to the end of its line, so only the last item
+        # of a line can be one
+        toks += items[start:k - 1 if k > start and items[k - 1][0] == "#"
+                      else k]
+        if k == len(items):
+            break
+        marks.append(len(toks))
+        start = k + 1
+    if not all(map(_VALID.fullmatch, set(toks))):
+        lex(source)  # raises at the first character that is no token
+    toks.append("")
+    return toks, marks
+
+
 # ---------------------------------------------------------------------------
-# term AST (names unresolved until elaboration)
+# term AST (names unresolved until elaboration; `at` is a token index)
 
 
 class PName(NamedTuple):
     name: str
-    line: int
-    col: int
+    at: int
 
 
 class PStar(NamedTuple):
@@ -111,8 +154,7 @@ class PStar(NamedTuple):
 class PSymbApp(NamedTuple):
     name: str
     args: tuple
-    line: int
-    col: int
+    at: int
 
 
 class PApp(NamedTuple):
@@ -141,53 +183,53 @@ class Item(NamedTuple):
 
 
 class Parser:
-    def __init__(self, tokens: List[Token]):
-        self.toks = tokens
+    """Recursive descent over the token texts of one source.  Positions
+    are worked out, from the source, only for an error message."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.toks, self.marks = _texts(source)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        # `next` never moves past the final eof, so only a look ahead can
-        # fall off the end
-        try:
-            return self.toks[self.i + ahead]
-        except IndexError:
-            return self.toks[-1]
+    def peek(self) -> str:
+        return self.toks[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> str:
+        """The current token; past it unless it is the final eof."""
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t:
             self.i += 1
         return t
 
     def error(self, msg: str) -> ParseError:
-        t = self.peek()
-        return ParseError(msg + f" (found {t.text!r})", t.line, t.col)
+        return ParseError(msg + f" (found {self.toks[self.i]!r})",
+                          *position(self.source, self.i))
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
+    def expect(self, text: str) -> None:
+        if self.toks[self.i] != text:
             raise self.error(f"expected {text!r}")
-        return self.next()
+        self.i += 1
 
-    def expect_name(self) -> Token:
-        t = self.peek()
-        if t.kind != "name":
+    def expect_name(self) -> str:
+        t = self.toks[self.i]
+        if t in _NOT_NAME:
             raise self.error("expected a name")
-        return self.next()
+        self.i += 1
+        return t
 
     def _until(self, close: str, element) -> list:
         """Comma-separated `element()`s up to and including `close`."""
         out = []
-        while self.peek().text != close:
+        while self.peek() != close:
             out.append(element())
-            if self.peek().text == ",":
+            if self.peek() == ",":
                 self.next()
         self.expect(close)
         return out
 
     def _binding(self, sep: str) -> tuple:
         """`name sep term`, as in `x : T` and `x := t`."""
-        x = self.expect_name().text
+        x = self.expect_name()
         self.expect(sep)
         return x, self.parse_term()
 
@@ -195,20 +237,20 @@ class Parser:
 
     def parse_file(self) -> List[Item]:
         items = []
-        while self.peek().kind != "eof":
+        while self.peek():
             items.append(self.parse_item())
         return items
 
     def parse_item(self) -> Item:
-        t = self.peek()
-        h = self.ITEMS.get(t.text)
+        start = self.i
+        h = self.ITEMS.get(self.toks[start])
         if h is None:
             raise self.error("expected a declaration, rule, pragma or "
                              "directive")
-        self.next()
+        self.i += 1
         method, args = h(self)
         self.expect(".")
-        return Item(method, t.line, args)
+        return Item(method, 1 + bisect_right(self.marks, start), args)
 
     def _symbol(self):
         return LoadedFile.add_symbol, list(self._binding(":"))
@@ -218,12 +260,12 @@ class Parser:
         self.expect("->")
         rhs = self.parse_term()
         env = rho = None
-        if self.peek().text == "with":
+        if self.peek() == "with":
             self.next()
             self.expect("env")
             self.expect("[")
             env = self._until("]", lambda: self._binding(":"))
-            if self.peek().text == "rho":
+            if self.peek() == "rho":
                 self.next()
                 self.expect("{")
                 rho = self._until("}", lambda: self._binding(":="))
@@ -232,42 +274,43 @@ class Parser:
     def _inductive(self):
         name, typ = self._binding(":")
         ctors = []
-        if self.peek().text == ":=":
+        if self.peek() == ":=":
             self.next()
             ctors.append(self._binding(":"))
-            while self.peek().text == "|":
+            while self.peek() == "|":
                 self.next()
                 ctors.append(self._binding(":"))
         return LoadedFile.add_inductive, [name, typ, ctors]
 
     def _index(self) -> int:
-        tok = self.expect_name()
-        if not tok.text.isdigit():
-            raise ParseError("expected an argument index", tok.line, tok.col)
-        return int(tok.text)
+        text = self.expect_name()
+        if not text.isdigit():
+            raise ParseError("expected an argument index",
+                             *position(self.source, self.i - 1))
+        return int(text)
 
     def _pragma(self):
-        kind = self.expect_name().text
+        kind = self.expect_name()
         if kind in ("ind", "acc"):
             self.expect("(")
-            name = self.expect_name().text
+            name = self.expect_name()
             self.expect(")")
             self.expect("=")
             self.expect("{")
             return LoadedFile.set_positions, [kind, name,
                                               self._until("}", self._index)]
         if kind == "prec":
-            a = self.expect_name().text
-            op = self.next().text
+            a = self.expect_name()
+            op = self.next()
             if op not in (">", "="):
                 raise self.error("expected '>' or '=' in a precedence pragma")
-            b = self.expect_name().text
+            b = self.expect_name()
             return (LoadedFile.prec_gt if op == ">" else LoadedFile.prec_eq,
                     [a, b])
         if kind in ("assume_confluent", "assume_terminating"):
             return LoadedFile.assume, [kind]
         if kind == "non_algebraic":
-            return LoadedFile.add_non_algebraic, [self.expect_name().text]
+            return LoadedFile.add_non_algebraic, [self.expect_name()]
         raise self.error(f"unknown pragma {kind!r}")
 
     def _check(self):
@@ -296,31 +339,35 @@ class Parser:
         toks = self.toks
         while True:
             tok = toks[self.i]
-            if tok.kind == "name":
-                if tok.text in ("with", "env", "rho"):
+            if tok in _NOT_NAME:
+                if tok != "*" and tok != "(":
                     break
-            elif tok.text != "*" and tok.text != "(":
+            elif tok in ("with", "env", "rho"):
                 break
             t = PApp(t, self.parse_atom())
-        if arrows and tok.text == "->":
+        if arrows and tok == "->":
             self.i += 1
             return PProd(None, t, self.parse_term())
         return t
 
     def _binder_ahead(self) -> bool:
-        return (self.peek().text == "(" and self.peek(1).kind == "name"
-                and self.peek(2).text == ":")
+        """Whether `( name :` starts here.  Neither "(" nor a name is the
+        final eof, so each index after it exists."""
+        toks, i = self.toks, self.i
+        return (toks[i] == "(" and toks[i + 1] not in _NOT_NAME
+                and toks[i + 2] == ":")
 
     def parse_atom(self):
-        tok = self.toks[self.i]
-        text = tok.text
+        i = self.i
+        toks = self.toks
+        text = toks[i]
         if text == "*":
-            self.i += 1
+            self.i = i + 1
             return PStar()
         if text == "fun":
-            self.i += 1
+            self.i = i + 1
             self.expect("(")
-            x = self.expect_name().text
+            x = self.expect_name()
             self.expect(":")
             dom = self.parse_term()
             self.expect(")")
@@ -328,34 +375,34 @@ class Parser:
             return PAbs(x, dom, self.parse_term())
         if text == "(":
             if self._binder_ahead():
-                self.i += 1
-                x = self.expect_name().text
+                self.i = i + 1
+                x = self.expect_name()
                 self.expect(":")
                 dom = self.parse_term()
                 self.expect(")")
                 self.expect("->")
                 return PProd(x, dom, self.parse_term())
-            self.i += 1
+            self.i = i + 1
             t = self.parse_term()
             self.expect(")")
             return t
-        if tok.kind == "name":
-            self.i += 1
-            if self.toks[self.i].text == "(" and not self._binder_ahead():
-                self.i += 1
+        if text not in _NOT_NAME:
+            self.i = i + 1
+            if toks[i + 1] == "(" and not self._binder_ahead():
+                self.i = i + 2
                 args = []
-                while self.toks[self.i].text != ")":
+                while toks[self.i] != ")":
                     args.append(self.parse_term())
-                    if self.toks[self.i].text == ",":
+                    if toks[self.i] == ",":
                         self.i += 1
-                self.expect(")")
-                return PSymbApp(text, tuple(args), tok.line, tok.col)
-            return PName(text, tok.line, tok.col)
+                self.i += 1  # the ")" that ended the loop
+                return PSymbApp(text, tuple(args), i)
+            return PName(text, i)
         raise self.error("expected a term")
 
 
 def parse(source: str) -> List[Item]:
-    return Parser(lex(source)).parse_file()
+    return Parser(source).parse_file()
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +410,19 @@ def parse(source: str) -> List[Item]:
 
 
 class ElabError(CacError):
-    pass
+    """An elaboration error.  One about a token carries its index as `at`
+    and is raised without a position; `located`, called where the source
+    is at hand, puts the token's line and column before the message."""
+
+    def __init__(self, code: str, message: str, at: Optional[int] = None):
+        super().__init__(code, message)
+        self.at = at
+
+    def located(self, source: str) -> ElabError:
+        if self.at is None:
+            return self
+        line, col = position(source, self.at)
+        return ElabError(self.code, f"{line}:{col}: {self.message}")
 
 
 class Directive(NamedTuple):
@@ -391,47 +450,50 @@ class LoadedFile:
         """Resolve a parsed term: bound names from `scope`, then symbols
         from the signature; other names are errors, or fresh variables
         shared through `free` when it is given."""
-        if isinstance(p, PStar):
-            return STAR
-        if isinstance(p, PName):
-            if p.name in scope:
-                return Var(scope[p.name])
-            if p.name in self.signature:
-                d = self.signature[p.name]
+        cls = p.__class__
+        if cls is PSymbApp:
+            d = self.signature.decls.get(p.name)
+            if d is None:
+                raise ElabError("unbound-name", f"unknown symbol {p.name}",
+                                p.at)
+            if d.arity != len(p.args):
+                raise ElabError(
+                    "arity-error", f"{p.name} expects {d.arity} "
+                    f"argument(s), got {len(p.args)}", p.at)
+            args = []
+            for a in p.args:
+                args.append(self.term(a, scope, free))
+            return Symb(p.name, tuple(args))
+        if cls is PName:
+            name = p.name
+            v = scope.get(name)
+            if v is not None:
+                return Var(v)
+            d = self.signature.decls.get(name)
+            if d is not None:
                 if d.arity != 0:
                     raise ElabError(
                         "arity-error",
-                        f"{p.line}:{p.col}: symbol {p.name} expects "
-                        f"{d.arity} argument(s)")
-                return Symb(p.name, ())
+                        f"symbol {name} expects {d.arity} argument(s)", p.at)
+                return Symb(name, ())
             if free is not None:
-                if p.name not in free:
-                    free[p.name] = Variable.fresh(p.name, Sort.STAR)
-                return Var(free[p.name])
-            raise ElabError("unbound-name",
-                            f"{p.line}:{p.col}: unknown name {p.name}")
-        if isinstance(p, PSymbApp):
-            if p.name not in self.signature:
-                raise ElabError("unbound-name",
-                                f"{p.line}:{p.col}: unknown symbol {p.name}")
-            d = self.signature[p.name]
-            if d.arity != len(p.args):
-                raise ElabError(
-                    "arity-error",
-                    f"{p.line}:{p.col}: {p.name} expects {d.arity} "
-                    f"argument(s), got {len(p.args)}")
-            return Symb(p.name, tuple(self.term(a, scope, free)
-                                      for a in p.args))
-        if isinstance(p, PApp):
+                v = free.get(name)
+                if v is None:
+                    v = free[name] = Variable.fresh(name, Sort.STAR)
+                return Var(v)
+            raise ElabError("unbound-name", f"unknown name {name}", p.at)
+        if cls is PApp:
             return App(self.term(p.head, scope, free),
                        self.term(p.arg, scope, free))
-        if isinstance(p, PAbs):
+        if cls is PStar:
+            return STAR
+        if cls is PAbs:
             dom = self.term(p.domain, scope, free)
             v = Variable.fresh(p.var, sort_class_of_type(dom))
             inner = dict(scope)
             inner[p.var] = v
             return lam(v, dom, self.term(p.body, inner, free))
-        if isinstance(p, PProd):
+        if cls is PProd:
             dom = self.term(p.domain, scope, free)
             if p.var is None:
                 return arrow(dom, self.term(p.codomain, scope, free))
@@ -575,6 +637,9 @@ def load(source: str, fuel: int = 10000) -> LoadedFile:
     """Parse the whole file, then elaborate its items in order."""
     items = parse(source)
     out = LoadedFile(fuel)
-    for item in items:
-        item.method(out, item.line, *item.args)
+    try:
+        for item in items:
+            item.method(out, item.line, *item.args)
+    except ElabError as e:
+        raise e.located(source) from None
     return out

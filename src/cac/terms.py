@@ -466,15 +466,34 @@ def is_algebraic(t: Term) -> bool:
     return False
 
 
+def _subterms(t: Term) -> list:
+    """Every subterm of t in the prefix order of `occurrences`, without
+    building the positions."""
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        cls = u.__class__
+        if cls is Symb:
+            stack.extend(reversed(u.args))
+        elif cls is App:
+            stack += (u.arg, u.head)
+        elif cls is Abs:
+            stack += (u.body, u.domain)
+        elif cls is Prod:
+            stack += (u.codomain, u.domain)
+    return out
+
+
 def symbols_of(t: Term) -> frozenset:
-    return frozenset(s.name for _, s in occurrences(t)
-                     if isinstance(s, Symb))
+    return frozenset([s.name for s in _subterms(t) if s.__class__ is Symb])
 
 
 def var_counts(t: Term) -> "Counter[Variable]":
     """Occurrences of each free variable of t, in order of first
     occurrence."""
-    return Counter(s.var for _, s in occurrences(t) if isinstance(s, Var))
+    return Counter([s.var for s in _subterms(t) if s.__class__ is Var])
 
 
 # ---------------------------------------------------------------------------

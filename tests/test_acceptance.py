@@ -345,10 +345,10 @@ def test_acceptance_11_front_end_calls_per_token():
     finally:
         sys.setprofile(previous)
     per_token = count / tokens
-    _report(11, per_token <= 15,
+    _report(11, per_token <= 4,
             "the front end is cheap per token: lex and parse of peano "
             f"tree_6 make {count} calls for {tokens} tokens = "
-            f"{per_token:.1f} per token (bound 15)")
+            f"{per_token:.1f} per token (bound 4)")
 
 
 def test_acceptance_12_joinability_hashes_each_term_once():

@@ -72,6 +72,30 @@ def test_convert_refuses_trailing_input(capsys):
     assert captured.err == "error: 1:6: trailing input ','\n"
 
 
+def test_positions_through_comments_line_ends_and_aliases(tmp_path,
+                                                         capsys):
+    # a check directive's line, a trailing-input error and an
+    # elaboration error of an expression, each after comments, a \r\n
+    # line end and a unicode alias, which shifts the columns after it
+    placed = tmp_path / "placed.cac"
+    placed.write_bytes(
+        "# nat, with ★ in a comment\r\n"
+        "inductive nat : ★ := zero : nat | succ : nat → nat . # c\r\n"
+        "  check succ(zero) : nat .\r\n# between\r\n\r\n"
+        "  normalize ★ → ★ . # end".encode("utf-8"))
+    assert main(["--report", "structured", "check", str(placed)]) == 0
+    directives = json.loads(capsys.readouterr().out)["directives"]
+    assert [(d["kind"], d["line"]) for d in directives] == [
+        ("check", 3), ("normalize", 6)]
+    for expr, message in [("s(0) # one\r\n ★ , 0 # end",
+                           "2:6: trailing input ','"),
+                          ("# one\r\n s(★ → q) # end",
+                           "2:13: unknown name q")]:
+        assert main(["convert", path("int"), "-e", expr, "-e", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_argument_parser_is_built_once(monkeypatch, capsys):
     built = []
     build = cli.build_parser

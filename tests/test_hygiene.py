@@ -2,17 +2,19 @@
 no module imports one thing twice, imports sit at module level unless
 they break an import cycle, importing the CLI pulls in no class
 generator, terms, tokens and parse nodes carry no instance dictionary,
-and no nested function refers to itself, so no call leaves cyclic
-garbage."""
+no parser outlives loading, and no nested function refers to itself, so
+no call leaves cyclic garbage."""
 
 import ast
 import gc
 import pathlib
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import cac
+import cac.cli
 import cac.syntax
 import cac.terms
 from cac.positivity import polarity
@@ -136,13 +138,40 @@ def test_tokens_and_parse_nodes_have_no_instance_dict():
     # a file of n tokens holds n tokens and about as many parse nodes,
     # and one item per declaration
     syn = cac.syntax
-    name = syn.PName("x", 1, 1)
+    name = syn.PName("x", 0)
     samples = [syn.Token("name", "x", 1, 1), name, syn.PStar(),
-               syn.PSymbApp("f", (name,), 1, 1), syn.PApp(name, name),
+               syn.PSymbApp("f", (name,), 0), syn.PApp(name, name),
                syn.PAbs("x", name, name), syn.PProd(None, name, name),
                syn.Item(syn.LoadedFile.add_symbol, 1, ["x", name])]
     with_dict = [type(s).__name__ for s in samples if hasattr(s, "__dict__")]
     assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)
+
+
+def test_nothing_of_the_parser_outlives_loading(monkeypatch, capsys):
+    # a parser holds its file's token list: kept on the LoadedFile, it
+    # would stay alive through every check that follows the load
+    syn = cac.syntax
+    made = []
+    init = syn.Parser.__init__
+
+    def recorded(self, source):
+        made.append(weakref.ref(self))
+        init(self, source)
+
+    monkeypatch.setattr(syn.Parser, "__init__", recorded)
+    fresh = set(vars(syn.LoadedFile()))
+    int_path = pathlib.Path(cac.__file__).parent / "corpus" / "int.cac"
+    assert set(vars(syn.load(int_path.read_text(encoding="utf-8")))) == fresh
+    loaded = []
+    load_file = cac.cli._load_file
+    monkeypatch.setattr(cac.cli, "_load_file",
+                        lambda *a: loaded.append(load_file(*a)) or loaded[-1])
+    assert cac.cli.main(["convert", str(int_path), "-e", "s(p(0))",
+                         "-e", "p(s(0))"]) == 0
+    capsys.readouterr()
+    assert set(vars(loaded[0])) == fresh
+    assert len(made) == 4   # the file twice, then the two expressions
+    assert [r for r in made if r() is not None] == []
 
 
 def _nested_cycles(tree):

@@ -3,6 +3,7 @@
 import pathlib
 import random
 import re
+from bisect import bisect_right
 
 import pytest
 
@@ -74,6 +75,21 @@ def _lexed(lexer, source):
         return e.message
 
 
+def _parsed(source):
+    """The parser's token texts, each with the line its line marks give,
+    or the message of the ParseError that reading them raises."""
+    try:
+        parser = Parser(source)
+    except ParseError as e:
+        return e.message
+    return [(t, 1 + bisect_right(parser.marks, i))
+            for i, t in enumerate(parser.toks)]
+
+
+def _texts_and_lines(lexed):
+    return lexed if isinstance(lexed, str) else [f[1:3] for f in lexed]
+
+
 # punctuation, blanks, characters that are errors, letters that are not
 # ASCII, the aliases, and the pieces of the multi-character tokens
 LEX_ALPHABET = list("_'#()[]{}:,.*=>|-/\\ \t\r\n\x0c!é★→⇒¬λ") + [
@@ -88,6 +104,7 @@ def test_lexer_matches_reference_on_random_strings():
                          for _ in range(rng.randint(0, 12)))
         expected = _lexed(reference_lex, source)
         assert _lexed(lex, source) == expected, repr(source)
+        assert _parsed(source) == _texts_and_lines(expected), repr(source)
         errors += isinstance(expected, str)
     # both outcomes are exercised
     assert 2000 < errors < 18000
@@ -96,7 +113,9 @@ def test_lexer_matches_reference_on_random_strings():
 def test_lexer_matches_reference_on_corpus():
     for path in sorted(CORPUS.glob("*.cac")):
         source = path.read_text(encoding="utf-8")
-        assert _lexed(lex, source) == _lexed(reference_lex, source), path.name
+        expected = _lexed(reference_lex, source)
+        assert _lexed(lex, source) == expected, path.name
+        assert _parsed(source) == _texts_and_lines(expected), path.name
 
 
 def test_lexer_edge_cases():
@@ -113,6 +132,29 @@ def test_lexer_edge_cases():
         ("a", 1), ("->", 3), ("b", 6), ("", 7)]
     with pytest.raises(ParseError, match=r"^2:3: unexpected character '!'$"):
         lex("o\n  !")
+
+
+# comments, a \r\n line end and unicode aliases, which shift the columns
+# after them on their line, since each is read as its spelling between
+# two blanks; each source ends in a comment
+PLACED_HEAD = ("# nat, with ★ in a comment\r\n"
+               "inductive nat : ★ := zero : nat | succ : nat → nat . # c\r\n")
+
+
+def test_error_positions_through_comments_line_ends_and_aliases():
+    for tail, error, message in [
+            ("check succ(zero) : ★ → ⊤ . # end", ElabError,
+             "3:30: unknown name top"),
+            ("normalize λ (x : nat) ⇒ succ(x, x) . # end", ElabError,
+             "3:32: succ expects 1 argument(s), got 2"),
+            # eof after a comment keeps the column of its '#'
+            ("symbol o : ★ # end", ParseError,
+             "3:16: expected '.' (found '')"),
+            ("symbol o : ★ → # end\r\n# last", ParseError,
+             "4:1: expected a term (found '')")]:
+        with pytest.raises(error) as caught:
+            load(PLACED_HEAD + tail)
+        assert caught.value.message == message, tail
 
 
 def test_lexer_unicode_aliases():

@@ -1,6 +1,7 @@
 """Term substrate: binding, substitution, positions, sort classes."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -73,6 +74,23 @@ def test_occurrences_pair_positions_with_subterms():
     assert [p for p, _ in occurrences(t)] == [
         (), (1,), (1, 1), (1, 2), (1, 2, 1), (1, 2, 2), (2,)]
     assert var_counts(Symb("f", (Var(x), Symb("g", (Var(x),))))) == {x: 2}
+
+
+def test_symbol_and_variable_walks_keep_the_prefix_order():
+    # symbols_of and var_counts walk without positions; their sets and
+    # counters are filled in the order occurrences gives, so iteration
+    # order and the first-occurrence order of variables stay put
+    rng = random.Random(17)
+    for _ in range(500):
+        vars_ = _int_vars(rng)
+        t = random_binder_term(rng, vars_, rng.randrange(1, 6))
+        if rng.random() < 0.3:
+            t = Symb("f", (t, Var(rng.choice(vars_)), t))
+        subs = [s for _, s in occurrences(t)]
+        names = frozenset(s.name for s in subs if isinstance(s, Symb))
+        counts = Counter(s.var for s in subs if isinstance(s, Var))
+        assert list(symbols_of(t)) == list(names)
+        assert list(var_counts(t).items()) == list(counts.items())
 
 
 def test_occurrence_walks_survive_deep_terms():
