@@ -140,7 +140,9 @@ def cmd_admissibility(args) -> int:
         assume_confluent=loaded.assume_confluent,
         assume_terminating=loaded.assume_terminating,
         force_non_algebraic=loaded.non_algebraic)
-    _emit(report.to_dict(), args.report == "structured", report.to_text())
+    # each form of the report costs a pass over it, so build only one
+    print(to_json(report.to_dict()) if args.report == "structured"
+          else report.to_text())
     if report.overall == OverallVerdict.ADMISSIBLE:
         if args.strict and _uses_sufficient(report):
             return 1

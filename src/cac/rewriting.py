@@ -250,7 +250,7 @@ def _redex_above(t: Term, path: List[list], ruled: List[int],
         return None, None
     subterms = {}
     for j in range(len(path) - 1, candidates[0] - 1, -1):
-        node, kids, i, v = path[j]
+        node, kids, i, v, _ = path[j]
         kids = kids.copy()
         kids[i] = t if v is None else close(t, v)
         t = subterms[j] = _rebuild(node, kids)
@@ -269,16 +269,34 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
     The Zipper, JFP 1997).  Everything left of the focus is normal and
     no ancestor is a redex, so after a contraction only the ancestors
     `_redex_above` names are examined before the pass goes on inside the
-    contractum.  Fuel is one unit per contraction."""
+    contractum.  Fuel is one unit per contraction.
+
+    A subterm s entered at a free slot, one that no ancestor can react
+    to, normalizes as it would at the root: no ancestor has rules, and
+    the slot is neither the head of an application nor a freshly opened
+    binder body.  So the pass remembers, for this call, the normal form
+    of each such s that took at least one contraction, and the number
+    of contractions, keyed by the id of s (which the entry keeps alive).
+    When s, the same object, fills a free slot again, the pass takes its
+    normal form and charges the contractions to the fuel, raising
+    exactly where walking s again would have raised."""
     rules = RuleSet.of(rules)
-    # one frame [node, children, index, variable] per ancestor of the
-    # focus: its children (those left of `index` normal, those right of
-    # it untouched), the index of the child holding the focus, and the
-    # variable that opens a binder's body when the focus is inside it
+    # one frame [node, children, index, variable, entry] per ancestor of
+    # the focus: its children (those left of `index` normal, those right
+    # of it untouched), the index of the child holding the focus, the
+    # variable that opens a binder's body when the focus is inside it,
+    # and the node's slot's memo entry, as `entry` below
     path: List[list] = []
     # the index in path of each ancestor whose head has rules
     ruled: List[int] = []
+    # id(s) -> (s, normal form of s, contractions it took)
+    memo: Dict[int, Tuple[Term, Term, int]] = {}
+    # (s, steps when s entered) for the focus's slot when it is free and
+    # not the root; a contraction keeps it, a cut at a frame takes over
+    # the frame's
+    entry: Optional[Tuple[Term, int]] = None
     steps = 0
+    known = False  # whether the focus is a remembered normal form
     r = next(_root_reducts(t, rules), None)
     while True:
         if r is not None:
@@ -290,20 +308,27 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
             if k is None:
                 r = next(_root_reducts(t, rules), None)
             else:
+                entry = path[k][4]
                 del path[k:]
                 while ruled and ruled[-1] >= k:
                     ruled.pop()
             continue
-        kids = _children(t)
+        kids = () if known else _children(t)
+        known = False
         if kids:
             if isinstance(t, Symb) and t.name in rules.by_head:
                 ruled.append(len(path))
-            path.append([t, kids, 0, None])
+            path.append([t, kids, 0, None, entry])
+            free = not ruled and t.__class__ is not App
             t = kids[0]
         else:  # t is normal: fill it in, then move right or up
-            while path:
+            while True:
+                if entry is not None and steps > entry[1]:
+                    memo[id(entry[0])] = (entry[0], t, steps - entry[1])
+                if not path:
+                    return t
                 frame = path[-1]
-                node, kids, i, v = frame
+                node, kids, i, v, _ = frame
                 kids[i] = t if v is None else close(t, v)
                 i += 1
                 if i < len(kids):
@@ -311,15 +336,26 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
                     if isinstance(node, (Abs, Prod)):
                         # open the body once, under the normal domain
                         frame[3], t = open_fresh(_rebuild(node, kids))
+                        free = False
                     else:
                         t = kids[i]
+                        free = not ruled
                     break
                 path.pop()
                 if ruled and ruled[-1] == len(path):
                     ruled.pop()
                 t = _rebuild(node, kids)
-            else:
-                return t
+                entry = frame[4]
+        entry = None
+        if free:
+            hit = memo.get(id(t))
+            if hit is not None:
+                steps += hit[2]
+                if steps > fuel:
+                    raise FuelExhausted("normalization")
+                t, known = hit[1], True
+                continue
+            entry = (t, steps)
         r = next(_root_reducts(t, rules), None)
 
 

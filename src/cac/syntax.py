@@ -32,9 +32,9 @@ from .rewriting import RewriteRule
 from .schema import derived_type
 from .signature import Signature
 from .positivity import is_predicate_term
-from .terms import (App, CacError, Environment, Prod, Sort, STAR, Symb, Term,
-                    Var, Variable, arrow, free_vars, is_kind, lam, pi,
-                    positions_of, sort_class_of_type, subst_apply)
+from .terms import (Abs, App, BVar, CacError, Environment, Prod, Sort, STAR,
+                    Symb, Term, Var, Variable, free_vars, is_kind,
+                    positions_of, subst_apply)
 
 
 class ParseError(CacError):
@@ -342,7 +342,7 @@ class Parser:
             if tok in _NOT_NAME:
                 if tok != "*" and tok != "(":
                     break
-            elif tok in ("with", "env", "rho"):
+            elif tok == "with":  # only a rule's annotation follows a term
                 break
             t = PApp(t, self.parse_atom())
         if arrows and tok == "->":
@@ -447,61 +447,11 @@ class LoadedFile:
 
     def term(self, p, scope: Dict[str, Variable],
              free: Optional[Dict[str, Variable]] = None) -> Term:
-        """Resolve a parsed term: bound names from `scope`, then symbols
-        from the signature; other names are errors, or fresh variables
-        shared through `free` when it is given."""
-        cls = p.__class__
-        if cls is PSymbApp:
-            d = self.signature.decls.get(p.name)
-            if d is None:
-                raise ElabError("unbound-name", f"unknown symbol {p.name}",
-                                p.at)
-            if d.arity != len(p.args):
-                raise ElabError(
-                    "arity-error", f"{p.name} expects {d.arity} "
-                    f"argument(s), got {len(p.args)}", p.at)
-            args = []
-            for a in p.args:
-                args.append(self.term(a, scope, free))
-            return Symb(p.name, tuple(args))
-        if cls is PName:
-            name = p.name
-            v = scope.get(name)
-            if v is not None:
-                return Var(v)
-            d = self.signature.decls.get(name)
-            if d is not None:
-                if d.arity != 0:
-                    raise ElabError(
-                        "arity-error",
-                        f"symbol {name} expects {d.arity} argument(s)", p.at)
-                return Symb(name, ())
-            if free is not None:
-                v = free.get(name)
-                if v is None:
-                    v = free[name] = Variable.fresh(name, Sort.STAR)
-                return Var(v)
-            raise ElabError("unbound-name", f"unknown name {name}", p.at)
-        if cls is PApp:
-            return App(self.term(p.head, scope, free),
-                       self.term(p.arg, scope, free))
-        if cls is PStar:
-            return STAR
-        if cls is PAbs:
-            dom = self.term(p.domain, scope, free)
-            v = Variable.fresh(p.var, sort_class_of_type(dom))
-            inner = dict(scope)
-            inner[p.var] = v
-            return lam(v, dom, self.term(p.body, inner, free))
-        if cls is PProd:
-            dom = self.term(p.domain, scope, free)
-            if p.var is None:
-                return arrow(dom, self.term(p.codomain, scope, free))
-            v = Variable.fresh(p.var, sort_class_of_type(dom))
-            inner = dict(scope)
-            inner[p.var] = v
-            return pi(v, dom, self.term(p.codomain, inner, free))
-        raise ElabError("internal", f"unknown parse node {p!r}")
+        """Resolve a parsed term: bound names to de Bruijn indices, names
+        in `scope` to their variables, then symbols from the signature;
+        other names are errors, or fresh variables shared through `free`
+        when it is given.  Equal subterms of the result are one object."""
+        return _Elaboration(self.signature.decls, scope, free).term(p, 0)
 
     # -- items: each takes the item's line, then what the parser read -------
 
@@ -562,14 +512,16 @@ class LoadedFile:
                     f"line {line}: variable {v.name} does not occur in the "
                     "left-hand side; annotate the rule explicitly")
             types[v] = derived_type(lhs, occ[0], self.signature)
-        # correct the sort classes and rebuild
+        # correct the sort classes, rebuilding only when one changes
         repl: Dict[Variable, Term] = {}
         fixed: Dict[Variable, Variable] = {}
         for v, typ in types.items():
             sort = Sort.BOX if is_kind(typ) else Sort.STAR
-            nv = v if v.sort == sort else Variable.fresh(v.name, sort)
-            fixed[v] = nv
-            repl[v] = Var(nv)
+            if v.sort == sort:
+                fixed[v] = v
+            else:
+                nv = fixed[v] = Variable.fresh(v.name, sort)
+                repl[v] = Var(nv)
         lhs = subst_apply(lhs, repl)
         rhs = subst_apply(rhs, repl)
         types = {fixed[v]: subst_apply(t, repl) for v, t in types.items()}
@@ -631,6 +583,115 @@ class LoadedFile:
             if name not in self.signature:
                 raise ElabError("unbound-name",
                                 f"line {line}: unknown symbol {name}")
+
+
+class _Elaboration:
+    """One top-level `LoadedFile.term` call.  `bound` maps each name bound
+    by an enclosing binder to that binder's depth, set and restored
+    around the binder's body, so an occurrence at depth d of a name bound
+    at depth k is the index d - 1 - k, and no body is closed afterwards.
+    Every node is built through `table`, keyed by its class, its own data
+    and the ids of its children, so equal subterms, binder hints
+    included, are one object; the table keeps them alive, so no id is
+    reused while it lives, and it lives for this call only."""
+
+    __slots__ = ("decls", "scope", "free", "bound", "table")
+
+    def __init__(self, decls, scope: Dict[str, Variable],
+                 free: Optional[Dict[str, Variable]]):
+        self.decls = decls
+        self.scope = scope
+        self.free = free
+        self.bound: Dict[str, int] = {}
+        self.table: dict = {}
+
+    def term(self, p, depth: int) -> Term:
+        """p under `depth` binders."""
+        cls = p.__class__
+        table = self.table
+        if cls is PSymbApp:
+            d = self.decls.get(p.name)
+            if d is None:
+                raise ElabError("unbound-name", f"unknown symbol {p.name}",
+                                p.at)
+            if d.arity != len(p.args):
+                raise ElabError(
+                    "arity-error", f"{p.name} expects {d.arity} "
+                    f"argument(s), got {len(p.args)}", p.at)
+            args = []
+            for a in p.args:
+                args.append(self.term(a, depth))
+            key = (p.name, *map(id, args))
+            n = table.get(key)
+            if n is None:
+                n = table[key] = Symb(p.name, tuple(args))
+            return n
+        if cls is PName:
+            name = p.name
+            k = self.bound.get(name)
+            if k is not None:
+                key = (BVar, depth - 1 - k)
+                n = table.get(key)
+                if n is None:
+                    n = table[key] = BVar(key[1])
+                return n
+            v = self.scope.get(name)
+            if v is None:
+                d = self.decls.get(name)
+                if d is not None:
+                    if d.arity != 0:
+                        raise ElabError(
+                            "arity-error",
+                            f"symbol {name} expects {d.arity} argument(s)",
+                            p.at)
+                    key = (name,)
+                    n = table.get(key)
+                    if n is None:
+                        n = table[key] = Symb(name, ())
+                    return n
+                if self.free is None:
+                    raise ElabError("unbound-name", f"unknown name {name}",
+                                    p.at)
+                v = self.free.get(name)
+                if v is None:
+                    v = self.free[name] = Variable.fresh(name, Sort.STAR)
+            key = (Var, v.id)
+            n = table.get(key)
+            if n is None:
+                n = table[key] = Var(v)
+            return n
+        if cls is PApp:
+            head = self.term(p.head, depth)
+            arg = self.term(p.arg, depth)
+            key = (App, id(head), id(arg))
+            n = table.get(key)
+            if n is None:
+                n = table[key] = App(head, arg)
+            return n
+        if cls is PStar:
+            return STAR
+        if cls is PAbs or cls is PProd:
+            x, pdom, pbody = p
+            dom = self.term(pdom, depth)
+            if x is None:  # an arrow binds no name
+                x = "_"
+                body = self.term(pbody, depth + 1)
+            else:
+                bound = self.bound
+                outer = bound.get(x)
+                bound[x] = depth
+                body = self.term(pbody, depth + 1)
+                if outer is None:
+                    del bound[x]
+                else:
+                    bound[x] = outer
+            node = Abs if cls is PAbs else Prod
+            key = (node, x, id(dom), id(body))
+            n = table.get(key)
+            if n is None:
+                n = table[key] = node(dom, body, x)
+            return n
+        raise ElabError("internal", f"unknown parse node {p!r}")
 
 
 def load(source: str, fuel: int = 10000) -> LoadedFile:

@@ -7,15 +7,17 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import cac
-from cac import (ConfluenceLevel, Outcome, OverallVerdict, Symb, TypeChecker,
-                 Var, Variable,
-                 check_admissible, check_inductive_structure,
-                 check_type_preservation, check_well_formed, cc_check,
-                 critical_pairs, joinable, left_linear, load, normalize,
-                 rpo_terminates, satisfies_general_schema, system_properties)
+from cac import (ConfluenceLevel, FuelExhausted, Outcome, OverallVerdict,
+                 Symb, TypeChecker, Var, Variable, check_admissible,
+                 check_inductive_structure, check_type_preservation,
+                 check_well_formed, cc_check, critical_pairs, joinable,
+                 left_linear, load, normalize, pp, rpo_terminates,
+                 satisfies_general_schema, system_properties)
 from cac.syntax import lex, parse
-from cac.terms import lam
+from cac.terms import lam, map_children
 from tests.conftest import CORPUS, corpus_source, plus_family_source
 
 
@@ -467,3 +469,99 @@ def test_acceptance_15_joinability_expands_each_term_once():
             "the joinability search builds and expands each distinct term "
             f"once: calls on bfs-chain(9) / bfs-chain(8) = {large} / "
             f"{small} = {ratio:.2f} (bound 2.2)")
+
+
+def _calls(f):
+    """Python and builtin calls made by f(), counted with a profile
+    hook."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        f()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def _tree_calls(d):
+    """Calls made by normalize on peano tree_d at fuel 10^6 (loading not
+    counted)."""
+    lf = load(_tree_source(d), fuel=10**6)
+    (directive,) = lf.directives
+    return _calls(lambda: normalize(directive.terms[0], lf.rules, 10**6))
+
+
+def test_acceptance_16_normalization_follows_the_shared_subterms():
+    # a count of calls, not a time; elaboration makes the 2^d equal
+    # leaves one object, and normalize remembers a shared subterm's
+    # normal form, so the work follows the distinct subterms
+    small, large = _tree_calls(6), _tree_calls(12)
+    ratio = large / small
+    _report(16, ratio <= 1.5,
+            "normalization takes each shared subterm once: calls on peano "
+            f"tree_12 / tree_6 = {large} / {small} = {ratio:.2f} "
+            "(bound 1.5)")
+
+
+def _binders_source(k):
+    """A file whose one directive normalizes fun (x1:o) => ... fun (xk:o)
+    => x1."""
+    binders = " ".join(f"fun (x{i}:o) =>" for i in range(1, k + 1))
+    return f"symbol o : * .\nnormalize {binders} x1 .\n"
+
+
+def test_acceptance_17_elaboration_is_linear_under_binders():
+    # a count of calls, not a time; bound names become de Bruijn indices
+    # as they are read, so no body is walked again at its binder
+    small = _calls(lambda: load(_binders_source(80)))
+    large = _calls(lambda: load(_binders_source(160)))
+    ratio = large / small
+    _report(17, ratio <= 2.2,
+            "elaboration costs O(1) per binder: load calls on 160 nested "
+            f"binders / on 80 = {large} / {small} = {ratio:.2f} "
+            "(bound 2.2)")
+
+
+def test_normalization_fuel_counts_every_remembered_contraction():
+    # tree_4 holds 16 equal additions of 25 contractions each: the fuel
+    # must stop the shared term exactly where it stops a copy that
+    # shares no node, and both must give the same normal form
+    lf = load(_tree_source(4))
+    (directive,) = lf.directives
+    shared = directive.terms[0]
+
+    def unshared(t):
+        return map_children(t, unshared)
+
+    copy = unshared(shared)
+    assert shared.args[0] is shared.args[1]
+    assert copy.args[0] is not copy.args[1] and copy == shared
+    forms = []
+    for t in (shared, copy):
+        forms.append(pp(normalize(t, lf.rules, 400)))
+        with pytest.raises(FuelExhausted) as e:
+            normalize(t, lf.rules, 399)
+        assert e.value.message == "fuel exhausted during normalization"
+    assert forms[0] == forms[1]
+    # tree_12's 4096 leaves are one object, normalized once, yet the
+    # fuel still pays 25 contractions for each
+    lf = load(_tree_source(12))
+    (directive,) = lf.directives
+    normalize(directive.terms[0], lf.rules, 102_400)
+    with pytest.raises(FuelExhausted):
+        normalize(directive.terms[0], lf.rules, 102_399)
+
+
+def test_normalization_takes_a_shared_leaf_once():
+    # node(L, L) with one object L: the second L is a remembered normal
+    # form, even though a beta step above the focus cut the walk back to
+    # L's own slot while L was being normalized
+    one, two = _tree_calls(0), _tree_calls(1)
+    assert two / one <= 1.1, (one, two)

@@ -52,6 +52,26 @@ def test_admissibility_structured_report(capsys):
     assert obj["a1"]["level"] == "NEWMAN"
 
 
+def test_admissibility_builds_only_the_report_it_prints(monkeypatch,
+                                                       capsys):
+    from cac.admissibility import AdmissibilityReport, check_admissible
+    from cac.syntax import load
+    lf = load(CORPUS.joinpath("app.cac").read_text(encoding="utf-8"))
+    report = check_admissible(lf.signature, lf.rules)
+    text, structured = report.to_text(), cli.to_json(report.to_dict())
+
+    def unused(self):
+        raise AssertionError("built a report that is not printed")
+
+    for form, printed, other in (("text", text, "to_dict"),
+                                 ("structured", structured, "to_text")):
+        with monkeypatch.context() as m:
+            m.setattr(AdmissibilityReport, other, unused)
+            assert main(["--report", form, "admissibility",
+                         path("app")]) == 0
+        assert capsys.readouterr().out == printed + "\n"
+
+
 def test_normalize_expression(capsys):
     assert main(["normalize", path("int"), "-e", "plus(0, s(p(s(0))))"]) == 0
     out = capsys.readouterr().out.strip()

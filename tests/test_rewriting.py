@@ -633,6 +633,48 @@ def test_normalize_matches_restart_reference(intf):
     assert 2000 < ran_out < 10000, ran_out  # the fuel limit is exercised
 
 
+def shared_placements(w, u):
+    """Terms that hold the one object w in several slots: slots that no
+    ancestor can react to (under `node`, which has no rules), the head
+    of an application, slots under symbols with rules, and a binder
+    body."""
+    return [sy("node", w, sy("node", u, w)),
+            sy("node", w, App(w, u)),
+            sy("node", w, sy("s", w)),
+            sy("node", w, sy("p", sy("plus", w, u))),
+            sy("node", w, sy("times", u, w)),
+            sy("node", w, Abs(sy("int"), sy("node", w, u), "x")),
+            sy("node", App(w, u), w)]
+
+
+def test_normalize_on_shared_terms_matches_restart_reference(intf):
+    # normalize remembers the normal form of a subterm that fills a slot
+    # no ancestor can react to; wherever else the same object sits, the
+    # walk must go on as if nothing were remembered
+    rules = RuleSet.of(extended_int_rules(intf) + [g_rule(), q_rule()])
+    rng = random.Random(20261019)
+    cases = ran_out = 0
+    for k in range(150):
+        vars_ = _int_vars(rng, 2)
+        if k % 3 == 0:  # w reduces to an abstraction
+            w = sy("g", random_binder_term(rng, vars_, rng.randrange(0, 4)))
+        else:
+            w = random_binder_term(rng, vars_, rng.randrange(1, 6))
+        u = random_binder_term(rng, vars_, rng.randrange(0, 3))
+        for t in shared_placements(w, u):
+            for fuel in (0, 1, 3, 8, 10000):
+                want = normalize_outcome(reference_normalize, t, rules, fuel)
+                got = normalize_outcome(normalize, t, rules, fuel)
+                if want == "fuel":
+                    assert got == "fuel", pp(t)
+                    ran_out += 1
+                else:
+                    assert got == want and pp(got) == pp(want), pp(t)
+                cases += 1
+    assert cases == 5250
+    assert 1000 < ran_out < 4000, ran_out  # the fuel limit is exercised
+
+
 @pytest.mark.parametrize("n, fuel", [(9, 6401), (10, 14337)])
 def test_joinable_minimal_fuel_is_pinned(n, fuel):
     # one unit per distinct reduct of each frontier term: bfs-chain(n)

@@ -7,10 +7,11 @@ from bisect import bisect_right
 
 import pytest
 
-from cac import ParseError, Prod, STAR, Symb, Var, load, pp
+from cac import (ParseError, Prod, STAR, Symb, Var, Variable, load,
+                 normalize, pp)
 from cac.signature import DeclarationError
 from cac.syntax import UNICODE_ALIASES, ElabError, Parser, Token, lex, parse
-from cac.terms import Abs, App, CacError, Sort
+from cac.terms import Abs, App, BVar, CacError, Sort, arrow, lam, pi
 from tests.conftest import CORPUS
 
 
@@ -206,6 +207,52 @@ def test_abstraction_and_application():
     (d,) = lf.directives
     t = d.terms[0]
     assert isinstance(t, App) and isinstance(t.head, Abs)
+
+
+def test_env_and_rho_are_ordinary_names_in_terms():
+    # only a rule's `with` can follow a term, so `env` and `rho` end no
+    # application
+    lf = load("symbol o : * . symbol rho : o . "
+              "normalize (fun (x:o) => x) rho .")
+    assert pp(normalize(lf.directives[0].terms[0], lf.rules)) == "rho"
+    lf = load("symbol o : * . symbol env : o . "
+              "normalize (fun (f : o -> o) => f env) (fun (y:o) => y) .")
+    assert pp(normalize(lf.directives[0].terms[0], lf.rules)) == "env"
+
+
+def test_elaboration_builds_de_bruijn_indices():
+    a, x, y = (Variable.fresh(n) for n in ("A", "x", "y"))
+    lf = load("symbol o : * . "
+              "check fun (A:*) => fun (x:A) => fun (y:A -> o) => y x "
+              ": (A:*) -> A -> (A -> o) -> o .")
+    term, typ = lf.directives[0].terms
+    o = Symb("o", ())
+    assert term == lam(a, STAR, lam(x, Var(a), lam(
+        y, arrow(Var(a), o), App(Var(y), Var(x)))))
+    assert typ == pi(a, STAR, arrow(Var(a), arrow(arrow(Var(a), o), o)))
+    # an arrow's codomain sits under a binder that binds no name
+    assert typ.codomain.codomain.domain.codomain == o
+    assert typ.codomain.codomain.domain.domain == BVar(1)
+    # the inner binder's name shadows the outer one's, then stops
+    lf = load("symbol o : * . normalize fun (x:o) => (fun (x:o) => x) x .")
+    (t,) = lf.directives[0].terms
+    assert t.body.head.body == BVar(0) and t.body.arg == BVar(0)
+    assert pp(t) == "fun (x:o) => (fun (x':o) => x') x"
+
+
+def test_elaboration_shares_equal_subterms_within_one_term():
+    lf = load("symbol o : * . symbol g : o -> o -> o . symbol a : o . "
+              "normalize g(g(a, a), g(a, a)) . normalize g(a, a) . "
+              "convert fun (x:o) => x , fun (y:o) => y .")
+    big, small = lf.directives[0].terms[0], lf.directives[1].terms[0]
+    assert big.args[0] is big.args[1]
+    assert big.args[0].args[0] is big.args[0].args[1]
+    # the table lives for one term: nothing is shared across terms
+    assert small == big.args[0] and small is not big.args[0]
+    # binder hints are part of the key, so printing is unchanged
+    ident_x, ident_y = lf.directives[2].terms
+    assert ident_x == ident_y and ident_x is not ident_y
+    assert (pp(ident_x), pp(ident_y)) == ("fun (x:o) => x", "fun (y:o) => y")
 
 
 def test_rule_annotations_round_trip(app):
