@@ -230,21 +230,23 @@ def fails(witness: str) -> TriState:
     return TriState("FAILS", witness)
 
 
+PROPERTIES = ("algebraic", "non_duplicating", "primitive", "simple",
+              "positive", "recursive", "safe")
+
+
 class SystemProperties:
     """The properties of a set of rules, each NOT_CHECKED until
     `system_properties` decides it."""
 
     def __init__(self, algebraic: TriState = NOT_CHECKED,
                  non_duplicating: TriState = NOT_CHECKED):
+        for k in PROPERTIES:
+            setattr(self, k, NOT_CHECKED)
         self.algebraic = algebraic
         self.non_duplicating = non_duplicating
-        self.primitive = self.simple = self.positive = NOT_CHECKED
-        self.recursive = self.safe = NOT_CHECKED
 
     def to_dict(self):
-        return {k: getattr(self, k).to_dict()
-                for k in ("algebraic", "non_duplicating", "primitive",
-                          "simple", "positive", "recursive", "safe")}
+        return {k: getattr(self, k).to_dict() for k in PROPERTIES}
 
 
 def _duplication(r: RewriteRule) -> Optional[str]:
@@ -258,149 +260,123 @@ def _duplication(r: RewriteRule) -> Optional[str]:
     return None
 
 
+# Each property is a generator of the witnesses against it, in the order
+# they are found; `system_properties` reports the first one.
+
+def _algebraic(gset, grules, tc, classes):
+    sig = tc.sig
+    for g in sorted(gset):
+        d = sig.decls.get(g)
+        if d is None:
+            yield f"undeclared symbol {g}"
+        elif d.sort != Sort.BOX and classes.get(
+                sig.constructor_target(g)) is not PredicateClass.PRIMITIVE:
+            yield (f"{g} is neither a predicate symbol nor a constructor of "
+                   "a primitive predicate")
+    for r in grules:
+        if not is_algebraic(r.rhs):
+            yield f"rule {r.name} has a non-algebraic right-hand side"
+
+
+def _non_duplicating(gset, grules, tc, classes):
+    return filter(None, map(_duplication, grules))
+
+
+def _primitive(gset, grules, tc, classes):
+    for r in grules:
+        body = r.rhs
+        while isinstance(body, Abs):
+            body = body.body
+        head, _ = spine(body)
+        if not isinstance(head, Symb):
+            yield (f"rule {r.name}: right-hand side head is {head}, not a "
+                   "symbol application")
+        elif head.name not in gset and classes.get(head.name) \
+                is not PredicateClass.PRIMITIVE:
+            yield (f"rule {r.name}: head symbol {head.name} is outside the "
+                   "system and not a primitive predicate")
+
+
+def _simple(gset, grules, tc, classes):
+    for r in grules:
+        assert isinstance(r.lhs, Symb)
+        inner = frozenset().union(*map(symbols_of, r.lhs.args))
+        for s in sorted(inner & tc.rules.heads):
+            yield f"rule {r.name}: lhs argument mentions defined symbol {s}"
+        for y in sorted(free_vars(r.rhs, Sort.BOX), key=lambda v: v.name):
+            hits = [i for i, li in enumerate(r.lhs.args, start=1)
+                    if isinstance(li, Var) and li.var == y]
+            if len(hits) != 1:
+                yield (f"rule {r.name}: predicate variable {y.name} must be "
+                       f"exactly one lhs argument, found {len(hits)}")
+    yield from _top_overlaps(grules)
+
+
+def _positive(gset, grules, tc, classes):
+    for r in grules:
+        rep = polarity(r.rhs, tc.sig)
+        for g in sorted(gset):
+            bad = positions_of(r.rhs, g) - rep.positive
+            if bad:
+                yield (f"rule {r.name}: {g} occurs non-positively at "
+                       f"{sorted(bad)[0]} in the rhs")
+
+
+def _recursive(gset, grules, tc, classes):
+    for r in grules:
+        sv = satisfies_general_schema(r, tc)
+        if not sv.ok:
+            why = sv.failure or "; ".join(sv.well_formed.failures)
+            yield f"rule {r.name}: {why}"
+
+
+def _safe(gset, grules, tc, classes):
+    for r in grules:
+        assert isinstance(r.lhs, Symb)
+        decl = tc.sig.decls[r.lhs.name]
+        gamma = decl.inst(r.lhs.args)
+        pred_vars = sorted(
+            {v for _, t in decl.binders for v in free_vars(t, Sort.BOX)}
+            | free_vars(decl.output, Sort.BOX),
+            key=lambda v: v.id)
+        images = {}
+        for x in pred_vars:
+            img = subst_apply(subst_apply(Var(x), gamma), r.ann_subst)
+            if not (isinstance(img, Var) and img.var.sort == Sort.BOX
+                    and r.ann_env.lookup(img.var) is not None):
+                yield (f"rule {r.name}: predicate argument {x.name} is "
+                       f"instantiated to {img}, not a predicate variable "
+                       "of the environment")
+            elif images.setdefault(img.var, x) != x:
+                yield (f"rule {r.name}: predicate arguments "
+                       f"{images[img.var].name} and {x.name} share the "
+                       f"instance {img}")
+
+
+_FAILURES = {"algebraic": _algebraic, "non_duplicating": _non_duplicating,
+             "primitive": _primitive, "simple": _simple,
+             "positive": _positive, "recursive": _recursive, "safe": _safe}
+
+
 def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                       tc: TypeChecker,
-                      which: Sequence[str] = ("algebraic", "non_duplicating",
-                                              "primitive", "simple",
-                                              "positive", "recursive",
-                                              "safe")) -> SystemProperties:
+                      which: Sequence[str] = PROPERTIES) -> SystemProperties:
     """The properties named in `which` of the rules `grules` of the
     symbols `gset`, among all the rules of `tc`'s typing context."""
     props = SystemProperties()
-    sig, rules = tc.sig, tc.rules
-    classes = predicate_classes(sig, rules)
-
-    if "algebraic" in which:
-        verdict = HOLDS
-        for g in sorted(gset):
-            d = sig.decls.get(g)
-            if d is None:
-                verdict = fails(f"undeclared symbol {g}")
-                break
-            if d.sort == Sort.BOX:
-                continue
-            if classes.get(sig.constructor_target(g)) \
-                    is not PredicateClass.PRIMITIVE:
-                verdict = fails(f"{g} is neither a predicate symbol nor a "
-                                "constructor of a primitive predicate")
-                break
-        if verdict.holds:
-            for r in grules:
-                if not is_algebraic(r.rhs):
-                    verdict = fails(f"rule {r.name} has a non-algebraic "
-                                    "right-hand side")
-                    break
-        props.algebraic = verdict
-
-    if "non_duplicating" in which:
-        why = next(filter(None, map(_duplication, grules)), None)
-        props.non_duplicating = HOLDS if why is None else fails(why)
-
-    if "primitive" in which:
-        verdict = HOLDS
-        for r in grules:
-            body = r.rhs
-            while isinstance(body, Abs):
-                body = body.body
-            head, _ = spine(body)
-            if not isinstance(head, Symb):
-                verdict = fails(f"rule {r.name}: right-hand side head "
-                                f"is {head}, not a symbol application")
-                break
-            g = head.name
-            if g not in gset and classes.get(g) is not PredicateClass.PRIMITIVE:
-                verdict = fails(f"rule {r.name}: head symbol {g} is outside "
-                                "the system and not a primitive predicate")
-                break
-        props.primitive = verdict
-
-    if "simple" in which:
-        verdict = HOLDS
-        for r in grules:
-            assert isinstance(r.lhs, Symb)
-            inner = frozenset().union(*[symbols_of(a) for a in r.lhs.args]) \
-                if r.lhs.args else frozenset()
-            not_free = [s for s in sorted(inner) if s in rules.heads]
-            if not_free:
-                verdict = fails(f"rule {r.name}: lhs argument mentions "
-                                f"defined symbol {not_free[0]}")
-                break
-            for y in sorted(free_vars(r.rhs, Sort.BOX),
-                            key=lambda v: v.name):
-                hits = [i for i, li in enumerate(r.lhs.args, start=1)
-                        if isinstance(li, Var) and li.var == y]
-                if len(hits) != 1:
-                    verdict = fails(
-                        f"rule {r.name}: predicate variable {y.name} must "
-                        f"be exactly one lhs argument, found {len(hits)}")
-                    break
-            if not verdict.holds:
-                break
-        if verdict.holds:
-            verdict = _top_overlap_free(grules) or verdict
-        props.simple = verdict
-
-    if "positive" in which:
-        verdict = HOLDS
-        for r in grules:
-            rep = polarity(r.rhs, sig)
-            for g in sorted(gset):
-                bad = positions_of(r.rhs, g) - rep.positive
-                if bad:
-                    verdict = fails(f"rule {r.name}: {g} occurs "
-                                    f"non-positively at {sorted(bad)[0]} "
-                                    "in the rhs")
-                    break
-            if not verdict.holds:
-                break
-        props.positive = verdict
-
-    if "recursive" in which:
-        verdict = HOLDS
-        for r in grules:
-            sv = satisfies_general_schema(r, tc)
-            if not sv.ok:
-                why = sv.failure or "; ".join(sv.well_formed.failures)
-                verdict = fails(f"rule {r.name}: {why}")
-                break
-        props.recursive = verdict
-
-    if "safe" in which:
-        verdict = HOLDS
-        for r in grules:
-            assert isinstance(r.lhs, Symb)
-            decl = sig.decls[r.lhs.name]
-            gamma = decl.inst(r.lhs.args)
-            pred_vars = sorted(
-                {v for _, t in decl.binders for v in free_vars(t, Sort.BOX)}
-                | free_vars(decl.output, Sort.BOX),
-                key=lambda v: v.id)
-            images = {}
-            for x in pred_vars:
-                img = subst_apply(subst_apply(Var(x), gamma), r.ann_subst)
-                if not (isinstance(img, Var) and img.var.sort == Sort.BOX
-                        and r.ann_env.lookup(img.var) is not None):
-                    verdict = fails(
-                        f"rule {r.name}: predicate argument {x.name} is "
-                        f"instantiated to {img}, not a predicate variable "
-                        "of the environment")
-                    break
-                if img.var in images and images[img.var] != x:
-                    verdict = fails(
-                        f"rule {r.name}: predicate arguments {images[img.var].name} "
-                        f"and {x.name} share the instance {img}")
-                    break
-                images[img.var] = x
-            if not verdict.holds:
-                break
-        props.safe = verdict
-
+    classes = None
+    if "algebraic" in which or "primitive" in which:
+        classes = predicate_classes(tc.sig, tc.rules)
+    for k in PROPERTIES:
+        if k in which:
+            why = next(_FAILURES[k](gset, grules, tc, classes), None)
+            setattr(props, k, HOLDS if why is None else fails(why))
     return props
 
 
-def _top_overlap_free(grules: Sequence[RewriteRule]) -> Optional[TriState]:
-    """FAILS when two linearized lhs with the same head unify (then two
-    rules could apply at the top of the same term); None when fine."""
+def _top_overlaps(grules: Sequence[RewriteRule]):
+    """Witnesses that two linearized lhs with the same head unify (then
+    two rules could apply at the top of the same term)."""
     def relin(u: Term, _) -> Term:
         # linearize: every variable occurrence becomes a fresh variable
         if isinstance(u, Var):
@@ -414,9 +390,8 @@ def _top_overlap_free(grules: Sequence[RewriteRule]) -> Optional[TriState]:
     for i, (ni, li) in enumerate(lin):
         for j in same_head[li.name]:
             if j > i and unify(li, lin[j][1]) is not None:
-                return fails(f"rules {ni} and {lin[j][0]} can both apply "
-                             f"at the top of a {li.name} term")
-    return None
+                yield (f"rules {ni} and {lin[j][0]} can both apply at the "
+                       f"top of a {li.name} term")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from .schema import derived_type
 from .signature import Signature
 from .positivity import is_predicate_term
 from .terms import (Abs, App, BVar, CacError, Environment, Prod, Sort, STAR,
-                    Symb, Term, Var, Variable, free_vars, is_kind,
-                    positions_of, subst_apply)
+                    Symb, Term, Var, Variable, free_vars, positions_of,
+                    sort_class_of_type, subst_apply)
 
 
 class ParseError(CacError):
@@ -478,7 +478,7 @@ class LoadedFile:
         env = Environment()
         for x, ptyp in penv:
             typ = self.term(ptyp, scope)
-            v = Variable.fresh(x, Sort.BOX if is_kind(typ) else Sort.STAR)
+            v = Variable.fresh(x, sort_class_of_type(typ))
             scope[x] = v
             env = env.extend(v, typ)
         rho: Dict[Variable, Term] = {}
@@ -516,7 +516,7 @@ class LoadedFile:
         repl: Dict[Variable, Term] = {}
         fixed: Dict[Variable, Variable] = {}
         for v, typ in types.items():
-            sort = Sort.BOX if is_kind(typ) else Sort.STAR
+            sort = sort_class_of_type(typ)
             if v.sort == sort:
                 fixed[v] = v
             else:

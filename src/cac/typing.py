@@ -14,7 +14,7 @@ from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
 from .terms import (Abs, App, BOX, CacError, Environment, FuelExhausted,
                     Prod, STAR, Sort, SortT, Symb, Term, Var, Variable,
-                    open_, open_fresh, pi, subst_apply)
+                    open_, pi, subst_apply)
 
 
 class TypingError(CacError):
@@ -81,25 +81,23 @@ class TypeChecker:
             return typ, TypingDerivation(env, t, typ, "var")
         if isinstance(t, Symb):
             return self._infer_symb(env, t)
-        if isinstance(t, Prod):
-            s1, d1 = self._infer_sort(env, t.domain)
-            v, cod = open_fresh(t)
-            if v.sort != s1:
-                # sort class is syntactic; re-open with the inferred sort
-                v = Variable.fresh(t.hint, s1)
-                cod = open_(t.codomain, Var(v))
-            env2 = env.extend(v, t.domain)
-            s2, d2 = self._infer_sort(env2, cod)
-            typ = SortT(s2)
-            return typ, TypingDerivation(env, t, typ, "prod", (d1, d2))
-        if isinstance(t, Abs):
+        if isinstance(t, (Prod, Abs)):
             s1, d1 = self._infer_sort(env, t.domain)
             v = Variable.fresh(t.hint, s1)
-            body = open_(t.body, Var(v))
             env2 = env.extend(v, t.domain)
-            bty, d2 = self.infer(env2, body)
+            if isinstance(t, Prod):
+                _, d2 = self._infer_sort(env2, open_(t.codomain, Var(v)))
+                return d2.typ, TypingDerivation(env, t, d2.typ, "prod",
+                                                (d1, d2))
+            bty, d2 = self.infer(env2, open_(t.body, Var(v)))
+            # the product's premises: d1, and B's sort, which an abs body
+            # has already derived for its own product
+            if d2.rule_tag == "abs":
+                dcod = d2.premises[1]
+            else:
+                _, dcod = self._infer_sort(env2, bty)
             prod = pi(v, t.domain, bty)
-            _, d3 = self._infer_sort(env, prod)
+            d3 = TypingDerivation(env, prod, dcod.typ, "prod", (d1, dcod))
             return prod, TypingDerivation(env, t, prod, "abs", (d2, d3))
         if isinstance(t, App):
             hty, d1 = self.infer(env, t.head)

@@ -10,12 +10,12 @@ import time
 import pytest
 
 import cac
-from cac import (ConfluenceLevel, FuelExhausted, Outcome, OverallVerdict,
-                 Symb, TypeChecker, Var, Variable, check_admissible,
-                 check_inductive_structure, check_type_preservation,
-                 check_well_formed, cc_check, critical_pairs, joinable,
-                 left_linear, load, normalize, pp, rpo_terminates,
-                 satisfies_general_schema, system_properties)
+from cac import (ConfluenceLevel, Environment, FuelExhausted, Outcome,
+                 OverallVerdict, Symb, TypeChecker, Var, Variable,
+                 check_admissible, check_inductive_structure,
+                 check_type_preservation, check_well_formed, cc_check,
+                 critical_pairs, joinable, left_linear, load, normalize, pp,
+                 rpo_terminates, satisfies_general_schema, system_properties)
 from cac.syntax import lex, parse
 from cac.terms import lam, map_children
 from tests.conftest import CORPUS, corpus_source, plus_family_source
@@ -471,15 +471,17 @@ def test_acceptance_15_joinability_expands_each_term_once():
             f"{small} = {ratio:.2f} (bound 2.2)")
 
 
-def _calls(f):
+def _calls(f, only=None):
     """Python and builtin calls made by f(), counted with a profile
-    hook."""
+    hook; with `only`, the calls of that Python function alone."""
     count = 0
 
     def hook(frame, event, arg):
         nonlocal count
-        if event in ("call", "c_call"):
-            count += 1
+        if only is None:
+            count += event in ("call", "c_call")
+        else:
+            count += event == "call" and frame.f_code is only.__code__
 
     previous = sys.getprofile()
     sys.setprofile(hook)
@@ -526,6 +528,31 @@ def test_acceptance_17_elaboration_is_linear_under_binders():
     _report(17, ratio <= 2.2,
             "elaboration costs O(1) per binder: load calls on 160 nested "
             f"binders / on 80 = {large} / {small} = {ratio:.2f} "
+            "(bound 2.2)")
+
+
+def _infer_calls(k):
+    """TypeChecker.infer calls made by checking fun (x1:o) => ... fun
+    (xk:o) => g(g(a)) at o -> ... -> o under g(x) -> x (loading not
+    counted)."""
+    binders = " ".join(f"fun (x{i}:o) =>" for i in range(1, k + 1))
+    arrows = " -> ".join(["o"] * (k + 1))
+    lf = load("symbol o : * .\nsymbol a : o .\nsymbol g : o -> o .\n"
+              f"rule g(x) -> x .\ncheck {binders} g(g(a)) : {arrows} .\n")
+    tc = TypeChecker(lf.signature, lf.rules)
+    (directive,) = lf.directives
+    return _calls(lambda: tc.check(Environment(), *directive.terms),
+                  TypeChecker.infer)
+
+
+def test_acceptance_18_typing_is_linear_under_binders():
+    # a count of calls, not a time; an abstraction builds its product
+    # judgment from premises it already has, so no product is typed again
+    small, large = _infer_calls(80), _infer_calls(160)
+    ratio = large / small
+    _report(18, ratio <= 2.2,
+            "typing costs O(1) judgments per binder: infer calls on "
+            f"λ-depth 160 / on 80 = {large} / {small} = {ratio:.2f} "
             "(bound 2.2)")
 
 

@@ -154,6 +154,25 @@ def test_fuel_must_be_positive(capsys):
     capsys.readouterr()
 
 
+def test_failing_check_directives(tmp_path, capsys):
+    # an abstraction's type must be sorted even where the body's type is
+    # the expected one: f a has type G(G(a)), which is ill-formed, and
+    # only the product rule of the abstraction finds that out
+    f = tmp_path / "failing.cac"
+    f.write_text("symbol o : * .\nsymbol a : o .\nsymbol G : o -> * .\n"
+                 "symbol F : o -> * .\nrule F(a) -> (o -> G(G(a))) .\n"
+                 "symbol f : F(a) .\n"
+                 "check fun (x:o) => * : o -> o .\n"
+                 "check fun (y:o) => f a : o -> G(G(a)) .\n"
+                 "check fun (y:o) => a : o -> o .\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "check (line 7): failed — the sort □ has no type",
+        "check (line 8): failed — G(a) has type ★, expected o",
+        "check (line 9): ok",
+        "some checks failed"]
+
+
 def test_cyclic_precedence_rejected(tmp_path, capsys):
     from tests.test_admissibility import CYCLIC_PRECEDENCE
     f = tmp_path / "cycle.cac"

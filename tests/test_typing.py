@@ -221,3 +221,20 @@ def test_replay_checks_a_conversion():
     assert replay(d, tc)
     assert not replay(d._replace(typ=NAT), tc)
     assert not replay(d._replace(premises=()), tc)
+
+
+def test_a_type_whose_type_rewrites_to_a_sort():
+    # t's type G(a) is a sort only after G(a) -> *, so each product over
+    # t is sorted through a conversion node, and the abstraction's
+    # product judgment takes its sort from that node
+    from cac import load
+    lf = load("symbol o : * .\nsymbol a : o .\nsymbol G : o -> * .\n"
+              "rule G(a) -> * .\nsymbol t : G(a) .\n"
+              "check fun (x:t) => x : t -> t .\n"
+              "check fun (x:t) => fun (y:t) => x : t -> t -> t .\n")
+    tc = TypeChecker(lf.signature, lf.rules)
+    for directive, convs in zip(lf.directives, (2, 5)):
+        d = tc.check(Environment(), *directive.terms)
+        assert d.rule_tag == "abs" and d.premises[1].typ == STAR
+        assert replay(d, tc)
+        assert sum(n.rule_tag == "conv" for n in d.nodes()) == convs
