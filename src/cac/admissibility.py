@@ -38,6 +38,28 @@ class ConditionResult(NamedTuple):
                 "detail": self.detail}
 
 
+def s_row(conds: Dict[str, ConditionResult]) -> Dict[str, dict]:
+    """The structured report's row of one rule's conditions."""
+    return {k: v.to_dict() for k, v in sorted(conds.items())}
+
+
+# The results whose text is fixed, shared by every rule that has them.
+S1_PASS = ConditionResult("s1", Outcome.PASS)
+S2_PASS = ConditionResult("s2", Outcome.PASS)
+S3_PASS = ConditionResult("s3", Outcome.PASS)
+S4_VACUOUS = ConditionResult("s4", Outcome.PASS, "vacuous: empty environment")
+S4_SUFFICIENT = ConditionResult(
+    "s4", Outcome.PASS_SUFFICIENT,
+    "every environment variable has an lhs occurrence whose derived type "
+    "matches its declared type")
+S5_VACUOUS = ConditionResult("s5", Outcome.PASS,
+                             "vacuous: empty substitution")
+S5_SUFFICIENT = ConditionResult(
+    "s5", Outcome.PASS_SUFFICIENT,
+    "each substituted variable is linked to its image through a "
+    "constructor output parameter")
+
+
 # ---------------------------------------------------------------------------
 # S1-S5
 
@@ -64,16 +86,16 @@ def check_type_preservation(rule: RewriteRule,
             f"substitution domain contains {', '.join(v.name for v in bad)} "
             "outside FV(lhs) \\ dom(env)")
     else:
-        out["s1"] = ConditionResult("s1", Outcome.PASS)
+        out["s1"] = S1_PASS
 
     expected = rule_type(rule, sig)
 
-    def typed(name: str, term: Term) -> ConditionResult:
+    def typed(term: Term, passed: ConditionResult) -> ConditionResult:
         try:
             tc.check(gamma_env, term, expected)
-            return ConditionResult(name, Outcome.PASS)
+            return passed
         except CacError as e:
-            return ConditionResult(name, Outcome.FAIL, e.message)
+            return ConditionResult(passed.name, Outcome.FAIL, e.message)
 
     try:
         tc.env_valid(gamma_env)
@@ -82,17 +104,16 @@ def check_type_preservation(rule: RewriteRule,
         out["s3"] = ConditionResult("s3", Outcome.FAIL, e.message)
     else:
         # S2: the rho-corrected lhs types at the rule type
-        out["s2"] = typed("s2", subst_apply(lhs, rho))
+        out["s2"] = typed(subst_apply(lhs, rho), S2_PASS)
         # S3: the rhs types at the rule type
-        out["s3"] = typed("s3", rule.rhs)
+        out["s3"] = typed(rule.rhs, S3_PASS)
 
     # S4: any typable instance of the lhs yields a substitution into Gamma.
     # Sufficient condition: every Gamma-variable occurs in the lhs at a
     # position whose derived type, corrected by rho, is its declared
     # type, and every lhs variable is covered by Gamma or rho.
     if len(gamma_env) == 0:
-        out["s4"] = ConditionResult("s4", Outcome.PASS,
-                                    "vacuous: empty environment")
+        out["s4"] = S4_VACUOUS
     else:
         missing = [x for x, xtyp in gamma_env
                    if next(typed_occurrences(rule, x, xtyp, sig), None)
@@ -110,10 +131,7 @@ def check_type_preservation(rule: RewriteRule,
                              + ", ".join(v.name for v in uncovered))
             out["s4"] = ConditionResult("s4", Outcome.FAIL, "; ".join(parts))
         else:
-            out["s4"] = ConditionResult(
-                "s4", Outcome.PASS_SUFFICIENT,
-                "every environment variable has an lhs occurrence whose "
-                "derived type matches its declared type")
+            out["s4"] = S4_SUFFICIENT
 
     # S5: instances of substituted variables converge to their images.
     # Sufficient condition: each substituted variable occurs as a
@@ -121,8 +139,7 @@ def check_type_preservation(rule: RewriteRule,
     # a parameter, and the derived type at the constructor instantiates
     # that parameter to the variable's image.
     if not rho:
-        out["s5"] = ConditionResult("s5", Outcome.PASS,
-                                    "vacuous: empty substitution")
+        out["s5"] = S5_VACUOUS
     else:
         unlinked = []
         for xp, image in sorted(rho.items(), key=lambda kv: kv[0].name):
@@ -134,10 +151,7 @@ def check_type_preservation(rule: RewriteRule,
                 "no parameter linkage for "
                 + ", ".join(v.name for v in unlinked))
         else:
-            out["s5"] = ConditionResult(
-                "s5", Outcome.PASS_SUFFICIENT,
-                "each substituted variable is linked to its image through "
-                "a constructor output parameter")
+            out["s5"] = S5_SUFFICIENT
     return out
 
 
@@ -446,20 +460,26 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
             fa.add(g)
         else:
             reasons[g] = why
-    changed = True
-    while changed:
-        changed = False
-        fna = defined - fa
-        for g in sorted(fa):
-            mentioned = set()
-            for r in by_head[g]:
-                mentioned |= symbols_of(r.lhs) | symbols_of(r.rhs)
-            shared = mentioned & fna
-            if shared:
-                fa.discard(g)
-                reasons[g] = ("rules mention the non-algebraic symbol "
-                              f"{sorted(shared)[0]}")
-                changed = True
+    # A round demotes every algebraic symbol whose rules mention a symbol
+    # demoted before the round: one that survived the round before can
+    # only meet the symbols demoted in it, so those drive the next round,
+    # through the reverse index of what each symbol's rules mention.
+    mentions: Dict[str, Set[str]] = {}
+    mentioned_by: Dict[str, List[str]] = {}
+    for g in fa:
+        mentions[g] = set().union(*(symbols_of(r.lhs) | symbols_of(r.rhs)
+                                    for r in by_head[g]))
+        for s in mentions[g]:
+            mentioned_by.setdefault(s, []).append(g)
+    demoted = defined - fa
+    while demoted:
+        hit = {g for s in demoted for g in mentioned_by.get(s, ())
+               if g in fa}
+        for g in sorted(hit):
+            reasons[g] = ("rules mention the non-algebraic symbol "
+                          f"{min(mentions[g] & demoted)}")
+        fa -= hit
+        demoted = hit
     return frozenset(fa), frozenset(defined - fa), reasons
 
 
@@ -512,7 +532,8 @@ class AdmissibilityReport(NamedTuple):
     meaning: str = ("an ADMISSIBLE system is strongly normalizing: "
                     "no term admits an infinite reduction sequence")
 
-    def to_dict(self):
+    def summary_dict(self):
+        """The structured report without its `s_conditions` rows."""
         return {
             "a1": self.a1.to_dict(),
             "a2": {"violations": list(self.a2_violations)},
@@ -530,14 +551,16 @@ class AdmissibilityReport(NamedTuple):
                 "separation": HOLDS.to_dict(),
                 "demotions": dict(sorted(self.a4_demotions.items())),
             },
-            "s_conditions": {
-                rule: {k: v.to_dict() for k, v in sorted(conds.items())}
-                for rule, conds in sorted(self.s_conditions.items())
-            },
             "assertions": list(self.assertions),
             "overall": self.overall.value,
             "meaning": self.meaning,
         }
+
+    def to_dict(self):
+        d = self.summary_dict()
+        d["s_conditions"] = {rule: s_row(conds) for rule, conds
+                             in sorted(self.s_conditions.items())}
+        return d
 
     def to_text(self) -> str:
         lines = [f"A1 confluence: {self.a1.level.value}"]

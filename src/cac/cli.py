@@ -13,7 +13,8 @@ import sys
 from _json import encode_basestring_ascii
 from typing import List, Optional
 
-from .admissibility import Outcome, OverallVerdict, check_admissible
+from .admissibility import (Outcome, OverallVerdict, check_admissible,
+                            s_row)
 from .orderings import Orientation
 from .printer import pp
 from .rewriting import RuleSet, confluence_check, normalize
@@ -41,17 +42,50 @@ def to_json(obj, indent: str = "\n") -> str:
         return int.__repr__(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return ("{" + inner + ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + to_json(v, inner)
-            for k, v in sorted(obj.items())) + indent + "}")
+        return "".join(_object([(k, (to_json(v, inner),))
+                                for k, v in sorted(obj.items())], indent))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         return ("[" + inner + ("," + inner).join(
             to_json(v, inner) for v in obj) + indent + "]")
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _object(members, indent: str) -> list:
+    """The pieces of the text of a JSON object at `indent`, given its
+    members in key order as (key, pieces of the member's text)."""
+    if not members:
+        return ["{}"]
+    inner = indent + "  "
+    pieces = []
+    for key, value in members:
+        pieces.append(("," if pieces else "{") + inner
+                      + encode_basestring_ascii(key) + ": ")
+        pieces += value
+    pieces.append(indent + "}")
+    return pieces
+
+
+def _admissibility_json(report) -> str:
+    """`to_json(report.to_dict())`, written as one join over the texts of
+    the report's top-level members.  Each distinct row of S1-S5 results
+    is encoded once and spliced in for every rule that has it, so neither
+    a dict of every rule nor a second copy of the rows' text is built."""
+    rows: dict = {}
+
+    def row(conds) -> tuple:
+        key = tuple(sorted(conds.items()))
+        if key not in rows:
+            rows[key] = (to_json(s_row(conds), "\n    "),)
+        return rows[key]
+
+    members = [(k, (to_json(v, "\n  "),))
+               for k, v in report.summary_dict().items()]
+    members.append(("s_conditions", _object(
+        [(rule, row(conds))
+         for rule, conds in sorted(report.s_conditions.items())], "\n  ")))
+    return "".join(_object(sorted(members), "\n"))
 
 
 def _emit(obj, as_json: bool, text: str) -> None:
@@ -141,7 +175,7 @@ def cmd_admissibility(args) -> int:
         assume_terminating=loaded.assume_terminating,
         force_non_algebraic=loaded.non_algebraic)
     # each form of the report costs a pass over it, so build only one
-    print(to_json(report.to_dict()) if args.report == "structured"
+    print(_admissibility_json(report) if args.report == "structured"
           else report.to_text())
     if report.overall == OverallVerdict.ADMISSIBLE:
         if args.strict and _uses_sufficient(report):

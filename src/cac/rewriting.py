@@ -28,6 +28,9 @@ class _RuleFields(NamedTuple):
     ann_subst: dict
 
 
+_NO_ENV = Environment()
+
+
 class RewriteRule(_RuleFields):
     """l -> r with the annotation environment Gamma and substitution rho
     of the type-preservation conditions."""
@@ -35,7 +38,7 @@ class RewriteRule(_RuleFields):
     __slots__ = ()
 
     def __new__(cls, name: str, lhs: Term, rhs: Term,
-                ann_env: Environment = Environment(),
+                ann_env: Environment = _NO_ENV,
                 ann_subst: Optional[dict] = None):
         if not (is_algebraic(lhs) and isinstance(lhs, Symb)):
             raise RuleError("bad-lhs", f"{name}: left-hand side must be an "
@@ -167,9 +170,13 @@ def unify(a: Term, b: Term, sigma: Optional[dict] = None) -> Optional[dict]:
 
 
 def rename_apart(rule: RewriteRule) -> RewriteRule:
+    """`rule` with fresh variables and no annotations.  Renaming keeps
+    the lhs algebraic and FV(rhs) within FV(lhs), so the copy is built
+    without `RewriteRule`'s checks."""
     ren = {v: Var(Variable.fresh(v.name, v.sort)) for v in free_vars(rule.lhs)}
-    return RewriteRule(rule.name, subst_apply(rule.lhs, ren),
-                       subst_apply(rule.rhs, ren))
+    return _RuleFields.__new__(RewriteRule, rule.name,
+                               subst_apply(rule.lhs, ren),
+                               subst_apply(rule.rhs, ren), _NO_ENV, {})
 
 
 # ---------------------------------------------------------------------------

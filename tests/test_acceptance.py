@@ -1,11 +1,15 @@
 """Acceptance criteria: one test per criterion, each printing a single
 pass/fail line and enforcing its runtime bound."""
 
+import contextlib
+import gc
+import io
 import json
 import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,6 +20,8 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Outcome,
                  check_type_preservation, check_well_formed, cc_check,
                  critical_pairs, joinable, left_linear, load, normalize, pp,
                  rpo_terminates, satisfies_general_schema, system_properties)
+from cac.admissibility import partition_explained
+from cac.cli import main
 from cac.syntax import lex, parse
 from cac.terms import lam, map_children
 from tests.conftest import CORPUS, corpus_source, plus_family_source
@@ -553,6 +559,77 @@ def test_acceptance_18_typing_is_linear_under_binders():
     _report(18, ratio <= 2.2,
             "typing costs O(1) judgments per binder: infer calls on "
             f"λ-depth 160 / on 80 = {large} / {small} = {ratio:.2f} "
+            "(bound 2.2)")
+
+
+def _peak(f):
+    """The peak of the traced Python heap while f() runs, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_acceptance_19_structured_report_memory(tmp_path):
+    # a ratio of traced heap peaks; the report is written from shared
+    # rows, so printing it holds little beside the report itself
+    f = tmp_path / "synthetic_160.cac"
+    f.write_text(_synthetic(160), encoding="utf-8")
+
+    def verdict():
+        lf = load(f.read_text(encoding="utf-8"))
+        check_admissible(lf.signature, lf.rules)
+
+    def report():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--report", "structured", "admissibility",
+                         str(f)]) == 0
+
+    report()  # the argument parser is built once per process
+    small, large = _peak(verdict), _peak(report)
+    ratio = large / small
+    _report(19, ratio <= 1.35,
+            "the structured report costs little memory beside the "
+            "verdict: peak of `cac --report structured admissibility` on "
+            f"synthetic(160) / of load and check_admissible = "
+            f"{large / 2**20:.3f} / {small / 2**20:.3f} MiB = {ratio:.2f} "
+            "(bound 1.35)")
+
+
+def _demotion_chain(n):
+    """g0 .. gn, where the rule of gi calls g(i+1) and gn is
+    non-algebraic by pragma: the partition demotes one symbol per
+    round, from g(n-1) down to g0."""
+    lines = ["symbol o : * ."]
+    lines += [f"symbol g{i} : o -> o ." for i in range(n + 1)]
+    lines += [f"pragma prec g{i} > g{i + 1} ." for i in range(n)]
+    lines.append(f"pragma non_algebraic g{n} .")
+    lines += [f"rule g{i}(x) -> g{i + 1}(x) ." for i in range(n)]
+    lines.append(f"rule g{n}(x) -> x .")
+    return "\n".join(lines) + "\n"
+
+
+def _partition_calls(n):
+    lf = load(_demotion_chain(n))
+    fa, _, reasons = partition_explained(lf.signature, lf.rules,
+                                         lf.non_algebraic)
+    assert not fa and reasons["g0"] == ("rules mention the non-algebraic "
+                                        "symbol g1")
+    return _calls(lambda: partition_explained(lf.signature, lf.rules,
+                                              lf.non_algebraic))
+
+
+def test_acceptance_20_partition_is_linear_in_a_demotion_chain():
+    # a count of calls, not a time; each round starts from the symbols
+    # demoted in the round before, so a chain costs O(1) per link
+    small, large = _partition_calls(80), _partition_calls(160)
+    ratio = large / small
+    _report(20, ratio <= 2.2,
+            "the partition's fixpoint is linear: calls on a demotion "
+            f"chain of 160 / of 80 = {large} / {small} = {ratio:.2f} "
             "(bound 2.2)")
 
 

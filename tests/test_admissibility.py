@@ -1,6 +1,8 @@
 """Type-preservation conditions, system properties, the defined-symbol
 partition, and the overall verdict."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,20 @@ def test_app_s_conditions(app):
         assert c["s3"].outcome == Outcome.PASS
         assert c["s4"].outcome == Outcome.PASS_SUFFICIENT
         assert c["s5"].outcome == Outcome.PASS_SUFFICIENT
+
+
+def test_results_of_fixed_text_are_shared(app):
+    from cac.admissibility import (S1_PASS, S2_PASS, S3_PASS, S4_SUFFICIENT,
+                                   S4_VACUOUS, S5_SUFFICIENT, S5_VACUOUS)
+    lf = load("symbol o : * .\nsymbol a : o .\nsymbol f : o -> o .\n"
+              "rule f(a) -> a .\n")
+    for system, shared in (
+            (app, (S1_PASS, S2_PASS, S3_PASS, S4_SUFFICIENT, S5_SUFFICIENT)),
+            (lf, (S1_PASS, S2_PASS, S3_PASS, S4_VACUOUS, S5_VACUOUS))):
+        tc = TypeChecker(system.signature, system.rules)
+        for r in system.rules:
+            row = check_type_preservation(r, tc)
+            assert all(map(operator.is_, row.values(), shared)), r.name
 
 
 def test_s1_fails_when_rho_hits_env(app):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cac import cli
+from cac import Outcome, check_admissible, cli, load
 from cac.cli import main
 from tests.conftest import CORPUS, plus_family_source
 
@@ -63,10 +63,14 @@ def test_admissibility_builds_only_the_report_it_prints(monkeypatch,
     def unused(self):
         raise AssertionError("built a report that is not printed")
 
-    for form, printed, other in (("text", text, "to_dict"),
-                                 ("structured", structured, "to_text")):
+    # the structured report is written from the members and the rows,
+    # so it builds no dict tree of every rule either
+    for form, printed, others in (("text", text, ("to_dict",)),
+                                  ("structured", structured,
+                                   ("to_text", "to_dict"))):
         with monkeypatch.context() as m:
-            m.setattr(AdmissibilityReport, other, unused)
+            for other in others:
+                m.setattr(AdmissibilityReport, other, unused)
             assert main(["--report", form, "admissibility",
                          path("app")]) == 0
         assert capsys.readouterr().out == printed + "\n"
@@ -219,6 +223,62 @@ def test_structured_admissibility_keys(capsys):
     assert sorted(obj["a4"]["strong_normalization"]) == ["status", "witness"]
     for conds in obj["s_conditions"].values():
         assert sorted(conds) == ["s1", "s2", "s3", "s4", "s5"]
+
+
+# three rules with three different rows: an S4 that fails, naming the
+# environment variable without an occurrence, a vacuous S4 and a
+# sufficient one
+MIXED_ROWS = """
+symbol o : * .
+symbol z : o .
+symbol h : o -> o .
+symbol k : o -> o .
+rule h(x) -> x with env [x : o, y : o] .
+rule h(z) -> z .
+rule k(x) -> h(x) .
+"""
+
+
+def _structured_sources():
+    from tests.test_acceptance import _synthetic
+    from tests.test_admissibility import CYCLIC_PRECEDENCE, DEMOTION_CHAIN
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(CORPUS.glob("*.cac"))}
+    sources.update(demotion_chain=DEMOTION_CHAIN,
+                   cyclic_precedence=CYCLIC_PRECEDENCE,
+                   synthetic_20=_synthetic(20), mixed_rows=MIXED_ROWS,
+                   no_rules="symbol o : * .\nsymbol a : o .\n")
+    return sources
+
+
+STRUCTURED_SOURCES = _structured_sources()
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_SOURCES))
+def test_structured_admissibility_is_the_json_of_the_report(name, tmp_path,
+                                                            capsys):
+    source = STRUCTURED_SOURCES[name]
+    f = tmp_path / f"{name}.cac"
+    f.write_text(source, encoding="utf-8")
+    lf = load(source)
+    report = check_admissible(lf.signature, lf.rules,
+                              assume_confluent=lf.assume_confluent,
+                              assume_terminating=lf.assume_terminating,
+                              force_non_algebraic=lf.non_algebraic)
+    main(["--report", "structured", "admissibility", str(f)])
+    out = capsys.readouterr().out
+    assert out == json.dumps(report.to_dict(), indent=2,
+                             sort_keys=True) + "\n"
+    rows = {json.dumps(row) for row in json.loads(out)["s_conditions"]
+            .values()}
+    if name == "synthetic_20":
+        assert len(rows) == 1
+    if name == "mixed_rows":
+        assert len(rows) == 3
+        assert report.s_conditions["rule1"]["s4"] == (
+            "s4", Outcome.FAIL, "no derived-type occurrence for y")
+    if name == "no_rules":
+        assert '\n  "s_conditions": {}\n' in out
 
 
 DEEP = 10_000

@@ -1,6 +1,7 @@
 """Matching, unification, reduction, critical pairs, confluence."""
 
 import random
+import sys
 
 import pytest
 
@@ -249,6 +250,29 @@ def test_rename_apart_is_fresh():
     assert fv != x  # fresh variable, same shape
     assert r2.rhs == Var(fv)
     assert match_first_order(r2.lhs, r.lhs) is not None
+
+
+def test_rename_apart_builds_the_copy_without_checking_it():
+    # renaming keeps the lhs algebraic and FV(rhs) within FV(lhs), so
+    # the copy skips RewriteRule.__new__, yet passes its checks
+    x, y = v("x"), v("y")
+    r = RewriteRule("r", sy("f", Var(x), sy("g", Var(y))), sy("h", Var(y)))
+    checks = 0
+
+    def hook(frame, event, arg):
+        nonlocal checks
+        checks += event == "call" and frame.f_code is \
+            RewriteRule.__new__.__code__
+
+    sys.setprofile(hook)
+    try:
+        r2 = rename_apart(r)
+    finally:
+        sys.setprofile(None)
+    assert checks == 0
+    assert type(r2) is RewriteRule and RewriteRule(*r2) == r2
+    assert r2.ann_env == r.ann_env and r2.ann_subst == {}
+    assert free_vars(r2.lhs).isdisjoint(free_vars(r.lhs))
 
 
 def test_confluence_unknown_keeps_count_when_not_left_linear():
