@@ -5,8 +5,9 @@ symbols, and the top-level admissibility verdict (A1-A4)."""
 from __future__ import annotations
 
 import enum
-from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .orderings import Orientation
 from .positivity import (PredicateClass, check_inductive_structure,
@@ -38,7 +39,7 @@ class ConditionResult(NamedTuple):
                 "detail": self.detail}
 
 
-def s_row(conds: Dict[str, ConditionResult]) -> Dict[str, dict]:
+def s_row(conds: Mapping[str, ConditionResult]) -> Dict[str, dict]:
     """The structured report's row of one rule's conditions."""
     return {k: v.to_dict() for k, v in sorted(conds.items())}
 
@@ -526,7 +527,7 @@ class AdmissibilityReport(NamedTuple):
     a4_non_algebraic_props: SystemProperties
     a4_sn: TriState
     a4_demotions: Dict[str, str]
-    s_conditions: Dict[str, Dict[str, ConditionResult]]
+    s_conditions: Dict[str, Mapping[str, ConditionResult]]
     overall: OverallVerdict
     assertions: List[str]
     meaning: str = ("an ADMISSIBLE system is strongly normalizing: "
@@ -660,10 +661,16 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         failures.append("A4")
 
     # S conditions ----------------------------------------------------
-    s_conditions: Dict[str, Dict[str, ConditionResult]] = {}
+    # one read-only row per distinct row of results, shared by its rules
+    s_conditions: Dict[str, Mapping[str, ConditionResult]] = {}
+    rows: Dict[tuple, Mapping[str, ConditionResult]] = {}
     for r in rules:
         conds = check_type_preservation(r, tc)
-        s_conditions[r.name] = conds
+        key = tuple(conds.items())
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = MappingProxyType(conds)
+        s_conditions[r.name] = row
         if any(c.outcome == Outcome.FAIL for c in conds.values()):
             failures.append(f"S({r.name})")
 

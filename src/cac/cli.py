@@ -69,16 +69,17 @@ def _object(members, indent: str) -> list:
 
 def _admissibility_json(report) -> str:
     """`to_json(report.to_dict())`, written as one join over the texts of
-    the report's top-level members.  Each distinct row of S1-S5 results
-    is encoded once and spliced in for every rule that has it, so neither
-    a dict of every rule nor a second copy of the rows' text is built."""
-    rows: dict = {}
+    the report's top-level members.  Rules with equal S1-S5 results share
+    one row object, which is encoded once and spliced in for every rule
+    that has it, so neither a dict of every rule nor a second copy of the
+    rows' text is built."""
+    rows: dict = {}  # id of a row -> its text; the report keeps it alive
 
     def row(conds) -> tuple:
-        key = tuple(sorted(conds.items()))
-        if key not in rows:
-            rows[key] = (to_json(s_row(conds), "\n    "),)
-        return rows[key]
+        text = rows.get(id(conds))
+        if text is None:
+            text = rows[id(conds)] = (to_json(s_row(conds), "\n    "),)
+        return text
 
     members = [(k, (to_json(v, "\n  "),))
                for k, v in report.summary_dict().items()]
@@ -167,13 +168,19 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_admissibility(args) -> int:
+def _admissibility_report(args):
+    """The verdict on the file.  The loaded file is unreachable once
+    this returns, so it is not held while the report's text is built."""
     loaded = _load_file(args.file, args.fuel)
-    report = check_admissible(
+    return check_admissible(
         loaded.signature, loaded.rules, fuel=args.fuel,
         assume_confluent=loaded.assume_confluent,
         assume_terminating=loaded.assume_terminating,
         force_non_algebraic=loaded.non_algebraic)
+
+
+def cmd_admissibility(args) -> int:
+    report = _admissibility_report(args)
     # each form of the report costs a pass over it, so build only one
     print(_admissibility_json(report) if args.report == "structured"
           else report.to_text())

@@ -586,9 +586,10 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
 
     Rule j can overlap into rule i only at a subterm of lhs i headed by
     the head of j, so a pair is tried only when one head occurs in the
-    other's lhs.  Pairs come out ordered by i, then j, then direction."""
+    other's lhs.  Pairs come out ordered by i, then j, then direction.
+    Rule i is renamed once it has a pair to try, and its partner afresh
+    for each pair, so no renamed copy outlives the pairs it serves."""
     rules = RuleSet.of(rules)
-    renamed = [rename_apart(r) for r in rules]
     syms = [symbols_of(r.lhs) for r in rules]
     at_head: Dict[str, List[int]] = {}     # rules with this head
     mentioning: Dict[str, List[int]] = {}  # rules whose lhs has this symbol
@@ -597,17 +598,21 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
         for g in syms[k]:
             mentioning.setdefault(g, []).append(k)
     out: List[CriticalPair] = []
-    for i, ri in enumerate(renamed):
-        head = ri.head_name()
+    for i, r in enumerate(rules):
+        head = r.head_name()
         # self-overlaps at proper positions only
-        if any(head in symbols_of(a) for a in ri.lhs_args()):
-            out.extend(_overlaps(ri, rename_apart(rules[i]),
-                                 include_root=False))
+        inner = any(head in symbols_of(a) for a in r.lhs_args())
         partners = set(mentioning.get(head, ()))
         for g in syms[i]:
             partners.update(at_head.get(g, ()))
-        for j in sorted(j for j in partners if j > i):
-            rj = renamed[j]
+        later = sorted(j for j in partners if j > i)
+        if not (inner or later):
+            continue
+        ri = rename_apart(r)
+        if inner:
+            out.extend(_overlaps(ri, rename_apart(r), include_root=False))
+        for j in later:
+            rj = rename_apart(rules[j])
             out.extend(_overlaps(ri, rj, include_root=True))
             out.extend(_overlaps(rj, ri, include_root=False))
     return out

@@ -226,7 +226,7 @@ class Signature:
         if name in self.decls:
             raise DeclarationError("duplicate-name", f"symbol {name} already declared")
         mentioned = symbols_of(typ)
-        unknown = mentioned - set(self.decls)
+        unknown = mentioned.difference(self.decls)  # a lookup per name
         if unknown:
             raise DeclarationError(
                 "unknown-symbol",

@@ -114,7 +114,9 @@ def _texts(source: str) -> Tuple[List[str], List[int]]:
     """The texts of `lex(source)`, the eof token's being "", and the line
     marks: the number of tokens before each newline, so that token i is
     on line 1 + bisect_right(marks, i).  One `findall` reads them; when
-    a distinct text is no token, `lex` raises the error at its place."""
+    a distinct text is no token, `lex` raises the error at its place.
+    Equal texts are one string, so the names that parsed terms keep cost
+    one string per distinct name."""
     items = _TOKEN.findall(_unalias(source))
     toks: List[str] = []
     marks: List[int] = []
@@ -132,8 +134,10 @@ def _texts(source: str) -> Tuple[List[str], List[int]]:
             break
         marks.append(len(toks))
         start = k + 1
-    if not all(map(_VALID.fullmatch, set(toks))):
+    shared = {t: t for t in toks}
+    if not all(map(_VALID.fullmatch, shared)):
         lex(source)  # raises at the first character that is no token
+    toks = list(map(shared.__getitem__, toks))
     toks.append("")
     return toks, marks
 
@@ -695,12 +699,16 @@ class _Elaboration:
 
 
 def load(source: str, fuel: int = 10000) -> LoadedFile:
-    """Parse the whole file, then elaborate its items in order."""
+    """Parse the whole file, then elaborate its items in order.  Each
+    item is dropped once its method has taken it in, so the parse of the
+    items already elaborated is not held beside the file they built."""
     items = parse(source)
+    items.reverse()
     out = LoadedFile(fuel)
     try:
-        for item in items:
-            item.method(out, item.line, *item.args)
+        while items:
+            method, line, args = items.pop()
+            method(out, line, *args)
     except ElabError as e:
         raise e.located(source) from None
     return out

@@ -276,23 +276,37 @@ def sort_class_of_type(t: Term) -> Sort:
 
 def _map_leaves(t: Term, leaf, depth: int) -> Term:
     """t rebuilt with leaf(u, d) in place of each sort or variable u,
-    where d is depth plus the number of binders above u.  One frame per
-    term level, so a term as deep as the recursion limit allows is
-    walked to the bottom."""
+    where d is depth plus the number of binders above u.  A subterm none
+    of whose leaves changed is returned itself, so what a map leaves
+    alone stays shared.  One frame per term level, so a term as deep as
+    the recursion limit allows is walked to the bottom."""
     if isinstance(t, Symb):
         args = []
+        same = True
         for a in t.args:
-            args.append(_map_leaves(a, leaf, depth))
-        return Symb(t.name, tuple(args))
+            b = _map_leaves(a, leaf, depth)
+            args.append(b)
+            if b is not a:
+                same = False
+        return t if same else Symb(t.name, tuple(args))
     if isinstance(t, App):
-        return App(_map_leaves(t.head, leaf, depth),
-                   _map_leaves(t.arg, leaf, depth))
+        head = _map_leaves(t.head, leaf, depth)
+        arg = _map_leaves(t.arg, leaf, depth)
+        if head is t.head and arg is t.arg:
+            return t
+        return App(head, arg)
     if isinstance(t, Abs):
-        return Abs(_map_leaves(t.domain, leaf, depth),
-                   _map_leaves(t.body, leaf, depth + 1), t.hint)
+        dom = _map_leaves(t.domain, leaf, depth)
+        body = _map_leaves(t.body, leaf, depth + 1)
+        if dom is t.domain and body is t.body:
+            return t
+        return Abs(dom, body, t.hint)
     if isinstance(t, Prod):
-        return Prod(_map_leaves(t.domain, leaf, depth),
-                    _map_leaves(t.codomain, leaf, depth + 1), t.hint)
+        dom = _map_leaves(t.domain, leaf, depth)
+        cod = _map_leaves(t.codomain, leaf, depth + 1)
+        if dom is t.domain and cod is t.codomain:
+            return t
+        return Prod(dom, cod, t.hint)
     return leaf(t, depth)
 
 

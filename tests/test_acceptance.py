@@ -633,6 +633,83 @@ def test_acceptance_20_partition_is_linear_in_a_demotion_chain():
             "(bound 2.2)")
 
 
+def test_acceptance_21_load_holds_little_beside_the_file():
+    # a ratio of traced heap sizes; token texts are shared and each
+    # parsed item is dropped once elaborated, so loading holds little
+    # beyond the file it builds
+    source = _synthetic(160)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lf = load(source)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lf.rules) == 320
+    ratio = peak / size
+    _report(21, ratio <= 1.3,
+            "loading holds little beside the loaded file: peak of "
+            f"load(synthetic(160)) / its LoadedFile = {peak / 2**20:.3f} / "
+            f"{size / 2**20:.3f} MiB = {ratio:.2f} (bound 1.3)")
+
+
+def _under_binder_calls(d):
+    """Calls made by normalize on fun (z : nat) => tree_d, whose body
+    does not mention z (loading not counted)."""
+    source = _tree_source(d).replace("normalize ",
+                                     "normalize fun (z : nat) => ")
+    lf = load(source, fuel=10**6)
+    (directive,) = lf.directives
+    return _calls(lambda: normalize(directive.terms[0], lf.rules, 10**6))
+
+
+def test_acceptance_22_normalization_keeps_sharing_under_a_binder():
+    # a count of calls, not a time; opening a binder returns each
+    # subterm that does not mention the bound variable itself, so the
+    # shared subterms of the body are still normalized once
+    under, bare = _under_binder_calls(6), _tree_calls(6)
+    ratio = under / bare
+    _report(22, ratio <= 8,
+            "normalization keeps sharing under a binder: calls on "
+            f"fun (z : nat) => tree_6 / on tree_6 = {under} / {bare} = "
+            f"{ratio:.2f} (bound 8)")
+
+
+def _declarations_source(n):
+    """n one-line symbol declarations over one sort."""
+    return "symbol o : * .\n" + "".join(f"symbol g{i} : o -> o .\n"
+                                          for i in range(n))
+
+
+def test_acceptance_23_declarations_are_linear():
+    # a ratio of times at sizes four apart; a declaration looks up each
+    # symbol its type mentions, not a copy of every declared name.  Each
+    # of five rounds loads both sizes back to back and counts this
+    # process's CPU time, and the median round's ratio is read, so a slow
+    # spell of a shared machine weighs on both sizes.  The collector is
+    # off while a load runs: a full collection scans every object the
+    # test process holds, which the larger load would pay more often
+    sources = {n: _declarations_source(n) for n in (2000, 8000)}
+    rounds = []
+    for _ in range(5):
+        took = {}
+        for n, source in sources.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                load(source)
+                took[n] = time.process_time() - t0
+            finally:
+                gc.enable()
+        rounds.append((took[8000] / took[2000], took[8000], took[2000]))
+    ratio, large, small = sorted(rounds)[2]
+    _report(23, ratio <= 5.5,
+            "declaring a symbol costs O(1) in the symbols declared: load "
+            f"of 8000 / of 2000 declarations = {large:.3f} / {small:.3f} s "
+            f"CPU = {ratio:.2f}, median of five rounds (bound 5.5)")
+
+
 def test_normalization_fuel_counts_every_remembered_contraction():
     # tree_4 holds 16 equal additions of 25 contractions each: the fuel
     # must stop the shared term exactly where it stops a copy that

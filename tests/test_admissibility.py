@@ -47,6 +47,24 @@ def test_results_of_fixed_text_are_shared(app):
             assert all(map(operator.is_, row.values(), shared)), r.name
 
 
+def test_report_rows_are_shared_and_read_only(app):
+    # synthetic(20)'s 40 rules have equal S1-S5 results, so the report
+    # holds one row for all of them, and no caller can change it
+    from tests.test_acceptance import _synthetic
+    lf = load(_synthetic(20))
+    report = check_admissible(lf.signature, lf.rules)
+    rows = list(report.s_conditions.values())
+    assert len(rows) == 40 and len({id(row) for row in rows}) == 1
+    with pytest.raises(TypeError):
+        rows[0]["s1"] = rows[0]["s2"]
+    # each rule's row, shared or not, holds that rule's own results
+    report = check_admissible(app.signature, app.rules)
+    for name, row in report.s_conditions.items():
+        rule = next(r for r in app.rules if r.name == name)
+        assert dict(row) == check_type_preservation(
+            rule, TypeChecker(app.signature, app.rules))
+
+
 def test_s1_fails_when_rho_hits_env(app):
     rule = app.rules[0]
     (gamma_var, _) = tuple(rule.ann_env)[0]

@@ -9,10 +9,11 @@ from cac import (ConfluenceLevel, Orientation, RewriteRule, STAR, Symb, Var,
                  Variable, alpha_eq, confluence_check, critical_pairs,
                  joinable, left_linear, match_first_order, normalize, pp,
                  reduce_one, step, unify)
-from cac.rewriting import RuleError, RuleSet, _reducts, _Search, rename_apart
+from cac.rewriting import (RuleError, RuleSet, _overlaps, _reducts, _Search,
+                           rename_apart)
 from cac.terms import (Abs, App, BVar, FuelExhausted, Prod, Sort, _children,
                        free_vars, lam, map_children, pi, positions,
-                       replace_at, subst_apply, subterm_at)
+                       replace_at, subst_apply, subterm_at, symbols_of)
 from tests.test_properties import _int_vars, random_binder_term
 
 
@@ -374,6 +375,83 @@ def test_critical_pairs_match_all_pairs_reference():
             [str(r) for r in rules]
         found += len(got)
     assert found > 100  # the generator does produce overlaps
+
+
+def renamed_first_critical_pairs(rules):
+    """Reference enumeration with the index of `critical_pairs`, but
+    every rule renamed apart before any pair is tried, each copy serving
+    every pair of its rule."""
+    rules = RuleSet.of(rules)
+    renamed = [rename_apart(r) for r in rules]
+    syms = [symbols_of(r.lhs) for r in rules]
+    out = []
+    for i, ri in enumerate(renamed):
+        head = ri.head_name()
+        if any(head in symbols_of(a) for a in ri.lhs_args()):
+            out.extend(_overlaps(ri, rename_apart(rules[i]),
+                                 include_root=False))
+        for j, rj in enumerate(renamed):
+            if j > i and (head in syms[j] or rj.head_name() in syms[i]):
+                out.extend(_overlaps(ri, rj, include_root=True))
+                out.extend(_overlaps(rj, ri, include_root=False))
+    return out
+
+
+def printed_pairs(cps):
+    return [(pp(cp.peak), pp(cp.left_reduct), pp(cp.right_reduct),
+             cp.overlap_position, cp.rules) for cp in cps]
+
+
+def test_critical_pairs_match_renaming_every_rule_first(corpus):
+    # renaming per pair must give the pairs, their printed terms,
+    # positions, rule names and order that renaming up front gave
+    from cac import load
+    from tests.test_acceptance import _synthetic
+    x = v("x")
+    systems = {name: lf.rules for name, lf in corpus.items()}
+    systems["synthetic_20"] = load(_synthetic(20)).rules
+    systems["self_overlap"] = [
+        RewriteRule("ff", sy("f", sy("f", Var(x))), Var(x))]
+    # rules built through the API may share one variable object
+    systems["shared_variable"] = [
+        RewriteRule("s1", sy("f", sy("g", Var(x))), Var(x)),
+        RewriteRule("s2", sy("g", Var(x)), sy("h", Var(x))),
+        RewriteRule("s3", sy("f", Var(x)), sy("g", Var(x)))]
+    counts = {}
+    for name, rules in systems.items():
+        got = printed_pairs(critical_pairs(rules))
+        assert got == printed_pairs(renamed_first_critical_pairs(rules)), \
+            name
+        counts[name] = len(got)
+    assert counts["synthetic_20"] == 20
+    assert counts["self_overlap"] == 1 and counts["shared_variable"] == 2
+    assert counts["int"] == 2 and counts["ndm_prop"] > 2
+
+
+def test_newman_attempt_with_a_pair_that_does_not_join():
+    # RPO orients both rules, so NEWMAN is tried; the one critical pair,
+    # at f(a), ends in the distinct normal forms b and c
+    from cac import load
+    lf = load("symbol o : * .\nsymbol a : o .\nsymbol b : o .\n"
+              "symbol c : o .\nsymbol d : o .\nsymbol f : o -> o .\n"
+              "pragma prec f > b .\npragma prec f > c .\n"
+              "pragma prec b > d .\n"
+              "rule f(a) -> b .\nrule f(x) -> c .\nrule b -> d .\n")
+    orientation = Orientation(lf.signature)
+    assert orientation.terminates(RuleSet(lf.rules)) is not None
+    (cp,) = critical_pairs(lf.rules)
+    assert str(cp) == "peak f(a) -> b | c (rules rule1/rule2 at [])"
+    assert not joinable(cp.left_reduct, cp.right_reduct, lf.rules)
+    unknown = (ConfluenceLevel.UNKNOWN, ["1 critical pair(s); left-linear"])
+    assert confluence_check(lf.rules, orientation) == unknown
+    # with no fuel for the one reduct of b, the search runs out, and
+    # running out means NOT joinable too
+    with pytest.raises(FuelExhausted):
+        joinable(cp.left_reduct, cp.right_reduct, lf.rules, fuel=0)
+    assert confluence_check(lf.rules, orientation, fuel=0) == unknown
+    assert confluence_check(lf.rules, orientation, fuel=0,
+                            assume_confluent=True).level \
+        == ConfluenceLevel.ASSERTED
 
 
 # -- joinability search against a list-based reference -----------------------
