@@ -465,14 +465,15 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
     # demoted before the round: one that survived the round before can
     # only meet the symbols demoted in it, so those drive the next round,
     # through the reverse index of what each symbol's rules mention.
+    # With nothing demoted yet there is no round, and no index is built.
+    demoted = defined - fa
     mentions: Dict[str, Set[str]] = {}
     mentioned_by: Dict[str, List[str]] = {}
-    for g in fa:
+    for g in fa if demoted else ():
         mentions[g] = set().union(*(symbols_of(r.lhs) | symbols_of(r.rhs)
                                     for r in by_head[g]))
         for s in mentions[g]:
             mentioned_by.setdefault(s, []).append(g)
-    demoted = defined - fa
     while demoted:
         hit = {g for s in demoted for g in mentioned_by.get(s, ())
                if g in fa}

@@ -17,7 +17,7 @@ from .admissibility import (Outcome, OverallVerdict, check_admissible,
                             s_row)
 from .orderings import Orientation
 from .printer import pp
-from .rewriting import RuleSet, confluence_check, normalize
+from .rewriting import confluence_check, normalize
 from .syntax import (ElabError, LoadedFile, ParseError, Parser, load,
                      position)
 from .terms import CacError, Environment
@@ -118,7 +118,7 @@ def _parse_expr(loaded: LoadedFile, text: str):
 def _checker(loaded: LoadedFile, fuel: int) -> TypeChecker:
     """The file's typing context, which converts by comparing normal
     forms once A1 finds the rules confluent."""
-    rules = RuleSet(loaded.rules)
+    rules = loaded.index
     a1 = confluence_check(rules, Orientation(loaded.signature), fuel,
                           loaded.assume_confluent)
     return TypeChecker(loaded.signature, rules, fuel, a1.positive)

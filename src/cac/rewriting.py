@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import collections.abc
 import enum
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+from typing import (Dict, Iterable, Iterator, KeysView, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from .orderings import Orientation
 from .terms import (Abs, App, BVar, CacError, Environment, FuelExhausted,
-                    Position, Prod, SortT, Symb, Term, Var, Variable,
+                    Position, Prod, Sort, SortT, Symb, Term, Var, Variable,
                     _children, _rebuild, close, free_vars, is_algebraic,
                     occurrences, open_, open_fresh, replace_at, subst_apply,
                     symbols_of, var_counts)
@@ -70,18 +70,27 @@ class RuleSet(collections.abc.Sequence):
     """Rules in declaration order, indexed by the head symbol of their
     left-hand side.  A rule can only apply at, or overlap into, a
     subterm headed by its own head, so lookups by head replace scans
-    over every rule (Graf, Term Indexing, LNCS 1053)."""
+    over every rule (Graf, Term Indexing, LNCS 1053).  `add` grows the
+    index in place, so a file being loaded keeps one index of its rules
+    rather than building one per declaration."""
 
     __slots__ = ("rules", "by_head", "heads")
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
-        self.rules: Tuple[RewriteRule, ...] = tuple(rules)
+        self.rules: List[RewriteRule] = list(rules)
         by_head: Dict[str, List[RewriteRule]] = {}
         for r in self.rules:
             by_head.setdefault(r.head_name(), []).append(r)
         self.by_head: Dict[str, Tuple[RewriteRule, ...]] = {
             h: tuple(rs) for h, rs in by_head.items()}
-        self.heads: FrozenSet[str] = frozenset(by_head)
+        self.heads: KeysView[str] = self.by_head.keys()
+
+    def add(self, rule: RewriteRule) -> None:
+        """Index `rule` after the others, in time linear in the rules of
+        its head."""
+        self.rules.append(rule)
+        head = rule.head_name()
+        self.by_head[head] = self.by_head.get(head, ()) + (rule,)
 
     @classmethod
     def of(cls, rules: Iterable[RewriteRule]) -> "RuleSet":
@@ -230,9 +239,11 @@ def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
     equal reducts share a `_Search` handle, so deduping hashes no term
     whole and has no depth limit."""
     rules = RuleSet.of(rules)
-    search, out = _Search(rules), {}
-    for r in _reducts(t, rules):
-        out.setdefault(search.intern(r), r)
+    reducts = list(_reducts(t, rules))
+    # the reducts keep alive every term that `known` names
+    search, known, out = _Search(rules), {}, {}
+    for r in reducts:
+        out.setdefault(search.intern(r, known), r)
     return list(out.values())
 
 
@@ -368,132 +379,209 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
 
 class _Search:
     """The terms of one joinability search, hash-consed (Filliâtre and
-    Conchon, Type-safe modular hash-consing, 2006).  A term's handle is
-    its index in `term`.  A term is keyed by its head and its children's
-    handles, so building, hashing and deduping it costs O(arity), and
-    alpha-equal terms share a handle: keys leave out the binder hint, as
-    `==` does.  `handle` finds the handle of a canonical term, or of a
-    child of one, from its `id`; `term` keeps every canonical term alive,
-    and with it its children, so no id is reused while the search runs.
-    `memo` holds each canonical term's distinct one-step reducts once
-    computed, so a subterm shared by many terms is matched against the
-    rules once.  `seen` has bit 1 for each term visited from t and bit 2
-    for each visited from u.  Both walks keep their own stacks, so
-    neither has a depth limit."""
+    Conchon, Type-safe modular hash-consing, 2006) with maximal sharing,
+    where a node is its key (van den Brand, de Jong, Klint and Olivier,
+    Efficient annotated terms, SPE 30(3), 2000).  A node's handle is the
+    index of its key in `keys`.  A symbol's key is (name, *child
+    handles); an application's, abstraction's or product's is
+    (App | Abs | Prod, *child handles); a leaf's is (Var, variable id,
+    whether its sort is □), (BVar, index) or (SortT, whether it is □).
+    No key holds a binder hint, as `==` holds none, so alpha-equal terms
+    share a handle, and building, hashing and deduping a node costs
+    O(arity).  Rules are matched against keys and their right-hand sides
+    built as keys, so a rule step builds no term.  `built` holds the
+    `Term` of every leaf and of each node that a beta step or the
+    opening of a binder's body needed.  `memo` holds each node's
+    distinct one-step reducts once computed, so a subterm shared by many
+    nodes is matched against the rules once.  `seen` has bit 1 for each
+    node visited from t and bit 2 for each visited from u.  The walks
+    over keys and terms keep their own stacks, so only opening and
+    closing a binder's body recurses once per level of it."""
 
-    __slots__ = ("rules", "handle", "table", "term", "memo", "seen")
+    __slots__ = ("rules", "table", "keys", "built", "memo", "seen")
 
     def __init__(self, rules: RuleSet):
         self.rules = rules
-        self.handle: Dict[int, int] = {}   # id of a term -> handle
-        self.table: Dict[tuple, int] = {}  # (head, child handles) -> handle
-        self.term: List[Term] = []         # handle -> canonical term
+        self.table: Dict[tuple, int] = {}  # key -> handle
+        self.keys: List[tuple] = []        # handle -> key
+        self.built: Dict[int, Term] = {}   # handle -> term, once needed
         self.memo: List[Optional[Tuple[int, ...]]] = []  # handle -> reducts
         self.seen = bytearray()            # handle -> sides that visited it
 
-    def _make(self, t: Term, hs: list, kids: Optional[list] = None) -> int:
-        """The handle of t's node over the canonical children `hs`, keyed
-        by its head and `hs` (a leaf by its value), never by a binder
-        hint.  A new canonical term is t itself, whose children are
-        `kids`; it keeps them alive, so from now on a child that is not
-        the canonical one is found by its id too.  Without `kids`, t is
-        rebuilt over the canonical children."""
-        if t.__class__ is Symb:
-            key = (t.name, *hs)
-        elif hs:
-            key = (type(t), *hs)
-        elif t.__class__ is Var:
-            key = (Var, t.var)
-        elif t.__class__ is BVar:
-            key = (BVar, t.index)
-        else:
-            key = (SortT, t.sort.value)
+    def _node(self, key: tuple) -> int:
+        """The handle of the node `key`."""
         h = self.table.get(key)
         if h is None:
-            handle, term = self.handle, self.term
-            if kids is None:
-                kids = list(map(term.__getitem__, hs))
-                t = _rebuild(t, kids)
-            handle.update(zip(map(id, kids), hs))
-            h = handle[id(t)] = self.table[key] = len(term)
-            term.append(t)
-            # a leaf has no reducts unless it is a symbol with rules
-            self.memo.append(None if hs or t.__class__ is Symb
-                             and t.name in self.rules.by_head else ())
+            h = self.table[key] = len(self.keys)
+            self.keys.append(key)
+            self.memo.append(None)
             self.seen.append(0)
         return h
 
-    def intern(self, t: Term) -> int:
-        """The handle of the canonical term alpha-equal to t."""
-        handle, make = self.handle, self._make
-        h = handle.get(id(t))
+    def _leaf(self, t: Term) -> int:
+        """The handle of the leaf t: a constant, a variable, a bound
+        index or a sort.  The first term of a leaf is kept as its term."""
+        cls = t.__class__
+        if cls is Symb:
+            key = (t.name,)
+        elif cls is Var:
+            key = (Var, t.var.id, t.var.sort is Sort.BOX)
+        elif cls is BVar:
+            key = (BVar, t.index)
+        else:
+            key = (SortT, t.sort is Sort.BOX)
+        h = self._node(key)
+        if h not in self.built:
+            self.built[h] = t
+            # a leaf has no reducts unless it is a symbol with rules
+            if cls is not Symb or t.name not in self.rules.by_head:
+                self.memo[h] = ()
+        return h
+
+    def intern(self, t: Term, known: Optional[Dict[int, int]] = None) -> int:
+        """The handle of t.  `known` maps the id of a term to its handle
+        and gains every subterm of t, so a subterm t shares is interned
+        once; whoever passes it keeps the terms it names alive."""
+        if known is None:
+            known = {}
+        h = known.get(id(t))
         if h is not None:
             return h
-        # one frame (node, its children, the handles of those done) per
+        node, leaf = self._node, self._leaf
+        # one frame (term, its children, the handles of those done) per
         # ancestor of the subterm being interned
         stack = [(t, _children(t), [])]
         while True:
             x, kids, hs = stack[-1]
             for c in kids[len(hs):]:
-                h = handle.get(id(c))
+                h = known.get(id(c))
                 if h is None:
                     grandkids = _children(c)
                     if grandkids:
                         stack.append((c, grandkids, []))
                         break
-                    h = make(c, grandkids, grandkids)
+                    h = known[id(c)] = leaf(c)
                 hs.append(h)
             else:
-                h = make(x, hs, kids)
+                if not kids:
+                    h = leaf(x)
+                elif x.__class__ is Symb:
+                    h = node((x.name, *hs))
+                else:
+                    h = node((x.__class__, *hs))
+                known[id(x)] = h
                 stack.pop()
                 if not stack:
                     return h
                 stack[-1][2].append(h)
 
+    def term(self, h: int) -> Term:
+        """The term of node h, built children first with its own stack
+        and kept for the rest of the search.  A binder built here has
+        the hint x; no key holds one."""
+        built = self.built
+        t = built.get(h)
+        if t is not None:
+            return t
+        keys, stack = self.keys, [h]
+        while stack:
+            g = stack[-1]
+            kids = keys[g][1:]
+            missing = [c for c in kids if c not in built]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            if g not in built:  # a shared child is pushed once per parent
+                head = keys[g][0]
+                kids = [built[c] for c in kids]
+                built[g] = (Symb(head, tuple(kids)) if head.__class__ is str
+                            else head(*kids))
+        return built[h]
+
+    def _match(self, pattern: Term, h: int) -> Optional[Dict[int, int]]:
+        """The bindings, variable id -> handle, under which the algebraic
+        `pattern` matches node h, or None.  A repeated variable must bind
+        one handle, which is to say alpha-equal images."""
+        keys, sigma, todo = self.keys, {}, [(pattern, h)]
+        while todo:
+            p, h = todo.pop()
+            if p.__class__ is Var:
+                v = p.var.id
+                if v not in sigma:
+                    sigma[v] = h
+                elif sigma[v] != h:
+                    return None
+            else:
+                key = keys[h]
+                if key[0] != p.name or len(key) != len(p.args) + 1:
+                    return None
+                todo += zip(p.args, key[1:])
+        return sigma
+
+    def _build(self, t: Term, sigma: Dict[int, int]) -> int:
+        """The handle of t with each variable bound in sigma replaced by
+        its binding.  The images are locally closed, so a binder of t
+        needs no shift; t is a right-hand side, one frame per level."""
+        cls = t.__class__
+        if cls is Var:
+            return sigma[t.var.id]
+        kids = _children(t)
+        if not kids:
+            return self._leaf(t)
+        hs = []
+        for c in kids:
+            hs.append(self._build(c, sigma))
+        return self._node((t.name if cls is Symb else cls, *hs))
+
     def reducts(self, h: int) -> Tuple[int, ...]:
-        """The handles of the distinct one-step reducts of the canonical
-        term h.  Its descendants are expanded first, children before
-        parents, so each expansion reads its children's reducts from
-        `memo`."""
+        """The handles of the distinct one-step reducts of node h.  Its
+        descendants are expanded first, children before parents, so each
+        expansion reads its children's reducts from `memo`."""
         memo = self.memo
         got = memo[h]
         if got is not None:
             return got
-        handle, term = self.handle, self.term
-        stack = [h]
+        keys, stack = self.keys, [h]
         while stack:
             g = stack[-1]
             if memo[g] is not None:
                 stack.pop()
                 continue
-            x = term[g]
-            hs = list(map(handle.__getitem__, map(id, _children(x))))
+            key = keys[g]
             # a binder's body is expanded opened, by `_expand`
-            below = hs[:1] if isinstance(x, (Abs, Prod)) else hs
+            below = key[1:2] if key[0] is Abs or key[0] is Prod else key[1:]
             if None in map(memo.__getitem__, below):
                 stack += below
             else:
                 stack.pop()
-                memo[g] = self._expand(x, hs)
+                memo[g] = self._expand(g, key)
         return memo[h]
 
-    def _expand(self, t: Term, hs: List[int]) -> Tuple[int, ...]:
-        """`_reducts` of the canonical term t, deduped, from the memoized
-        reducts of its children `hs`."""
-        memo, make, out = self.memo, self._make, {}
-        if (t.__class__ is Symb and t.name in self.rules.by_head
-                or t.__class__ is App and t.head.__class__ is Abs):
-            for r in _root_reducts(t, self.rules):
-                out[self.intern(r)] = None
-        binder = isinstance(t, (Abs, Prod))
-        for i in range(1 if binder else len(hs)):
-            for r in memo[hs[i]]:
-                out[make(t, hs[:i] + [r] + hs[i + 1:])] = None
+    def _expand(self, g: int, key: tuple) -> Tuple[int, ...]:
+        """`_reducts` of node g, deduped, from the memoized reducts of
+        its children: the rules of its head, or beta, then a step in
+        each child in order, a binder's domain before its body."""
+        memo, node, out = self.memo, self._node, {}
+        head = key[0]
+        if head.__class__ is str:
+            for rule in self.rules.by_head.get(head, ()):
+                sigma = self._match(rule.lhs, g)
+                if sigma is not None:
+                    out[self._build(rule.rhs, sigma)] = None
+        elif head is App and self.keys[key[1]][0] is Abs:
+            arg = self.term(key[2])
+            body = self.term(self.keys[key[1]][2])
+            out[self.intern(open_(body, arg), {id(arg): key[2]})] = None
+        binder = head is Abs or head is Prod
+        for i in range(1, 2 if binder else len(key)):
+            for r in memo[key[i]]:
+                out[node(key[:i] + (r,) + key[i + 1:])] = None
         if binder:
-            v, body = open_fresh(t)
+            v, body = open_fresh(self.term(g))
             for r in self.reducts(self.intern(body)):
-                closed = self.intern(close(self.term[r], v))
-                out[make(t, [hs[0], closed])] = None
+                closed = self.intern(close(self.term(r), v))
+                out[node((head, key[1], closed))] = None
         return tuple(out)
 
     def next_level(self, frontier: List[int], side: int,
@@ -519,7 +607,7 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
     """Do t and u have a common reduct?  Under a positive confluence
     verdict this is normalize-and-compare; otherwise a bounded
     breadth-first search of both reduction graphs over hash-consed
-    terms (`_Search`): they meet when a term is marked visited from both
+    nodes (`_Search`): they meet when a node is marked visited from both
     sides.  A level costs the same and yields the same next level in any
     order."""
     rules = RuleSet.of(rules)

@@ -250,7 +250,7 @@ class Signature:
     # -- classification -----------------------------------------------------
 
     def free_and_defined(self, rules) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-        defined = RuleSet.of(rules).heads.intersection(self.decls)
+        defined = frozenset(RuleSet.of(rules).heads & self.decls.keys())
         free = frozenset(self.decls) - defined
         return free, defined
 

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cic import InductiveDecl, translate_inductive
-from .rewriting import RewriteRule
+from .rewriting import RewriteRule, RuleSet
 from .schema import derived_type
 from .signature import Signature
 from .positivity import is_predicate_term
@@ -442,12 +442,19 @@ class LoadedFile:
     def __init__(self, fuel: int = 10000):
         self.fuel = fuel
         self.signature = Signature()
-        self.rules: List[RewriteRule] = []
+        # the rules loaded so far, indexed as they load, so that each
+        # declaration type-checks against the one index
+        self.index = RuleSet()
         self.directives: List[Directive] = []
         self.assume_confluent = False
         self.assume_terminating = False
         self.non_algebraic: frozenset = frozenset()
         self.bundles: list = []
+
+    @property
+    def rules(self) -> List[RewriteRule]:
+        """The rules loaded so far, in order: the index's own list."""
+        return self.index.rules
 
     def term(self, p, scope: Dict[str, Variable],
              free: Optional[Dict[str, Variable]] = None) -> Term:
@@ -466,7 +473,7 @@ class LoadedFile:
         while isinstance(t, Prod):
             arity += 1
             t = t.codomain
-        self.signature.declare(name, arity, typ, self.rules, fuel=self.fuel)
+        self.signature.declare(name, arity, typ, self.index, fuel=self.fuel)
 
     def add_rule(self, line: int, lhs, rhs, env, rho) -> None:
         name = f"rule{len(self.rules) + 1}"
@@ -474,7 +481,7 @@ class LoadedFile:
             rule = self._annotated_rule(name, lhs, rhs, env, rho)
         else:
             rule = self._inferred_rule(name, lhs, rhs, line)
-        self.rules.append(rule)
+        self.index.add(rule)
 
     def _annotated_rule(self, name: str, plhs, prhs, penv,
                         prho) -> RewriteRule:
@@ -554,7 +561,8 @@ class LoadedFile:
                       for cname, ptyp in pctors)
         decl = InductiveDecl(name, arity_type, self_var, ctors)
         bundle = translate_inductive(decl, self.signature, fuel=self.fuel)
-        self.rules.extend(bundle.rules)
+        for rule in bundle.rules:
+            self.index.add(rule)
         self.bundles.append(bundle)
 
     def set_positions(self, line: int, table: str, name: str,

@@ -376,10 +376,10 @@ def test_acceptance_12_joinability_hashes_each_term_once():
         answer = joinable(*search)
     finally:
         sys.setprofile(previous)
-    _report(12, not answer and hashes <= 5_000,
+    _report(12, not answer and hashes <= 100,
             "the joinability search never hashes a term whole: "
             f"bfs-chain(9) against s(0) makes {hashes} __hash__ frames "
-            "(bound 5000)")
+            "(bound 100)")
 
 
 def _joinable_calls(n):
@@ -681,15 +681,14 @@ def _declarations_source(n):
                                           for i in range(n))
 
 
-def test_acceptance_23_declarations_are_linear():
-    # a ratio of times at sizes four apart; a declaration looks up each
-    # symbol its type mentions, not a copy of every declared name.  Each
-    # of five rounds loads both sizes back to back and counts this
-    # process's CPU time, and the median round's ratio is read, so a slow
-    # spell of a shared machine weighs on both sizes.  The collector is
-    # off while a load runs: a full collection scans every object the
-    # test process holds, which the larger load would pay more often
-    sources = {n: _declarations_source(n) for n in (2000, 8000)}
+def _load_time_ratio(make_source, small, large):
+    """Median over five rounds of the CPU time of load at `large` over
+    that at `small`, with both times.  Each round loads both sizes back
+    to back and counts this process's CPU time, so a slow spell of a
+    shared machine weighs on both sizes.  The collector is off while a
+    load runs: a full collection scans every object the test process
+    holds, which the larger load would pay more often."""
+    sources = {n: make_source(n) for n in (small, large)}
     rounds = []
     for _ in range(5):
         took = {}
@@ -702,12 +701,51 @@ def test_acceptance_23_declarations_are_linear():
                 took[n] = time.process_time() - t0
             finally:
                 gc.enable()
-        rounds.append((took[8000] / took[2000], took[8000], took[2000]))
-    ratio, large, small = sorted(rounds)[2]
+        rounds.append((took[large] / took[small], took[large], took[small]))
+    return sorted(rounds)[2]
+
+
+def test_acceptance_23_declarations_are_linear():
+    # a ratio of times at sizes four apart; a declaration looks up each
+    # symbol its type mentions, not a copy of every declared name
+    ratio, large, small = _load_time_ratio(_declarations_source, 2000, 8000)
     _report(23, ratio <= 5.5,
             "declaring a symbol costs O(1) in the symbols declared: load "
             f"of 8000 / of 2000 declarations = {large:.3f} / {small:.3f} s "
             f"CPU = {ratio:.2f}, median of five rounds (bound 5.5)")
+
+
+def test_acceptance_24_joinability_works_on_handles():
+    # a count of calls, not a time; the search matches rules against
+    # its nodes' keys and builds each reduct's key from the right-hand
+    # side, so a rule step builds, hashes and re-reads no term
+    calls = _joinable_calls(9)
+    _report(24, calls <= 40_000,
+            "the joinability search rewrites on integer handles: "
+            f"bfs-chain(9) against s(0) makes {calls} Python and builtin "
+            "calls (bound 40000)")
+
+
+def _rules_then_declarations_source(n):
+    """n pairs of a symbol and its rule, then n more declarations."""
+    lines = ["symbol o : * .", "symbol c : o ."]
+    for i in range(n):
+        lines += [f"symbol f{i} : o -> o .", f"rule f{i}(c) -> c ."]
+    lines += [f"symbol g{i} : o -> o ." for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_acceptance_25_declarations_after_rules_are_linear():
+    # a ratio of times at sizes four apart, as gate 23; every
+    # declaration type-checks against the rules loaded before it, which
+    # the file indexes once as they load rather than once per declaration
+    ratio, large, small = _load_time_ratio(_rules_then_declarations_source,
+                                           250, 1000)
+    _report(25, ratio <= 5.5,
+            "declaring a symbol after rules costs O(1) in the rules: load "
+            f"of 1000 / of 250 symbol-rule pairs and declarations = "
+            f"{large:.3f} / {small:.3f} s CPU = {ratio:.2f}, median of five "
+            "rounds (bound 5.5)")
 
 
 def test_normalization_fuel_counts_every_remembered_contraction():

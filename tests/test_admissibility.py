@@ -369,6 +369,19 @@ def test_partition_demotes_through_a_chain_of_mentions():
         frozenset({"g", "h", "k"}), frozenset())
 
 
+def test_partition_builds_no_mention_index_when_nothing_is_demoted():
+    # synthetic(160) demotes no symbol before the fixpoint loop, which
+    # then never runs, so what the rules mention is never read
+    from tests.test_acceptance import _calls, _synthetic
+    lf = load(_synthetic(160))
+    got = []
+    calls = _calls(lambda: got.append(partition_explained(lf.signature,
+                                                           lf.rules)),
+                   only=symbols_of)
+    assert calls == 0
+    assert len(got[0][0]) == 160 and got[0][1:] == (frozenset(), {})
+
+
 def equivalence_chain(n):
     """n `=` pragmas chaining p0 ~ p1 ~ ... ~ pn, one rule on p0, and
     one user edge, so that the first precedence query made by

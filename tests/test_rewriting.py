@@ -557,9 +557,9 @@ def assert_memo_matches_reduce_one(t, rules):
     expanded = 0
     for h, reducts in enumerate(search.memo):
         if reducts is not None:
-            expected = reduce_one(search.term[h], rules)
-            assert len(reducts) == len(expected), pp(search.term[h])
-            assert {search.term[r] for r in reducts} == set(expected)
+            expected = reduce_one(search.term(h), rules)
+            assert len(reducts) == len(expected), pp(search.term(h))
+            assert {search.term(r) for r in reducts} == set(expected)
             expanded += 1
     return expanded
 
@@ -798,6 +798,23 @@ def test_joinable_hashes_a_deep_reduct():
     for _ in range(600):
         t = Symb("succ", (t,))
     assert joinable(Symb("f", (t,)), Symb("zero", ()), lf.rules)
+
+
+def test_joinable_contracts_a_beta_redex_on_a_deep_argument():
+    # a beta step is taken on terms built from the search's nodes, and
+    # those are built children first with the search's own stack, so an
+    # argument 2000 deep, past the recursion limit, is built and interned
+    from cac import load
+    lf = load("symbol nat : * .\nsymbol zero : nat .\n"
+              "symbol succ : nat -> nat .\nsymbol f : nat -> nat .\n"
+              "rule f(x) -> zero .\nrule f(x) -> x .\n")
+    assert confluence_check(lf.rules).level == ConfluenceLevel.UNKNOWN
+    t = Symb("zero", ())
+    for _ in range(2000):
+        t = Symb("succ", (t,))
+    redex = App(Abs(Symb("nat", ()), BVar(0), "x"), t)
+    assert joinable(redex, t, lf.rules)
+    assert not joinable(redex, Symb("succ", (t,)), lf.rules)
 
 
 def test_reduce_one_dedupes_a_deep_reduct():
