@@ -18,8 +18,7 @@ from .admissibility import (Outcome, OverallVerdict, check_admissible,
 from .orderings import Orientation
 from .printer import pp
 from .rewriting import confluence_check, normalize
-from .syntax import (ElabError, LoadedFile, ParseError, Parser, load,
-                     position)
+from .syntax import LoadedFile, ParseError, Parser, load
 from .terms import CacError, Environment
 from .typing import TypeChecker
 
@@ -104,14 +103,13 @@ def _load_file(path: str, fuel: int) -> LoadedFile:
 
 
 def _parse_expr(loaded: LoadedFile, text: str):
-    parser = Parser(text)
-    term = parser.parse_term()
-    if parser.peek():
-        raise ParseError(f"trailing input {parser.peek()!r}",
-                         *position(text, parser.i))
     try:
+        parser = Parser(text)
+        term = parser.parse_term()
+        if parser.peek():
+            raise ParseError(f"trailing input {parser.peek()!r}", parser.i)
         return loaded.term(term, {})
-    except ElabError as e:
+    except ParseError as e:
         raise e.located(text) from None
 
 
@@ -290,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ElabError) as e:
+    except ParseError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return 2
     except FileNotFoundError as e:

@@ -216,9 +216,6 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return name in self.decls
 
-    def __getitem__(self, name: str) -> SymbolDecl:
-        return self.decls[name]
-
     def declare(self, name: str, arity: int, typ: Term,
                 rules=(), fuel: int = 10000) -> SymbolDecl:
         """Declare a symbol: shape-check the telescope and kind-check

@@ -38,10 +38,22 @@ from .terms import (Abs, App, BVar, CacError, Environment, Prod, Sort, STAR,
 
 
 class ParseError(CacError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__("parse-error", f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
+    """An error in reading a source.  One about a token carries its index
+    as `at`; `located`, called where the source is at hand, puts the
+    token's line and column before the message."""
+
+    def __init__(self, message: str, at: Optional[int] = None,
+                 code: str = "parse-error"):
+        super().__init__(code, message)
+        self.at = at
+
+    def located(self, source: str) -> ParseError:
+        if self.at is not None:
+            line, col = position(source, self.at)
+            self.message = f"{line}:{col}: {self.message}"
+            self.args = (self.message,)
+            self.at = None
+        return self
 
 
 UNICODE_ALIASES = {
@@ -57,17 +69,9 @@ _VALID = re.compile(r"->|=>|:=|[()\[\]{}:,.*=>|]|/\\|\\/|[\w']+")
 # other character that is not a blank (space, tab, carriage return) as a
 # one-character item, which is an error.  Blanks match nothing.
 _TOKEN = re.compile(r"\n|" + _VALID.pattern + r"|#[^\n]*|[^ \t\r]")
-_PUNCT = frozenset(("->", "=>", ":=", "(", ")", "[", "]", "{", "}", ":",
-                    ",", ".", "*", "=", ">", "|"))
 # a token is a name unless it is punctuation or the eof marker ""
-_NOT_NAME = _PUNCT | {""}
-
-
-class Token(NamedTuple):
-    kind: str   # "name" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+_NOT_NAME = frozenset(("->", "=>", ":=", "(", ")", "[", "]", "{", "}", ":",
+                       ",", ".", "*", "=", ">", "|", ""))
 
 
 def _unalias(source: str) -> str:
@@ -77,44 +81,37 @@ def _unalias(source: str) -> str:
     return source
 
 
-def lex(source: str) -> List[Token]:
-    """The tokens of `source` with their lines and columns, ending in an
-    eof token.  Only messages need positions: the parser reads the texts
-    that `_texts` gives and calls this to place an error."""
+def position(source: str, i: int) -> Tuple[int, int]:
+    """Line and column of the token at index i of `source`, or of the end
+    of input when i is past the last token; a comment at the end does not
+    advance the column.  A character that is no token, met on the way, is
+    an error at its place.  Only messages need positions."""
     source = _unalias(source)
-    tokens: List[Token] = []
-    append = tokens.append
     line, line_start = 1, 0
     m = None
     for m in _TOKEN.finditer(source):
         text = m.group()
-        col = m.start() - line_start + 1
         if text == "\n":
             line += 1
             line_start = m.end()
         elif _VALID.fullmatch(text):
-            append(Token("punct" if text in _PUNCT else "name", text, line,
-                         col))
+            if not i:
+                return line, m.start() - line_start + 1
+            i -= 1
         elif text[0] != "#":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-    # a comment does not advance the column
+            raise ParseError(f"{line}:{m.start() - line_start + 1}: "
+                             f"unexpected character {text!r}")
     end = (m.start() if m is not None and m.group()[0] == "#"
            else len(source))
-    append(Token("eof", "", line, end - line_start + 1))
-    return tokens
-
-
-def position(source: str, i: int) -> Tuple[int, int]:
-    """Line and column of the token at index i of `source`."""
-    tok = lex(source)[i]
-    return tok.line, tok.col
+    return line, end - line_start + 1
 
 
 def _texts(source: str) -> Tuple[List[str], List[int]]:
-    """The texts of `lex(source)`, the eof token's being "", and the line
-    marks: the number of tokens before each newline, so that token i is
-    on line 1 + bisect_right(marks, i).  One `findall` reads them; when
-    a distinct text is no token, `lex` raises the error at its place.
+    """The texts of the tokens of `source`, then "" for the end of input,
+    and the line marks: the number of tokens before each newline, so that
+    token i is on line 1 + bisect_right(marks, i).  One `findall` reads
+    them; when a distinct text is no token, `position` raises the error
+    at its place.
     Equal texts are one string, so the names that parsed terms keep cost
     one string per distinct name."""
     items = _TOKEN.findall(_unalias(source))
@@ -136,7 +133,7 @@ def _texts(source: str) -> Tuple[List[str], List[int]]:
         start = k + 1
     shared = {t: t for t in toks}
     if not all(map(_VALID.fullmatch, shared)):
-        lex(source)  # raises at the first character that is no token
+        position(source, len(toks))  # raises at the first non-token
     toks = list(map(shared.__getitem__, toks))
     toks.append("")
     return toks, marks
@@ -187,11 +184,10 @@ class Item(NamedTuple):
 
 
 class Parser:
-    """Recursive descent over the token texts of one source.  Positions
-    are worked out, from the source, only for an error message."""
+    """Recursive descent over the token texts of one source.  An error
+    carries the index of its token, as `ParseError.at`."""
 
     def __init__(self, source: str):
-        self.source = source
         self.toks, self.marks = _texts(source)
         self.i = 0
 
@@ -206,8 +202,7 @@ class Parser:
         return t
 
     def error(self, msg: str) -> ParseError:
-        return ParseError(msg + f" (found {self.toks[self.i]!r})",
-                          *position(self.source, self.i))
+        return ParseError(msg + f" (found {self.toks[self.i]!r})", self.i)
 
     def expect(self, text: str) -> None:
         if self.toks[self.i] != text:
@@ -289,8 +284,7 @@ class Parser:
     def _index(self) -> int:
         text = self.expect_name()
         if not text.isdigit():
-            raise ParseError("expected an argument index",
-                             *position(self.source, self.i - 1))
+            raise ParseError("expected an argument index", self.i - 1)
         return int(text)
 
     def _pragma(self):
@@ -406,27 +400,21 @@ class Parser:
 
 
 def parse(source: str) -> List[Item]:
-    return Parser(source).parse_file()
+    try:
+        return Parser(source).parse_file()
+    except ParseError as e:
+        raise e.located(source) from None
 
 
 # ---------------------------------------------------------------------------
 # elaboration
 
 
-class ElabError(CacError):
-    """An elaboration error.  One about a token carries its index as `at`
-    and is raised without a position; `located`, called where the source
-    is at hand, puts the token's line and column before the message."""
+class ElabError(ParseError):
+    """An elaboration error, placed as a parse error is."""
 
     def __init__(self, code: str, message: str, at: Optional[int] = None):
-        super().__init__(code, message)
-        self.at = at
-
-    def located(self, source: str) -> ElabError:
-        if self.at is None:
-            return self
-        line, col = position(source, self.at)
-        return ElabError(self.code, f"{line}:{col}: {self.message}")
+        super().__init__(message, at, code)
 
 
 class Directive(NamedTuple):

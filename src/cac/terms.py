@@ -383,14 +383,6 @@ def subst_apply(t: Term, theta: Substitution) -> Term:
         t, lambda u, _: theta.get(u.var, u) if isinstance(u, Var) else u, 0)
 
 
-def compose_subst(theta: Substitution, sigma: Substitution) -> Substitution:
-    """theta;sigma — apply theta first, then sigma."""
-    out = {v: subst_apply(u, sigma) for v, u in theta.items()}
-    for v, u in sigma.items():
-        out.setdefault(v, u)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # positions
 

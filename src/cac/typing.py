@@ -8,7 +8,7 @@ conversion is checked at argument boundaries and at `check`'s root.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
@@ -35,9 +35,6 @@ class TypingDerivation(NamedTuple):
         yield self
         for p in self.premises:
             yield from p.nodes()
-
-    def notes(self) -> List[str]:
-        return [n.note for n in self.nodes() if n.note]
 
 
 class TypeChecker:
@@ -170,20 +167,6 @@ class TypeChecker:
                                   f"binding {idx + 1}: variable {v} has sort "
                                   f"class {v.sort} but its type is sorted {s}")
             prefix = prefix.extend(v, typ)
-
-    def check_substitution(self, theta: dict, gamma: Environment,
-                           delta: Environment) -> None:
-        """theta : gamma -> delta in the well-typed sense."""
-        failures = []
-        for v, typ in gamma:
-            image = theta.get(v, Var(v))
-            expected = subst_apply(typ, theta)
-            try:
-                self.check(delta, image, expected)
-            except CacError as e:
-                failures.append(f"{v}: {e.message}")
-        if failures:
-            raise TypingError("ill-typed-substitution", "; ".join(failures))
 
 
 def replay(deriv: TypingDerivation, tc: TypeChecker) -> bool:

@@ -22,7 +22,7 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Outcome,
                  rpo_terminates, satisfies_general_schema, system_properties)
 from cac.admissibility import partition_explained
 from cac.cli import main
-from cac.syntax import lex, parse
+from cac.syntax import _texts, parse
 from cac.terms import lam, map_children
 from tests.conftest import CORPUS, corpus_source, plus_family_source
 
@@ -57,8 +57,8 @@ def test_acceptance_1_list_append():
             ok &= satisfies_general_schema(r, tc).ok
         rule2 = next(r for r in lf.rules if r.name == "rule2")
         deriv = cc_check(rule2, tc)
-        ok &= any("⟨cons(A', x, l), list(A)⟩ > ⟨l, list(A)⟩" in n
-                  for n in deriv.notes())
+        ok &= any("⟨cons(A', x, l), list(A)⟩ > ⟨l, list(A)⟩" in n.note
+                  for n in deriv.nodes())
     ok &= tm.elapsed < 1.0
     _report(1, ok, "append rules: exact S1-S3, sufficient S4-S5, "
                    "well-formed, schema-compliant, decreasing recursive "
@@ -338,7 +338,7 @@ def _tree_source(d, leaf=8):
 
 def test_acceptance_11_front_end_calls_per_token():
     source = _tree_source(6)
-    tokens = len(lex(source))
+    tokens = len(_texts(source)[0])
     count = 0
 
     def hook(frame, event, arg):

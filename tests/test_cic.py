@@ -3,9 +3,10 @@ rules, strong elimination, and bundle certification."""
 
 import pytest
 
-from cac import (InductiveDecl, OverallVerdict, STAR, Signature, Symb,
-                 TypeChecker, Var, Variable, alpha_eq, arrow, certify_bundle,
-                 normalize, pi, pp, selim_for_motive, translate_inductive)
+from cac import (GeneratedBundle, InductiveDecl, OverallVerdict, STAR,
+                 Signature, Symb, TypeChecker, Var, Variable, alpha_eq, arrow,
+                 certify_bundle, load, normalize, pi, pp, selim_for_motive,
+                 translate_inductive)
 from cac.cic import BridgeError, is_small
 from cac.terms import App, Environment, Sort
 
@@ -159,13 +160,65 @@ def test_heterogeneous_inductive_rejected():
         translate_inductive(decl, sig)
 
 
-def test_is_small():
-    assert is_small(nat_decl())
+# (source, code, message): each way a file can write an inductive
+# declaration that is not basic
+MALFORMED_INDUCTIVES = [
+    ("symbol o : * . inductive t : o := c : t .", "bad-arity-type",
+     "the arity of t must end in ★, got o"),
+    ("symbol o : * . inductive t : * := c : (t -> o) -> t .",
+     "non-basic-constructor", "constructor c: argument type t -> o uses "
+     "the inductive type other than as a full application"),
+    ("symbol o : * . inductive t : * := c : o .", "bad-constructor-output",
+     "constructor c does not end in the inductive type"),
+    ("inductive t : * -> * := c : t .", "non-basic-constructor",
+     "self-reference applied to 0 argument(s), the inductive type has "
+     "arity 1"),
+]
+
+
+@pytest.mark.parametrize("source, code, message", MALFORMED_INDUCTIVES)
+def test_malformed_inductive_declarations_are_refused(source, code,
+                                                      message):
+    with pytest.raises(BridgeError) as e:
+        load(source)
+    assert (e.value.code, e.value.message) == (code, message)
+
+
+def test_output_indices_that_mention_the_type_are_refused():
+    # the parser reads `t (t o)` as a symbol application, so only the
+    # API can write the self-reference inside an index
+    x = Variable.fresh("t", Sort.BOX)
+    decl = InductiveDecl("t", arrow(STAR, STAR), x, (
+        ("c", App(Var(x), App(Var(x), STAR))),))
+    with pytest.raises(BridgeError) as e:
+        translate_inductive(decl, Signature())
+    assert (e.value.code, e.value.message) == (
+        "non-basic-constructor",
+        "constructor c: output indices mention the type")
+
+
+def large_decl():
+    """T with a constructor that packs a proposition, which is not a
+    parameter of T."""
     x = Variable.fresh("T", Sort.BOX)
     a = Variable.fresh("A", Sort.BOX)
-    big = InductiveDecl("T", STAR, x, (
-        ("pack", pi(a, STAR, Var(x))),))
-    assert not is_small(big)
+    return InductiveDecl("T", STAR, x, (("pack", pi(a, STAR, Var(x))),))
+
+
+def test_is_small():
+    assert is_small(nat_decl())
+    assert not is_small(large_decl())
+
+
+def test_strong_elimination_of_a_large_type_rejected():
+    # translate_inductive refuses T (I6), so only the API gets here
+    sig = Signature()
+    bundle = GeneratedBundle("T", [], "WElim_T", [])
+    with pytest.raises(BridgeError) as e:
+        selim_for_motive(large_decl(), bundle, sig, STAR)
+    assert (e.value.code, e.value.message) == (
+        "not-small", "T does not support strong elimination")
+    assert not sig.decls
 
 
 def test_strong_elimination_with_cache():

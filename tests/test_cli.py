@@ -43,6 +43,30 @@ def test_admissibility_strict_flags_sufficient(capsys):
     capsys.readouterr()
 
 
+def test_admissibility_strict_flags_assertions(tmp_path, capsys):
+    asserted = tmp_path / "asserted.cac"
+    asserted.write_text(
+        "symbol o : * .\nsymbol a : o .\nsymbol b : o .\n"
+        "symbol f : o -> o .\npragma prec f > a .\npragma prec f > b .\n"
+        "rule f(x) -> b .\nrule f(a) -> a .\npragma assume_confluent .\n",
+        encoding="utf-8")
+    assert main(["admissibility", str(asserted)]) == 0
+    assert "overall: ADMISSIBLE_WITH_ASSERTIONS" in capsys.readouterr().out
+    assert main(["--strict", "admissibility", str(asserted)]) == 1
+    capsys.readouterr()
+
+
+def test_malformed_inductive_exits_1_without_a_position(tmp_path, capsys):
+    f = tmp_path / "bad.cac"
+    f.write_text("symbol o : * .\ninductive t : * := c : (t -> o) -> t .\n",
+                 encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr() == ("", (
+        "error [non-basic-constructor]: constructor c: argument type "
+        "t -> o uses the inductive type other than as a full "
+        "application\n"))
+
+
 def test_admissibility_structured_report(capsys):
     assert main(["--report", "structured", "admissibility",
                  path("ndm_prop")]) == 0
@@ -168,12 +192,14 @@ def test_failing_check_directives(tmp_path, capsys):
                  "symbol f : F(a) .\n"
                  "check fun (x:o) => * : o -> o .\n"
                  "check fun (y:o) => f a : o -> G(G(a)) .\n"
-                 "check fun (y:o) => a : o -> o .\n", encoding="utf-8")
+                 "check fun (y:o) => a : o -> o .\n"
+                 "convert a , f .\n", encoding="utf-8")
     assert main(["check", str(f)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "check (line 7): failed — the sort □ has no type",
         "check (line 8): failed — G(a) has type ★, expected o",
         "check (line 9): ok",
+        "convert (line 10): failed — no common reduct found",
         "some checks failed"]
 
 

@@ -135,11 +135,11 @@ def test_terms_have_no_instance_dict():
 
 
 def test_tokens_and_parse_nodes_have_no_instance_dict():
-    # a file of n tokens holds n tokens and about as many parse nodes,
-    # and one item per declaration
+    # a file of n tokens holds about as many parse nodes, and one item
+    # per declaration
     syn = cac.syntax
     name = syn.PName("x", 0)
-    samples = [syn.Token("name", "x", 1, 1), name, syn.PStar(),
+    samples = [name, syn.PStar(),
                syn.PSymbApp("f", (name,), 0), syn.PApp(name, name),
                syn.PAbs("x", name, name), syn.PProd(None, name, name),
                syn.Item(syn.LoadedFile.add_symbol, 1, ["x", name])]

@@ -105,8 +105,8 @@ def test_cc_derivation_for_app(app):
     tags = {n.rule_tag for n in deriv.nodes()}
     assert "symb=" in tags  # the guarded recursive call
     assert "acc" in tags or "var" in tags
-    assert any("⟨cons(A', x, l), list(A)⟩ > ⟨l, list(A)⟩" in n
-               for n in deriv.notes())
+    assert any("⟨cons(A', x, l), list(A)⟩ > ⟨l, list(A)⟩" in n.note
+               for n in deriv.nodes())
 
 
 def test_cc_derivation_replays(app):

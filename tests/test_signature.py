@@ -33,6 +33,16 @@ def test_declare_rejects_duplicates():
         sig.declare("o", 0, STAR)
 
 
+def test_declare_rejects_undeclared_symbols():
+    # the parser refuses an unknown name first, so only the API gets here
+    sig = base_sig()
+    with pytest.raises(CacError) as e:
+        sig.declare("f", 1, arrow(Symb("q", ()), Symb("p", ())))
+    assert (e.value.code, e.value.message) == (
+        "unknown-symbol", "type of f mentions undeclared symbol(s) ['p', 'q']")
+    assert "f" not in sig
+
+
 def test_predicate_symbols_have_box_sort():
     sig = base_sig()
     assert sig.decls["o"].sort == Sort.BOX

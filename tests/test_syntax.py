@@ -4,15 +4,24 @@ import pathlib
 import random
 import re
 from bisect import bisect_right
+from typing import NamedTuple
 
 import pytest
 
 from cac import (ParseError, Prod, STAR, Symb, Var, Variable, load,
                  normalize, pp)
 from cac.signature import DeclarationError
-from cac.syntax import UNICODE_ALIASES, ElabError, Parser, Token, lex, parse
+from cac.syntax import (_NOT_NAME, UNICODE_ALIASES, ElabError, Parser,
+                        _texts, parse, position)
 from cac.terms import Abs, App, BVar, CacError, Sort, arrow, lam, pi
 from tests.conftest import CORPUS
+
+
+class Token(NamedTuple):
+    kind: str   # "name" | "punct" | "eof"
+    text: str
+    line: int
+    col: int
 
 
 def reference_lex(source):
@@ -59,7 +68,7 @@ def reference_lex(source):
             col += j - i
             i = j
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        raise ParseError(f"{line}:{col}: unexpected character {ch!r}")
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -74,6 +83,14 @@ def _lexed(lexer, source):
         return [_fields(t) for t in lexer(source)]
     except ParseError as e:
         return e.message
+
+
+def _placed(source):
+    """The tokens that `_texts` reads, each placed by `position`; a token
+    is a name unless the parser takes it for punctuation."""
+    toks = _texts(source)[0]
+    return [Token("eof" if not t else "punct" if t in _NOT_NAME else "name",
+                  t, *position(source, i)) for i, t in enumerate(toks)]
 
 
 def _parsed(source):
@@ -104,7 +121,7 @@ def test_lexer_matches_reference_on_random_strings():
         source = "".join(rng.choice(LEX_ALPHABET)
                          for _ in range(rng.randint(0, 12)))
         expected = _lexed(reference_lex, source)
-        assert _lexed(lex, source) == expected, repr(source)
+        assert _lexed(_placed, source) == expected, repr(source)
         assert _parsed(source) == _texts_and_lines(expected), repr(source)
         errors += isinstance(expected, str)
     # both outcomes are exercised
@@ -115,24 +132,24 @@ def test_lexer_matches_reference_on_corpus():
     for path in sorted(CORPUS.glob("*.cac")):
         source = path.read_text(encoding="utf-8")
         expected = _lexed(reference_lex, source)
-        assert _lexed(lex, source) == expected, path.name
+        assert _lexed(_placed, source) == expected, path.name
         assert _parsed(source) == _texts_and_lines(expected), path.name
 
 
 def test_lexer_edge_cases():
     # a comment at end of file with no newline does not advance the
     # column, so eof keeps the column of the '#'
-    assert _fields(lex("o # c")[-1]) == ("eof", "", 1, 3)
-    assert _fields(lex("o # c\n")[-1]) == ("eof", "", 2, 1)
+    assert _fields(_placed("o # c")[-1]) == ("eof", "", 1, 3)
+    assert _fields(_placed("o # c\n")[-1]) == ("eof", "", 2, 1)
     # a tab counts as one column
-    assert _fields(lex("\tsymbol")[0]) == ("name", "symbol", 1, 2)
+    assert _fields(_placed("\tsymbol")[0]) == ("name", "symbol", 1, 2)
     # an alias is replaced by its spelling between two blanks before
     # columns are counted
-    assert [t.col for t in lex("★ o")] == [2, 5, 6]
-    assert [(t.text, t.col) for t in lex("a→b")] == [
+    assert [t.col for t in _placed("★ o")] == [2, 5, 6]
+    assert [(t.text, t.col) for t in _placed("a→b")] == [
         ("a", 1), ("->", 3), ("b", 6), ("", 7)]
     with pytest.raises(ParseError, match=r"^2:3: unexpected character '!'$"):
-        lex("o\n  !")
+        _placed("o\n  !")
 
 
 # comments, a \r\n line end and unicode aliases, which shift the columns
@@ -159,18 +176,18 @@ def test_error_positions_through_comments_line_ends_and_aliases():
 
 
 def test_lexer_unicode_aliases():
-    toks = [t.text for t in lex("★ → ¬ ∧ ∨ ⊤ ⊥")]
+    toks = _texts("★ → ¬ ∧ ∨ ⊤ ⊥")[0]
     assert toks[:-1] == ["*", "->", "not", "/\\", "\\/", "top", "bot"]
 
 
 def test_lexer_comments_and_positions():
-    toks = lex("symbol # a comment\no : * .")
+    toks = _placed("symbol # a comment\no : * .")
     assert [t.text for t in toks][:2] == ["symbol", "o"]
     assert toks[1].line == 2
 
 
 def test_connectives_are_names():
-    toks = lex("/\\ \\/")
+    toks = _placed("/\\ \\/")
     assert all(t.kind == "name" for t in toks[:-1])
 
 
@@ -379,7 +396,7 @@ def test_readme_input_format_covers_the_grammar():
     block = re.search(r"## Input format\n.*?```text\n(.*?)```", readme,
                       re.S).group(1)
     assert len(parse(block)) > 0
-    toks = [t.text for t in lex(block)]
+    toks = _texts(block)[0]
     starts = {b for a, b in zip(["."] + toks, toks) if a == "."}
     assert set(Parser.ITEMS) <= starts
     forms = {toks[k + 1] + (" " + toks[k + 3] if toks[k + 1] == "prec"

@@ -9,8 +9,9 @@ from cac import (Abs, App, BOX, BVar, Environment, Prod, STAR, Symb, Var,
                  Variable, alpha_eq, arrow, free_vars, is_algebraic, lam, pi,
                  positions, positions_of, replace_at, subst_apply,
                  subterm_at)
-from cac.terms import (Sort, SortT, Term, is_kind, occurrences,
-                       sort_class_of_type, symbols_of, var_counts)
+from cac.terms import (InvalidPosition, Sort, SortT, Term, is_kind,
+                       occurrences, sort_class_of_type, symbols_of,
+                       var_counts)
 from tests.test_properties import _int_vars, random_binder_term
 
 
@@ -57,6 +58,11 @@ def test_positions_and_subterms():
     assert subterm_at(t, (1, 1)) == Var(t.args[0].args[0].var)
     r = replace_at(t, (2,), BOX)
     assert subterm_at(r, (2,)) == BOX
+    for p in ((3,), (1, 2), (2, 1)):
+        with pytest.raises(InvalidPosition):
+            subterm_at(t, p)
+        with pytest.raises(InvalidPosition):
+            replace_at(t, p, BOX)
 
 
 def test_positions_of_symbol_and_var():
@@ -200,6 +206,7 @@ def test_equality_and_hash_leave_out_hints_and_variable_names():
         assert a == b and hash(a) == hash(b) and not a != b
     assert Abs(STAR, BVar(0)) != Prod(STAR, BVar(0))
     assert Var(x) != v("x") and STAR != BOX
+    assert Environment() != object() and not Environment() == object()
     # each hash is that of the tuple of the compared fields, so sets of
     # terms iterate in the same order as with generated methods
     for t in _one_of_each()[1:]:

@@ -108,19 +108,6 @@ def test_env_valid_checks_prefix_and_sort_class():
         tc.env_valid(Environment().extend(y, STAR))
 
 
-def test_check_substitution(app):
-    tc = TypeChecker(app.signature, app.rules)
-    a = Variable.fresh("A", Sort.BOX)
-    l = Variable.fresh("l", Sort.STAR)
-    gamma = Environment().extend(a, STAR).extend(l, Symb("list", (Var(a),)))
-    b = Variable.fresh("B", Sort.BOX)
-    delta = Environment().extend(b, STAR)
-    theta = {a: Var(b), l: Symb("nil", (Var(b),))}
-    tc.check_substitution(theta, gamma, delta)
-    with pytest.raises(TypingError):
-        tc.check_substitution({a: Var(b), l: Var(b)}, gamma, delta)
-
-
 def test_derivation_replay_detects_tampering(app):
     tc = TypeChecker(app.signature, app.rules)
     a = Variable.fresh("A", Sort.BOX)
