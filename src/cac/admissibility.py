@@ -11,7 +11,7 @@ from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
 
 from .orderings import Orientation
 from .positivity import (PredicateClass, check_inductive_structure,
-                         polarity, predicate_classes)
+                         first_occurrences, predicate_classes)
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
                         RuleSet, confluence_check, unify)
 from .schema import (derived_type, rule_type, satisfies_general_schema,
@@ -169,8 +169,6 @@ def _parameter_linked(lhs: Symb, xp: Variable, image: Term,
             continue
         q, j = p[:-1], p[-1]
         holder = subterm_at(lhs, q)
-        if not isinstance(holder, Symb):
-            continue
         decl = sig.decls.get(holder.name)
         if decl is None or not isinstance(decl.output, Symb):
             continue
@@ -329,12 +327,11 @@ def _simple(gset, grules, tc, classes):
 
 def _positive(gset, grules, tc, classes):
     for r in grules:
-        rep = polarity(r.rhs, tc.sig)
+        bad = first_occurrences(r.rhs, tc.sig)[1]
         for g in sorted(gset):
-            bad = positions_of(r.rhs, g) - rep.positive
-            if bad:
+            if g in bad:
                 yield (f"rule {r.name}: {g} occurs non-positively at "
-                       f"{sorted(bad)[0]} in the rhs")
+                       f"{bad[g]} in the rhs")
 
 
 def _recursive(gset, grules, tc, classes):

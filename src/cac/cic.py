@@ -77,17 +77,17 @@ def _to_symbol(iname: str, arity: int) -> Callable[[List[Term]], Term]:
     return image
 
 
-def translate_inductive(d: InductiveDecl, sig: Signature,
+def translate_inductive(d: InductiveDecl, sig: Signature, rules=(),
                         fuel: int = 10000) -> GeneratedBundle:
-    """Declare the type symbol, its constructors, and the weak recursor;
-    record the inductive structure (no inductive positions, all
-    constructor arguments accessible)."""
+    """Declare the type symbol, its constructors, and the weak recursor,
+    type-checking each against `rules`; record the inductive structure
+    (no inductive positions, all constructor arguments accessible)."""
     params, core = strip_products(d.arity_type)
     if core != STAR:
         raise BridgeError("bad-arity-type",
                           f"the arity of {d.name} must end in ★, got {core}")
     arity = len(params)
-    sig.declare(d.name, arity, d.arity_type, fuel=fuel)
+    sig.declare(d.name, arity, d.arity_type, rules, fuel=fuel)
     sig.structure.ind[d.name] = frozenset()
 
     bundle = GeneratedBundle(d.name, [d.name], f"WElim_{d.name}", [])
@@ -121,14 +121,14 @@ def translate_inductive(d: InductiveDecl, sig: Signature,
         ctor_type = _rebuild_telescope(
             [(v, _map_self(b, x, to_type)) for v, b in binders],
             to_type([_map_self(m, x, to_type) for m in margs]))
-        sig.declare(cname, len(binders), ctor_type, fuel=fuel)
+        sig.declare(cname, len(binders), ctor_type, rules, fuel=fuel)
         sig.structure.acc[cname] = frozenset(range(1, len(binders) + 1))
         bundle.symbols.append(cname)
 
     qv = Variable.fresh("Q", Sort.BOX)
     welim_type = _recursor_type(d, params, Var(qv), [(qv, d.arity_type)])
     welim_arity = 1 + len(d.constructors) + arity + 1
-    sig.declare(bundle.welim, welim_arity, welim_type, fuel=fuel)
+    sig.declare(bundle.welim, welim_arity, welim_type, rules, fuel=fuel)
     # recursive calls are compared on the scrutinee argument
     sig.status[bundle.welim] = (welim_arity,)
     bundle.symbols.append(bundle.welim)

@@ -6,12 +6,12 @@ types."""
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .signature import Signature
-from .terms import (Abs, App, BVar, EPSILON, Position, Prod, Sort, SortT,
-                    Symb, Term, Var, free_vars, occurrences, positions,
-                    positions_of, spine, symbols_of)
+from .terms import (Abs, App, EPSILON, Position, Prod, Sort, SortT, Symb,
+                    Term, Var, Variable, _children, occurrences)
 
 
 class PolarityReport(NamedTuple):
@@ -23,84 +23,89 @@ class PolarityReport(NamedTuple):
 def is_predicate_term(t: Term, sig: Optional[Signature] = None) -> bool:
     """Whether t lives at the predicate level (its type is a kind):
     decided from the head's declared sort class."""
+    while isinstance(t, (Abs, App)):
+        t = t.body if isinstance(t, Abs) else t.head
     if isinstance(t, (SortT, Prod)):
         return True
     if isinstance(t, Var):
         return t.var.sort == Sort.BOX
-    if isinstance(t, Symb):
-        if sig is not None and t.name in sig.decls:
-            return sig.decls[t.name].sort == Sort.BOX
-        return False
-    if isinstance(t, Abs):
-        return is_predicate_term(t.body, sig)
-    if isinstance(t, App):
-        return is_predicate_term(spine(t)[0], sig)
+    if isinstance(t, Symb) and sig is not None and t.name in sig.decls:
+        return sig.decls[t.name].sort == Sort.BOX
     return False
 
 
-def _prefixed(i: int, ps: FrozenSet[Position]) -> set:
-    return {(i,) + p for p in ps}
-
-
-def _polarity(u: Term, sig: Signature,
-              free_set: FrozenSet[str]) -> Tuple[set, set]:
-    """Returns (same-polarity set, flipped-polarity set) of u."""
-    if isinstance(u, (SortT, Var, BVar)):
-        return {EPSILON}, set()
-    if isinstance(u, Symb):
-        pos = {EPSILON}
-        neg: set = set()
-        if u.name in free_set:
-            for i in sig.structure.ind_of(u.name):
-                if 1 <= i <= len(u.args):
-                    p, n = _polarity(u.args[i - 1], sig, free_set)
-                    pos |= _prefixed(i, frozenset(p))
-                    neg |= _prefixed(i, frozenset(n))
-        return pos, neg
-    if isinstance(u, Prod):
-        dp, dn = _polarity(u.domain, sig, free_set)
-        cp, cn = _polarity(u.codomain, sig, free_set)
-        pos = {EPSILON} | _prefixed(1, frozenset(dn)) | _prefixed(2, frozenset(cp))
-        neg = _prefixed(1, frozenset(dp)) | _prefixed(2, frozenset(cn))
-        return pos, neg
-    if isinstance(u, Abs):
-        bp, bn = _polarity(u.body, sig, free_set)
-        pos = {EPSILON} | _prefixed(1, set(positions(u.domain))) \
-            | _prefixed(2, frozenset(bp))
-        neg = _prefixed(2, frozenset(bn))
-        return pos, neg
-    if isinstance(u, App):
-        hp, hn = _polarity(u.head, sig, free_set)
-        pos = {EPSILON} | _prefixed(1, frozenset(hp))
-        neg = _prefixed(1, frozenset(hn))
-        if not is_predicate_term(u.arg, sig):
-            pos |= _prefixed(2, set(positions(u.arg)))
-        return pos, neg
-    return {EPSILON}, set()
+def signed_occurrences(t: Term, sig: Signature,
+                       free_set: Optional[FrozenSet[str]] = None
+                       ) -> Iterator[Tuple[Position, Term, int]]:
+    """Every (position, subterm, sign) of t in the prefix order of
+    `occurrences`: sign 1 for a positive position, -1 for a negative
+    one, 0 for one without a polarity.  The root is positive; a product
+    flips the sign of its domain; a free predicate symbol (of free_set,
+    by default every predicate symbol) passes its sign into its
+    inductive arguments; an application's head and an abstraction's body
+    keep it.  Below an abstraction's domain and an application's object
+    argument every position has the node's sign; below a predicate
+    argument or any other symbol argument, sign 0."""
+    if free_set is None:
+        free_set = frozenset(n for n, d in sig.decls.items()
+                             if d.sort == Sort.BOX)
+    # ruled: the sign rules apply below; otherwise every position
+    # below takes the same sign
+    stack = [(EPSILON, t, 1, True)]
+    while stack:
+        p, u, s, ruled = stack.pop()
+        yield p, u, s
+        kids = _children(u)
+        if not ruled or not kids:
+            signs = [(s, False)] * len(kids)
+        elif isinstance(u, Symb):
+            ind = (sig.structure.ind_of(u.name) if u.name in free_set
+                   else ())
+            signs = [(s, True) if i in ind else (0, False)
+                     for i in range(1, len(kids) + 1)]
+        elif isinstance(u, Prod):
+            signs = [(-s, True), (s, True)]
+        elif isinstance(u, Abs):
+            signs = [(s, False), (s, True)]
+        else:  # an application
+            signs = [(s, True),
+                     (0 if is_predicate_term(u.arg, sig) else s, False)]
+        for i in range(len(kids), 0, -1):
+            stack.append((p + (i,), kids[i - 1]) + signs[i - 1])
 
 
 def polarity(t: Term, sig: Signature,
              free_predicates: Optional[FrozenSet[str]] = None) -> PolarityReport:
-    """Positive and negative positions of t.
-
-    The two sets follow the mutual definition: products flip the
-    polarity of their domain; an application of a free predicate symbol
-    with declared inductive positions propagates into exactly those
-    arguments.  Positions reachable without a polarity (abstraction
-    domains, object arguments of applications) are reported as positive
-    so the two sets stay disjoint; no admissibility condition ever
-    consults their sign, only membership in the positive set or
-    emptiness of occurrence sets.
-    """
-    free_set = free_predicates
-    if free_set is None:
-        free_set = frozenset(n for n, d in sig.decls.items()
-                             if d.sort == Sort.BOX)
-    # at the root the same-polarity set is the positive one
-    pos, neg = _polarity(t, sig, free_set)
-    overlap = pos & neg
-    assert not overlap, f"polarity sets overlap at {sorted(overlap)}"
+    """Positive and negative positions of t: those of sign 1 and of sign
+    -1 in `signed_occurrences`.  A position of sign 0 (a symbol's
+    argument outside its inductive positions, or anything below a
+    predicate argument) has no polarity and is in neither set.  An
+    abstraction's domain or an object argument is not positive by fiat:
+    it takes the sign of its node, so in Prod(Abs(A, #0), B) the
+    abstraction's domain (1, 1) is negative, as the abstraction (1,)
+    is."""
+    pos, neg = [], []
+    for p, _, s in signed_occurrences(t, sig, free_predicates):
+        if s:
+            (pos if s > 0 else neg).append(p)
     return PolarityReport(t, frozenset(pos), frozenset(neg))
+
+
+def first_occurrences(t: Term, sig: Signature,
+                      free_set: Optional[FrozenSet[str]] = None):
+    """From one signed walk of t: the first position in prefix order of
+    each free variable (keyed by its Variable) and each symbol (keyed by
+    its name), and the first of each that is not positive."""
+    first: Dict[object, Position] = {}
+    bad: Dict[object, Position] = {}
+    for p, u, s in signed_occurrences(t, sig, free_set):
+        key = (u.var if isinstance(u, Var)
+               else u.name if isinstance(u, Symb) else None)
+        if key is not None:
+            first.setdefault(key, p)
+            if s < 1:
+                bad.setdefault(key, p)
+    return first, bad
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +151,7 @@ def check_inductive_structure(sig: Signature,
             assert isinstance(output, Symb) and output.name == cname
             vs = output.args
             # I1: inductive output arguments are predicate variables
+            ind_vars = []
             for i in ind:
                 if not (1 <= i <= len(vs)):
                     out.append(StructureViolation(
@@ -153,6 +159,8 @@ def check_inductive_structure(sig: Signature,
                         f"inductive position {i} exceeds the output arity"))
                     continue
                 vi = vs[i - 1]
+                if isinstance(vi, Var):
+                    ind_vars.append(vi)
                 if not (isinstance(vi, Var) and vi.var.sort == Sort.BOX):
                     out.append(StructureViolation(
                         "I1", cname, con, None,
@@ -165,51 +173,38 @@ def check_inductive_structure(sig: Signature,
                         "accessible index exceeds the arity"))
                     continue
                 uj = binders[j - 1][1]
-                rep = polarity(uj, sig, free_set)
+                first, bad = first_occurrences(uj, sig, free_set)
                 # I2: inductive-argument variables occur positively
-                for i in ind:
-                    if not (1 <= i <= len(vs)):
-                        continue
-                    vi = vs[i - 1]
-                    if not isinstance(vi, Var):
-                        continue
-                    occ = positions_of(uj, vi.var)
-                    bad = occ - rep.positive
-                    if bad:
+                for vi in ind_vars:
+                    if vi.var in bad:
                         out.append(StructureViolation(
                             "I2", cname, con, j,
                             f"variable {vi} occurs non-positively at "
-                            f"{sorted(bad)[0]} in {uj}"))
-                # the positions of each symbol in uj, from one walk
-                where: Dict[str, Set[Position]] = {}
-                for p, s in occurrences(uj):
-                    if isinstance(s, Symb):
-                        where.setdefault(s.name, set()).add(p)
+                            f"{bad[vi.var]} in {uj}"))
                 # I3: equivalent free predicates occur positively
                 # I4: strictly greater free predicates do not occur
-                for e in sorted(free_set.intersection(where), key=rank.get):
-                    occ = where[e]
+                for e in sorted(free_set.intersection(first), key=rank.get):
                     if prec.eq(e, cname):
-                        bad = occ - rep.positive
-                        if bad:
+                        if e in bad:
                             out.append(StructureViolation(
                                 "I3", cname, con, j,
                                 f"equivalent predicate {e} occurs "
-                                f"non-positively at {sorted(bad)[0]} in {uj}"))
+                                f"non-positively at {bad[e]} in {uj}"))
                     elif prec.gt(e, cname):
                         out.append(StructureViolation(
                             "I4", cname, con, j,
                             f"greater predicate {e} occurs at "
-                            f"{sorted(occ)[0]} in {uj}"))
+                            f"{first[e]} in {uj}"))
                 # I5: defined predicates do not occur
-                for f in sorted(defined_preds.intersection(where),
+                for f in sorted(defined_preds.intersection(first),
                                 key=rank.get):
                     out.append(StructureViolation(
                         "I5", cname, con, j,
                         f"defined predicate {f} occurs at "
-                        f"{min(where[f])} in {uj}"))
+                        f"{first[f]} in {uj}"))
                 # I6: predicate free variables are output parameters
-                for x in sorted(free_vars(uj, Sort.BOX),
+                for x in sorted((v for v in first if isinstance(v, Variable)
+                                 and v.sort == Sort.BOX),
                                 key=lambda v: v.id):
                     if not any(isinstance(v, Var) and v.var == x for v in vs):
                         out.append(StructureViolation(
@@ -239,10 +234,6 @@ def predicate_classes(sig: Signature,
         """Decides the class of root; yields each predicate whose class
         it needs and is sent that class back."""
         cls = members[root]
-
-        def occurs(u: Term) -> bool:
-            return not symbols_of(u).isdisjoint(cls)
-
         primitive = basic = strictly = True
         for dname in sorted(cls):
             for con in sig.constructors_of(dname):
@@ -258,20 +249,19 @@ def predicate_classes(sig: Signature,
                             and (yield e) in (PredicateClass.PRIMITIVE,
                                               PredicateClass.BASIC)):
                         primitive = False
-                    if not occurs(uj):
+                    at = [p for p, u in occurrences(uj)
+                          if isinstance(u, Symb) and u.name in cls]
+                    if not at:
                         continue
                     # basic: equivalent symbols occur only at the root
-                    if e not in cls or any(map(occurs, uj.args)):
+                    if at != [EPSILON]:
                         basic = False
-                    # strictly positive: (z-vec:V-vec) E(t-vec), no
-                    # equivalent symbol in the domains
-                    core, domains = uj, []
+                    # strictly positive: (z-vec:V-vec) E(t-vec), with
+                    # equivalent symbols only at the head E
+                    k, core = 0, uj
                     while isinstance(core, Prod):
-                        domains.append(core.domain)
-                        core = core.codomain
-                    if not (isinstance(core, Symb) and core.name in cls
-                            and not any(map(occurs, domains))
-                            and not any(map(occurs, core.args))):
+                        k, core = k + 1, core.codomain
+                    if at != [(2,) * k]:
                         strictly = False
         return (PredicateClass.PRIMITIVE if primitive and basic
                 else PredicateClass.BASIC if basic

@@ -122,8 +122,6 @@ def typed_occurrences(rule: RewriteRule, x: Variable, xtyp: Term,
     type, corrected by the annotation substitution, is xtyp; each with
     its uncorrected derived type."""
     for p in sorted(positions_of(rule.lhs, x)):
-        if p == EPSILON:
-            continue
         try:
             tau = derived_type(rule.lhs, p, sig)
         except CacError:

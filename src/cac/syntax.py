@@ -548,7 +548,8 @@ class LoadedFile:
         ctors = tuple((cname, self.term(ptyp, {name: self_var}))
                       for cname, ptyp in pctors)
         decl = InductiveDecl(name, arity_type, self_var, ctors)
-        bundle = translate_inductive(decl, self.signature, fuel=self.fuel)
+        bundle = translate_inductive(decl, self.signature, self.index,
+                                     fuel=self.fuel)
         for rule in bundle.rules:
             self.index.add(rule)
         self.bundles.append(bundle)

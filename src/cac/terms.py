@@ -347,28 +347,23 @@ def open_fresh(t: Union[Abs, Prod]) -> "tuple[Variable, Term]":
 # ---------------------------------------------------------------------------
 # free variables and substitution
 
-def _collect_vars(u: Term, out: set) -> None:
-    if isinstance(u, Var):
-        out.add(u.var)
-    elif isinstance(u, Symb):
-        for a in u.args:
-            _collect_vars(a, out)
-    elif isinstance(u, Abs):
-        _collect_vars(u.domain, out)
-        _collect_vars(u.body, out)
-    elif isinstance(u, Prod):
-        _collect_vars(u.domain, out)
-        _collect_vars(u.codomain, out)
-    elif isinstance(u, App):
-        _collect_vars(u.head, out)
-        _collect_vars(u.arg, out)
-
-
 def free_vars(t: Term, sort_filter: Optional[Sort] = None) -> frozenset:
     out = set()
-    _collect_vars(t, out)
-    if sort_filter is not None:
-        out = {v for v in out if v.sort == sort_filter}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        cls = u.__class__
+        if cls is Var:
+            if sort_filter is None or u.var.sort == sort_filter:
+                out.add(u.var)
+        elif cls is Symb:
+            stack += u.args
+        elif cls is App:
+            stack += (u.head, u.arg)
+        elif cls is Abs:
+            stack += (u.domain, u.body)
+        elif cls is Prod:
+            stack += (u.domain, u.codomain)
     return frozenset(out)
 
 
@@ -465,11 +460,15 @@ def positions_of(t: Term, needle: Union[str, Variable]) -> frozenset:
 
 
 def is_algebraic(t: Term) -> bool:
-    if isinstance(t, Var):
-        return True
-    if isinstance(t, Symb):
-        return all(is_algebraic(a) for a in t.args)
-    return False
+    """Whether t is built of symbols and variables alone."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Symb:
+            stack += u.args
+        elif u.__class__ is not Var:
+            return False
+    return True
 
 
 def _subterms(t: Term) -> list:

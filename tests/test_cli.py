@@ -67,6 +67,21 @@ def test_malformed_inductive_exits_1_without_a_position(tmp_path, capsys):
         "application\n"))
 
 
+def test_inductive_declaration_type_checks_against_the_rules(tmp_path,
+                                                            capsys):
+    # g(v) is well typed only through the rule one -> succ(zero), as it
+    # is for a symbol declaration in the same place
+    f = tmp_path / "conv.cac"
+    f.write_text(
+        "inductive nat : * := zero : nat | succ : nat -> nat .\n"
+        "symbol one : nat .\nrule one -> succ(zero) .\n"
+        "symbol Vec : nat -> * .\nsymbol v : Vec(one) .\n"
+        "symbol g : Vec(succ(zero)) -> * .\n"
+        "inductive t : * := c : g(v) -> t .\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr() == ("all checks passed\n", "")
+
+
 def test_admissibility_structured_report(capsys):
     assert main(["--report", "structured", "admissibility",
                  path("ndm_prop")]) == 0

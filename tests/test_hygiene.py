@@ -2,8 +2,9 @@
 no module imports one thing twice, imports sit at module level unless
 they break an import cycle, importing the CLI pulls in no class
 generator, terms, tokens and parse nodes carry no instance dictionary,
-no parser outlives loading, and no nested function refers to itself, so
-no call leaves cyclic garbage."""
+no parser outlives loading, no nested function refers to itself, so
+no call leaves cyclic garbage, and no function outside a fixed list
+calls itself."""
 
 import ast
 import gc
@@ -208,6 +209,69 @@ def test_no_nested_function_refers_to_itself():
                    for line, name in _nested_cycles(tree)]
     assert not cyclic, ("nested functions that refer to themselves:\n"
                         + "\n".join(cyclic))
+
+
+# Functions that call themselves, each with the depth it costs.  The list
+# may only shrink: a walk that leaves it keeps its own stack instead.
+RECURSIVE = {
+    "cic._map_self": "self-references of a declared constructor type",
+    "cli.to_json": "nesting of a report, a few levels",
+    "orderings.rpo_greater": "levels of algebraic rule sides, memoized",
+    "printer._pp": "term levels; the README states the printer's limit",
+    "rewriting.match_first_order": "levels of a left-hand side pattern",
+    "rewriting._occurs": "levels of unified left-hand sides",
+    "rewriting._resolve": "levels of unified left-hand sides",
+    "rewriting._reducts": "one generator frame per level of the redex walk",
+    "rewriting._Search._build": "levels of a right-hand side",
+    "schema.derived_type": "symbols on a left-hand side path",
+    "syntax.Parser.parse_term": "parsed levels; the README states them",
+    "syntax._Elaboration.term": "parsed levels; the README states them",
+    "terms._map_leaves": "term levels, for open_, close and subst_apply",
+    "terms.replace_at": "steps of one position",
+    "typing.replay": "levels of a recorded typing derivation",
+    "typing.TypeChecker.infer": "term levels; the README states its limit",
+}
+
+
+def _self_calling(tree, prefix):
+    """Qualified name of every function in tree that calls itself
+    directly, by name or as self.<name>."""
+    found = []
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{qual}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(c, ast.Call) and (
+                            isinstance(c.func, ast.Name)
+                            and c.func.id == child.name
+                            or isinstance(c.func, ast.Attribute)
+                            and c.func.attr == child.name
+                            and isinstance(c.func.value, ast.Name)
+                            and c.func.value.id == "self")
+                        for c in ast.walk(child)):
+                    found.append(name)
+                visit(child, name)
+            else:
+                visit(child, qual)
+
+    visit(tree, prefix)
+    return found
+
+
+def test_only_listed_functions_recurse():
+    found = set()
+    for path in SOURCES:
+        found.update(_self_calling(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert not found - RECURSIVE.keys(), (
+        "functions that call themselves and are not listed: "
+        + ", ".join(sorted(found - RECURSIVE.keys())))
+    assert not RECURSIVE.keys() - found, (
+        "listed functions that no longer recurse; drop them from the list: "
+        + ", ".join(sorted(RECURSIVE.keys() - found)))
 
 
 def test_unify_free_vars_and_polarity_leave_no_cyclic_garbage(corpus):

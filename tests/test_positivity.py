@@ -11,9 +11,12 @@ import pytest
 
 import cac
 
-from cac import (PredicateClass, Prod, STAR, Signature, Symb, Term, Var,
-                 Variable, arrow, check_inductive_structure, load, pi,
-                 polarity, predicate_classes)
+from cac import (Abs, App, BVar, PredicateClass, Prod, STAR, Signature,
+                 SortT, Symb, Term, Var, Variable, arrow,
+                 check_inductive_structure, free_vars, is_algebraic, load,
+                 pi, polarity, positions, predicate_classes)
+from cac import positivity
+from cac.positivity import is_predicate_term
 from cac.terms import Sort, symbols_of
 from tests.conftest import corpus_source
 
@@ -67,6 +70,221 @@ def test_polarity_recurses_into_inductive_positions(app):
     assert () in rep.positive and (1,) in rep.positive
 
 
+def _pred_sig():
+    """A : *, B : *, o : A, f : A -> A, and L : * -> *, P : * -> * -> *
+    with Ind(L) = {1}, Ind(P) = {2, 3} (3 is beyond P's arity)."""
+    sig = Signature()
+    sig.declare("A", 0, STAR)
+    sig.declare("B", 0, STAR)
+    sig.declare("o", 0, Symb("A", ()))
+    sig.declare("f", 1, arrow(Symb("A", ()), Symb("A", ())))
+    sig.declare("L", 1, arrow(STAR, STAR))
+    sig.declare("P", 2, arrow(STAR, arrow(STAR, STAR)))
+    sig.structure.ind["L"] = frozenset({1})
+    sig.structure.ind["P"] = frozenset({2, 3})
+    return sig
+
+
+def _signs(rep):
+    return ({p: 1 for p in rep.positive}
+            | {p: -1 for p in rep.negative})
+
+
+def test_polarity_object_argument_takes_the_application_sign():
+    sig = _pred_sig()
+    f = Variable.fresh("F", Sort.BOX)
+    y = Variable.fresh("y", Sort.STAR)
+    a = Symb("A", ())
+    # (A -> F f(y)) : the object argument f(y) sits in a domain
+    t = arrow(App(Var(f), Symb("f", (Var(y),))), a)
+    assert _signs(polarity(t, sig)) == {
+        (): 1, (2,): 1, (1,): -1, (1, 1): -1, (1, 2): -1, (1, 2, 1): -1}
+    # a variable of sort * is an object argument too
+    assert _signs(polarity(App(Var(f), Var(y)), sig)) \
+        == {(): 1, (1,): 1, (2,): 1}
+
+
+@pytest.mark.parametrize("arg", [
+    "symbol", "variable", "abstraction", "application", "product", "sort"])
+def test_polarity_predicate_argument_has_no_sign(arg):
+    sig = _pred_sig()
+    f = Variable.fresh("F", Sort.BOX)
+    g = Variable.fresh("G", Sort.BOX)
+    y = Variable.fresh("y", Sort.STAR)
+    a = Symb("A", ())
+    u = {"symbol": Symb("L", (a,)),
+         "variable": Var(g),
+         "abstraction": Abs(a, Symb("B", ())),
+         "application": App(Abs(a, Var(g)), Var(y)),
+         "product": arrow(a, a),
+         "sort": STAR}[arg]
+    rep = polarity(App(Var(f), u), sig)
+    assert _signs(rep) == {(): 1, (1,): 1}
+
+
+def test_polarity_object_abstraction_is_an_object_argument():
+    sig = _pred_sig()
+    f = Variable.fresh("F", Sort.BOX)
+    # fun (x : A) => x is no predicate: its body is a bound variable
+    rep = polarity(App(Var(f), Abs(Symb("A", ()), BVar(0))), sig)
+    assert _signs(rep) == {(): 1, (1,): 1, (2,): 1, (2, 1): 1, (2, 2): 1}
+
+
+def test_polarity_abstraction_domain_under_a_product_domain():
+    sig = _pred_sig()
+    t = Prod(Abs(Symb("A", ()), BVar(0)), Symb("B", ()))
+    assert _signs(polarity(t, sig)) == {
+        (): 1, (2,): 1, (1,): -1, (1, 1): -1, (1, 2): -1}
+
+
+def test_polarity_symbol_outside_the_free_set_passes_no_sign():
+    sig = _pred_sig()
+    a = Variable.fresh("A", Sort.BOX)
+    t = Symb("L", (Var(a),))
+    assert _signs(polarity(t, sig)) == {(): 1, (1,): 1}
+    assert _signs(polarity(t, sig, frozenset())) == {(): 1}
+
+
+def test_polarity_inductive_position_beyond_the_arity_has_no_sign():
+    sig = _pred_sig()
+    x = Variable.fresh("X", Sort.BOX)
+    a = Symb("A", ())
+    rep = polarity(Symb("P", (arrow(Var(x), a), arrow(Var(x), a))), sig)
+    # argument 1 is not inductive; 2 is; Ind(P) names a 3 that P lacks
+    assert _signs(rep) == {(): 1, (2,): 1, (2, 1): -1, (2, 2): 1}
+
+
+def _prefixed(i, ps):
+    return {(i,) + p for p in ps}
+
+
+def _reference_polarity(u, sig, free_set):
+    """The recursive definition signed_occurrences replaced: (same-sign
+    positions, flipped-sign positions) of u."""
+    if isinstance(u, (SortT, Var, BVar)):
+        return {()}, set()
+    if isinstance(u, Symb):
+        pos, neg = {()}, set()
+        if u.name in free_set:
+            for i in sig.structure.ind_of(u.name):
+                if 1 <= i <= len(u.args):
+                    p, n = _reference_polarity(u.args[i - 1], sig, free_set)
+                    pos |= _prefixed(i, p)
+                    neg |= _prefixed(i, n)
+        return pos, neg
+    if isinstance(u, Prod):
+        dp, dn = _reference_polarity(u.domain, sig, free_set)
+        cp, cn = _reference_polarity(u.codomain, sig, free_set)
+        return ({()} | _prefixed(1, dn) | _prefixed(2, cp),
+                _prefixed(1, dp) | _prefixed(2, cn))
+    if isinstance(u, Abs):
+        bp, bn = _reference_polarity(u.body, sig, free_set)
+        return ({()} | _prefixed(1, set(positions(u.domain)))
+                | _prefixed(2, bp), _prefixed(2, bn))
+    if isinstance(u, App):
+        hp, hn = _reference_polarity(u.head, sig, free_set)
+        pos = {()} | _prefixed(1, hp)
+        if not is_predicate_term(u.arg, sig):
+            pos |= _prefixed(2, set(positions(u.arg)))
+        return pos, _prefixed(1, hn)
+    return {()}, set()
+
+
+def _random_term(rng, xs, depth):
+    if depth == 0 or rng.random() < 0.15:
+        return rng.choice([STAR, Symb("A", ()), Symb("o", ()), BVar(0)]
+                          + [Var(x) for x in xs])
+    c = rng.randrange(8)
+    sub = [_random_term(rng, xs, depth - 1) for _ in range(2)]
+    if c == 0:
+        return Symb("L", sub[:1])
+    if c == 1:
+        return Symb("P", tuple(sub))
+    if c == 2:
+        return Symb("f", sub[:1])
+    if c in (3, 4):
+        return Prod(*sub)
+    if c == 5:
+        return Abs(*sub)
+    return App(*sub)
+
+
+def test_polarity_matches_the_recursive_definition():
+    rng = random.Random(2024)
+    sig = _pred_sig()
+    xs = [Variable.fresh("X", Sort.BOX), Variable.fresh("y", Sort.STAR)]
+    frees = [None, frozenset({"L"}), frozenset({"L", "P"}), frozenset()]
+    seen = set()
+    for _ in range(400):
+        t = _random_term(rng, xs, rng.randrange(1, 7))
+        free_set = rng.choice(frees)
+        rep = polarity(t, sig, free_set)
+        pos, neg = _reference_polarity(
+            t, sig, free_set if free_set is not None
+            else frozenset({"A", "B", "L", "P"}))
+        assert (rep.positive, rep.negative) == (pos, neg), t
+        seen.update(type(u).__name__ for _, u in cac.terms.occurrences(t))
+    assert seen >= {"App", "Abs", "Prod", "Symb", "Var", "BVar", "SortT"}
+
+
+def _unless_recursion_error(f, *args):
+    """f(*args), or "RecursionError" when it raises one: a walk that
+    recurses fails at once, not with a traceback a thousand frames
+    deep."""
+    try:
+        return f(*args)
+    except RecursionError:
+        return "RecursionError"
+
+
+def test_term_walks_have_no_depth_limit():
+    x = Variable.fresh("x", Sort.STAR)
+    t = Var(x)
+    for _ in range(5000):
+        t = Symb("s", (t,))
+    assert _unless_recursion_error(free_vars, t) == {x}
+    assert _unless_recursion_error(is_algebraic, t) is True
+    assert not is_algebraic(Symb("s", (t, BVar(0))))
+    sig = Signature()
+    sig.declare("A", 0, STAR)
+    a = Symb("A", ())
+    chain = a
+    for _ in range(1500):
+        chain = arrow(a, chain)
+    rep = _unless_recursion_error(polarity, chain, sig)
+    assert rep != "RecursionError"
+    assert rep.positive == {(2,) * k for k in range(1501)}
+    assert rep.negative == {(2,) * k + (1,) for k in range(1500)}
+
+
+def test_inductive_structure_walks_each_argument_type_once(app,
+                                                          monkeypatch):
+    sig, rules = app.signature, app.rules
+    walks = []
+    walk = positivity.signed_occurrences
+
+    def counted(t, *args):
+        walks.append(t)
+        return walk(t, *args)
+
+    def forbidden(*args):
+        raise AssertionError("walks the argument type again")
+
+    monkeypatch.setattr(positivity, "signed_occurrences", counted)
+    for module, name in [(positivity, "polarity"),
+                         (positivity, "occurrences"),
+                         (cac.terms, "positions_of"),
+                         (cac.terms, "occurrences")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert check_inductive_structure(sig, rules) == []
+    expected = [sig.decls[con].binders[j - 1][1]
+                for c in sig.free_predicate_symbols(rules)
+                for con in sig.constructors_of(c)
+                for j in sorted(sig.structure.acc_of(con))
+                if 1 <= j <= sig.decls[con].arity]
+    assert walks and walks == expected
+
+
 def test_inductive_structure_accepts_list(app):
     assert check_inductive_structure(app.signature, app.rules) == []
 
@@ -80,6 +298,24 @@ def test_i6_violation_for_heterogeneous_list():
     assert v.predicate == "listh"
     assert v.constructor == "consh"
     assert v.arg_index == 2
+
+
+def test_i1_i2_i5_violations_in_one_constructor():
+    lf = load("symbol o : * . symbol a : o . symbol F : o -> * . "
+              "rule F(x) -> o . symbol C : * -> o -> * . "
+              "symbol c : (A : *) -> (y : o) -> A -> F(a) -> C(A, y) . "
+              "pragma ind(C) = {1, 2, 5} . pragma acc(c) = {3, 4, 7} .\n")
+    got = [str(v) for v in
+           check_inductive_structure(lf.signature, lf.rules)]
+    assert sorted(got) == [
+        "I1 violated for C at constructor c: inductive position 5 "
+        "exceeds the output arity",
+        "I1 violated for C at constructor c: output argument 2 is y, not "
+        "a predicate variable",
+        "I2 violated for C at constructor c, argument 7: accessible index "
+        "exceeds the arity",
+        "I5 violated for C at constructor c, argument 4: defined "
+        "predicate F occurs at () in F(a)"]
 
 
 def test_negative_recursion_violates_i3():

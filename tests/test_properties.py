@@ -110,7 +110,7 @@ def test_polarity_disjointness(app):
     for _ in range(CASES):
         preds = [Variable.fresh("P", Sort.BOX)]
         t = random_type(rng, sig, preds, rng.randrange(1, 7))
-        rep = polarity(t, sig)  # asserts disjointness internally
+        rep = polarity(t, sig)  # one sign per position, checked below
         assert not (rep.positive & rep.negative)
         assert () in rep.positive
 
