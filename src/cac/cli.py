@@ -108,23 +108,40 @@ def _parse_expr(loaded: LoadedFile, text: str):
         term = parser.parse_term()
         if parser.peek():
             raise ParseError(f"trailing input {parser.peek()!r}", parser.i)
-        return loaded.term(term, {})
+        return loaded.closed_term(term)
     except ParseError as e:
         raise e.located(text) from None
 
 
-def _checker(loaded: LoadedFile, fuel: int) -> TypeChecker:
-    """The file's typing context, which converts by comparing normal
-    forms once A1 finds the rules confluent."""
-    rules = loaded.index
-    a1 = confluence_check(rules, Orientation(loaded.signature), fuel,
-                          loaded.assume_confluent)
-    return TypeChecker(loaded.signature, rules, fuel, a1.positive)
+class _UndecidedA1(Exception):
+    """A1 raised the error that is this exception's cause."""
+
+
+class _FileChecker(TypeChecker):
+    """The typing context of one command on a loaded file.  It converts
+    by comparing normal forms once A1 finds the rules confluent, and it
+    runs A1 at its first conversion, so a command that converts nothing
+    never runs A1.  If A1 raises, the whole command fails with A1's
+    error, as it would if A1 had run before the first directive."""
+
+    def __init__(self, loaded: LoadedFile, fuel: int):
+        super().__init__(loaded.signature, loaded.index, fuel, None)
+        self.assume_confluent = loaded.assume_confluent
+
+    def convertible(self, t, u) -> bool:
+        if self.confluent is None:
+            try:
+                self.confluent = confluence_check(
+                    self.rules, Orientation(self.sig), self.fuel,
+                    self.assume_confluent).positive
+            except (CacError, RecursionError) as e:
+                raise _UndecidedA1 from e
+        return super().convertible(t, u)
 
 
 def cmd_check(args) -> int:
     loaded = _load_file(args.file, args.fuel)
-    tc = _checker(loaded, args.fuel)
+    tc = _FileChecker(loaded, args.fuel)
     results = []
     ok = True
     for d in loaded.directives:
@@ -134,7 +151,7 @@ def cmd_check(args) -> int:
                 tc.check(Environment(), d.terms[0], d.terms[1])
                 entry["outcome"] = "ok"
             elif d.kind == "normalize":
-                nf = normalize(d.terms[0], tc.rules, args.fuel)
+                nf = tc.normal_form(d.terms[0])
                 entry["outcome"] = "ok"
                 entry["normal_form"] = pp(nf)
             else:  # convert
@@ -200,9 +217,10 @@ def _uses_sufficient(report) -> bool:
 def cmd_normalize(args) -> int:
     loaded = _load_file(args.file, args.fuel)
     outputs = []
+    memo: dict = {}  # one normal-form memo for every expression
     for expr in args.expr:
         t = _parse_expr(loaded, expr)
-        nf = normalize(t, loaded.rules, args.fuel)
+        nf = normalize(t, loaded.index, args.fuel, memo)
         outputs.append({"input": expr, "normal_form": pp(nf)})
     _emit({"file": args.file, "results": outputs},
           args.report == "structured",
@@ -215,7 +233,7 @@ def cmd_convert(args) -> int:
     if len(args.expr) != 2:
         print("convert requires exactly two -e expressions", file=sys.stderr)
         return 2
-    tc = _checker(loaded, args.fuel)
+    tc = _FileChecker(loaded, args.fuel)
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
     conv = tc.convertible(a, b)
@@ -287,7 +305,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except _UndecidedA1 as e:
+            raise e.__cause__ from None
     except ParseError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return 2

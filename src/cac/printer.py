@@ -14,43 +14,84 @@ def _pick_name(hint: str, taken: set) -> str:
 
 
 def pp(t: Term) -> str:
-    taken = {v.name for v in free_vars(t)}
-    return _pp(t, taken, top=True)
+    return _Printer(t)._pp(t, None, top=True)
 
 
-def _pp(t: Term, taken: set, top: bool = False) -> str:
-    if isinstance(t, SortT):
-        return str(t.sort)
-    if isinstance(t, Var):
-        return t.var.name
-    if isinstance(t, BVar):
-        return f"#{t.index}"
-    if isinstance(t, Symb):
-        if not t.args:
-            return t.name
-        return f"{t.name}({', '.join(_pp(a, taken) for a in t.args)})"
-    if isinstance(t, Abs):
-        name = _pick_name(t.hint, taken)
-        v = Variable.fresh(name, Sort.STAR)
-        body = open_(t.body, Var(v))
-        s = f"fun ({name}:{_pp(t.domain, taken)}) => {_pp(body, taken | {name}, top=True)}"
-        return s if top else f"({s})"
-    if isinstance(t, Prod):
-        name = _pick_name(t.hint, taken)
-        v = Variable.fresh(name, Sort.STAR)
-        cod = open_(t.codomain, Var(v))
-        if v in free_vars(cod):
-            s = f"({name}:{_pp(t.domain, taken)}) -> {_pp(cod, taken | {name}, top=True)}"
-        else:  # an arrow
-            dom = _pp(t.domain, taken, top=True)
-            if isinstance(t.domain, (Prod, Abs)):
-                dom = f"({dom})"
-            s = f"{dom} -> {_pp(cod, taken, top=True)}"
-        return s if top else f"({s})"
-    # an App; application is left-associative: no parens around an App head
-    head = _pp(t.head, taken, top=isinstance(t.head, App))
-    arg = _pp(t.arg, taken)
-    if isinstance(t.arg, App):
-        arg = f"({arg})"
-    return f"{head} {arg}" if top else f"({head} {arg})"
+class _Printer:
+    """One `pp` call.  A subterm with no binder inside prints the same
+    text in any scope, so the text of a symbol application or an
+    application that holds no binder is kept once the subterm is met a
+    second time, and a third meeting reuses it; a subterm met once keeps
+    no text.  Both tables are keyed by id, and `seen` keeps every such
+    subterm alive while it prints, because an opened binder body is a
+    temporary whose id would be reused.  The names a binder must avoid start as the free variables
+    of the root, read at the first binder, so a term without binders is
+    not walked for them."""
 
+    __slots__ = ("root", "free", "seen", "texts", "binders")
+
+    def __init__(self, root: Term):
+        self.root = root
+        self.free = None
+        self.seen: dict = {}   # id -> binder-free subterm met once
+        self.texts: dict = {}  # id -> its text, once met twice
+        self.binders = 0       # binders printed so far
+
+    def _taken(self, taken):
+        if taken is not None:
+            return taken
+        if self.free is None:
+            self.free = {v.name for v in free_vars(self.root)}
+        return self.free
+
+    def _pp(self, t: Term, taken, top: bool = False) -> str:
+        cls = t.__class__
+        if cls is Symb:
+            if not t.args:
+                return t.name
+        elif cls is not App:
+            if cls is SortT:
+                return str(t.sort)
+            if cls is Var:
+                return t.var.name
+            if cls is BVar:
+                return f"#{t.index}"
+            self.binders += 1
+            taken = self._taken(taken)
+            name = _pick_name(t.hint, taken)
+            v = Variable.fresh(name, Sort.STAR)
+            if cls is Abs:
+                body = open_(t.body, Var(v))
+                s = (f"fun ({name}:{self._pp(t.domain, taken)}) => "
+                     f"{self._pp(body, taken | {name}, top=True)}")
+                return s if top else f"({s})"
+            cod = open_(t.codomain, Var(v))
+            if v in free_vars(cod):
+                s = (f"({name}:{self._pp(t.domain, taken)}) -> "
+                     f"{self._pp(cod, taken | {name}, top=True)}")
+            else:  # an arrow
+                dom = self._pp(t.domain, taken, top=True)
+                if isinstance(t.domain, (Prod, Abs)):
+                    dom = f"({dom})"
+                s = f"{dom} -> {self._pp(cod, taken, top=True)}"
+            return s if top else f"({s})"
+        key = id(t)
+        s = self.texts.get(key)
+        if s is None:
+            binders = self.binders
+            if cls is Symb:
+                s = f"{t.name}({', '.join(self._pp(a, taken) for a in t.args)})"
+            else:
+                # application is left-associative: no parens around an
+                # App head
+                head = self._pp(t.head, taken, top=t.head.__class__ is App)
+                arg = self._pp(t.arg, taken)
+                if t.arg.__class__ is App:
+                    arg = f"({arg})"
+                s = f"{head} {arg}"
+            if binders == self.binders:
+                if key in self.seen:
+                    self.texts[key] = s
+                else:
+                    self.seen[key] = t
+        return s if top or cls is Symb else f"({s})"

@@ -279,7 +279,8 @@ def _redex_above(t: Term, path: List[list], ruled: List[int],
     return None, None
 
 
-def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
+def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000,
+              memo: Optional[dict] = None) -> Term:
     """Leftmost-outermost normal form; raises FuelExhausted rather than
     ever returning a reducible term.
 
@@ -297,8 +298,27 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
     of contractions, keyed by the id of s (which the entry keeps alive).
     When s, the same object, fills a free slot again, the pass takes its
     normal form and charges the contractions to the fuel, raising
-    exactly where walking s again would have raised."""
+    exactly where walking s again would have raised.
+
+    A caller that normalizes many terms under the same rules may pass
+    one `memo` dict to every call.  Then the memo outlives the call, and
+    the root, which normalizes as itself, is remembered and looked up
+    too, so a term normalized before costs one lookup and its
+    contractions' worth of fuel."""
     rules = RuleSet.of(rules)
+    # (s, steps when s entered) for the focus's slot when it is free; a
+    # contraction keeps it, a cut at a frame takes over the frame's
+    entry: Optional[Tuple[Term, int]] = None
+    if memo is None:
+        # id(s) -> (s, normal form of s, contractions it took)
+        memo = {}
+    else:
+        hit = memo.get(id(t))
+        if hit is not None:
+            if hit[2] > fuel:
+                raise FuelExhausted("normalization")
+            return hit[1]
+        entry = (t, 0)
     # one frame [node, children, index, variable, entry] per ancestor of
     # the focus: its children (those left of `index` normal, those right
     # of it untouched), the index of the child holding the focus, the
@@ -307,12 +327,6 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000) -> Term:
     path: List[list] = []
     # the index in path of each ancestor whose head has rules
     ruled: List[int] = []
-    # id(s) -> (s, normal form of s, contractions it took)
-    memo: Dict[int, Tuple[Term, Term, int]] = {}
-    # (s, steps when s entered) for the focus's slot when it is free and
-    # not the root; a contraction keeps it, a cut at a frame takes over
-    # the frame's
-    entry: Optional[Tuple[Term, int]] = None
     steps = 0
     known = False  # whether the focus is a remembered normal form
     r = next(_root_reducts(t, rules), None)
@@ -603,17 +617,19 @@ class _Search:
 
 
 def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
-             fuel: int = 10000, confluent: bool = False) -> bool:
+             fuel: int = 10000, confluent: bool = False,
+             memo: Optional[dict] = None) -> bool:
     """Do t and u have a common reduct?  Under a positive confluence
-    verdict this is normalize-and-compare; otherwise a bounded
+    verdict this is normalize-and-compare, through `memo` when it is
+    given (see `normalize`); otherwise a bounded
     breadth-first search of both reduction graphs over hash-consed
     nodes (`_Search`): they meet when a node is marked visited from both
     sides.  A level costs the same and yields the same next level in any
     order."""
     rules = RuleSet.of(rules)
     if confluent:
-        return t == u or (normalize(t, rules, fuel)
-                           == normalize(u, rules, fuel))
+        return t == u or (normalize(t, rules, fuel, memo)
+                           == normalize(u, rules, fuel, memo))
     search = _Search(rules)
     frontier_t, frontier_u = [search.intern(t)], [search.intern(u)]
     # alpha-equal terms share a handle, whose mark is then 3 at once

@@ -438,6 +438,9 @@ class LoadedFile:
         self.assume_terminating = False
         self.non_algebraic: frozenset = frozenset()
         self.bundles: list = []
+        # one table for every directive term and every `-e` expression
+        # of a command, so equal subterms across them are one object
+        self._closed = _Elaboration(self.signature.decls, {}, None)
 
     @property
     def rules(self) -> List[RewriteRule]:
@@ -451,6 +454,12 @@ class LoadedFile:
         other names are errors, or fresh variables shared through `free`
         when it is given.  Equal subterms of the result are one object."""
         return _Elaboration(self.signature.decls, scope, free).term(p, 0)
+
+    def closed_term(self, p) -> Term:
+        """`term(p, {})` for a directive or a command's expression, built
+        through the file's one table: equal subterms of all of them are
+        one object, which a command then normalizes and prints once."""
+        return self._closed.term(p, 0)
 
     # -- items: each takes the item's line, then what the parser read -------
 
@@ -577,7 +586,7 @@ class LoadedFile:
 
     def add_directive(self, line: int, kind: str, *parsed) -> None:
         self.directives.append(
-            Directive(kind, line, [self.term(p, {}) for p in parsed]))
+            Directive(kind, line, [self.closed_term(p) for p in parsed]))
 
     def _require_symbol(self, line: int, *names: str) -> None:
         for name in names:
@@ -594,7 +603,8 @@ class _Elaboration:
     Every node is built through `table`, keyed by its class, its own data
     and the ids of its children, so equal subterms, binder hints
     included, are one object; the table keeps them alive, so no id is
-    reused while it lives, and it lives for this call only."""
+    reused while it lives.  It lives for this call only, except the
+    table of `LoadedFile.closed_term`, which lives as long as the file."""
 
     __slots__ = ("decls", "scope", "free", "bound", "table")
 

@@ -44,11 +44,19 @@ class TypeChecker:
         self.rules = RuleSet.of(rules)
         self.fuel = fuel
         self.confluent = confluent
+        # the normal forms of this context, one `normalize` memo for every
+        # call under its rules: a term normalized before costs a lookup
+        self.normal_forms: dict = {}
 
     # -- conversion ----------------------------------------------------------
 
     def convertible(self, t: Term, u: Term) -> bool:
-        return joinable(t, u, self.rules, self.fuel, self.confluent)
+        return joinable(t, u, self.rules, self.fuel, self.confluent,
+                        self.normal_forms)
+
+    def normal_form(self, t: Term) -> Term:
+        """The normal form of t under this context's rules and fuel."""
+        return normalize(t, self.rules, self.fuel, self.normal_forms)
 
     def _whnf_product(self, t: Term) -> Prod:
         fuel = self.fuel

@@ -21,7 +21,7 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Outcome,
                  critical_pairs, joinable, left_linear, load, normalize, pp,
                  rpo_terminates, satisfies_general_schema, system_properties)
 from cac.admissibility import partition_explained
-from cac.cli import main
+from cac.cli import _FileChecker, main
 from cac.syntax import _texts, parse
 from cac.terms import lam, map_children
 from tests.conftest import CORPUS, corpus_source, plus_family_source
@@ -746,6 +746,79 @@ def test_acceptance_25_declarations_after_rules_are_linear():
             f"of 1000 / of 250 symbol-rule pairs and declarations = "
             f"{large:.3f} / {small:.3f} s CPU = {ratio:.2f}, median of five "
             "rounds (bound 5.5)")
+
+
+def _ladder_source(n):
+    """The benchmark's peano ladder_n input: n + n normalized, then
+    converted to succ^2n(zero)."""
+    numeral = "succ(" * n + "zero" + ")" * n
+    add = (f"WElim_nat(nat, {numeral}, fun (x : nat) => fun (y : nat) => "
+           f"succ(y), {numeral})")
+    return ("inductive nat : * := zero : nat | succ : nat -> nat .\n"
+            f"normalize {add} .\n"
+            f"convert {add} , {'succ(' * 2 * n}zero{')' * 2 * n} .\n")
+
+
+def test_acceptance_26_a_command_normalizes_a_shared_term_once():
+    # a count of calls, not a time; the directives of a file share one
+    # elaboration table and the command one normal-form memo, so the
+    # convert finds n + n's normal form where the normalize left it
+    lf = load(_ladder_source(100))
+    normalize_d, convert_d = lf.directives
+    tc = _FileChecker(lf, 10000)
+    first = _calls(lambda: tc.normal_form(normalize_d.terms[0]))
+    second = _calls(lambda: tc.convertible(*convert_d.terms))
+    assert tc.confluent
+    ratio = second / first
+    _report(26, ratio <= 0.25,
+            "a command normalizes each shared term once: calls of "
+            "ladder(100)'s convert after its normalize / of the normalize "
+            f"= {second} / {first} = {ratio:.2f} (bound 0.25)")
+
+
+def _print_frames(d):
+    """Printer frames of `pp` on the normal form of peano tree_d."""
+    lf = load(_tree_source(d), fuel=10**6)
+    (directive,) = lf.directives
+    nf = normalize(directive.terms[0], lf.rules, 10**6)
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += (event == "call"
+                  and frame.f_code.co_filename == cac.printer.__file__)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        pp(nf)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_acceptance_27_printing_follows_the_shared_subterms():
+    # a count of frames, not a time; a binder-free subterm met a second
+    # time is printed from its kept text, so the walk follows the
+    # distinct subterms of the normal form
+    small, large = _print_frames(6), _print_frames(12)
+    ratio = large / small
+    _report(27, ratio <= 1.5,
+            "the printer prints each shared subterm once: printer frames "
+            f"on peano tree_12's normal form / on tree_6's = {large} / "
+            f"{small} = {ratio:.2f} (bound 1.5)")
+
+
+def test_acceptance_28_printing_keeps_no_text_of_an_unshared_term():
+    # a ratio of traced heap peaks; only a subterm met twice keeps its
+    # text, so printing succ^k(zero) holds O(k), not O(k^2), characters
+    small, large = _peano(75), _peano(300)
+    ps, pl = _peak(lambda: pp(small)), _peak(lambda: pp(large))
+    ratio = pl / ps
+    _report(28, ratio <= 4.8,
+            "printing an unshared term keeps no text: peak of "
+            f"pp(succ^300(zero)) / of pp(succ^75(zero)) = {pl} / {ps} B = "
+            f"{ratio:.2f} (bound 4.8)")
 
 
 def test_normalization_fuel_counts_every_remembered_contraction():

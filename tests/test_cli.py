@@ -1,5 +1,7 @@
 """The command-line driver: subcommands, report formats, exit codes."""
 
+import contextlib
+import io
 import json
 import time
 
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cac import Outcome, check_admissible, cli, load
+from cac import (FuelExhausted, Outcome, check_admissible, cli, load,
+                 normalize, pp)
 from cac.cli import main
+from cac.terms import map_children
 from tests.conftest import CORPUS, plus_family_source
 
 
@@ -380,6 +384,79 @@ def test_deep_normal_forms_convert(tmp_path, capsys):
     assert main(["check", str(f)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "convert (line 2): ok — convertible", "all checks passed"]
+
+
+def _deep_a1_source(directives):
+    """Rules whose A1 run overflows the recursion limit on the 300-deep
+    critical pairs of f's left-hand side with s(s(x)), then directives."""
+    k = 300
+    return ("symbol o : * .\nsymbol a : o .\nsymbol s : o -> o .\n"
+            "symbol f : o -> o .\n"
+            f"rule f({'s(' * k}x{')' * k}) -> x .\nrule s(s(x)) -> x .\n"
+            + directives)
+
+
+def test_a_command_that_converts_nothing_never_runs_a1(tmp_path, capsys):
+    f = tmp_path / "deep_a1.cac"
+    f.write_text(_deep_a1_source("check s(a) : o .\nnormalize s(s(a)) .\n"),
+                 encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "check (line 7): ok", "normalize (line 8): ok — a",
+        "all checks passed"]
+
+
+def test_a1_that_overflows_fails_the_whole_command(tmp_path, capsys):
+    # A1 runs at the first conversion; when it raises, the command ends
+    # with A1's error and no directive's line, as when A1 ran first
+    f = tmp_path / "deep_a1.cac"
+    f.write_text(_deep_a1_source("normalize s(s(a)) .\n"
+                                 "convert s(s(a)) , a .\n"),
+                 encoding="utf-8")
+    assert_depth_exceeded(main(["check", str(f)]), capsys)
+    assert_depth_exceeded(
+        main(["convert", str(f), "-e", "s(s(a))", "-e", "a"]), capsys)
+
+
+def _unshared(t):
+    return map_children(t, _unshared)
+
+
+def test_a_shared_term_pays_its_fuel_in_every_directive(tmp_path):
+    # both directives hold one object; the second takes its normal form
+    # from the command's memo, yet is charged the first's contractions,
+    # so the fuel stops both exactly where it stops an unshared copy
+    add = ("WElim_nat(nat, succ(succ(zero)), fun (x:nat) => fun (y:nat) => "
+           "succ(y), succ(succ(succ(zero))))")
+    f = tmp_path / "twice.cac"
+    f.write_text(NAT + "symbol node : nat -> nat -> nat .\n"
+                 f"normalize node({add}, {add}) .\n"
+                 f"normalize node({add}, {add}) .\n", encoding="utf-8")
+    lf = load(f.read_text(encoding="utf-8"))
+    first, second = (d.terms[0] for d in lf.directives)
+    assert first is second and first.args[0] is first.args[1]
+    copy = _unshared(first)
+    assert copy == first and copy.args[0] is not copy.args[1]
+
+    def run(fuel):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            main(["--fuel", str(fuel), "--report", "structured", "check",
+                  str(f)])
+        return json.loads(out.getvalue())["directives"]
+
+    n = next(k for k in range(1, 100) if _normalizes(copy, lf.rules, k))
+    expected = pp(normalize(copy, lf.rules, n))
+    assert [d.get("normal_form") for d in run(n)] == [expected] * 2
+    assert [d.get("detail") for d in run(n - 1)] == [
+        "fuel exhausted during normalization"] * 2
+
+
+def _normalizes(t, rules, fuel):
+    try:
+        normalize(t, rules, fuel)
+        return True
+    except FuelExhausted:
+        return False
 
 
 JSON_VALUES = st.recursive(

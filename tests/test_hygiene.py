@@ -217,7 +217,7 @@ RECURSIVE = {
     "cic._map_self": "self-references of a declared constructor type",
     "cli.to_json": "nesting of a report, a few levels",
     "orderings.rpo_greater": "levels of algebraic rule sides, memoized",
-    "printer._pp": "term levels; the README states the printer's limit",
+    "printer._Printer._pp": "term levels; the README states the printer's limit",
     "rewriting.match_first_order": "levels of a left-hand side pattern",
     "rewriting._occurs": "levels of unified left-hand sides",
     "rewriting._resolve": "levels of unified left-hand sides",

@@ -10,7 +10,8 @@ import pytest
 from cac import (Environment, STAR, Symb, TypeChecker, Var, Variable,
                  alpha_eq, match_first_order, normalize, polarity, pp,
                  reduce_one, step, subst_apply)
-from cac.terms import App, arrow, free_vars, lam, pi, Sort
+from cac.printer import _Printer
+from cac.terms import App, arrow, free_vars, lam, map_children, pi, Sort
 
 CASES = 500
 
@@ -176,3 +177,59 @@ def test_step_is_first_of_reduce_one(intf):
             assert not any(alpha_eq(u, w) for w in reducts[i + 1:]), pp(t)
         under_binder += not isinstance(t, (Symb, App))
     assert under_binder >= CASES // 20  # binders with a redex inside
+
+
+def _unshared(t):
+    """A copy of t in which no node object occurs twice."""
+    return map_children(t, _unshared)
+
+
+def random_shared_term(rng, size):
+    """A term built bottom-up from a pool of its own subterms, so one
+    object recurs at many places, under binders too.  Binder hints and
+    free variable names are all drawn from x, y and x', so the printer
+    renames binders against free variables and against each other."""
+    names = ("x", "y", "x'")
+    pool = [Var(Variable.fresh(n, Sort.STAR)) for n in names[:2]]
+    pool.append(Symb("0", ()))
+    for _ in range(size):
+        a, b = rng.choice(pool), rng.choice(pool)
+        choice = rng.randrange(6)
+        if choice == 0:
+            t = Symb("plus", (a, b))
+        elif choice == 1:
+            t = App(a, b)
+        elif choice == 2:  # a occurs twice more
+            t = Symb("plus", (a, Symb("s", (a,))))
+        else:
+            v = Variable.fresh(rng.choice(names), Sort.STAR)
+            used = Symb("s", (Var(v),))
+            body = rng.choice((Var(v), used, Symb("plus", (used, used)),
+                               Symb("plus", (a, Var(v))), Symb("plus", (a, a)),
+                               a))
+            t = (lam if choice == 3 else pi)(v, b, body)
+        pool.append(t)
+    return Symb("plus", (pool[-1], rng.choice(pool)))
+
+
+def test_shared_terms_print_as_their_unshared_copies(corpus):
+    forms = [normalize(d.terms[0], lf.rules)
+             for lf in corpus.values() for d in lf.directives
+             if d.kind == "normalize"]
+    assert len(forms) == 3
+    rng = random.Random(2506)
+    forms += [random_shared_term(rng, rng.randrange(2, 14))
+              for _ in range(CASES)]
+    kept = 0
+    for t in forms:
+        copy = _unshared(t)
+        assert copy == t
+        assert pp(t) == pp(copy)
+        # every id the printer remembers is the id of a subterm it holds,
+        # so no id is reused by a freed temporary while it prints
+        printer = _Printer(t)
+        printer._pp(t, None, top=True)
+        assert all(id(u) == k for k, u in printer.seen.items())
+        assert printer.texts.keys() <= printer.seen.keys()
+        kept += len(printer.texts)
+    assert kept > CASES // 2  # texts were kept for reuse

@@ -777,6 +777,42 @@ def test_normalize_on_shared_terms_matches_restart_reference(intf):
     assert 1000 < ran_out < 4000, ran_out  # the fuel limit is exercised
 
 
+def test_normalize_through_one_memo_matches_restart_reference(intf):
+    # a memo passed to many calls remembers each call's root too; after
+    # w has been normalized through it, every term holding w, and w
+    # itself at any fuel, must come out as the reference gives it
+    rules = RuleSet.of(extended_int_rules(intf) + [g_rule(), q_rule()])
+    rng = random.Random(20261020)
+    cases = ran_out = hits = 0
+    for k in range(150):
+        vars_ = _int_vars(rng, 2)
+        if k % 3 == 0:  # w reduces to an abstraction
+            w = sy("g", random_binder_term(rng, vars_, rng.randrange(0, 4)))
+        else:
+            w = random_binder_term(rng, vars_, rng.randrange(1, 6))
+        u = random_binder_term(rng, vars_, rng.randrange(0, 3))
+        memo = {}
+
+        def through_memo(t, rules, fuel):
+            return normalize(t, rules, fuel, memo)
+
+        normalize_outcome(through_memo, w, rules, 10000)
+        hits += id(w) in memo
+        for t in [w] + shared_placements(w, u):
+            for fuel in (0, 1, 3, 8, 10000):
+                want = normalize_outcome(reference_normalize, t, rules, fuel)
+                got = normalize_outcome(through_memo, t, rules, fuel)
+                if want == "fuel":
+                    assert got == "fuel", pp(t)
+                    ran_out += 1
+                else:
+                    assert got == want and pp(got) == pp(want), pp(t)
+                cases += 1
+    assert cases == 6000
+    assert hits > 75, hits  # most roots took a contraction
+    assert 1000 < ran_out < 4500, ran_out  # the fuel limit is exercised
+
+
 @pytest.mark.parametrize("n, fuel", [(9, 6401), (10, 14337)])
 def test_joinable_minimal_fuel_is_pinned(n, fuel):
     # one unit per distinct reduct of each frontier term: bfs-chain(n)

@@ -264,8 +264,8 @@ def test_elaboration_shares_equal_subterms_within_one_term():
     big, small = lf.directives[0].terms[0], lf.directives[1].terms[0]
     assert big.args[0] is big.args[1]
     assert big.args[0].args[0] is big.args[0].args[1]
-    # the table lives for one term: nothing is shared across terms
-    assert small == big.args[0] and small is not big.args[0]
+    # the directives of a file share one table, so sharing spans them
+    assert small == big.args[0] and small is big.args[0]
     # binder hints are part of the key, so printing is unchanged
     ident_x, ident_y = lf.directives[2].terms
     assert ident_x == ident_y and ident_x is not ident_y

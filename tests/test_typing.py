@@ -225,3 +225,21 @@ def test_a_type_whose_type_rewrites_to_a_sort():
         assert d.rule_tag == "abs" and d.premises[1].typ == STAR
         assert replay(d, tc)
         assert sum(n.rule_tag == "conv" for n in d.nodes()) == convs
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="replay checks each node's conclusion against "
+                          "its rule, not that the premises are the "
+                          "judgments the rule needs (ROADMAP item 9)")
+def test_replay_rejects_a_forged_derivation():
+    from cac import load
+    lf = load("symbol o : * .\nsymbol n : * .\nsymbol a : o .\n"
+              "symbol b : n .\nsymbol f : o -> o .\n")
+    tc = TypeChecker(lf.signature, lf.rules)
+    a, b = Symb("a", ()), Symb("b", ())
+    _, d = tc.infer(Environment(), Symb("f", (a,)))
+    assert replay(d, tc)
+    forged = d._replace(term=Symb("f", (b,)))
+    with pytest.raises(TypingError, match="b has type n, expected o"):
+        tc.infer(Environment(), forged.term)
+    assert not replay(forged, tc)
