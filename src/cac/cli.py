@@ -236,6 +236,10 @@ def cmd_convert(args) -> int:
     tc = _FileChecker(loaded, args.fuel)
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
+    # the checker holds the signature and the rules; the rest of the
+    # file, its elaboration table included, is not held through A1 and
+    # the search
+    del loaded
     conv = tc.convertible(a, b)
     _emit({"file": args.file, "convertible": conv},
           args.report == "structured",
