@@ -108,67 +108,85 @@ def _parse_expr(loaded: LoadedFile, text: str):
         term = parser.parse_term()
         if parser.peek():
             raise ParseError(f"trailing input {parser.peek()!r}", parser.i)
-        return loaded.closed_term(term)
+        return loaded.term(term, {})
     except ParseError as e:
         raise e.located(text) from None
 
 
-class _UndecidedA1(Exception):
-    """A1 raised the error that is this exception's cause."""
+class _A1Undecided(Exception):
+    """A conversion was asked for before A1 ran."""
 
 
 class _FileChecker(TypeChecker):
     """The typing context of one command on a loaded file.  It converts
-    by comparing normal forms once A1 finds the rules confluent, and it
-    runs A1 at its first conversion, so a command that converts nothing
-    never runs A1.  If A1 raises, the whole command fails with A1's
-    error, as it would if A1 had run before the first directive."""
+    by comparing normal forms once A1 finds the rules confluent, and
+    normalizes each shared term once for the whole command: its
+    `normal_forms` memo serves every directive.  A1 is decided by
+    `decide_a1`; a conversion asked for before that raises
+    `_A1Undecided`, so that the caller runs A1 at its own stack depth,
+    not at that of the typing it interrupts, and runs the directive
+    again."""
 
     def __init__(self, loaded: LoadedFile, fuel: int):
         super().__init__(loaded.signature, loaded.index, fuel, None)
         self.assume_confluent = loaded.assume_confluent
+        self.normal_forms = {}
+
+    def decide_a1(self) -> None:
+        self.confluent = confluence_check(
+            self.rules, Orientation(self.sig), self.fuel,
+            self.assume_confluent).positive
 
     def convertible(self, t, u) -> bool:
         if self.confluent is None:
-            try:
-                self.confluent = confluence_check(
-                    self.rules, Orientation(self.sig), self.fuel,
-                    self.assume_confluent).positive
-            except (CacError, RecursionError) as e:
-                raise _UndecidedA1 from e
+            raise _A1Undecided
         return super().convertible(t, u)
+
+    def normal_form(self, t):
+        """The normal form of t under the file's rules and fuel."""
+        return normalize(t, self.rules, self.fuel, self.normal_forms)
+
+
+def _run_directive(tc: _FileChecker, d) -> dict:
+    """The report entry of one directive."""
+    entry = {"kind": d.kind, "line": d.line}
+    try:
+        if d.kind == "check":
+            tc.check(Environment(), d.terms[0], d.terms[1])
+            entry["outcome"] = "ok"
+        elif d.kind == "normalize":
+            nf = tc.normal_form(d.terms[0])
+            entry["outcome"] = "ok"
+            entry["normal_form"] = pp(nf)
+        else:  # convert
+            conv = tc.convertible(d.terms[0], d.terms[1])
+            entry["outcome"] = "ok" if conv else "failed"
+            entry["detail"] = ("convertible" if conv
+                               else "no common reduct found")
+    except CacError as e:
+        entry["outcome"] = "failed"
+        entry["detail"] = e.message
+    except RecursionError:
+        entry["outcome"] = "failed"
+        entry["detail"] = f"depth-exceeded: {_too_deep()}"
+    return entry
 
 
 def cmd_check(args) -> int:
     loaded = _load_file(args.file, args.fuel)
     tc = _FileChecker(loaded, args.fuel)
     results = []
-    ok = True
     for d in loaded.directives:
-        entry = {"kind": d.kind, "line": d.line}
         try:
-            if d.kind == "check":
-                tc.check(Environment(), d.terms[0], d.terms[1])
-                entry["outcome"] = "ok"
-            elif d.kind == "normalize":
-                nf = tc.normal_form(d.terms[0])
-                entry["outcome"] = "ok"
-                entry["normal_form"] = pp(nf)
-            else:  # convert
-                conv = tc.convertible(d.terms[0], d.terms[1])
-                entry["outcome"] = "ok" if conv else "failed"
-                entry["detail"] = ("convertible" if conv
-                                   else "no common reduct found")
-                ok = ok and conv
-        except CacError as e:
-            entry["outcome"] = "failed"
-            entry["detail"] = e.message
-            ok = False
-        except RecursionError:
-            entry["outcome"] = "failed"
-            entry["detail"] = f"depth-exceeded: {_too_deep()}"
-            ok = False
+            entry = _run_directive(tc, d)
+        except _A1Undecided:
+            # A1 runs at the first conversion, at this loop's depth; an
+            # error of A1 fails the whole command, as if A1 had run
+            # before the first directive
+            tc.decide_a1()
+            entry = _run_directive(tc, d)
         results.append(entry)
+    ok = all(r["outcome"] == "ok" for r in results)
     obj = {"file": args.file, "directives": results, "ok": ok}
     lines = []
     for r in results:
@@ -217,10 +235,9 @@ def _uses_sufficient(report) -> bool:
 def cmd_normalize(args) -> int:
     loaded = _load_file(args.file, args.fuel)
     outputs = []
-    memo: dict = {}  # one normal-form memo for every expression
     for expr in args.expr:
         t = _parse_expr(loaded, expr)
-        nf = normalize(t, loaded.index, args.fuel, memo)
+        nf = normalize(t, loaded.rules, args.fuel)
         outputs.append({"input": expr, "normal_form": pp(nf)})
     _emit({"file": args.file, "results": outputs},
           args.report == "structured",
@@ -234,12 +251,9 @@ def cmd_convert(args) -> int:
         print("convert requires exactly two -e expressions", file=sys.stderr)
         return 2
     tc = _FileChecker(loaded, args.fuel)
+    tc.decide_a1()
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
-    # the checker holds the signature and the rules; the rest of the
-    # file, its elaboration table included, is not held through A1 and
-    # the search
-    del loaded
     conv = tc.convertible(a, b)
     _emit({"file": args.file, "convertible": conv},
           args.report == "structured",
@@ -309,10 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        try:
-            return args.func(args)
-        except _UndecidedA1 as e:
-            raise e.__cause__ from None
+        return args.func(args)
     except ParseError as e:
         print(f"error: {e.message}", file=sys.stderr)
         return 2

@@ -438,9 +438,10 @@ class LoadedFile:
         self.assume_terminating = False
         self.non_algebraic: frozenset = frozenset()
         self.bundles: list = []
-        # one table for every directive term and every `-e` expression
-        # of a command, so equal subterms across them are one object
-        self._closed = _Elaboration(self.signature.decls, {}, None)
+        # one table for every directive term, so equal subterms across
+        # directives are one object, which a command normalizes and
+        # prints once
+        self._directive_terms = _Elaboration(self.signature.decls, {}, None)
 
     @property
     def rules(self) -> List[RewriteRule]:
@@ -454,12 +455,6 @@ class LoadedFile:
         other names are errors, or fresh variables shared through `free`
         when it is given.  Equal subterms of the result are one object."""
         return _Elaboration(self.signature.decls, scope, free).term(p, 0)
-
-    def closed_term(self, p) -> Term:
-        """`term(p, {})` for a directive or a command's expression, built
-        through the file's one table: equal subterms of all of them are
-        one object, which a command then normalizes and prints once."""
-        return self._closed.term(p, 0)
 
     # -- items: each takes the item's line, then what the parser read -------
 
@@ -585,8 +580,9 @@ class LoadedFile:
         self.non_algebraic = self.non_algebraic | {name}
 
     def add_directive(self, line: int, kind: str, *parsed) -> None:
+        table = self._directive_terms
         self.directives.append(
-            Directive(kind, line, [self.closed_term(p) for p in parsed]))
+            Directive(kind, line, [table.term(p, 0) for p in parsed]))
 
     def _require_symbol(self, line: int, *names: str) -> None:
         for name in names:
@@ -604,7 +600,7 @@ class _Elaboration:
     and the ids of its children, so equal subterms, binder hints
     included, are one object; the table keeps them alive, so no id is
     reused while it lives.  It lives for this call only, except the
-    table of `LoadedFile.closed_term`, which lives as long as the file."""
+    table of a file's directive terms, which lives while the file loads."""
 
     __slots__ = ("decls", "scope", "free", "bound", "table")
 
@@ -718,4 +714,7 @@ def load(source: str, fuel: int = 10000) -> LoadedFile:
             method(out, line, *args)
     except ElabError as e:
         raise e.located(source) from None
+    # the directives hold their shared nodes; the table's keys are no
+    # longer needed
+    out._directive_terms = None
     return out

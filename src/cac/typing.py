@@ -8,7 +8,7 @@ conversion is checked at argument boundaries and at `check`'s root.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
@@ -38,25 +38,22 @@ class TypingDerivation(NamedTuple):
 
 
 class TypeChecker:
+    # a `normalize` memo that outlives one call (see `normalize`); a
+    # context that checks many terms under the same rules may own one
+    normal_forms: Optional[dict] = None
+
     def __init__(self, signature: Signature, rules: Sequence[RewriteRule] = (),
                  fuel: int = 10000, confluent: bool = False):
         self.sig = signature
         self.rules = RuleSet.of(rules)
         self.fuel = fuel
         self.confluent = confluent
-        # the normal forms of this context, one `normalize` memo for every
-        # call under its rules: a term normalized before costs a lookup
-        self.normal_forms: dict = {}
 
     # -- conversion ----------------------------------------------------------
 
     def convertible(self, t: Term, u: Term) -> bool:
         return joinable(t, u, self.rules, self.fuel, self.confluent,
                         self.normal_forms)
-
-    def normal_form(self, t: Term) -> Term:
-        """The normal form of t under this context's rules and fuel."""
-        return normalize(t, self.rules, self.fuel, self.normal_forms)
 
     def _whnf_product(self, t: Term) -> Prod:
         fuel = self.fuel

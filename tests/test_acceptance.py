@@ -766,6 +766,7 @@ def test_acceptance_26_a_command_normalizes_a_shared_term_once():
     lf = load(_ladder_source(100))
     normalize_d, convert_d = lf.directives
     tc = _FileChecker(lf, 10000)
+    tc.decide_a1()
     first = _calls(lambda: tc.normal_form(normalize_d.terms[0]))
     second = _calls(lambda: tc.convertible(*convert_d.terms))
     assert tc.confluent

@@ -418,6 +418,26 @@ def test_a1_that_overflows_fails_the_whole_command(tmp_path, capsys):
         main(["convert", str(f), "-e", "s(s(a))", "-e", "a"]), capsys)
 
 
+def test_a1_runs_at_the_depth_of_the_directive_loop(tmp_path, capsys):
+    # the first conversion, P(a) against P(s(s(a))), comes 150 term
+    # levels deep in a check's typing; A1 on f's 150-deep left-hand side
+    # completes from the directive loop, though not on top of that
+    # typing, and the check then runs again
+    k, depth = 150, 150
+    f = tmp_path / "deep_conversion.cac"
+    f.write_text("symbol o : * .\nsymbol a : o .\nsymbol s : o -> o .\n"
+                 "symbol f : o -> o .\nsymbol P : o -> * .\n"
+                 "symbol p : P(a) .\nsymbol g : P(s(s(a))) -> o .\n"
+                 f"rule f({'s(' * k}x{')' * k}) -> x .\n"
+                 "rule s(s(x)) -> x .\n"
+                 f"check {'s(' * depth}g(p){')' * depth} : o .\n"
+                 "convert P(a) , P(s(s(a))) .\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "check (line 10): ok", "convert (line 11): ok — convertible",
+        "all checks passed"]
+
+
 def _unshared(t):
     return map_children(t, _unshared)
 
