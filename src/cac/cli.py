@@ -117,25 +117,24 @@ class _A1Undecided(Exception):
     """A conversion was asked for before A1 ran."""
 
 
+def _confluent(loaded: LoadedFile, fuel: int) -> bool:
+    """Whether A1 finds the file's rules confluent, so that conversion
+    may compare normal forms."""
+    return confluence_check(loaded.index, Orientation(loaded.signature),
+                            fuel, loaded.assume_confluent).positive
+
+
 class _FileChecker(TypeChecker):
-    """The typing context of one command on a loaded file.  It converts
-    by comparing normal forms once A1 finds the rules confluent, and
+    """The typing context of `cac check` on a loaded file.  It
     normalizes each shared term once for the whole command: its
-    `normal_forms` memo serves every directive.  A1 is decided by
-    `decide_a1`; a conversion asked for before that raises
-    `_A1Undecided`, so that the caller runs A1 at its own stack depth,
-    not at that of the typing it interrupts, and runs the directive
-    again."""
+    `normal_forms` memo serves every directive.  A conversion asked for
+    before `confluent` is set raises `_A1Undecided`, so that the caller
+    runs A1 at its own stack depth, not at that of the typing it
+    interrupts, and runs the directive again."""
 
     def __init__(self, loaded: LoadedFile, fuel: int):
         super().__init__(loaded.signature, loaded.index, fuel, None)
-        self.assume_confluent = loaded.assume_confluent
         self.normal_forms = {}
-
-    def decide_a1(self) -> None:
-        self.confluent = confluence_check(
-            self.rules, Orientation(self.sig), self.fuel,
-            self.assume_confluent).positive
 
     def convertible(self, t, u) -> bool:
         if self.confluent is None:
@@ -183,7 +182,7 @@ def cmd_check(args) -> int:
             # A1 runs at the first conversion, at this loop's depth; an
             # error of A1 fails the whole command, as if A1 had run
             # before the first directive
-            tc.decide_a1()
+            tc.confluent = _confluent(loaded, args.fuel)
             entry = _run_directive(tc, d)
         results.append(entry)
     ok = all(r["outcome"] == "ok" for r in results)
@@ -250,8 +249,8 @@ def cmd_convert(args) -> int:
     if len(args.expr) != 2:
         print("convert requires exactly two -e expressions", file=sys.stderr)
         return 2
-    tc = _FileChecker(loaded, args.fuel)
-    tc.decide_a1()
+    tc = TypeChecker(loaded.signature, loaded.index, args.fuel,
+                     _confluent(loaded, args.fuel))
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
     conv = tc.convertible(a, b)

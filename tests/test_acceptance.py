@@ -21,7 +21,7 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Outcome,
                  critical_pairs, joinable, left_linear, load, normalize, pp,
                  rpo_terminates, satisfies_general_schema, system_properties)
 from cac.admissibility import partition_explained
-from cac.cli import _FileChecker, main
+from cac.cli import _FileChecker, _confluent, main
 from cac.syntax import _texts, parse
 from cac.terms import lam, map_children
 from tests.conftest import CORPUS, corpus_source, plus_family_source
@@ -766,7 +766,7 @@ def test_acceptance_26_a_command_normalizes_a_shared_term_once():
     lf = load(_ladder_source(100))
     normalize_d, convert_d = lf.directives
     tc = _FileChecker(lf, 10000)
-    tc.decide_a1()
+    tc.confluent = _confluent(lf, 10000)
     first = _calls(lambda: tc.normal_form(normalize_d.terms[0]))
     second = _calls(lambda: tc.convertible(*convert_d.terms))
     assert tc.confluent
