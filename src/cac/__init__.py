@@ -6,11 +6,10 @@ and inductive-structure checks, and a strong-normalization verdict."""
 from .admissibility import (AdmissibilityReport, Outcome, OverallVerdict,
                             check_admissible, check_type_preservation,
                             system_properties)
-from .cic import (GeneratedBundle, InductiveDecl, certify_bundle,
-                  generate_iota_rules, selim_for_motive, translate_inductive)
-from .orderings import Orientation, rpo_greater, rpo_terminates
-from .positivity import (PolarityReport, PredicateClass,
-                         check_inductive_structure, polarity,
+from .cic import (GeneratedBundle, InductiveDecl, generate_iota_rules,
+                  selim_for_motive, translate_inductive)
+from .orderings import Orientation, rpo_greater
+from .positivity import (PredicateClass, check_inductive_structure,
                          predicate_classes)
 from .printer import pp
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, CriticalPair,
@@ -25,9 +24,9 @@ from .signature import (InductiveStructure, Precedence, Signature,
 from .syntax import LoadedFile, ParseError, load, parse
 from .terms import (Abs, App, BOX, BVar, CacError, Environment, FuelExhausted,
                     Position, Prod, Sort, SortT, STAR, Substitution, Symb,
-                    Term, Var, Variable, alpha_eq, arrow, free_vars,
-                    is_algebraic, lam, pi, positions, positions_of,
-                    replace_at, subst_apply, subterm_at)
+                    Term, Var, Variable, arrow, free_vars, is_algebraic,
+                    lam, pi, positions_of, replace_at, subst_apply,
+                    subterm_at)
 from .typing import TypeChecker, TypingDerivation, TypingError, replay
 
 __version__ = "1.0.0"

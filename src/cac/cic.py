@@ -4,9 +4,8 @@ closed small motive), ready for the admissibility pipeline."""
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from .admissibility import check_admissible
 from .rewriting import RewriteRule
 from .signature import Signature
 from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
@@ -185,16 +184,16 @@ def _recursor_type(d: InductiveDecl, params, motive: Term,
 
 def generate_iota_rules(d: InductiveDecl, bundle: GeneratedBundle,
                         sig: Signature, name: Optional[str] = None,
-                        motive: Optional[Term] = None) -> List[RewriteRule]:
-    """One computation rule per constructor: the recursor applied to a
-    constructor form hands the branch the constructor's arguments plus,
-    for each recursive argument, the recursive result.  By default the
-    recursor is the bundle's weak one, which takes its motive as first
-    argument; a strong recursor `name` has `motive` built in."""
+                        motive: Optional[Term] = None) -> None:
+    """Append to `bundle.rules` one computation rule per constructor:
+    the recursor applied to a constructor form hands the branch the
+    constructor's arguments plus, for each recursive argument, the
+    recursive result.  By default the recursor is the bundle's weak
+    one, which takes its motive as first argument; a strong recursor
+    `name` has `motive` built in."""
     x = d.self_var
     name = name or bundle.welim
     params, _ = strip_products(d.arity_type)
-    rules: List[RewriteRule] = []
     for idx, (cname, ctype) in enumerate(d.constructors, start=1):
         cdecl = sig.decls[cname]
         lead, mot = [], motive
@@ -236,11 +235,8 @@ def generate_iota_rules(d: InductiveDecl, bundle: GeneratedBundle,
         assert isinstance(cdecl.output, Symb)
         rho = {a: subst_apply(m, cgamma)
                for a, m in zip(avars, cdecl.output.args)}
-        rule = RewriteRule(f"iota_{name}_{cname}", lhs, rhs,
-                           Environment.of(env), rho)
-        rules.append(rule)
-        bundle.rules.append(rule)
-    return rules
+        bundle.rules.append(RewriteRule(f"iota_{name}_{cname}", lhs, rhs,
+                                        Environment.of(env), rho))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +252,10 @@ def is_small(d: InductiveDecl) -> bool:
 
 def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
                      sig: Signature, motive: Term,
-                     fuel: int = 10000) -> Tuple[str, List[RewriteRule]]:
-    """Declare a strong recursor specialized to a closed kind K as the
-    motive, and its computation rules.  A type whose arity has binders
+                     fuel: int = 10000) -> str:
+    """The name of the strong recursor specialized to a closed kind K
+    as the motive.  The first call for K declares it and appends its
+    computation rules to `bundle.rules`.  A type whose arity has binders
     (parameters or indices), such as `list : * -> *`, is refused: a
     motive over them would be an abstraction whose body is a kind, and
     that has no type in the calculus."""
@@ -275,18 +272,10 @@ def selim_for_motive(d: InductiveDecl, bundle: GeneratedBundle,
     known = sig.selim_cache.setdefault(d.name, [])
     for name, m in known:
         if m == motive:
-            return name, [r for r in bundle.rules if r.head_name() == name]
+            return name
     name = f"SElim_{d.name}_{len(known) + 1}"
     sig.declare(name, len(d.constructors) + 1,
                 _recursor_type(d, [], motive), fuel=fuel)
     known.append((name, motive))
-    return name, generate_iota_rules(d, bundle, sig, name, motive)
-
-
-def certify_bundle(bundle: GeneratedBundle, sig: Signature,
-                   rules: Sequence[RewriteRule] = (), fuel: int = 10000):
-    """Run the admissibility pipeline over the generated rules (plus any
-    caller-supplied ones)."""
-    all_rules = list(bundle.rules) + [r for r in rules
-                                      if r not in bundle.rules]
-    return check_admissible(sig, all_rules, fuel=fuel)
+    generate_iota_rules(d, bundle, sig, name, motive)
+    return name

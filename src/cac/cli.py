@@ -141,10 +141,6 @@ class _FileChecker(TypeChecker):
             raise _A1Undecided
         return super().convertible(t, u)
 
-    def normal_form(self, t):
-        """The normal form of t under the file's rules and fuel."""
-        return normalize(t, self.rules, self.fuel, self.normal_forms)
-
 
 def _run_directive(tc: _FileChecker, d) -> dict:
     """The report entry of one directive."""

@@ -99,10 +99,3 @@ class Orientation:
                 return None
             trace.append(line)
         return trace
-
-
-def rpo_terminates(signature, rules) -> Optional[List[str]]:
-    """A trace of per-rule orientations when RPO proves termination of a
-    fully algebraic rule set; None when some rule cannot be oriented, or
-    when the precedence is cyclic."""
-    return Orientation(signature).terminates(rules)

@@ -14,12 +14,6 @@ from .terms import (Abs, App, EPSILON, Position, Prod, Sort, SortT, Symb,
                     Term, Var, Variable, _children, occurrences)
 
 
-class PolarityReport(NamedTuple):
-    subject: Term
-    positive: FrozenSet[Position]
-    negative: FrozenSet[Position]
-
-
 def is_predicate_term(t: Term, sig: Optional[Signature] = None) -> bool:
     """Whether t lives at the predicate level (its type is a kind):
     decided from the head's declared sort class."""
@@ -72,23 +66,6 @@ def signed_occurrences(t: Term, sig: Signature,
                      (0 if is_predicate_term(u.arg, sig) else s, False)]
         for i in range(len(kids), 0, -1):
             stack.append((p + (i,), kids[i - 1]) + signs[i - 1])
-
-
-def polarity(t: Term, sig: Signature,
-             free_predicates: Optional[FrozenSet[str]] = None) -> PolarityReport:
-    """Positive and negative positions of t: those of sign 1 and of sign
-    -1 in `signed_occurrences`.  A position of sign 0 (a symbol's
-    argument outside its inductive positions, or anything below a
-    predicate argument) has no polarity and is in neither set.  An
-    abstraction's domain or an object argument is not positive by fiat:
-    it takes the sign of its node, so in Prod(Abs(A, #0), B) the
-    abstraction's domain (1, 1) is negative, as the abstraction (1,)
-    is."""
-    pos, neg = [], []
-    for p, _, s in signed_occurrences(t, sig, free_predicates):
-        if s:
-            (pos if s > 0 else neg).append(p)
-    return PolarityReport(t, frozenset(pos), frozenset(neg))
 
 
 def first_occurrences(t: Term, sig: Signature,

@@ -300,25 +300,22 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000,
     normal form and charges the contractions to the fuel, raising
     exactly where walking s again would have raised.
 
-    A caller that normalizes many terms under the same rules may pass
-    one `memo` dict to every call.  Then the memo outlives the call, and
-    the root, which normalizes as itself, is remembered and looked up
-    too, so a term normalized before costs one lookup and its
+    The root, which normalizes as itself, is remembered and looked up
+    too.  A caller that normalizes many terms under the same rules may
+    pass one `memo` dict to every call.  Then the memo outlives the
+    call, so a term normalized before costs one lookup and its
     contractions' worth of fuel."""
     rules = RuleSet.of(rules)
+    # id(s) -> (s, normal form of s, contractions it took)
+    memo = {} if memo is None else memo
+    hit = memo.get(id(t))
+    if hit is not None:
+        if hit[2] > fuel:
+            raise FuelExhausted("normalization")
+        return hit[1]
     # (s, steps when s entered) for the focus's slot when it is free; a
     # contraction keeps it, a cut at a frame takes over the frame's
-    entry: Optional[Tuple[Term, int]] = None
-    if memo is None:
-        # id(s) -> (s, normal form of s, contractions it took)
-        memo = {}
-    else:
-        hit = memo.get(id(t))
-        if hit is not None:
-            if hit[2] > fuel:
-                raise FuelExhausted("normalization")
-            return hit[1]
-        entry = (t, 0)
+    entry: Optional[Tuple[Term, int]] = (t, 0)
     # one frame [node, children, index, variable, entry] per ancestor of
     # the focus: its children (those left of `index` normal, those right
     # of it untouched), the index of the child holding the focus, the
@@ -617,19 +614,12 @@ class _Search:
 
 
 def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
-             fuel: int = 10000, confluent: bool = False,
-             memo: Optional[dict] = None) -> bool:
-    """Do t and u have a common reduct?  Under a positive confluence
-    verdict this is normalize-and-compare, through `memo` when it is
-    given (see `normalize`); otherwise a bounded
-    breadth-first search of both reduction graphs over hash-consed
-    nodes (`_Search`): they meet when a node is marked visited from both
-    sides.  A level costs the same and yields the same next level in any
-    order."""
+             fuel: int = 10000) -> bool:
+    """Do t and u have a common reduct?  A bounded breadth-first search
+    of both reduction graphs over hash-consed nodes (`_Search`): they
+    meet when a node is marked visited from both sides.  A level costs
+    the same and yields the same next level in any order."""
     rules = RuleSet.of(rules)
-    if confluent:
-        return t == u or (normalize(t, rules, fuel, memo)
-                           == normalize(u, rules, fuel, memo))
     search = _Search(rules)
     frontier_t, frontier_u = [search.intern(t)], [search.intern(u)]
     # alpha-equal terms share a handle, whose mark is then 3 at once

@@ -249,11 +249,6 @@ class App(Term):
     __str__ = _pp_str
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    """Equality up to bound-variable names, which is `==`."""
-    return t == u
-
-
 def is_kind(t: Term) -> bool:
     """True iff t is of the shape (x1:T1)...(xn:Tn)*.
 
@@ -422,11 +417,6 @@ def occurrences(t: Term) -> Iterator["tuple[Position, Term]"]:
         kids = _children(u)
         for i in range(len(kids), 0, -1):
             stack.append((p + (i,), kids[i - 1]))
-
-
-def positions(t: Term) -> Iterator[Position]:
-    """All positions of t, in prefix (leftmost-outermost) order."""
-    return (p for p, _ in occurrences(t))
 
 
 def subterm_at(t: Term, p: Position) -> Term:

@@ -51,9 +51,16 @@ class TypeChecker:
 
     # -- conversion ----------------------------------------------------------
 
+    def normal_form(self, t: Term) -> Term:
+        """The normal form of t under the checker's rules and fuel."""
+        return normalize(t, self.rules, self.fuel, self.normal_forms)
+
     def convertible(self, t: Term, u: Term) -> bool:
-        return joinable(t, u, self.rules, self.fuel, self.confluent,
-                        self.normal_forms)
+        """Under a positive A1, whether t and u have one normal form;
+        otherwise whether a common reduct is found within fuel."""
+        if self.confluent:
+            return t == u or self.normal_form(t) == self.normal_form(u)
+        return joinable(t, u, self.rules, self.fuel)
 
     def _whnf_product(self, t: Term) -> Prod:
         fuel = self.fuel
@@ -128,7 +135,7 @@ class TypeChecker:
     def _infer_sort(self, env: Environment, t: Term) -> Tuple[Sort, TypingDerivation]:
         typ, d = self.infer(env, t)
         if not isinstance(typ, SortT):
-            typ_n = normalize(typ, self.rules, self.fuel)
+            typ_n = self.normal_form(typ)
             if not isinstance(typ_n, SortT):
                 raise TypingError("sort-error", f"{t} is not a type or kind "
                                                 f"(its type is {typ})")
@@ -153,7 +160,7 @@ class TypeChecker:
 
     def _display(self, t: Term) -> Term:
         try:
-            return normalize(t, self.rules, self.fuel)
+            return self.normal_form(t)
         except FuelExhausted:
             return t
 

@@ -14,12 +14,12 @@ import tracemalloc
 import pytest
 
 import cac
-from cac import (ConfluenceLevel, Environment, FuelExhausted, Outcome,
-                 OverallVerdict, Symb, TypeChecker, Var, Variable,
+from cac import (ConfluenceLevel, Environment, FuelExhausted, Orientation,
+                 Outcome, OverallVerdict, Symb, TypeChecker, Var, Variable,
                  check_admissible, check_inductive_structure,
                  check_type_preservation, check_well_formed, cc_check,
                  critical_pairs, joinable, left_linear, load, normalize, pp,
-                 rpo_terminates, satisfies_general_schema, system_properties)
+                 satisfies_general_schema, system_properties)
 from cac.admissibility import partition_explained
 from cac.cli import _FileChecker, _confluent, main
 from cac.syntax import _texts, parse
@@ -404,7 +404,7 @@ def _joinable_calls(n):
 
 
 def _rpo_calls(k):
-    """Python and builtin calls made by rpo_terminates on the plus
+    """Python and builtin calls made by `Orientation.terminates` on the plus
     family at k, counted with a profile hook (loading not counted)."""
     lf = load(plus_family_source(k))
     count = 0
@@ -417,7 +417,7 @@ def _rpo_calls(k):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        trace = rpo_terminates(lf.signature, lf.rules)
+        trace = Orientation(lf.signature).terminates(lf.rules)
     finally:
         sys.setprofile(previous)
     assert trace is not None

@@ -12,7 +12,7 @@ from cac import (Outcome, OverallVerdict, TypeChecker, check_admissible,
 from cac.admissibility import (HOLDS, TERMINATION_ASSERTED,
                                algebraic_termination, fails,
                                partition_explained)
-from cac.orderings import Orientation, rpo_terminates
+from cac.orderings import Orientation
 from cac.terms import symbols_of
 from tests.conftest import corpus_source
 
@@ -414,7 +414,7 @@ def test_cyclic_precedence_is_rejected():
     assert report.overall == OverallVerdict.REJECTED
     assert report.a4_sn.status == "FAILS"
     assert report.a4_sn.witness == "the precedence is cyclic: f > g > f"
-    assert rpo_terminates(lf.signature, lf.rules) is None
+    assert Orientation(lf.signature).terminates(lf.rules) is None
     assert "cyclic" in report.a4_non_algebraic_props.recursive.witness
 
 

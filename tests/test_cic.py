@@ -4,8 +4,8 @@ rules, strong elimination, and bundle certification."""
 import pytest
 
 from cac import (GeneratedBundle, InductiveDecl, OverallVerdict, STAR,
-                 Signature, Symb, TypeChecker, Var, Variable, alpha_eq, arrow,
-                 certify_bundle, load, normalize, pi, pp, selim_for_motive,
+                 Signature, Symb, TypeChecker, Var, Variable, arrow,
+                 check_admissible, load, normalize, pi, pp, selim_for_motive,
                  translate_inductive)
 from cac.cic import BridgeError, is_small
 from cac.terms import App, Environment, Sort
@@ -73,7 +73,7 @@ def test_iota_rules_are_typed():
 def test_bundle_certifies_admissible():
     sig = Signature()
     bundle = translate_inductive(nat_decl(), sig)
-    report = certify_bundle(bundle, sig)
+    report = check_admissible(sig, bundle.rules)
     assert report.overall == OverallVerdict.ADMISSIBLE
     assert report.a1.level.value == "ORTHOGONAL"
     assert report.a4_non_algebraic == frozenset({"WElim_nat"})
@@ -130,7 +130,7 @@ def test_polymorphic_inductive_list():
     decl = list_decl()
     bundle = translate_inductive(decl, sig)
     assert sig.decls["cons"].arity == 3
-    report = certify_bundle(bundle, sig)
+    report = check_admissible(sig, bundle.rules)
     assert report.overall == OverallVerdict.ADMISSIBLE
 
 
@@ -224,9 +224,11 @@ def test_strong_elimination_of_a_large_type_rejected():
 def test_strong_elimination_with_cache():
     sig = Signature()
     bundle = translate_inductive(nat_decl(), sig)
-    name1, rules1 = selim_for_motive(nat_decl(), bundle, sig, STAR)
-    name2, rules2 = selim_for_motive(nat_decl(), bundle, sig, STAR)
+    name1 = selim_for_motive(nat_decl(), bundle, sig, STAR)
+    count = len(bundle.rules)
+    name2 = selim_for_motive(nat_decl(), bundle, sig, STAR)
     assert name1 == name2  # alpha-equal motives share a symbol
+    assert len(bundle.rules) == count  # and their rules are added once
     # the motive is baked in: branches + scrutinee only
     assert sig.decls[name1].arity == 3
     # computing a type by recursion: zero -> nat, succ _ -> nat
@@ -236,7 +238,14 @@ def test_strong_elimination_with_cache():
     f_succ = lam(z, Symb("nat", ()),
                  lam(q, STAR, Symb("nat", ())))
     t = Symb(name1, (Symb("nat", ()), f_succ, num(2)))
-    assert normalize(t, rules1) == Symb("nat", ())
+    assert normalize(t, bundle.rules) == Symb("nat", ())
+    # alpha-equal motives that are two objects, with other binder names
+    x, y = Variable.fresh("x", Sort.BOX), Variable.fresh("y", Sort.BOX)
+    name3 = selim_for_motive(nat_decl(), bundle, sig, pi(x, STAR, STAR))
+    count = len(bundle.rules)
+    assert selim_for_motive(nat_decl(), bundle, sig,
+                            pi(y, STAR, STAR)) == name3 != name1
+    assert len(bundle.rules) == count
 
 
 def test_open_motive_rejected():

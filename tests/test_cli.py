@@ -222,6 +222,37 @@ def test_failing_check_directives(tmp_path, capsys):
         "some checks failed"]
 
 
+def test_a_binder_domain_must_be_a_type_after_normalization(tmp_path,
+                                                            capsys):
+    # b's type F normalizes to o, which is no sort; the message shows
+    # the type as inferred
+    f = tmp_path / "domain.cac"
+    f.write_text("symbol o : * .\nsymbol F : * .\nrule F -> o .\n"
+                 "symbol b : F .\ncheck fun (x : b) => x : o .\n",
+                 encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "check (line 5): failed — b is not a type or kind (its type is F)",
+        "some checks failed"]
+
+
+def test_a_mismatched_type_that_loops_is_shown_unnormalized(tmp_path,
+                                                            capsys):
+    # a -> b and a -> c leave A1 UNKNOWN, so conversion searches for a
+    # common reduct; T -> T has none with o, and its normalization runs
+    # out of fuel, so the message shows T as inferred
+    f = tmp_path / "loop.cac"
+    f.write_text("symbol o : * .\nsymbol a : o .\nsymbol b : o .\n"
+                 "symbol c : o .\nrule a -> b .\nrule a -> c .\n"
+                 "symbol T : * .\nrule T -> T .\nsymbol t : T .\n"
+                 "check t : o .\nconvert b , c .\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "check (line 10): failed — t has type T, expected o",
+        "convert (line 11): failed — no common reduct found",
+        "some checks failed"]
+
+
 def test_cyclic_precedence_rejected(tmp_path, capsys):
     from tests.test_admissibility import CYCLIC_PRECEDENCE
     f = tmp_path / "cycle.cac"

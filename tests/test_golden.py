@@ -101,8 +101,9 @@ def _recursor_dump(decl, motive=None) -> str:
     bundle = translate_inductive(decl, sig)
     out = _dump_symbol(sig, bundle.welim, list(bundle.rules))
     if motive is not None:
-        name, srules = selim_for_motive(decl, bundle, sig, motive)
-        out += _dump_symbol(sig, name, srules)
+        name = selim_for_motive(decl, bundle, sig, motive)
+        out += _dump_symbol(sig, name, [r for r in bundle.rules
+                                        if r.head_name() == name])
     return out
 
 

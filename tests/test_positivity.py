@@ -14,10 +14,10 @@ import cac
 from cac import (Abs, App, BVar, PredicateClass, Prod, STAR, Signature,
                  SortT, Symb, Term, Var, Variable, arrow,
                  check_inductive_structure, free_vars, is_algebraic, load,
-                 pi, polarity, positions, predicate_classes)
+                 pi, predicate_classes)
 from cac import positivity
-from cac.positivity import is_predicate_term
-from cac.terms import Sort, symbols_of
+from cac.positivity import is_predicate_term, signed_occurrences
+from cac.terms import Sort, occurrences, symbols_of
 from tests.conftest import corpus_source
 
 
@@ -27,19 +27,14 @@ def test_polarity_product_flips_domain():
     sig.declare("B", 0, STAR)
     x = Variable.fresh("x", Sort.STAR)
     t = pi(x, Symb("A", ()), Symb("B", ()))
-    rep = polarity(t, sig)
     # the codomain occurs positively, the domain negatively
-    assert () in rep.positive and (2,) in rep.positive
-    assert (1,) in rep.negative
-    assert rep.positive.isdisjoint(rep.negative)
+    assert _signs(signed_occurrences(t, sig)) == {(): 1, (2,): 1, (1,): -1}
 
 
 def test_polarity_variable_is_positive_root():
     sig = Signature()
     a = Variable.fresh("A", Sort.BOX)
-    rep = polarity(Var(a), sig)
-    assert () in rep.positive
-    assert rep.negative == frozenset()
+    assert _signs(signed_occurrences(Var(a), sig)) == {(): 1}
 
 
 def test_polarity_double_flip():
@@ -48,26 +43,24 @@ def test_polarity_double_flip():
     x = Variable.fresh("x", Sort.STAR)
     a = Symb("A", ())
     t = pi(x, pi(x, a, a), a)  # ((A)A)A
-    rep = polarity(t, sig)
+    signs = _signs(signed_occurrences(t, sig))
     # the inner domain flips back to positive
-    assert (1, 1) in rep.positive
-    assert (1,) in rep.negative and (1, 2) in rep.negative
+    assert signs[(1, 1)] == 1
+    assert signs[(1,)] == signs[(1, 2)] == -1
 
 
 def test_polarity_no_recursion_without_inductive_positions():
     sig = Signature()
     sig.declare("C", 1, arrow(STAR, STAR))  # Ind(C) = empty
     a = Variable.fresh("A", Sort.BOX)
-    rep = polarity(Symb("C", (Var(a),)), sig)
-    assert rep.positive == frozenset({()})
-    assert rep.negative == frozenset()
+    assert _signs(signed_occurrences(Symb("C", (Var(a),)), sig)) == {(): 1}
 
 
 def test_polarity_recurses_into_inductive_positions(app):
     sig = app.signature  # Ind(list) = {1}
     a = Variable.fresh("A", Sort.BOX)
-    rep = polarity(Symb("list", (Var(a),)), sig)
-    assert () in rep.positive and (1,) in rep.positive
+    signs = _signs(signed_occurrences(Symb("list", (Var(a),)), sig))
+    assert signs[()] == signs[(1,)] == 1
 
 
 def _pred_sig():
@@ -85,9 +78,9 @@ def _pred_sig():
     return sig
 
 
-def _signs(rep):
-    return ({p: 1 for p in rep.positive}
-            | {p: -1 for p in rep.negative})
+def _signs(walk):
+    """The sign of each position of a signed walk that has one."""
+    return {p: s for p, _, s in walk if s}
 
 
 def test_polarity_object_argument_takes_the_application_sign():
@@ -97,10 +90,10 @@ def test_polarity_object_argument_takes_the_application_sign():
     a = Symb("A", ())
     # (A -> F f(y)) : the object argument f(y) sits in a domain
     t = arrow(App(Var(f), Symb("f", (Var(y),))), a)
-    assert _signs(polarity(t, sig)) == {
+    assert _signs(signed_occurrences(t, sig)) == {
         (): 1, (2,): 1, (1,): -1, (1, 1): -1, (1, 2): -1, (1, 2, 1): -1}
     # a variable of sort * is an object argument too
-    assert _signs(polarity(App(Var(f), Var(y)), sig)) \
+    assert _signs(signed_occurrences(App(Var(f), Var(y)), sig)) \
         == {(): 1, (1,): 1, (2,): 1}
 
 
@@ -118,22 +111,23 @@ def test_polarity_predicate_argument_has_no_sign(arg):
          "application": App(Abs(a, Var(g)), Var(y)),
          "product": arrow(a, a),
          "sort": STAR}[arg]
-    rep = polarity(App(Var(f), u), sig)
-    assert _signs(rep) == {(): 1, (1,): 1}
+    assert _signs(signed_occurrences(App(Var(f), u), sig)) \
+        == {(): 1, (1,): 1}
 
 
 def test_polarity_object_abstraction_is_an_object_argument():
     sig = _pred_sig()
     f = Variable.fresh("F", Sort.BOX)
     # fun (x : A) => x is no predicate: its body is a bound variable
-    rep = polarity(App(Var(f), Abs(Symb("A", ()), BVar(0))), sig)
-    assert _signs(rep) == {(): 1, (1,): 1, (2,): 1, (2, 1): 1, (2, 2): 1}
+    t = App(Var(f), Abs(Symb("A", ()), BVar(0)))
+    assert _signs(signed_occurrences(t, sig)) \
+        == {(): 1, (1,): 1, (2,): 1, (2, 1): 1, (2, 2): 1}
 
 
 def test_polarity_abstraction_domain_under_a_product_domain():
     sig = _pred_sig()
     t = Prod(Abs(Symb("A", ()), BVar(0)), Symb("B", ()))
-    assert _signs(polarity(t, sig)) == {
+    assert _signs(signed_occurrences(t, sig)) == {
         (): 1, (2,): 1, (1,): -1, (1, 1): -1, (1, 2): -1}
 
 
@@ -141,17 +135,18 @@ def test_polarity_symbol_outside_the_free_set_passes_no_sign():
     sig = _pred_sig()
     a = Variable.fresh("A", Sort.BOX)
     t = Symb("L", (Var(a),))
-    assert _signs(polarity(t, sig)) == {(): 1, (1,): 1}
-    assert _signs(polarity(t, sig, frozenset())) == {(): 1}
+    assert _signs(signed_occurrences(t, sig)) == {(): 1, (1,): 1}
+    assert _signs(signed_occurrences(t, sig, frozenset())) == {(): 1}
 
 
 def test_polarity_inductive_position_beyond_the_arity_has_no_sign():
     sig = _pred_sig()
     x = Variable.fresh("X", Sort.BOX)
     a = Symb("A", ())
-    rep = polarity(Symb("P", (arrow(Var(x), a), arrow(Var(x), a))), sig)
+    t = Symb("P", (arrow(Var(x), a), arrow(Var(x), a)))
     # argument 1 is not inductive; 2 is; Ind(P) names a 3 that P lacks
-    assert _signs(rep) == {(): 1, (2,): 1, (2, 1): -1, (2, 2): 1}
+    assert _signs(signed_occurrences(t, sig)) \
+        == {(): 1, (2,): 1, (2, 1): -1, (2, 2): 1}
 
 
 def _prefixed(i, ps):
@@ -179,13 +174,13 @@ def _reference_polarity(u, sig, free_set):
                 _prefixed(1, dp) | _prefixed(2, cn))
     if isinstance(u, Abs):
         bp, bn = _reference_polarity(u.body, sig, free_set)
-        return ({()} | _prefixed(1, set(positions(u.domain)))
+        return ({()} | _prefixed(1, {p for p, _ in occurrences(u.domain)})
                 | _prefixed(2, bp), _prefixed(2, bn))
     if isinstance(u, App):
         hp, hn = _reference_polarity(u.head, sig, free_set)
         pos = {()} | _prefixed(1, hp)
         if not is_predicate_term(u.arg, sig):
-            pos |= _prefixed(2, set(positions(u.arg)))
+            pos |= _prefixed(2, {p for p, _ in occurrences(u.arg)})
         return pos, _prefixed(1, hn)
     return {()}, set()
 
@@ -218,12 +213,13 @@ def test_polarity_matches_the_recursive_definition():
     for _ in range(400):
         t = _random_term(rng, xs, rng.randrange(1, 7))
         free_set = rng.choice(frees)
-        rep = polarity(t, sig, free_set)
         pos, neg = _reference_polarity(
             t, sig, free_set if free_set is not None
             else frozenset({"A", "B", "L", "P"}))
-        assert (rep.positive, rep.negative) == (pos, neg), t
-        seen.update(type(u).__name__ for _, u in cac.terms.occurrences(t))
+        assert not pos & neg, t
+        assert _signs(signed_occurrences(t, sig, free_set)) \
+            == dict.fromkeys(pos, 1) | dict.fromkeys(neg, -1), t
+        seen.update(type(u).__name__ for _, u in occurrences(t))
     assert seen >= {"App", "Abs", "Prod", "Symb", "Var", "BVar", "SortT"}
 
 
@@ -251,10 +247,11 @@ def test_term_walks_have_no_depth_limit():
     chain = a
     for _ in range(1500):
         chain = arrow(a, chain)
-    rep = _unless_recursion_error(polarity, chain, sig)
-    assert rep != "RecursionError"
-    assert rep.positive == {(2,) * k for k in range(1501)}
-    assert rep.negative == {(2,) * k + (1,) for k in range(1500)}
+    walk = _unless_recursion_error(list, signed_occurrences(chain, sig))
+    assert walk != "RecursionError"
+    assert _signs(walk) == (dict.fromkeys(((2,) * k for k in range(1501)), 1)
+                            | dict.fromkeys(((2,) * k + (1,)
+                                             for k in range(1500)), -1))
 
 
 def test_inductive_structure_walks_each_argument_type_once(app,
@@ -271,8 +268,7 @@ def test_inductive_structure_walks_each_argument_type_once(app,
         raise AssertionError("walks the argument type again")
 
     monkeypatch.setattr(positivity, "signed_occurrences", counted)
-    for module, name in [(positivity, "polarity"),
-                         (positivity, "occurrences"),
+    for module, name in [(positivity, "occurrences"),
                          (cac.terms, "positions_of"),
                          (cac.terms, "occurrences")]:
         monkeypatch.setattr(module, name, forbidden)

@@ -8,8 +8,9 @@ import random
 import pytest
 
 from cac import (Environment, STAR, Symb, TypeChecker, Var, Variable,
-                 alpha_eq, match_first_order, normalize, polarity, pp,
-                 reduce_one, step, subst_apply)
+                 match_first_order, normalize, pp, reduce_one, step,
+                 subst_apply)
+from cac.positivity import signed_occurrences
 from cac.printer import _Printer
 from cac.terms import App, arrow, free_vars, lam, map_children, pi, Sort
 
@@ -111,9 +112,10 @@ def test_polarity_disjointness(app):
     for _ in range(CASES):
         preds = [Variable.fresh("P", Sort.BOX)]
         t = random_type(rng, sig, preds, rng.randrange(1, 7))
-        rep = polarity(t, sig)  # one sign per position, checked below
-        assert not (rep.positive & rep.negative)
-        assert () in rep.positive
+        walk = list(signed_occurrences(t, sig))
+        # one sign per position, and the root's is positive
+        assert len({p for p, _, _ in walk}) == len(walk)
+        assert walk[0][0] == () and walk[0][2] == 1
 
 
 def test_match_then_substitute_round_trip(intf):
@@ -172,9 +174,9 @@ def test_step_is_first_of_reduce_one(intf):
         if not reducts:
             assert s is None, pp(t)
             continue
-        assert s is not None and alpha_eq(s, reducts[0]), pp(t)
+        assert s is not None and s == reducts[0], pp(t)
         for i, u in enumerate(reducts):
-            assert not any(alpha_eq(u, w) for w in reducts[i + 1:]), pp(t)
+            assert not any(u == w for w in reducts[i + 1:]), pp(t)
         under_binder += not isinstance(t, (Symb, App))
     assert under_binder >= CASES // 20  # binders with a redex inside
 

@@ -4,7 +4,7 @@ judgment, and the termination-schema verdict."""
 import pytest
 
 from cac import (RewriteRule, STAR, Symb, TypeChecker, Var, Variable,
-                 acc_step, alpha_eq, args_greater, cc_check, check_admissible,
+                 acc_step, args_greater, cc_check, check_admissible,
                  check_well_formed, derived_type, load, replay,
                  satisfies_general_schema)
 from cac.schema import AccPair, SchemaError, acc_reachable
@@ -44,7 +44,7 @@ def test_acc_reachable_transitive(app):
                            Symb("cons", (Var(a), Var(x), Var(l)))))
     start = AccPair(nested, Symb("list", (Var(a),)))
     reached = acc_reachable(start, sig)
-    assert any(alpha_eq(p.term, Var(l)) for p in reached)
+    assert any(p.term == Var(l) for p in reached)
     # first-reached order; the inner cons reaches A and x a second time
     assert [str(p) for p in reached] == [
         str(start), "⟨A, ★⟩", "⟨x, A⟩", "⟨cons(A, x, l), list(A)⟩",
@@ -61,7 +61,7 @@ def test_derived_type_app_rule(app):
     assert tau == STAR
     a_prime = rule.lhs.args[1].args[0]
     tau_l = derived_type(rule.lhs, (2, 3), app.signature)
-    assert alpha_eq(tau_l, Symb("list", (a_prime,)))
+    assert tau_l == Symb("list", (a_prime,))
     with pytest.raises(CacError):
         derived_type(rule.lhs, (9,), app.signature)
 
@@ -77,8 +77,8 @@ def test_well_formed_app_rules(app):
     assert by_name["l'"].arg_index == 3
     assert by_name["l"].position == (2, 3)
     # its derived type mentions A', and rho maps A' to A
-    assert alpha_eq(by_name["l"].derived,
-                    Symb("list", (rule.lhs.args[1].args[0],)))
+    assert by_name["l"].derived == Symb("list",
+                                        (rule.lhs.args[1].args[0],))
 
 
 def test_args_greater_strict_decrease(app):

@@ -418,5 +418,4 @@ def test_printer_round_trip_through_parser():
         txt = pp(d.typ)
         reparsed = load(f"symbol o : * . symbol h : {txt} .")
         # alpha-equal up to binder naming
-        from cac import alpha_eq
-        assert alpha_eq(reparsed.signature.decls["h"].typ, d.typ)
+        assert reparsed.signature.decls["h"].typ == d.typ
