@@ -17,7 +17,7 @@ from .admissibility import (Outcome, OverallVerdict, check_admissible,
                             s_row)
 from .orderings import Orientation
 from .printer import pp
-from .rewriting import confluence_check, normalize
+from .rewriting import confluence_check
 from .syntax import LoadedFile, ParseError, Parser, load
 from .terms import CacError, Environment
 from .typing import TypeChecker
@@ -134,7 +134,6 @@ class _FileChecker(TypeChecker):
 
     def __init__(self, loaded: LoadedFile, fuel: int):
         super().__init__(loaded.signature, loaded.index, fuel, None)
-        self.normal_forms = {}
 
     def convertible(self, t, u) -> bool:
         if self.confluent is None:
@@ -201,7 +200,7 @@ def _admissibility_report(args):
     this returns, so it is not held while the report's text is built."""
     loaded = _load_file(args.file, args.fuel)
     return check_admissible(
-        loaded.signature, loaded.rules, fuel=args.fuel,
+        loaded.signature, loaded.index, fuel=args.fuel,
         assume_confluent=loaded.assume_confluent,
         assume_terminating=loaded.assume_terminating,
         force_non_algebraic=loaded.non_algebraic)
@@ -229,10 +228,10 @@ def _uses_sufficient(report) -> bool:
 
 def cmd_normalize(args) -> int:
     loaded = _load_file(args.file, args.fuel)
+    tc = TypeChecker(loaded.signature, loaded.index, args.fuel)
     outputs = []
     for expr in args.expr:
-        t = _parse_expr(loaded, expr)
-        nf = normalize(t, loaded.rules, args.fuel)
+        nf = tc.normal_form(_parse_expr(loaded, expr))
         outputs.append({"input": expr, "normal_form": pp(nf)})
     _emit({"file": args.file, "results": outputs},
           args.report == "structured",

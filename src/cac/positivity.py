@@ -196,22 +196,21 @@ def predicate_classes(sig: Signature,
     """Strongest shape class of every free predicate symbol.  A class
     quantifies over all equivalent predicates and their constructors'
     accessible argument types, so it is decided once per equivalence
-    class; a primitive class may use basic classes strictly below it.
-    A class met again while it is still being decided (which only a
-    cyclic precedence allows) counts as not basic."""
+    class, in two passes: the first reads each class's own argument
+    types, and the second marks a class primitive when each of them is
+    headed by an equivalent predicate or by a basic one below it."""
     prec = sig.precedence
     frees = sig.free_predicate_symbols(rules)
     free_set = set(frees)
     members: Dict[str, Set[str]] = {}
     for d in frees:
         members.setdefault(prec.find(d), set()).add(d)
-    decided: Dict[str, Optional[PredicateClass]] = {}  # None: in progress
-
-    def shape(root: str):
-        """Decides the class of root; yields each predicate whose class
-        it needs and is sent that class back."""
-        cls = members[root]
-        primitive = basic = strictly = True
+    basic: Dict[str, bool] = {}
+    strictly: Dict[str, bool] = {}
+    heads: Dict[str, List[Tuple[str, Optional[str]]]] = {}
+    for root, cls in members.items():
+        basic[root] = strictly[root] = True
+        heads[root] = []
         for dname in sorted(cls):
             for con in sig.constructors_of(dname):
                 decl = sig.decls[con]
@@ -219,53 +218,32 @@ def predicate_classes(sig: Signature,
                     if not (1 <= j <= decl.arity):
                         continue
                     uj = decl.binders[j - 1][1]
-                    # primitive: U_j is E(t-vec) with E equivalent to D,
-                    # or E basic and below D
-                    e = uj.name if isinstance(uj, Symb) else None
-                    if not (e in cls or e in free_set and prec.gt(dname, e)
-                            and (yield e) in (PredicateClass.PRIMITIVE,
-                                              PredicateClass.BASIC)):
-                        primitive = False
+                    heads[root].append(
+                        (dname, uj.name if isinstance(uj, Symb) else None))
                     at = [p for p, u in occurrences(uj)
                           if isinstance(u, Symb) and u.name in cls]
                     if not at:
                         continue
                     # basic: equivalent symbols occur only at the root
                     if at != [EPSILON]:
-                        basic = False
+                        basic[root] = False
                     # strictly positive: (z-vec:V-vec) E(t-vec), with
                     # equivalent symbols only at the head E
                     k, core = 0, uj
                     while isinstance(core, Prod):
                         k, core = k + 1, core.codomain
                     if at != [(2,) * k]:
-                        strictly = False
-        return (PredicateClass.PRIMITIVE if primitive and basic
-                else PredicateClass.BASIC if basic
-                else PredicateClass.STRICTLY_POSITIVE if strictly
-                else PredicateClass.GENERAL)
-
-    def decide(name: str) -> Optional[PredicateClass]:
-        # an explicit stack of open classes, so a long descending chain
-        # of predicates cannot overflow the interpreter's stack
-        root = prec.find(name)
-        if root not in decided:
-            decided[root] = None
-            stack = [(root, shape(root))]
-            reply = None
-            while stack:
-                top, gen = stack[-1]
-                try:
-                    e = gen.send(reply)
-                except StopIteration as done:
-                    stack.pop()
-                    decided[top] = reply = done.value
-                    continue
-                below = prec.find(e)
-                reply = decided.get(below)
-                if below not in decided:
-                    decided[below] = None
-                    stack.append((below, shape(below)))
-        return decided[root]
-
-    return {d: decide(d) for d in frees}
+                        strictly[root] = False
+    classes = {}
+    for root, cls in members.items():
+        # primitive: each U_j is E(t-vec) with E equivalent to D, or E
+        # basic and below D
+        primitive = all(e in cls or e in free_set and prec.gt(dname, e)
+                        and basic[prec.find(e)]
+                        for dname, e in heads[root])
+        classes[root] = (
+            PredicateClass.PRIMITIVE if primitive and basic[root]
+            else PredicateClass.BASIC if basic[root]
+            else PredicateClass.STRICTLY_POSITIVE if strictly[root]
+            else PredicateClass.GENERAL)
+    return {d: classes[prec.find(d)] for d in frees}

@@ -151,12 +151,11 @@ def _resolve(t: Term, sigma: dict) -> Term:
     return t
 
 
-def unify(a: Term, b: Term, sigma: Optional[dict] = None) -> Optional[dict]:
+def unify(a: Term, b: Term) -> Optional[dict]:
     """First-order unification of algebraic terms (shared variable space).
     The pairs are solved depth-first, left to right, so the bindings are
     made in the order of a recursive descent."""
-    if sigma is None:
-        sigma = {}
+    sigma: dict = {}
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()
@@ -732,14 +731,14 @@ class ConfluenceVerdict(NamedTuple):
 
 
 def confluence_check(rules: Sequence[RewriteRule],
-                     orientation: Optional[Orientation] = None,
+                     orientation: Orientation,
                      fuel: int = 10000,
                      assume_confluent: bool = False) -> ConfluenceVerdict:
     """ORTHOGONAL: left-linear with no critical pairs (van Oostrom gives
     confluence of the combination with beta).  NEWMAN: the recursive
     path order of `orientation` orients every rule, so the rules
-    terminate, and all critical pairs join; without an orientation table
-    NEWMAN is not tried.  ASSERTED: user flag.  Otherwise UNKNOWN."""
+    terminate, and all critical pairs join.  ASSERTED: user flag.
+    Otherwise UNKNOWN."""
     rules = RuleSet.of(rules)
     if not rules:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL, ["empty rule set"])
@@ -748,8 +747,7 @@ def confluence_check(rules: Sequence[RewriteRule],
     if ll and not cps:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL,
                                  ["left-linear", "no critical pairs"])
-    if (orientation is not None
-            and orientation.terminates(rules) is not None):
+    if orientation.terminates(rules) is not None:
         evidence = ["termination by recursive path order"]
         all_join = True
         for cp in cps:

@@ -8,7 +8,7 @@ conversion is checked at argument boundaries and at `check`'s root.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
 from .signature import Signature
@@ -38,16 +38,14 @@ class TypingDerivation(NamedTuple):
 
 
 class TypeChecker:
-    # a `normalize` memo that outlives one call (see `normalize`); a
-    # context that checks many terms under the same rules may own one
-    normal_forms: Optional[dict] = None
-
     def __init__(self, signature: Signature, rules: Sequence[RewriteRule] = (),
                  fuel: int = 10000, confluent: bool = False):
         self.sig = signature
         self.rules = RuleSet.of(rules)
         self.fuel = fuel
         self.confluent = confluent
+        # the `normalize` memo of every term this checker normalizes
+        self.normal_forms: dict = {}
 
     # -- conversion ----------------------------------------------------------
 

@@ -3,8 +3,9 @@ no module imports one thing twice, imports sit at module level unless
 they break an import cycle, importing the CLI pulls in no class
 generator, terms, tokens and parse nodes carry no instance dictionary,
 no parser outlives loading, no nested function refers to itself, so
-no call leaves cyclic garbage, and no function outside a fixed list
-calls itself."""
+no call leaves cyclic garbage, no function outside a fixed list
+calls itself, and no parameter outside a fixed list keeps a default
+that no call in the package sets."""
 
 import ast
 import gc
@@ -349,3 +350,104 @@ def test_every_exported_function_has_a_caller():
     assert not UNCALLED_EXPORTS.keys() - uncalled, (
         "listed exports that are called now; drop them from the list: "
         + ", ".join(sorted(UNCALLED_EXPORTS.keys() - uncalled)))
+
+
+# Parameters with a default that no call in the package sets, each with
+# the reason the default stays.  Any other such default is a mode that
+# only tests reach, or that nothing reaches at all.
+UNSET_DEFAULTS = {
+    "cli.main argv": "the console script passes none; tests and perfbench do",
+    "cic.selim_for_motive fuel": "no caller in the package yet",
+    "schema.acc_reachable limit": "tests shrink the bound",
+}
+
+CONSTRUCTORS = ("__init__", "__new__")
+
+
+def _defaults(tree, prefix):
+    """(qualified name, callee key, positional index or None, parameter)
+    of every parameter with a default of every function in tree.  The
+    callee key of a constructor is its class's name in a tuple; the
+    index of a method's parameter does not count self or cls."""
+    found = []
+
+    def visit(node, qual, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{qual}.{child.name}", child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{qual}.{child.name}"
+                key = ((cls.name,) if cls is not None
+                       and child.name in CONSTRUCTORS else child.name)
+                skip = int(cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list))
+                a = child.args
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                found.extend((name, key, i - skip, p.arg)
+                             for i, p in enumerate(pos[first:], first))
+                found.extend((name, key, None, p.arg)
+                             for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                             if d is not None)
+                visit(child, name, None)
+            else:
+                visit(child, qual, cls)
+
+    visit(tree, prefix, None)
+    return found
+
+
+def _calls(tree):
+    """(callee key, positional count, keyword names) of every call in
+    tree, with None for a count or names that a * or ** argument may
+    extend.  A call of a class, of cls inside the class, or of
+    super().__init__ or super().__new__ names its class's key."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f, args = child.func, child.args
+                key = (f.id if isinstance(f, ast.Name)
+                       else f.attr if isinstance(f, ast.Attribute) else None)
+                if key == "cls" and cls is not None:
+                    key = (cls.name,)
+                elif (key in CONSTRUCTORS and cls is not None and cls.bases
+                      and isinstance(f.value, ast.Call)
+                      and isinstance(f.value.func, ast.Name)
+                      and f.value.func.id == "super"):
+                    base = cls.bases[0]
+                    key = (base.id if isinstance(base, ast.Name)
+                           else base.attr,)
+                    if f.attr == "__new__":
+                        args = args[1:]
+                elif isinstance(f, ast.Name) and f.id[:1].isupper():
+                    key = (f.id,)
+                npos = (None if any(isinstance(a, ast.Starred) for a in args)
+                        else len(args))
+                names = {k.arg for k in child.keywords}
+                found.append((key, npos, None if None in names else names))
+            visit(child, child if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_default_is_set_by_some_caller():
+    defaults, calls = [], {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defaults += _defaults(tree, path.stem)
+        for key, npos, names in _calls(tree):
+            calls.setdefault(key, []).append((npos, names))
+    unset = {f"{name} {param}" for name, key, i, param in defaults
+             if not any(npos is None or names is None or param in names
+                        or i is not None and i < npos
+                        for npos, names in calls.get(key, ()))}
+    assert not unset - UNSET_DEFAULTS.keys(), (
+        "defaults that no call in the package sets: "
+        + ", ".join(sorted(unset - UNSET_DEFAULTS.keys())))
+    assert not UNSET_DEFAULTS.keys() - unset, (
+        "listed defaults that a call sets now; drop them from the list: "
+        + ", ".join(sorted(UNSET_DEFAULTS.keys() - unset)))

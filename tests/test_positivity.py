@@ -12,7 +12,7 @@ import pytest
 import cac
 
 from cac import (Abs, App, BVar, PredicateClass, Prod, STAR, Signature,
-                 SortT, Symb, Term, Var, Variable, arrow,
+                 SortT, Symb, Term, Var, Variable, arrow, check_admissible,
                  check_inductive_structure, free_vars, is_algebraic, load,
                  pi, predicate_classes)
 from cac import positivity
@@ -411,14 +411,25 @@ rule f(x) -> x .
 
 
 def test_classification_terminates_under_cyclic_precedence():
-    # each of a and b is built from the other and sits above it, so
-    # deciding one asks for the other while the first is still open
-    lf = load(CYCLIC_FREE_PREDICATES)
-    classes = predicate_classes(lf.signature, lf.rules)
-    assert sorted(classes) == ["a", "b"]
-    for name in ("a", "b"):
-        assert predicate_classes(lf.signature, lf.rules)[name] \
-            is classes[name]
+    # each of a and b is built from the other and sits above it, so a
+    # class that waited for the other's would wait for ever; either
+    # declaration order gives both the same class and the same report
+    # (the A2 violations follow declaration order, so they are sorted)
+    swapped = CYCLIC_FREE_PREDICATES.replace(
+        "symbol a : * .\nsymbol b : * .", "symbol b : * .\nsymbol a : * .")
+    assert swapped != CYCLIC_FREE_PREDICATES
+    texts = []
+    for source in (CYCLIC_FREE_PREDICATES, swapped):
+        lf = load(source)
+        classes = predicate_classes(lf.signature, lf.rules)
+        assert classes == {"a": PredicateClass.PRIMITIVE,
+                           "b": PredicateClass.PRIMITIVE}
+        report = check_admissible(lf.signature, lf.rules)
+        texts.append(report._replace(
+            a2_violations=sorted(report.a2_violations)).to_text())
+    assert texts[0] == texts[1]
+    assert "f is non-algebraic: rule rule1 admits no recursive-path-order " \
+        "orientation" in texts[0]
 
 
 # ---------------------------------------------------------------------------

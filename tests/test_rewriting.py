@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from cac import (ConfluenceLevel, Orientation, RewriteRule, STAR, Symb, Var,
-                 Variable, confluence_check, critical_pairs,
+from cac import (ConfluenceLevel, Orientation, RewriteRule, STAR, Signature,
+                 Symb, Var, Variable, confluence_check, critical_pairs,
                  joinable, left_linear, match_first_order, normalize, pp,
                  reduce_one, step, unify)
 from cac.rewriting import (RuleError, RuleSet, _overlaps, _reducts, _Search,
@@ -215,7 +215,7 @@ def test_confluence_newman_for_int():
 
 def test_confluence_orthogonal():
     rules = [RewriteRule("r", sy("f", sy("a")), sy("b"))]
-    verdict = confluence_check(rules)
+    verdict = confluence_check(rules, Orientation(Signature()))
     assert verdict.level == ConfluenceLevel.ORTHOGONAL
 
 
@@ -223,8 +223,10 @@ def test_confluence_unknown_and_asserted():
     # non-terminating, non-orthogonal: two root-overlapping rules
     rules = [RewriteRule("r1", sy("f", sy("a")), sy("f", sy("a"))),
              RewriteRule("r2", sy("f", sy("a")), sy("b"))]
-    assert confluence_check(rules).level == ConfluenceLevel.UNKNOWN
-    assert confluence_check(rules, assume_confluent=True).level \
+    orientation = Orientation(Signature())
+    assert confluence_check(rules, orientation).level \
+        == ConfluenceLevel.UNKNOWN
+    assert confluence_check(rules, orientation, assume_confluent=True).level \
         == ConfluenceLevel.ASSERTED
 
 
@@ -280,7 +282,7 @@ def test_confluence_unknown_keeps_count_when_not_left_linear():
     x, y = v("x"), v("y")
     rules = [RewriteRule("r1", sy("eq", Var(x), Var(x)), sy("a")),
              RewriteRule("r2", sy("eq", Var(y), sy("a")), sy("b"))]
-    verdict = confluence_check(rules)
+    verdict = confluence_check(rules, Orientation(Signature()))
     assert verdict.level == ConfluenceLevel.UNKNOWN
     assert verdict.evidence == ["1 critical pair(s); non-left-linear"]
 
@@ -843,7 +845,8 @@ def test_joinable_contracts_a_beta_redex_on_a_deep_argument():
     lf = load("symbol nat : * .\nsymbol zero : nat .\n"
               "symbol succ : nat -> nat .\nsymbol f : nat -> nat .\n"
               "rule f(x) -> zero .\nrule f(x) -> x .\n")
-    assert confluence_check(lf.rules).level == ConfluenceLevel.UNKNOWN
+    assert confluence_check(lf.rules, Orientation(lf.signature)).level \
+        == ConfluenceLevel.UNKNOWN
     t = Symb("zero", ())
     for _ in range(2000):
         t = Symb("succ", (t,))
