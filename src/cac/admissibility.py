@@ -372,12 +372,15 @@ _FAILURES = {"algebraic": _algebraic, "non_duplicating": _non_duplicating,
 
 def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
                       tc: TypeChecker,
-                      which: Sequence[str] = PROPERTIES) -> SystemProperties:
+                      which: Sequence[str] = PROPERTIES,
+                      classes: Optional[Dict[str, PredicateClass]] = None
+                      ) -> SystemProperties:
     """The properties named in `which` of the rules `grules` of the
-    symbols `gset`, among all the rules of `tc`'s typing context."""
+    symbols `gset`, among all the rules of `tc`'s typing context.
+    `classes` are the predicate classes of that context, when the caller
+    has them already."""
     props = SystemProperties()
-    classes = None
-    if "algebraic" in which or "primitive" in which:
+    if classes is None and ("algebraic" in which or "primitive" in which):
         classes = predicate_classes(tc.sig, tc.rules)
     for k in PROPERTIES:
         if k in which:
@@ -413,7 +416,8 @@ def _top_overlaps(grules: Sequence[RewriteRule]):
 def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
                         force_non_algebraic: FrozenSet[str] = frozenset(),
                         assume_terminating: bool = False,
-                        orientation: Optional[Orientation] = None
+                        orientation: Optional[Orientation] = None,
+                        classes: Optional[Dict[str, PredicateClass]] = None
                         ) -> Tuple[FrozenSet[str], FrozenSet[str],
                                    Dict[str, str]]:
     """Split the defined symbols into an algebraic part and the rest by
@@ -423,13 +427,15 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
     admit a recursive-path-order orientation (unless termination is
     asserted), and mention no non-algebraic symbol.  Returns the two
     parts plus, for each demoted symbol, the reason it left the
-    algebraic part.  `orientation` is the run's table (see
-    `check_admissible`); without it, it is built here."""
+    algebraic part.  `orientation` is the run's table and `classes` its
+    predicate classes (see `check_admissible`); without them, they are
+    built here."""
     rules = RuleSet.of(rules)
     if orientation is None:
         orientation = Orientation(sig)
     _, defined = sig.free_and_defined(rules)
-    classes = predicate_classes(sig, rules)
+    if classes is None:
+        classes = predicate_classes(sig, rules)
     by_head = rules.by_head
     reasons: Dict[str, str] = {}
 
@@ -611,8 +617,10 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         failures.append("A1")
     elif a1.level == ConfluenceLevel.ASSERTED:
         assertions.append("confluence asserted by pragma")
-    # the one typing context of A3, A4 and S1-S5
+    # the one typing context of A3, A4 and S1-S5, and the classes of its
+    # free predicates, which A3 and A4 both read
     tc = TypeChecker(sig, rules, fuel, confluent=a1.positive)
+    classes = predicate_classes(sig, rules)
 
     # A2 --------------------------------------------------------------
     violations = check_inductive_structure(sig, rules)
@@ -628,7 +636,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         a3_branch = "vacuous"
     else:
         gset = frozenset(dfb)
-        a3_props = system_properties(gset, dfb_rules, tc)
+        a3_props = system_properties(gset, dfb_rules, tc, classes=classes)
         if a3_props.primitive.holds:
             a3_branch = "primitive"
         elif a3_props.simple.holds and a3_props.positive.holds:
@@ -644,7 +652,8 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
     # algebraic, non-duplicating and mention no non-algebraic symbol, so
     # of the algebraic part only termination is left to check.
     fa, fna, demotions = partition_explained(sig, rules, force_non_algebraic,
-                                             assume_terminating, orientation)
+                                             assume_terminating, orientation,
+                                             classes)
     fa_rules = [r for r in rules if r.head_name() in fa]
     fna_rules = [r for r in rules if r.head_name() in fna]
     fna_props = system_properties(fna, fna_rules, tc,

@@ -105,10 +105,10 @@ def _load_file(path: str, fuel: int) -> LoadedFile:
 def _parse_expr(loaded: LoadedFile, text: str):
     try:
         parser = Parser(text)
-        term = parser.parse_term()
+        span = parser.parse_term()
         if parser.peek():
             raise ParseError(f"trailing input {parser.peek()!r}", parser.i)
-        return loaded.term(term, {})
+        return loaded.term(parser, span, {})
     except ParseError as e:
         raise e.located(text) from None
 

@@ -80,7 +80,12 @@ class _Printer:
         if s is None:
             binders = self.binders
             if cls is Symb:
-                s = f"{t.name}({', '.join(self._pp(a, taken) for a in t.args)})"
+                # a loop, not a generator, so that a level costs one
+                # frame: printing goes about 990 levels deep, not 330
+                parts = []
+                for a in t.args:
+                    parts.append(self._pp(a, taken))
+                s = f"{t.name}({', '.join(parts)})"
             else:
                 # application is left-associative: no parens around an
                 # App head

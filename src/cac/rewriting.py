@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections.abc
 import enum
+from operator import is_
 from typing import (Dict, Iterable, Iterator, KeysView, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -372,7 +373,10 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000,
                 path.pop()
                 if ruled and ruled[-1] == len(path):
                     ruled.pop()
-                t = _rebuild(node, kids)
+                # a node whose children came back as they were is kept
+                t = (node if node.__class__ is Symb
+                     and all(map(is_, kids, node.args))
+                     else _rebuild(node, kids))
                 entry = frame[4]
         entry = None
         if free:
@@ -384,7 +388,12 @@ def normalize(t: Term, rules: Sequence[RewriteRule], fuel: int = 10000,
                 t, known = hit[1], True
                 continue
             entry = (t, steps)
-        r = next(_root_reducts(t, rules), None)
+        # only a symbol whose head has rules and an application of an
+        # abstraction have reducts at the root
+        cls = t.__class__
+        r = (next(_root_reducts(t, rules), None)
+             if cls is Symb and t.name in rules.by_head
+             or cls is App and t.head.__class__ is Abs else None)
 
 
 class _Search:

@@ -1,5 +1,5 @@
-"""Surface syntax: lexer, recursive-descent parser and incremental
-elaborator for declaration files.
+"""Surface syntax: lexer, parser and incremental elaborator for
+declaration files.
 
 Grammar (one item per terminating `.`):
 
@@ -24,6 +24,7 @@ term application by juxtaposition.  `#` starts a line comment."""
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_right
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -140,56 +141,66 @@ def _texts(source: str) -> Tuple[List[str], List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# term AST (names unresolved until elaboration; `at` is a token index)
+# parsing: each term to postfix code
 
+# A term's code is postfix, so one stack of values runs it.  A leaf, a
+# name or `*`, is its token index.  An operator is negative,
+# ~(kind | payload << 3):
+#   APP          pops a head and its argument (juxtaposition);
+#   HEAD         payload a symbol's token, before the symbol's arguments;
+#   SYMB         payload an arity, after them: pops the arguments and the
+#                HEAD's token below them;
+#   BIND         payload a binder's name token, before the binder's body,
+#                which sees the name bound;
+#   OPEN         before an arrow's codomain, which is under a binder of no
+#                name;
+#   ABS, PROD    payload the binder's name token: pop the domain and the
+#                body, which ends the binding;
+#   ARROW        pops the domain and the codomain of an arrow.
+APP, HEAD, SYMB, BIND, OPEN, ABS, PROD, ARROW = range(8)
 
-class PName(NamedTuple):
-    name: str
-    at: int
+# The parser's frames: what the term or the atom being read is part of.
+# An argument list is its arity so far, negated; any other frame is
+# kind | payload << 4.
+_TERM = 0        # an item's term
+_LHS = 1         # a rule's left-hand side, which no arrow extends
+_PAREN = 2       # ( term )
+_FUN_DOMAIN = 3  # fun (x : term ) => ...; payload x's token
+_PI_DOMAIN = 4   # (x : term ) -> ...; payload x's token
+_FUN_BODY = 5    # fun (x : T) => term; payload x's token
+_PI_BODY = 6     # (x : T) -> term; payload x's token
+_CODOMAIN = 7    # T -> term
+_APPLY = 8       # the atom being read is applied to the term before it
 
-
-class PStar(NamedTuple):
-    pass
-
-
-class PSymbApp(NamedTuple):
-    name: str
-    args: tuple
-    at: int
-
-
-class PApp(NamedTuple):
-    head: object
-    arg: object
-
-
-class PAbs(NamedTuple):
-    var: str
-    domain: object
-    body: object
-
-
-class PProd(NamedTuple):
-    var: Optional[str]   # None for a plain arrow
-    domain: object
-    codomain: object
+# the tokens that end a juxtaposition; only a rule's annotation follows a
+# term with `with`
+_ENDS_APP = (_NOT_NAME - {"*", "("}) | {"with"}
 
 
 class Item(NamedTuple):
     """One parsed item: the `LoadedFile` method that takes it in, called
-    with the item's line and then `args`."""
+    with the item's line and then `args`.  A term in `args` is the span
+    (start, stop) of its code in `code`, which names the item's tokens
+    `toks` by their index in the source, from `first` on.  So an item
+    holds only what its own terms need, and drops it once taken in."""
     method: object
     line: int
     args: list
+    toks: List[str]
+    code: array
+    first: int
 
 
 class Parser:
-    """Recursive descent over the token texts of one source.  An error
-    carries the index of its token, as `ParseError.at`."""
+    """One pass over the token texts of one source.  It appends the code
+    of each term it reads to `code`, which starts afresh with each item
+    at the token `first`.  An error carries the index of its token, as
+    `ParseError.at`."""
 
     def __init__(self, source: str):
         self.toks, self.marks = _texts(source)
-        self.i = 0
+        self.i = self.first = 0
+        self.code = array("q")
 
     def peek(self) -> str:
         return self.toks[self.i]
@@ -241,7 +252,8 @@ class Parser:
         return items
 
     def parse_item(self) -> Item:
-        start = self.i
+        start = self.first = self.i
+        self.code = array("q")
         h = self.ITEMS.get(self.toks[start])
         if h is None:
             raise self.error("expected a declaration, rule, pragma or "
@@ -249,7 +261,8 @@ class Parser:
         self.i += 1
         method, args = h(self)
         self.expect(".")
-        return Item(method, 1 + bisect_right(self.marks, start), args)
+        return Item(method, 1 + bisect_right(self.marks, start), args,
+                    self.toks[start:self.i], self.code, start)
 
     def _symbol(self):
         return LoadedFile.add_symbol, list(self._binding(":"))
@@ -330,73 +343,120 @@ class Parser:
 
     # -- terms ---------------------------------------------------------------
 
-    def parse_term(self, arrows: bool = True):
-        """Application by juxtaposition (left associative), then arrows
-        (right associative) unless `arrows` is off."""
-        t = self.parse_atom()
-        toks = self.toks
-        while True:
-            tok = toks[self.i]
-            if tok in _NOT_NAME:
-                if tok != "*" and tok != "(":
-                    break
-            elif tok == "with":  # only a rule's annotation follows a term
-                break
-            t = PApp(t, self.parse_atom())
-        if arrows and tok == "->":
-            self.i += 1
-            return PProd(None, t, self.parse_term())
-        return t
-
-    def _binder_ahead(self) -> bool:
-        """Whether `( name :` starts here.  Neither "(" nor a name is the
-        final eof, so each index after it exists."""
-        toks, i = self.toks, self.i
-        return (toks[i] == "(" and toks[i + 1] not in _NOT_NAME
-                and toks[i + 2] == ":")
-
-    def parse_atom(self):
+    def parse_term(self, arrows: bool = True) -> Tuple[int, int]:
+        """Read one term, append its code and return the code's span.
+        Application by juxtaposition is left associative; arrows follow
+        it, right associative, unless `arrows` is off.  One loop with its
+        own stack of frames reads every level, so nesting has no limit."""
+        toks, code = self.toks, self.code
+        emit = code.append
+        not_name, ends_app = _NOT_NAME, _ENDS_APP
+        start = len(code)
         i = self.i
-        toks = self.toks
-        text = toks[i]
-        if text == "*":
-            self.i = i + 1
-            return PStar()
-        if text == "fun":
-            self.i = i + 1
-            self.expect("(")
-            x = self.expect_name()
-            self.expect(":")
-            dom = self.parse_term()
-            self.expect(")")
-            self.expect("=>")
-            return PAbs(x, dom, self.parse_term())
-        if text == "(":
-            if self._binder_ahead():
-                self.i = i + 1
-                x = self.expect_name()
-                self.expect(":")
-                dom = self.parse_term()
-                self.expect(")")
-                self.expect("->")
-                return PProd(x, dom, self.parse_term())
-            self.i = i + 1
-            t = self.parse_term()
-            self.expect(")")
-            return t
-        if text not in _NOT_NAME:
-            self.i = i + 1
-            if toks[i + 1] == "(" and not self._binder_ahead():
-                self.i = i + 2
-                args = []
-                while toks[self.i] != ")":
-                    args.append(self.parse_term())
-                    if toks[self.i] == ",":
-                        self.i += 1
-                self.i += 1  # the ")" that ended the loop
-                return PSymbApp(text, tuple(args), i)
-            return PName(text, i)
-        raise self.error("expected a term")
+        frames = [_TERM if arrows else _LHS]
+        push, pop = frames.append, frames.pop
+        while True:
+            # an atom starts at i: read it, or open the frame of a
+            # compound one and go on to its first atom
+            text = toks[i]
+            if text not in not_name and text != "fun":
+                # a name before `(` applies a symbol, unless a binder
+                # `( name :` follows
+                if toks[i + 1] != "(" or (toks[i + 2] not in not_name
+                                          and toks[i + 3] == ":"):
+                    emit(i)
+                    i += 1
+                else:
+                    emit(~(HEAD | i << 3))
+                    if toks[i + 2] != ")":
+                        push(-1)
+                        i += 2
+                        continue
+                    emit(~SYMB)
+                    i += 3
+            elif text == "fun":
+                if (toks[i + 1] != "(" or toks[i + 2] in not_name
+                        or toks[i + 3] != ":"):
+                    self.i = i + 1  # one of these raises
+                    self.expect("(")
+                    self.expect_name()
+                    self.expect(":")
+                push(_FUN_DOMAIN | (i + 2) << 4)
+                i += 4
+                continue
+            elif text == "(":
+                if toks[i + 1] not in not_name and toks[i + 2] == ":":
+                    push(_PI_DOMAIN | (i + 1) << 4)
+                    i += 3
+                else:
+                    push(_PAREN)
+                    i += 1
+                continue
+            elif text == "*":
+                emit(i)
+                i += 1
+            else:
+                self.i = i
+                raise self.error("expected a term")
+            # an atom is read: close what it completes, up to the frame
+            # that reads another atom
+            while True:
+                f = frames[-1]
+                tok = toks[i]
+                if f == _APPLY:
+                    pop()
+                    emit(~APP)
+                    f = frames[-1]
+                if f < 0 and tok == ")":  # the end of an argument list
+                    pop()
+                    emit(~(SYMB | -f << 3))
+                    i += 1
+                    continue
+                if tok not in ends_app:
+                    push(_APPLY)
+                    break
+                if tok == "->" and f != _LHS:
+                    emit(~OPEN)
+                    push(_CODOMAIN)
+                    i += 1
+                    break
+                # the term is read
+                while f == _CODOMAIN:
+                    pop()
+                    emit(~ARROW)
+                    f = frames[-1]
+                if f < 0:  # another argument, unless the list ends
+                    if tok == ",":
+                        i += 1
+                    if toks[i] != ")":
+                        frames[-1] = f - 1
+                        break
+                    continue
+                kind = f & 15
+                if kind == _FUN_BODY or kind == _PI_BODY:
+                    pop()
+                    emit(~((ABS if kind == _FUN_BODY else PROD)
+                           | f >> 4 << 3))
+                elif kind <= _LHS:
+                    self.i = i
+                    return start, len(code)
+                elif kind == _PAREN:
+                    if tok != ")":
+                        self.i = i
+                        self.expect(")")  # raises
+                    pop()
+                    i += 1
+                else:  # the domain of a binder
+                    arrow = "=>" if kind == _FUN_DOMAIN else "->"
+                    if tok != ")" or toks[i + 1] != arrow:
+                        self.i = i  # one of these raises
+                        self.expect(")")
+                        self.expect(arrow)
+                    emit(~(BIND | f >> 4 << 3))
+                    # the domain's frame becomes the body's
+                    frames[-1] = f + (_FUN_BODY - _FUN_DOMAIN)
+                    i += 2
+                    break
 
 
 def parse(source: str) -> List[Item]:
@@ -438,28 +498,32 @@ class LoadedFile:
         self.assume_terminating = False
         self.non_algebraic: frozenset = frozenset()
         self.bundles: list = []
-        # one table for every directive term, so equal subterms across
-        # directives are one object, which a command normalizes and
-        # prints once
-        self._directive_terms = _Elaboration(self.signature.decls, {}, None)
+        # while the file loads: the item being taken in, and one table
+        # for every directive term, so equal subterms across directives
+        # are one object, which a command normalizes and prints once
+        self._item: Optional[Item] = None
+        self._directive_terms: Optional[dict] = {}
 
     @property
     def rules(self) -> List[RewriteRule]:
         """The rules loaded so far, in order: the index's own list."""
         return self.index.rules
 
-    def term(self, p, scope: Dict[str, Variable],
+    def term(self, program, span: Tuple[int, int], scope: Dict[str, Variable],
              free: Optional[Dict[str, Variable]] = None) -> Term:
-        """Resolve a parsed term: bound names to de Bruijn indices, names
-        in `scope` to their variables, then symbols from the signature;
-        other names are errors, or fresh variables shared through `free`
-        when it is given.  Equal subterms of the result are one object."""
-        return _Elaboration(self.signature.decls, scope, free).term(p, 0)
+        """Resolve the term whose code is `span` of `program`'s, an `Item`
+        or the `Parser` that read the term: bound names to de Bruijn
+        indices, names in `scope` to their variables, then symbols from
+        the signature; other names are errors, or fresh variables shared
+        through `free` when it is given.  Equal subterms of the result
+        are one object."""
+        return _elaborate(program, span, self.signature.decls, scope, free,
+                          {})
 
     # -- items: each takes the item's line, then what the parser read -------
 
     def add_symbol(self, line: int, name: str, ptype) -> None:
-        typ = self.term(ptype, {})
+        typ = self.term(self._item, ptype, {})
         arity = 0
         t = typ
         while isinstance(t, Prod):
@@ -477,30 +541,31 @@ class LoadedFile:
 
     def _annotated_rule(self, name: str, plhs, prhs, penv,
                         prho) -> RewriteRule:
+        program = self._item
         scope: Dict[str, Variable] = {}
         env = Environment()
         for x, ptyp in penv:
-            typ = self.term(ptyp, scope)
+            typ = self.term(program, ptyp, scope)
             v = Variable.fresh(x, sort_class_of_type(typ))
             scope[x] = v
             env = env.extend(v, typ)
         rho: Dict[Variable, Term] = {}
         for x, pimg in prho or ():
-            img = self.term(pimg, scope)
+            img = self.term(program, pimg, scope)
             sort = (Sort.BOX if is_predicate_term(img, self.signature)
                     else Sort.STAR)
             v = Variable.fresh(x, sort)
             scope[x] = v
             rho[v] = img
-        lhs = self.term(plhs, scope)
-        rhs = self.term(prhs, scope)
+        lhs = self.term(program, plhs, scope)
+        rhs = self.term(program, prhs, scope)
         return RewriteRule(name, lhs, rhs, env, rho)
 
     def _inferred_rule(self, name: str, plhs, prhs,
                        line: int) -> RewriteRule:
         free: Dict[str, Variable] = {}
-        lhs = self.term(plhs, {}, free)
-        rhs = self.term(prhs, {}, free)
+        lhs = self.term(self._item, plhs, {}, free)
+        rhs = self.term(self._item, prhs, {}, free)
         if not isinstance(lhs, Symb):
             raise ElabError("bad-lhs",
                             f"line {line}: rule left-hand side must be a "
@@ -547,9 +612,10 @@ class LoadedFile:
         return RewriteRule(name, lhs, rhs, env, {})
 
     def add_inductive(self, line: int, name: str, ptype, pctors) -> None:
-        arity_type = self.term(ptype, {})
+        program = self._item
+        arity_type = self.term(program, ptype, {})
         self_var = Variable.fresh(name, Sort.BOX)
-        ctors = tuple((cname, self.term(ptyp, {name: self_var}))
+        ctors = tuple((cname, self.term(program, ptyp, {name: self_var}))
                       for cname, ptyp in pctors)
         decl = InductiveDecl(name, arity_type, self_var, ctors)
         bundle = translate_inductive(decl, self.signature, self.index,
@@ -579,10 +645,11 @@ class LoadedFile:
         self._require_symbol(line, name)
         self.non_algebraic = self.non_algebraic | {name}
 
-    def add_directive(self, line: int, kind: str, *parsed) -> None:
+    def add_directive(self, line: int, kind: str, *spans) -> None:
+        decls, item = self.signature.decls, self._item
         table = self._directive_terms
-        self.directives.append(
-            Directive(kind, line, [table.term(p, 0) for p in parsed]))
+        self.directives.append(Directive(kind, line, [
+            _elaborate(item, s, decls, {}, None, table) for s in spans]))
 
     def _require_symbol(self, line: int, *names: str) -> None:
         for name in names:
@@ -591,130 +658,182 @@ class LoadedFile:
                                 f"line {line}: unknown symbol {name}")
 
 
-class _Elaboration:
-    """One top-level `LoadedFile.term` call.  `bound` maps each name bound
-    by an enclosing binder to that binder's depth, set and restored
-    around the binder's body, so an occurrence at depth d of a name bound
-    at depth k is the index d - 1 - k, and no body is closed afterwards.
-    Every node is built through `table`, keyed by its class, its own data
-    and the ids of its children, so equal subterms, binder hints
-    included, are one object; the table keeps them alive, so no id is
-    reused while it lives.  It lives for this call only, except the
-    table of a file's directive terms, which lives while the file loads."""
-
-    __slots__ = ("decls", "scope", "free", "bound", "table")
-
-    def __init__(self, decls, scope: Dict[str, Variable],
-                 free: Optional[Dict[str, Variable]]):
-        self.decls = decls
-        self.scope = scope
-        self.free = free
-        self.bound: Dict[str, int] = {}
-        self.table: dict = {}
-
-    def term(self, p, depth: int) -> Term:
-        """p under `depth` binders."""
-        cls = p.__class__
-        table = self.table
-        if cls is PSymbApp:
-            d = self.decls.get(p.name)
-            if d is None:
-                raise ElabError("unbound-name", f"unknown symbol {p.name}",
-                                p.at)
-            if d.arity != len(p.args):
-                raise ElabError(
-                    "arity-error", f"{p.name} expects {d.arity} "
-                    f"argument(s), got {len(p.args)}", p.at)
-            args = []
-            for a in p.args:
-                args.append(self.term(a, depth))
-            key = (p.name, *map(id, args))
-            n = table.get(key)
-            if n is None:
-                n = table[key] = Symb(p.name, tuple(args))
-            return n
-        if cls is PName:
-            name = p.name
-            k = self.bound.get(name)
+def _elaborate(program, span: Tuple[int, int], decls,
+               scope: Dict[str, Variable],
+               free: Optional[Dict[str, Variable]], table: dict) -> Term:
+    """The term whose code is `span` of `program`'s (see
+    `LoadedFile.term`), run with one stack of values.  `bound` maps each
+    name bound by an open binder to that binder's depth, so an occurrence
+    at depth d of a name bound at depth k is the index d - 1 - k, and no
+    body is closed afterwards.  Every node is built through `table`,
+    keyed by its class, its own data and the ids of its children, so
+    equal subterms, binder hints included, are one object; the table
+    keeps them alive, so no id is reused while it lives."""
+    toks, first = program.toks, program.first
+    get = table.get
+    bound: Dict[str, int] = {}
+    depth = 0
+    # the values; below the arguments of each open symbol application,
+    # its HEAD code, and below the body of each open binder, the depth
+    # its name was bound at outside it, or None
+    stack: list = []
+    push = stack.append
+    for c in program.code[span[0]:span[1]]:
+        if c >= 0:  # a leaf
+            name = toks[c - first]
+            k = bound.get(name)
             if k is not None:
                 key = (BVar, depth - 1 - k)
-                n = table.get(key)
+                n = get(key)
                 if n is None:
                     n = table[key] = BVar(key[1])
-                return n
-            v = self.scope.get(name)
+                push(n)
+                continue
+            v = scope.get(name)
             if v is None:
-                d = self.decls.get(name)
+                d = decls.get(name)
                 if d is not None:
                     if d.arity != 0:
-                        raise ElabError(
-                            "arity-error",
-                            f"symbol {name} expects {d.arity} argument(s)",
-                            p.at)
+                        raise _first_error(program, span, decls, stack,
+                                           ElabError(
+                            "arity-error", f"symbol {name} expects "
+                            f"{d.arity} argument(s)", c))
                     key = (name,)
-                    n = table.get(key)
+                    n = get(key)
                     if n is None:
                         n = table[key] = Symb(name, ())
-                    return n
-                if self.free is None:
-                    raise ElabError("unbound-name", f"unknown name {name}",
-                                    p.at)
-                v = self.free.get(name)
+                    push(n)
+                    continue
+                if name == "*":
+                    push(STAR)
+                    continue
+                if free is None:
+                    raise _first_error(program, span, decls, stack, ElabError(
+                        "unbound-name", f"unknown name {name}", c))
+                v = free.get(name)
                 if v is None:
-                    v = self.free[name] = Variable.fresh(name, Sort.STAR)
+                    v = free[name] = Variable.fresh(name, Sort.STAR)
             key = (Var, v.id)
-            n = table.get(key)
+            n = get(key)
             if n is None:
                 n = table[key] = Var(v)
-            return n
-        if cls is PApp:
-            head = self.term(p.head, depth)
-            arg = self.term(p.arg, depth)
-            key = (App, id(head), id(arg))
-            n = table.get(key)
+            push(n)
+            continue
+        op = ~c
+        kind = op & 7
+        if kind == HEAD:
+            push(c)
+        elif kind == SYMB:
+            arity = op >> 3
+            cut = len(stack) - arity
+            h = ~stack[cut - 1] >> 3
+            name = toks[h - first]
+            d = decls.get(name)
+            if d is None or d.arity != arity:
+                raise _first_error(program, span, decls, stack,
+                                   _symbol_error(decls, name, h, arity))
+            if arity == 1:  # the most common case, without a list
+                a = stack.pop()
+                key = (name, id(a))
+                n = get(key)
+                if n is None:
+                    n = table[key] = Symb(name, (a,))
+                stack[-1] = n
+                continue
+            args = stack[cut:]
+            del stack[cut - 1:]
+            key = (name, *map(id, args))
+            n = get(key)
             if n is None:
-                n = table[key] = App(head, arg)
-            return n
-        if cls is PStar:
-            return STAR
-        if cls is PAbs or cls is PProd:
-            x, pdom, pbody = p
-            dom = self.term(pdom, depth)
-            if x is None:  # an arrow binds no name
-                x = "_"
-                body = self.term(pbody, depth + 1)
+                n = table[key] = Symb(name, tuple(args))
+            push(n)
+        elif kind > OPEN:  # ABS, PROD or ARROW closes a binder
+            depth -= 1
+            body = stack.pop()
+            if kind == ARROW:  # an arrow binds no name
+                x, node = "_", Prod
             else:
-                bound = self.bound
-                outer = bound.get(x)
-                bound[x] = depth
-                body = self.term(pbody, depth + 1)
-                if outer is None:
+                x = toks[(op >> 3) - first]
+                k = stack.pop()
+                if k is None:
                     del bound[x]
                 else:
-                    bound[x] = outer
-            node = Abs if cls is PAbs else Prod
+                    bound[x] = k
+                node = Abs if kind == ABS else Prod
+            dom = stack[-1]
             key = (node, x, id(dom), id(body))
-            n = table.get(key)
+            n = get(key)
             if n is None:
                 n = table[key] = node(dom, body, x)
-            return n
-        raise ElabError("internal", f"unknown parse node {p!r}")
+            stack[-1] = n
+        elif kind == OPEN:
+            depth += 1
+        elif kind == BIND:
+            name = toks[(op >> 3) - first]
+            push(bound.get(name))
+            bound[name] = depth
+            depth += 1
+        else:  # APP
+            arg = stack.pop()
+            head = stack[-1]
+            key = (App, id(head), id(arg))
+            n = get(key)
+            if n is None:
+                n = table[key] = App(head, arg)
+            stack[-1] = n
+    return stack[0]
+
+
+def _symbol_error(decls, name: str, at: int,
+                  arity: int) -> Optional[ElabError]:
+    """Why the symbol application at token `at` is wrong, if it is."""
+    d = decls.get(name)
+    if d is None:
+        return ElabError("unbound-name", f"unknown symbol {name}", at)
+    if d.arity != arity:
+        return ElabError("arity-error", f"{name} expects {d.arity} "
+                         f"argument(s), got {arity}", at)
+    return None
+
+
+def _first_error(program, span: Tuple[int, int], decls, stack: list,
+                 error: ElabError) -> ElabError:
+    """The error met first in source order, when `error` stops the code
+    with `stack` left.  Source order checks a symbol application before
+    its arguments, the code after them, so of the symbol applications
+    still open on the stack, the outermost that fails wins."""
+    arity: Dict[int, int] = {}  # each HEAD code's arity
+    opened = []
+    for op in program.code[span[0]:span[1]]:
+        if op < 0 and ~op & 7 == HEAD:
+            opened.append(op)
+        elif op < 0 and ~op & 7 == SYMB:
+            arity[opened.pop()] = ~op >> 3
+    for c in stack:
+        if c.__class__ is int and c < 0:  # an open HEAD
+            h = ~c >> 3
+            outer = _symbol_error(decls, program.toks[h - program.first], h,
+                                  arity[c])
+            if outer is not None:
+                return outer
+    return error
 
 
 def load(source: str, fuel: int = 10000) -> LoadedFile:
     """Parse the whole file, then elaborate its items in order.  Each
-    item is dropped once its method has taken it in, so the parse of the
-    items already elaborated is not held beside the file they built."""
+    item, with its tokens and code, is dropped once its method has taken
+    it in."""
     items = parse(source)
     items.reverse()
     out = LoadedFile(fuel)
     try:
         while items:
-            method, line, args = items.pop()
+            out._item = items.pop()
+            method, line, args = out._item[:3]
             method(out, line, *args)
     except ElabError as e:
         raise e.located(source) from None
     # the directives hold their shared nodes; the table's keys are no
     # longer needed
-    out._directive_terms = None
+    out._item = out._directive_terms = None
     return out

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cac import (Outcome, OverallVerdict, TypeChecker, check_admissible,
-                 check_type_preservation, load, system_properties)
+from cac import (Outcome, OverallVerdict, TypeChecker, admissibility,
+                 check_admissible, check_type_preservation, load,
+                 system_properties)
 from cac.admissibility import (HOLDS, TERMINATION_ASSERTED,
                                algebraic_termination, fails,
                                partition_explained)
@@ -522,3 +523,15 @@ def test_partition_passes_the_reference_checks_on_generated_systems(src):
     assert set(reasons) == fna
     assert reference_algebraic_part(lf.signature, lf.rules, fa, fna) \
         == (HOLDS, HOLDS, HOLDS), src
+
+
+def test_one_run_classifies_the_free_predicates_once(ndm, monkeypatch):
+    # A3's properties and A4's partition read the same classes, which
+    # the run computes once and hands to both
+    calls = []
+    classify = admissibility.predicate_classes
+    monkeypatch.setattr(admissibility, "predicate_classes",
+                        lambda *a: calls.append(a) or classify(*a))
+    report = check_admissible(ndm.signature, ndm.rules)
+    assert len(calls) == 1
+    assert report.a3_branch == "primitive"

@@ -373,9 +373,17 @@ def assert_depth_exceeded(code, capsys):
 
 
 def test_deep_directive_is_refused_without_traceback(tmp_path, capsys):
+    # the front end has no depth limit, so the file loads; the directive
+    # then fails on its own line, as one whose result is too deep does
     f = tmp_path / "deep.cac"
     f.write_text(NAT + f"normalize {deep_numeral(DEEP)} .\n", encoding="utf-8")
-    assert_depth_exceeded(main(["check", str(f)]), capsys)
+    assert main(["check", str(f)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith(
+        "normalize (line 2): failed — depth-exceeded: ")
+    assert lines[1:] == ["some checks failed"]
+    assert captured.err == ""
 
 
 def test_deep_expression_is_refused_without_traceback(tmp_path, capsys):
@@ -386,10 +394,10 @@ def test_deep_expression_is_refused_without_traceback(tmp_path, capsys):
 
 
 def test_deep_result_fails_only_its_own_directive(tmp_path, capsys):
-    # 200 + 200 as a recursor call parses, and normalizes to succ^400,
+    # 600 + 600 as a recursor call loads, and normalizes to succ^1200,
     # which is deeper than the printer can go: that directive fails,
     # as one out of fuel would, and the next one still runs
-    n = deep_numeral(200)
+    n = deep_numeral(600)
     f = tmp_path / "add.cac"
     f.write_text(NAT + f"normalize WElim_nat(nat, {n}, fun (x:nat) => "
                  f"fun (y:nat) => succ(y), {n}) .\n"

@@ -9,6 +9,7 @@ that no call in the package sets."""
 
 import ast
 import gc
+from array import array
 import pathlib
 import subprocess
 import sys
@@ -138,14 +139,11 @@ def test_terms_have_no_instance_dict():
 
 
 def test_tokens_and_parse_nodes_have_no_instance_dict():
-    # a file of n tokens holds about as many parse nodes, and one item
-    # per declaration
+    # a file holds one item per declaration, each term a span of the
+    # program's code, and the parser's frames are plain ints
     syn = cac.syntax
-    name = syn.PName("x", 0)
-    samples = [name, syn.PStar(),
-               syn.PSymbApp("f", (name,), 0), syn.PApp(name, name),
-               syn.PAbs("x", name, name), syn.PProd(None, name, name),
-               syn.Item(syn.LoadedFile.add_symbol, 1, ["x", name])]
+    samples = [syn.Item(syn.LoadedFile.add_symbol, 1, ["x", (3, 4)],
+                        ["symbol", "x", ":", "o", "."], array("q", [3]), 0)]
     with_dict = [type(s).__name__ for s in samples if hasattr(s, "__dict__")]
     assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)
 
@@ -226,8 +224,6 @@ RECURSIVE = {
     "rewriting._reducts": "one generator frame per level of the redex walk",
     "rewriting._Search._build": "levels of a right-hand side",
     "schema.derived_type": "symbols on a left-hand side path",
-    "syntax.Parser.parse_term": "parsed levels; the README states them",
-    "syntax._Elaboration.term": "parsed levels; the README states them",
     "terms._map_leaves": "term levels, for open_, close and subst_apply",
     "terms.replace_at": "steps of one position",
     "typing.replay": "levels of a recorded typing derivation",
