@@ -147,9 +147,9 @@ def _texts(source: str) -> Tuple[List[str], List[int]]:
 # name or `*`, is its token index.  An operator is negative,
 # ~(kind | payload << 3):
 #   APP          pops a head and its argument (juxtaposition);
-#   HEAD         payload a symbol's token, before the symbol's arguments;
-#   SYMB         payload an arity, after them: pops the arguments and the
-#                HEAD's token below them;
+#   SYMB         payload head + radix * arity, where head is the symbol's
+#                token and the radix is the source's number of tokens:
+#                pops the arguments;
 #   BIND         payload a binder's name token, before the binder's body,
 #                which sees the name bound;
 #   OPEN         before an arrow's codomain, which is under a binder of no
@@ -157,11 +157,11 @@ def _texts(source: str) -> Tuple[List[str], List[int]]:
 #   ABS, PROD    payload the binder's name token: pop the domain and the
 #                body, which ends the binding;
 #   ARROW        pops the domain and the codomain of an arrow.
-APP, HEAD, SYMB, BIND, OPEN, ABS, PROD, ARROW = range(8)
+APP, SYMB, BIND, OPEN, ABS, PROD, ARROW = range(7)
 
 # The parser's frames: what the term or the atom being read is part of.
-# An argument list is its arity so far, negated; any other frame is
-# kind | payload << 4.
+# An argument list is the payload of its SYMB so far, negated; any other
+# frame is kind | payload << 4.
 _TERM = 0        # an item's term
 _LHS = 1         # a rule's left-hand side, which no arrow extends
 _PAREN = 2       # ( term )
@@ -181,14 +181,16 @@ class Item(NamedTuple):
     """One parsed item: the `LoadedFile` method that takes it in, called
     with the item's line and then `args`.  A term in `args` is the span
     (start, stop) of its code in `code`, which names the item's tokens
-    `toks` by their index in the source, from `first` on.  So an item
-    holds only what its own terms need, and drops it once taken in."""
+    `toks` by their index in the source, from `first` on, with the
+    source's `radix`.  So an item holds only what its own terms need,
+    and drops it once taken in."""
     method: object
     line: int
     args: list
     toks: List[str]
     code: array
     first: int
+    radix: int
 
 
 class Parser:
@@ -199,6 +201,7 @@ class Parser:
 
     def __init__(self, source: str):
         self.toks, self.marks = _texts(source)
+        self.radix = len(self.toks)
         self.i = self.first = 0
         self.code = array("q")
 
@@ -262,7 +265,7 @@ class Parser:
         method, args = h(self)
         self.expect(".")
         return Item(method, 1 + bisect_right(self.marks, start), args,
-                    self.toks[start:self.i], self.code, start)
+                    self.toks[start:self.i], self.code, start, self.radix)
 
     def _symbol(self):
         return LoadedFile.add_symbol, list(self._binding(":"))
@@ -348,7 +351,7 @@ class Parser:
         Application by juxtaposition is left associative; arrows follow
         it, right associative, unless `arrows` is off.  One loop with its
         own stack of frames reads every level, so nesting has no limit."""
-        toks, code = self.toks, self.code
+        toks, code, radix = self.toks, self.code, self.radix
         emit = code.append
         not_name, ends_app = _NOT_NAME, _ENDS_APP
         start = len(code)
@@ -366,13 +369,12 @@ class Parser:
                                           and toks[i + 3] == ":"):
                     emit(i)
                     i += 1
-                else:
-                    emit(~(HEAD | i << 3))
-                    if toks[i + 2] != ")":
-                        push(-1)
-                        i += 2
-                        continue
-                    emit(~SYMB)
+                elif toks[i + 2] != ")":
+                    push(-i - radix)  # one argument so far
+                    i += 2
+                    continue
+                else:  # no arguments
+                    emit(~(SYMB | i << 3))
                     i += 3
             elif text == "fun":
                 if (toks[i + 1] != "(" or toks[i + 2] in not_name
@@ -429,7 +431,7 @@ class Parser:
                     if tok == ",":
                         i += 1
                     if toks[i] != ")":
-                        frames[-1] = f - 1
+                        frames[-1] = f - radix
                         break
                     continue
                 kind = f & 15
@@ -669,13 +671,12 @@ def _elaborate(program, span: Tuple[int, int], decls,
     keyed by its class, its own data and the ids of its children, so
     equal subterms, binder hints included, are one object; the table
     keeps them alive, so no id is reused while it lives."""
-    toks, first = program.toks, program.first
+    toks, first, radix = program.toks, program.first, program.radix
     get = table.get
     bound: Dict[str, int] = {}
     depth = 0
-    # the values; below the arguments of each open symbol application,
-    # its HEAD code, and below the body of each open binder, the depth
-    # its name was bound at outside it, or None
+    # the values, and below the body of each open binder the depth its
+    # name was bound at outside it, or None
     stack: list = []
     push = stack.append
     for c in program.code[span[0]:span[1]]:
@@ -694,7 +695,7 @@ def _elaborate(program, span: Tuple[int, int], decls,
                 d = decls.get(name)
                 if d is not None:
                     if d.arity != 0:
-                        raise _first_error(program, span, decls, stack,
+                        raise _first_error(program, span, decls, c,
                                            ElabError(
                             "arity-error", f"symbol {name} expects "
                             f"{d.arity} argument(s)", c))
@@ -708,7 +709,7 @@ def _elaborate(program, span: Tuple[int, int], decls,
                     push(STAR)
                     continue
                 if free is None:
-                    raise _first_error(program, span, decls, stack, ElabError(
+                    raise _first_error(program, span, decls, c, ElabError(
                         "unbound-name", f"unknown name {name}", c))
                 v = free.get(name)
                 if v is None:
@@ -721,27 +722,26 @@ def _elaborate(program, span: Tuple[int, int], decls,
             continue
         op = ~c
         kind = op & 7
-        if kind == HEAD:
-            push(c)
-        elif kind == SYMB:
-            arity = op >> 3
-            cut = len(stack) - arity
-            h = ~stack[cut - 1] >> 3
+        if kind == SYMB:
+            h = op >> 3
+            arity = h // radix
+            h -= arity * radix
             name = toks[h - first]
             d = decls.get(name)
             if d is None or d.arity != arity:
-                raise _first_error(program, span, decls, stack,
+                raise _first_error(program, span, decls, c,
                                    _symbol_error(decls, name, h, arity))
             if arity == 1:  # the most common case, without a list
-                a = stack.pop()
+                a = stack[-1]
                 key = (name, id(a))
                 n = get(key)
                 if n is None:
                     n = table[key] = Symb(name, (a,))
                 stack[-1] = n
                 continue
+            cut = len(stack) - arity
             args = stack[cut:]
-            del stack[cut - 1:]
+            del stack[cut:]
             key = (name, *map(id, args))
             n = get(key)
             if n is None:
@@ -796,26 +796,22 @@ def _symbol_error(decls, name: str, at: int,
     return None
 
 
-def _first_error(program, span: Tuple[int, int], decls, stack: list,
+def _first_error(program, span: Tuple[int, int], decls, c: int,
                  error: ElabError) -> ElabError:
-    """The error met first in source order, when `error` stops the code
-    with `stack` left.  Source order checks a symbol application before
-    its arguments, the code after them, so of the symbol applications
-    still open on the stack, the outermost that fails wins."""
-    arity: Dict[int, int] = {}  # each HEAD code's arity
-    opened = []
-    for op in program.code[span[0]:span[1]]:
-        if op < 0 and ~op & 7 == HEAD:
-            opened.append(op)
-        elif op < 0 and ~op & 7 == SYMB:
-            arity[opened.pop()] = ~op >> 3
-    for c in stack:
-        if c.__class__ is int and c < 0:  # an open HEAD
-            h = ~c >> 3
-            outer = _symbol_error(decls, program.toks[h - program.first], h,
-                                  arity[c])
-            if outer is not None:
-                return outer
+    """The error met first in source order, where the code `c` fails
+    with `error`.  Source order checks a symbol application before its
+    arguments, the code after them: so the outermost failing one around
+    c wins, and those are the symbol applications whose code comes after
+    c and whose head comes before c's token."""
+    code, radix = program.code, program.radix
+    for op in reversed(code[code.index(c, *span) + 1:span[1]]):
+        if op < 0 and ~op & 7 == SYMB:
+            arity, h = divmod(~op >> 3, radix)
+            if h < error.at:
+                outer = _symbol_error(decls, program.toks[h - program.first],
+                                      h, arity)
+                if outer is not None:
+                    return outer
     return error
 
 

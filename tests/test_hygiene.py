@@ -143,7 +143,8 @@ def test_tokens_and_parse_nodes_have_no_instance_dict():
     # program's code, and the parser's frames are plain ints
     syn = cac.syntax
     samples = [syn.Item(syn.LoadedFile.add_symbol, 1, ["x", (3, 4)],
-                        ["symbol", "x", ":", "o", "."], array("q", [3]), 0)]
+                        ["symbol", "x", ":", "o", "."], array("q", [3]), 0,
+                        6)]
     with_dict = [type(s).__name__ for s in samples if hasattr(s, "__dict__")]
     assert not with_dict, "instances with a __dict__: " + ", ".join(with_dict)
 
