@@ -392,11 +392,10 @@ def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
 def _top_overlaps(grules: Sequence[RewriteRule]):
     """Witnesses that two linearized lhs with the same head unify (then
     two rules could apply at the top of the same term)."""
-    def relin(u: Term, _) -> Term:
-        # linearize: every variable occurrence becomes a fresh variable
-        if isinstance(u, Var):
-            return Var(Variable.fresh(u.var.name, u.var.sort))
-        return u
+    def relin(u: Var, _) -> Term:
+        # linearize: every variable occurrence, the only leaves of an
+        # algebraic lhs, becomes a fresh variable
+        return Var(Variable.fresh(u.var.name, u.var.sort))
 
     lin = [(r.name, _map_leaves(r.lhs, relin, 0)) for r in grules]
     same_head: Dict[str, List[int]] = {}

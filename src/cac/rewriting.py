@@ -12,9 +12,9 @@ from typing import (Dict, Iterable, Iterator, KeysView, List, NamedTuple,
 from .orderings import Orientation
 from .terms import (Abs, App, BVar, CacError, Environment, FuelExhausted,
                     Position, Prod, Sort, SortT, Symb, Term, Var, Variable,
-                    _children, _rebuild, close, free_vars, is_algebraic,
-                    occurrences, open_, open_fresh, replace_at, subst_apply,
-                    symbols_of, var_counts)
+                    _children, _plug, _rebuild, close, free_vars,
+                    is_algebraic, occurrences, open_, open_fresh, replace_at,
+                    subst_apply, symbols_of, var_counts)
 
 
 class RuleError(CacError):
@@ -107,75 +107,62 @@ class RuleSet(collections.abc.Sequence):
         return iter(self.rules)
 
 
-def match_first_order(pattern: Term, subject: Term,
-                      sigma: Optional[dict] = None) -> Optional[dict]:
-    """Match an algebraic pattern against a subject.  Repeated pattern
-    variables require alpha-equal images."""
-    if sigma is None:
-        sigma = {}
-    if isinstance(pattern, Var):
-        bound = sigma.get(pattern.var)
-        if bound is None:
-            sigma[pattern.var] = subject
-            return sigma
-        return sigma if bound == subject else None
-    if isinstance(pattern, Symb):
-        if not (isinstance(subject, Symb) and subject.name == pattern.name
-                and len(subject.args) == len(pattern.args)):
-            return None
-        for p, s in zip(pattern.args, subject.args):
-            if match_first_order(p, s, sigma) is None:
-                return None
-        return sigma
-    raise RuleError("bad-pattern", "pattern must be algebraic")
-
-
-def _walk(t: Term, sigma: dict) -> Term:
-    while isinstance(t, Var) and t.var in sigma:
-        t = sigma[t.var]
-    return t
-
-
-def _occurs(v: Variable, t: Term, sigma: dict) -> bool:
-    t = _walk(t, sigma)
-    if isinstance(t, Var):
-        return t.var == v
-    if isinstance(t, Symb):
-        return any(_occurs(v, a, sigma) for a in t.args)
-    return False
-
-
-def _resolve(t: Term, sigma: dict) -> Term:
-    t = _walk(t, sigma)
-    if isinstance(t, Symb):
-        return Symb(t.name, tuple(_resolve(a, sigma) for a in t.args))
-    return t
+def match_first_order(pattern: Term, subject: Term) -> Optional[dict]:
+    """Match an algebraic pattern against a subject, left to right, with
+    a stack of the argument pairs still to match, one iterator per open
+    symbol.  Repeated pattern variables require alpha-equal images."""
+    sigma: dict = {}
+    stack: List[Iterator] = [iter(((pattern, subject),))]
+    while stack:
+        for p, s in stack[-1]:
+            if p.__class__ is Var:
+                bound = sigma.get(p.var)
+                if bound is None:
+                    sigma[p.var] = s
+                elif bound != s:
+                    return None
+            elif p.__class__ is Symb:
+                if s.__class__ is not Symb or s.name != p.name \
+                        or len(s.args) != len(p.args):
+                    return None
+                stack.append(zip(p.args, s.args))
+                break
+            else:
+                raise RuleError("bad-pattern", "pattern must be algebraic")
+        else:
+            stack.pop()
+    return sigma
 
 
 def unify(a: Term, b: Term) -> Optional[dict]:
     """First-order unification of algebraic terms (shared variable space).
     The pairs are solved depth-first, left to right, so the bindings are
-    made in the order of a recursive descent."""
+    made in the order of a recursive descent.  Each image is kept fully
+    substituted (an idempotent mgu, Robinson, JACM 1965)."""
     sigma: dict = {}
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()
-        x, y = _walk(x, sigma), _walk(y, sigma)
+        x = sigma.get(x.var, x) if isinstance(x, Var) else x
+        y = sigma.get(y.var, y) if isinstance(y, Var) else y
         if isinstance(x, Var) and isinstance(y, Var) and x.var == y.var:
             continue
         if isinstance(y, Var) and not isinstance(x, Var):
             x, y = y, x
         if isinstance(x, Var):
-            if _occurs(x.var, y, sigma):
+            y = subst_apply(y, sigma)
+            if x.var in free_vars(y):
                 return None
+            bind = {x.var: y}
+            for v, u in sigma.items():
+                sigma[v] = subst_apply(u, bind)
             sigma[x.var] = y
         elif isinstance(x, Symb) and isinstance(y, Symb) \
                 and x.name == y.name and len(x.args) == len(y.args):
             todo += reversed(tuple(zip(x.args, y.args)))
         else:
             return None
-    # resolve chains so images are fully substituted
-    return {v: _resolve(u, sigma) for v, u in sigma.items()}
+    return sigma
 
 
 def rename_apart(rule: RewriteRule) -> RewriteRule:
@@ -206,31 +193,34 @@ def _root_reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
 def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
     """Every one-step reduct of t, lazily, in leftmost-outermost order:
     the reducts at the root, then those of the children in order, a
-    binder's domain before its body.  Only a symbol whose head has
-    rules and an application of an abstraction have reducts at the
-    root, so only they pay for a `_root_reducts` generator."""
-    if isinstance(t, Symb):
-        if t.name in rules.by_head:
-            yield from _root_reducts(t, rules)
-        args = t.args
-        for i, a in enumerate(args):
-            for r in _reducts(a, rules):
-                yield Symb(t.name, args[:i] + (r,) + args[i + 1:])
-    elif isinstance(t, App):
-        if isinstance(t.head, Abs):
-            yield from _root_reducts(t, rules)
-        for r in _reducts(t.head, rules):
-            yield App(r, t.arg)
-        for r in _reducts(t.arg, rules):
-            yield App(t.head, r)
-    elif isinstance(t, (Abs, Prod)):
-        node = type(t)
-        raw = t.body if node is Abs else t.codomain
-        for r in _reducts(t.domain, rules):
-            yield node(r, raw, t.hint)
-        v, body = open_fresh(t)
-        for r in _reducts(body, rules):
-            yield node(t.domain, close(r, v), t.hint)
+    binder's domain before its body.  One prefix walk with a zipper of
+    the focus's ancestors, into which `_plug` puts each reduct at the
+    focus; a binder's body is opened once the walk leaves its domain."""
+    by_head = rules.by_head
+    path: List[list] = []  # a frame [node, children, index, variable]
+    while True:
+        # only these have reducts at the root
+        cls = t.__class__
+        if cls is Symb and t.name in by_head \
+                or cls is App and t.head.__class__ is Abs:
+            for r in _root_reducts(t, rules):
+                yield [r, *_plug(path, r)][-1]  # the root
+        kids = _children(t)
+        if kids:
+            path.append([t, kids, -1, None])
+        while path:  # on to the next child, of t or of an ancestor
+            frame = path[-1]
+            node, kids, i = frame[0], frame[1], frame[2] + 1
+            if i < len(kids):
+                frame[2] = i
+                if i and isinstance(node, (Abs, Prod)):  # a binder's body
+                    frame[3], t = open_fresh(node)
+                else:
+                    t = kids[i]
+                break
+            path.pop()
+        else:
+            return
 
 
 def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
@@ -266,14 +256,10 @@ def _redex_above(t: Term, path: List[list], ruled: List[int],
         candidates.append(len(path) - 1)
     if not candidates:
         return None, None
-    subterms = {}
-    for j in range(len(path) - 1, candidates[0] - 1, -1):
-        node, kids, i, v, _ = path[j]
-        kids = kids.copy()
-        kids[i] = t if v is None else close(t, v)
-        t = subterms[j] = _rebuild(node, kids)
+    # the ancestors from the innermost, frame len(path) - 1, outwards
+    subterms = list(_plug(path, t, candidates[0]))
     for k in candidates:
-        r = next(_root_reducts(subterms[k], rules), None)
+        r = next(_root_reducts(subterms[len(path) - 1 - k], rules), None)
         if r is not None:
             return k, r
     return None, None

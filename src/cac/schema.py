@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rewriting import RewriteRule
 from .signature import Signature
-from .terms import (App, CacError, Environment, EPSILON, FuelExhausted,
+from .terms import (App, CacError, Environment, FuelExhausted,
                     InvalidPosition, Position, Symb, Term, Var, Variable,
                     positions_of, subst_apply)
 from .typing import TypeChecker, TypingDerivation
@@ -78,21 +78,20 @@ def acc_reachable(start: AccPair, sig: Signature,
 def derived_type(l: Term, p: Position, sig: Signature) -> Term:
     """The type forced on the lhs subterm at p by the declarations on
     the path (computed symbolically, at the identity instance)."""
-    if p == EPSILON:
-        raise InvalidPosition(l, p)
-    if not isinstance(l, Symb):
-        raise SchemaError("bad-path",
-                          f"derived type requires a symbol node, found {l}")
-    decl = sig.decls.get(l.name)
-    if decl is None:
-        raise SchemaError("unknown-symbol", f"undeclared symbol {l.name}")
-    i = p[0]
-    if not 1 <= i <= len(l.args):
-        raise InvalidPosition(l, p)
-    if len(p) == 1:
-        gamma = decl.inst(l.args)
-        return subst_apply(decl.binders[i - 1][1], gamma)
-    return derived_type(l.args[i - 1], p[1:], sig)
+    for k, i in enumerate(p):
+        if not isinstance(l, Symb):
+            raise SchemaError("bad-path",
+                              f"derived type requires a symbol node, found {l}")
+        decl = sig.decls.get(l.name)
+        if decl is None:
+            raise SchemaError("unknown-symbol", f"undeclared symbol {l.name}")
+        if not 1 <= i <= len(l.args):
+            raise InvalidPosition(l, p[k:])
+        if k + 1 == len(p):
+            gamma = decl.inst(l.args)
+            return subst_apply(decl.binders[i - 1][1], gamma)
+        l = l.args[i - 1]
+    raise InvalidPosition(l, p)  # the root position has no derived type
 
 
 # ---------------------------------------------------------------------------

@@ -429,15 +429,29 @@ def subterm_at(t: Term, p: Position) -> Term:
     return t
 
 
+def _plug(path: list, t: Term, stop: int = 0) -> Iterator[Term]:
+    """Put t back into the zipper frames `path` (Huet, JFP 1997) from the
+    innermost out to frame `stop`, yielding each ancestor it rebuilds.
+    A frame, [node, children, index, variable, ...], is not changed: t
+    fills the child at `index`, closed over `variable` when it is set."""
+    for j in range(len(path) - 1, stop - 1, -1):
+        frame = path[j]
+        kids, v = frame[1].copy(), frame[3]
+        kids[frame[2]] = t if v is None else close(t, v)
+        t = _rebuild(frame[0], kids)
+        yield t
+
+
 def replace_at(t: Term, p: Position, u: Term) -> Term:
-    if p == EPSILON:
-        return u
-    i = p[0]
-    kids = _children(t)
-    if not 1 <= i <= len(kids):
-        raise InvalidPosition(t, p)
-    kids[i - 1] = replace_at(kids[i - 1], p[1:], u)
-    return _rebuild(t, kids)
+    """t with u at position p: down to p, then u plugged back in."""
+    path = []
+    for k, i in enumerate(p):
+        kids = _children(t)
+        if not 1 <= i <= len(kids):
+            raise InvalidPosition(t, p[k:])
+        path.append((t, kids, i - 1, None))
+        t = kids[i - 1]
+    return [u, *_plug(path, u)][-1]  # the root
 
 
 def positions_of(t: Term, needle: Union[str, Variable]) -> frozenset:

@@ -219,14 +219,8 @@ RECURSIVE = {
     "cli.to_json": "nesting of a report, a few levels",
     "orderings.rpo_greater": "levels of algebraic rule sides, memoized",
     "printer._Printer._pp": "term levels; the README states the printer's limit",
-    "rewriting.match_first_order": "levels of a left-hand side pattern",
-    "rewriting._occurs": "levels of unified left-hand sides",
-    "rewriting._resolve": "levels of unified left-hand sides",
-    "rewriting._reducts": "one generator frame per level of the redex walk",
     "rewriting._Search._build": "levels of a right-hand side",
-    "schema.derived_type": "symbols on a left-hand side path",
     "terms._map_leaves": "term levels, for open_, close and subst_apply",
-    "terms.replace_at": "steps of one position",
     "typing.replay": "levels of a recorded typing derivation",
     "typing.TypeChecker.infer": "term levels; the README states its limit",
 }
