@@ -15,7 +15,7 @@ from .printer import pp
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, CriticalPair,
                         RewriteRule, RuleSet, confluence_check, critical_pairs,
                         joinable, left_linear, match_first_order, normalize,
-                        reduce_one, step, unify)
+                        step, unify)
 from .schema import (AccPair, ClosureChecker, SchemaVerdict, acc_step,
                      args_greater, cc_check, check_well_formed, derived_type,
                      satisfies_general_schema)

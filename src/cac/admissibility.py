@@ -165,8 +165,6 @@ def _parameter_linked(lhs: Symb, xp: Variable, image: Term,
     if _index_linked(lhs, xp, image, sig):
         return True
     for p in sorted(positions_of(lhs, xp)):
-        if len(p) < 2:
-            continue
         q, j = p[:-1], p[-1]
         holder = subterm_at(lhs, q)
         decl = sig.decls.get(holder.name)
@@ -179,7 +177,7 @@ def _parameter_linked(lhs: Symb, xp: Variable, image: Term,
             continue
         try:
             tau = derived_type(lhs, q, sig)
-        except CacError:
+        except CacError:  # such as the root's, for a top-level p
             continue
         if isinstance(tau, Symb) and len(tau.args) >= k \
                 and tau.args[k - 1] == image:
@@ -251,15 +249,18 @@ class SystemProperties:
     """The properties of a set of rules, each NOT_CHECKED until
     `system_properties` decides it."""
 
-    def __init__(self, algebraic: TriState = NOT_CHECKED,
-                 non_duplicating: TriState = NOT_CHECKED):
+    def __init__(self):
         for k in PROPERTIES:
             setattr(self, k, NOT_CHECKED)
-        self.algebraic = algebraic
-        self.non_duplicating = non_duplicating
 
     def to_dict(self):
         return {k: getattr(self, k).to_dict() for k in PROPERTIES}
+
+
+# what the partition guarantees of the algebraic part (see
+# `partition_explained`)
+PARTITION_GUARANTEES = SystemProperties()
+PARTITION_GUARANTEES.algebraic = PARTITION_GUARANTEES.non_duplicating = HOLDS
 
 
 def _duplication(r: RewriteRule) -> Optional[str]:
@@ -371,17 +372,12 @@ _FAILURES = {"algebraic": _algebraic, "non_duplicating": _non_duplicating,
 
 
 def system_properties(gset: FrozenSet[str], grules: Sequence[RewriteRule],
-                      tc: TypeChecker,
-                      which: Sequence[str] = PROPERTIES,
-                      classes: Optional[Dict[str, PredicateClass]] = None
-                      ) -> SystemProperties:
+                      tc: TypeChecker, classes: Dict[str, PredicateClass],
+                      which: Sequence[str] = PROPERTIES) -> SystemProperties:
     """The properties named in `which` of the rules `grules` of the
-    symbols `gset`, among all the rules of `tc`'s typing context.
-    `classes` are the predicate classes of that context, when the caller
-    has them already."""
+    symbols `gset`, among all the rules of `tc`'s typing context, whose
+    free predicates have the classes `classes`."""
     props = SystemProperties()
-    if classes is None and ("algebraic" in which or "primitive" in which):
-        classes = predicate_classes(tc.sig, tc.rules)
     for k in PROPERTIES:
         if k in which:
             why = next(_FAILURES[k](gset, grules, tc, classes), None)
@@ -413,10 +409,9 @@ def _top_overlaps(grules: Sequence[RewriteRule]):
 
 
 def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
-                        force_non_algebraic: FrozenSet[str] = frozenset(),
-                        assume_terminating: bool = False,
-                        orientation: Optional[Orientation] = None,
-                        classes: Optional[Dict[str, PredicateClass]] = None
+                        force_non_algebraic: FrozenSet[str],
+                        assume_terminating: bool, orientation: Orientation,
+                        classes: Dict[str, PredicateClass]
                         ) -> Tuple[FrozenSet[str], FrozenSet[str],
                                    Dict[str, str]]:
     """Split the defined symbols into an algebraic part and the rest by
@@ -427,14 +422,9 @@ def partition_explained(sig: Signature, rules: Sequence[RewriteRule],
     asserted), and mention no non-algebraic symbol.  Returns the two
     parts plus, for each demoted symbol, the reason it left the
     algebraic part.  `orientation` is the run's table and `classes` its
-    predicate classes (see `check_admissible`); without them, they are
-    built here."""
+    predicate classes (see `check_admissible`)."""
     rules = RuleSet.of(rules)
-    if orientation is None:
-        orientation = Orientation(sig)
     _, defined = sig.free_and_defined(rules)
-    if classes is None:
-        classes = predicate_classes(sig, rules)
     by_head = rules.by_head
     reasons: Dict[str, str] = {}
 
@@ -547,8 +537,7 @@ class AdmissibilityReport(NamedTuple):
                 "algebraic": sorted(self.a4_algebraic),
                 "non_algebraic": sorted(self.a4_non_algebraic),
                 # what the partition guarantees of the algebraic part
-                "algebraic_properties": SystemProperties(
-                    algebraic=HOLDS, non_duplicating=HOLDS).to_dict(),
+                "algebraic_properties": PARTITION_GUARANTEES.to_dict(),
                 "non_algebraic_properties":
                     self.a4_non_algebraic_props.to_dict(),
                 "strong_normalization": self.a4_sn.to_dict(),
@@ -635,7 +624,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         a3_branch = "vacuous"
     else:
         gset = frozenset(dfb)
-        a3_props = system_properties(gset, dfb_rules, tc, classes=classes)
+        a3_props = system_properties(gset, dfb_rules, tc, classes)
         if a3_props.primitive.holds:
             a3_branch = "primitive"
         elif a3_props.simple.holds and a3_props.positive.holds:
@@ -655,7 +644,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
                                              classes)
     fa_rules = [r for r in rules if r.head_name() in fa]
     fna_rules = [r for r in rules if r.head_name() in fna]
-    fna_props = system_properties(fna, fna_rules, tc,
+    fna_props = system_properties(fna, fna_rules, tc, classes,
                                   which=("safe", "recursive"))
     a4_sn = algebraic_termination(sig, fa_rules, orientation,
                                   assume_terminating)

@@ -14,7 +14,7 @@ from .terms import (Abs, App, EPSILON, Position, Prod, Sort, SortT, Symb,
                     Term, Var, Variable, _children, occurrences)
 
 
-def is_predicate_term(t: Term, sig: Optional[Signature] = None) -> bool:
+def is_predicate_term(t: Term, sig: Signature) -> bool:
     """Whether t lives at the predicate level (its type is a kind):
     decided from the head's declared sort class."""
     while isinstance(t, (Abs, App)):
@@ -23,7 +23,7 @@ def is_predicate_term(t: Term, sig: Optional[Signature] = None) -> bool:
         return True
     if isinstance(t, Var):
         return t.var.sort == Sort.BOX
-    if isinstance(t, Symb) and sig is not None and t.name in sig.decls:
+    if isinstance(t, Symb) and t.name in sig.decls:
         return sig.decls[t.name].sort == Sort.BOX
     return False
 

@@ -63,9 +63,6 @@ class RewriteRule(_RuleFields):
     def lhs_args(self) -> Tuple[Term, ...]:
         return self.lhs.args  # type: ignore[union-attr]
 
-    def __str__(self):
-        return f"{self.name}: {self.lhs} -> {self.rhs}"
-
 
 class RuleSet(collections.abc.Sequence):
     """Rules in declaration order, indexed by the head symbol of their
@@ -221,20 +218,6 @@ def _reducts(t: Term, rules: RuleSet) -> Iterator[Term]:
             path.pop()
         else:
             return
-
-
-def reduce_one(t: Term, rules: Sequence[RewriteRule]) -> List[Term]:
-    """All one-step reducts of t (rule steps and beta steps, anywhere),
-    without alpha-equal duplicates, each where it first occurs.  Alpha-
-    equal reducts share a `_Search` handle, so deduping hashes no term
-    whole and has no depth limit."""
-    rules = RuleSet.of(rules)
-    reducts = list(_reducts(t, rules))
-    # the reducts keep alive every term that `known` names
-    search, known, out = _Search(rules), {}, {}
-    for r in reducts:
-        out.setdefault(search.intern(r, known), r)
-    return list(out.values())
 
 
 def step(t: Term, rules: Sequence[RewriteRule]) -> Optional[Term]:

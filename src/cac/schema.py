@@ -104,10 +104,6 @@ class AccessWitness(NamedTuple):
     position: Position       # i . p_x
     derived: Term            # tau(l, i.p_x)
 
-    def __str__(self):
-        return (f"{self.variable} accessible at {list(self.position)} "
-                f"with derived type {self.derived}")
-
 
 class WellFormedness(NamedTuple):
     ok: bool

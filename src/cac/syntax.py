@@ -606,10 +606,9 @@ class LoadedFile:
                     del remaining[v]
                     progressed = True
             if not progressed:
-                raise ElabError(
-                    "bad-env",
-                    f"line {line}: cyclic dependencies among inferred "
-                    "variable types; annotate the rule explicitly")
+                raise ElabError("bad-env", f"line {line}: cyclic dependencies"
+                                " among inferred variable types; annotate "
+                                "the rule explicitly")
         env = Environment.of((v, types[v]) for v in order)
         return RewriteRule(name, lhs, rhs, env, {})
 

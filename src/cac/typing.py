@@ -32,9 +32,12 @@ class TypingDerivation(NamedTuple):
     note: str = ""
 
     def nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
+        """Every node of the derivation, in prefix order."""
+        todo = [self]
+        while todo:
+            d = todo.pop()
+            yield d
+            todo += reversed(d.premises)
 
 
 class TypeChecker:

@@ -3,12 +3,33 @@ import pathlib
 import pytest
 
 import cac
+from cac.rewriting import RuleSet, _reducts
 
 CORPUS = pathlib.Path(cac.__file__).parent / "corpus"
 
 
 def corpus_source(name: str) -> str:
     return (CORPUS / f"{name}.cac").read_text(encoding="utf-8")
+
+
+def _unless_recursion_error(f, *args):
+    """f(*args), or "RecursionError" when it raises one: a test of a
+    walk on a term deeper than the recursion limit then fails at once,
+    not after pytest has rendered a traceback a thousand frames deep."""
+    try:
+        return f(*args)
+    except RecursionError:
+        return "RecursionError"
+
+
+def reference_reduce_one(t, rules):
+    """Every one-step reduct of t, in `_reducts`' order, alpha-duplicates
+    dropped by pairwise comparison."""
+    out = []
+    for u in _reducts(t, RuleSet.of(rules)):
+        if all(u != w for w in out):
+            out.append(u)
+    return out
 
 
 def plus_family_source(k: int) -> str:

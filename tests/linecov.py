@@ -13,8 +13,10 @@ subprocess are invisible to the probe.
 
 It prints, per module, the lines reached out of the lines that hold
 code, and the unreached lines as ranges: first those outside ALLOWLIST,
-then those inside it.  pytest does not collect this file: its name does
-not start with `test_`.
+then those inside it.  It exits with pytest's status when a test
+fails, else with 1 when a line outside ALLOWLIST is unreached, else
+with 0.  pytest does not collect this file: its name does not start
+with `test_`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import pathlib
 import sys
 import types
 from collections import defaultdict
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 import pytest
 
@@ -43,6 +45,10 @@ ALLOWLIST = [
     ("cli.py", "except RecursionError:", _AFTER_OVERFLOW),
     ("syntax.py", 'raise ElabError("internal"',
      "defensive: the parser builds no other node"),
+    ("syntax.py", 'raise ElabError("bad-env"',
+     "termination guard of the dependency sort, which places a variable "
+     "in every round: a derived type mentions only variables whose first "
+     "lhs occurrence comes earlier in prefix order"),
     ("typing.py", 'raise TypingError("internal"',
      "defensive: every term class has a rule"),
 ]
@@ -130,7 +136,9 @@ def _ranges(lines: List[int]) -> str:
     return ", ".join(out)
 
 
-def report(hit: Dict[str, Set[int]]) -> str:
+def report(hit: Dict[str, Set[int]]) -> Tuple[str, int]:
+    """The printed report, and the count of unreached lines outside the
+    allowlist."""
     rows, reached, total, outside = [], 0, 0, 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -151,14 +159,15 @@ def report(hit: Dict[str, Set[int]]) -> str:
     rows.append(f"total: {reached}/{total} function-body lines "
                 f"({share:.1f}%); {outside} unreached outside the "
                 "allowlist")
-    return "\n".join(rows)
+    return "\n".join(rows), outside
 
 
 def main(argv: List[str]) -> int:
     probe = LineProbe()
     status = pytest.main(argv or ["-q", "tests"], plugins=[probe])
-    print(report(probe.hit))
-    return int(status)
+    text, outside = report(probe.hit)
+    print(text)
+    return int(status) or int(outside > 0)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,17 @@ from cac.admissibility import (HOLDS, TERMINATION_ASSERTED,
                                algebraic_termination, fails,
                                partition_explained)
 from cac.orderings import Orientation
+from cac.positivity import predicate_classes
 from cac.terms import symbols_of
 from tests.conftest import corpus_source
+
+
+def partition(lf, force_non_algebraic=frozenset(), assume_terminating=False):
+    """A4's partition of lf's defined symbols, with an orientation table
+    and predicate classes of its own."""
+    return partition_explained(lf.signature, lf.rules, force_non_algebraic,
+                               assume_terminating, Orientation(lf.signature),
+                               predicate_classes(lf.signature, lf.rules))
 
 
 def _conds(lf, name):
@@ -115,11 +124,43 @@ def test_s4_lists_uncovered_variables_in_lhs_order():
                                   "substitution: a, b"), base
 
 
+# S5's linkage tests skip every occurrence that cannot link a
+# substituted variable to its image; each system below has one such
+# occurrence and no other, so S5 fails
+S5_UNLINKED = [
+    # the occurrence's holder list(A') has a sort for output type
+    ("symbol list : * -> * .\nsymbol f : * -> o .\n"
+     "rule f(list(A')) -> a with env [A : *] rho {A' := A} .\n", "A'"),
+    # cons's second binder is no parameter of its output type list(A)
+    ("symbol list : * -> * .\n"
+     "symbol cons : (A : *) -> A -> list(A) -> list(A) .\n"
+     "symbol g : list(o) -> o .\n"
+     "rule g(cons(o, x', l)) -> a with env [l : list(o)] rho {x' := a} .\n",
+     "x'"),
+    # n' is the index of h's second argument, but c's type is w(zero),
+    # not an instance of vec(n)
+    ("symbol nat : * .\nsymbol zero : nat .\nsymbol vec : nat -> * .\n"
+     "symbol w : nat -> * .\nsymbol c : w(zero) .\n"
+     "symbol h : (n : nat) -> vec(n) -> o .\n"
+     "rule h(n', c) -> a with env [] rho {n' := zero} .\n", "n'"),
+]
+
+
+@pytest.mark.parametrize("rules, unlinked", S5_UNLINKED)
+def test_s5_skips_occurrences_that_cannot_link(rules, unlinked):
+    lf = load("symbol o : * .\nsymbol a : o .\n" + rules)
+    (rule,) = lf.rules
+    c = check_type_preservation(rule, TypeChecker(lf.signature, lf.rules))
+    assert c["s5"] == ("s5", Outcome.FAIL,
+                       f"no parameter linkage for {unlinked}")
+
+
 def test_ndm_properties(ndm):
     gset = frozenset(ndm.signature.defined_predicate_symbols(ndm.rules))
     assert gset == {"/\\", "\\/", "not"}
     props = system_properties(gset, ndm.rules,
-                              TypeChecker(ndm.signature, ndm.rules))
+                              TypeChecker(ndm.signature, ndm.rules),
+                              predicate_classes(ndm.signature, ndm.rules))
     assert props.algebraic.holds
     assert props.non_duplicating.holds
     assert props.primitive.holds
@@ -132,7 +173,7 @@ def test_ndm_properties(ndm):
 def test_non_duplication_witness():
     lf = load(corpus_source("neg_dup"))
     props = system_properties(frozenset({"f"}), lf.rules,
-                              TypeChecker(lf.signature, lf.rules),
+                              TypeChecker(lf.signature, lf.rules), {},
                               which=("non_duplicating",))
     assert props.non_duplicating.status == "FAILS"
     assert "duplicates x" in props.non_duplicating.witness
@@ -148,27 +189,93 @@ def test_top_overlap_detection():
     """
     lf = load(src)
     props = system_properties(frozenset({"f"}), lf.rules,
-                              TypeChecker(lf.signature, lf.rules),
+                              TypeChecker(lf.signature, lf.rules), {},
                               which=("simple",))
     assert props.simple.status == "FAILS"
     assert "top" in props.simple.witness
 
 
+APP_SOURCE = corpus_source("app")
+
+
+@pytest.mark.parametrize("extra, prop, witness", [
+    ("symbol nat : * .\nsymbol F : nat -> * .\nrule F(x) -> nat -> nat .\n",
+     "primitive", "rule rule3: right-hand side head is nat -> nat, not a "
+                  "symbol application"),
+    # list has an accessible argument of type list(A): basic, not
+    # primitive
+    ("symbol F : * -> * .\nrule F(A) -> list(A) .\n",
+     "primitive", "rule rule3: head symbol list is outside the system and "
+                  "not a primitive predicate"),
+    ("symbol F : * -> * -> * .\nrule F(A, A) -> A .\n",
+     "simple", "rule rule3: predicate variable A must be exactly one lhs "
+               "argument, found 2"),
+    ("symbol G : * -> * .\nrule G(list(B)) -> B .\n",
+     "simple", "rule rule3: predicate variable B must be exactly one lhs "
+               "argument, found 0"),
+])
+def test_a3_property_witnesses(extra, prop, witness):
+    report = _admissibility(APP_SOURCE + extra)
+    assert getattr(report.a3_properties, prop) == fails(witness)
+
+
+def test_primitive_reads_the_head_under_abstractions():
+    # g's type F(zero) rewrites to a product, so g's rule may have an
+    # abstraction for its right-hand side; no predicate symbol's can,
+    # which leaves this to a call of the property itself
+    lf = load("symbol nat : * .\nsymbol zero : nat .\nsymbol F : nat -> * .\n"
+              "rule F(x) -> nat -> nat .\nsymbol g : F(zero) .\n"
+              "symbol h : nat -> nat .\nrule g -> fun (y : nat) => h(y) .\n")
+    tc = TypeChecker(lf.signature, lf.rules)
+    classes = predicate_classes(lf.signature, lf.rules)
+    assert system_properties(frozenset({"g", "h"}), lf.rules[1:], tc,
+                             classes, which=("primitive",)).primitive \
+        == HOLDS
+
+
+@pytest.mark.parametrize("extra, witness", [
+    ("symbol o : * .\nrule app(o, nil(o), l) -> l .\n"
+     "pragma non_algebraic app .\n",
+     "rule rule3: predicate argument A is instantiated to o, not a "
+     "predicate variable of the environment"),
+    ("symbol k : (A : *) -> (B : *) -> A -> B -> A .\n"
+     "rule k(A, A, x, y) -> x .\npragma non_algebraic k .\n",
+     "rule rule3: predicate arguments A and B share the instance A"),
+])
+def test_a4_safety_witnesses(extra, witness):
+    report = _admissibility(APP_SOURCE + extra)
+    assert report.a4_non_algebraic_props.safe == fails(witness)
+    assert report.overall == OverallVerdict.REJECTED
+
+
+def test_algebraic_witnesses_of_symbols_outside_the_predicates(app):
+    # no run asks this of object symbols or of undeclared ones, but the
+    # property says why it fails for them
+    tc = TypeChecker(app.signature, app.rules)
+    classes = predicate_classes(app.signature, app.rules)
+    assert system_properties(frozenset({"zz"}), [], tc, classes,
+                             which=("algebraic",)).algebraic \
+        == fails("undeclared symbol zz")
+    assert system_properties(frozenset({"app"}), app.rules, tc, classes,
+                             which=("algebraic",)).algebraic \
+        == fails("app is neither a predicate symbol nor a constructor of "
+                 "a primitive predicate")
+
+
 def test_partition_int(intf):
-    fa, fna = partition_explained(intf.signature, intf.rules)[:2]
+    fa, fna = partition(intf)[:2]
     assert fa == frozenset({"s", "p", "plus", "times"})
     assert fna == frozenset()
 
 
 def test_partition_demotes_with_reasons(natf):
-    fa, fna, reasons = partition_explained(natf.signature, natf.rules)
+    fa, fna, reasons = partition(natf)
     assert "WElim_nat" in fna
     assert reasons["WElim_nat"]  # a concrete demotion reason is recorded
 
 
 def test_partition_force_non_algebraic(intf):
-    fa, fna = partition_explained(intf.signature, intf.rules,
-                                  force_non_algebraic=frozenset({"plus"}))[:2]
+    fa, fna = partition(intf, force_non_algebraic=frozenset({"plus"}))[:2]
     assert "plus" in fna
 
 
@@ -356,8 +463,7 @@ rule g(x) -> h(x) .
 
 def test_partition_demotes_through_a_chain_of_mentions():
     lf = load(DEMOTION_CHAIN)
-    fa, fna, reasons = partition_explained(lf.signature, lf.rules,
-                                           lf.non_algebraic)
+    fa, fna, reasons = partition(lf, lf.non_algebraic)
     assert fa == frozenset()
     assert fna == frozenset({"g", "h", "k"})
     assert reasons == {
@@ -366,7 +472,7 @@ def test_partition_demotes_through_a_chain_of_mentions():
         "g": "rules mention the non-algebraic symbol h",
     }
     # without the pragma nothing is demoted
-    assert partition_explained(lf.signature, lf.rules)[:2] == (
+    assert partition(lf)[:2] == (
         frozenset({"g", "h", "k"}), frozenset())
 
 
@@ -376,9 +482,7 @@ def test_partition_builds_no_mention_index_when_nothing_is_demoted():
     from tests.test_acceptance import _calls, _synthetic
     lf = load(_synthetic(160))
     got = []
-    calls = _calls(lambda: got.append(partition_explained(lf.signature,
-                                                           lf.rules)),
-                   only=symbols_of)
+    calls = _calls(lambda: got.append(partition(lf)), only=symbols_of)
     assert calls == 0
     assert len(got[0][0]) == 160 and got[0][1:] == (frozenset(), {})
 
@@ -429,6 +533,7 @@ def reference_algebraic_part(sig, rules, fa, fna):
     separation)."""
     fa_rules = [r for r in rules if r.head_name() in fa]
     props = system_properties(fa, fa_rules, TypeChecker(sig, rules),
+                              predicate_classes(sig, rules),
                               which=("algebraic", "non_duplicating"))
     sep_bad = [(r.name, s) for r in fa_rules
                for s in sorted((symbols_of(r.lhs) | symbols_of(r.rhs))
@@ -517,9 +622,7 @@ def first_order_systems(draw):
 @given(first_order_systems())
 def test_partition_passes_the_reference_checks_on_generated_systems(src):
     lf = load(src)
-    fa, fna, reasons = partition_explained(lf.signature, lf.rules,
-                                           lf.non_algebraic,
-                                           lf.assume_terminating)
+    fa, fna, reasons = partition(lf, lf.non_algebraic, lf.assume_terminating)
     assert set(reasons) == fna
     assert reference_algebraic_part(lf.signature, lf.rules, fa, fna) \
         == (HOLDS, HOLDS, HOLDS), src

@@ -228,10 +228,11 @@ RECURSIVE = {
 
 def _self_calling(tree, prefix):
     """Qualified name of every function in tree that calls itself
-    directly, by name or as self.<name>."""
+    directly: by name, as self.<name>, or, for a method, as <name> of
+    any plain name, such as another instance of its class."""
     found = []
 
-    def visit(node, qual):
+    def visit(node, qual, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
@@ -243,14 +244,14 @@ def _self_calling(tree, prefix):
                             or isinstance(c.func, ast.Attribute)
                             and c.func.attr == child.name
                             and isinstance(c.func.value, ast.Name)
-                            and c.func.value.id == "self")
+                            and (in_class or c.func.value.id == "self"))
                         for c in ast.walk(child)):
                     found.append(name)
-                visit(child, name)
+                visit(child, name, isinstance(child, ast.ClassDef))
             else:
-                visit(child, qual)
+                visit(child, qual, in_class)
 
-    visit(tree, prefix)
+    visit(tree, prefix, False)
     return found
 
 
@@ -300,7 +301,6 @@ def test_unify_free_vars_and_polarity_leave_no_cyclic_garbage(corpus):
 UNCALLED_EXPORTS = {
     "arrow": "term constructor, paired with pi for non-dependent products",
     "lam": "term constructor, paired with pi for abstractions",
-    "reduce_one": "the reference the joinability search is tested against",
     "replay": "re-checks a recorded derivation; it calls only itself",
     "selim_for_motive": "strong elimination; no .cac syntax reaches it yet",
 }

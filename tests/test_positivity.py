@@ -18,7 +18,7 @@ from cac import (Abs, App, BVar, PredicateClass, Prod, STAR, Signature,
 from cac import positivity
 from cac.positivity import is_predicate_term, signed_occurrences
 from cac.terms import Sort, occurrences, symbols_of
-from tests.conftest import corpus_source
+from tests.conftest import _unless_recursion_error, corpus_source
 
 
 def test_polarity_product_flips_domain():
@@ -221,16 +221,6 @@ def test_polarity_matches_the_recursive_definition():
             == dict.fromkeys(pos, 1) | dict.fromkeys(neg, -1), t
         seen.update(type(u).__name__ for _, u in occurrences(t))
     assert seen >= {"App", "Abs", "Prod", "Symb", "Var", "BVar", "SortT"}
-
-
-def _unless_recursion_error(f, *args):
-    """f(*args), or "RecursionError" when it raises one: a walk that
-    recurses fails at once, not with a traceback a thousand frames
-    deep."""
-    try:
-        return f(*args)
-    except RecursionError:
-        return "RecursionError"
 
 
 def test_term_walks_have_no_depth_limit():

@@ -1,18 +1,19 @@
 """Randomized, seed-fixed property suites (500 cases each):
 substitution composition, one-step subject reduction, polarity
 disjointness, match/substitute round trips, normalization idempotence,
-and agreement of `step` with `reduce_one` under binders."""
+and agreement of `step` with the first one-step reduct under
+binders."""
 
 import random
 
 import pytest
 
 from cac import (Environment, STAR, Symb, TypeChecker, Var, Variable,
-                 match_first_order, normalize, pp, reduce_one, step,
-                 subst_apply)
+                 match_first_order, normalize, pp, step, subst_apply)
 from cac.positivity import signed_occurrences
 from cac.printer import _Printer
 from cac.terms import App, arrow, free_vars, lam, map_children, pi, Sort
+from tests.conftest import reference_reduce_one
 
 CASES = 500
 
@@ -83,7 +84,7 @@ def test_one_step_subject_reduction(intf):
     for _ in range(CASES):
         t = random_int_term(rng, [], rng.randrange(1, 6))
         tc.check(Environment(), t, intt)
-        for u in reduce_one(t, intf.rules):
+        for u in reference_reduce_one(t, intf.rules):
             tc.check(Environment(), u, intt)
             checked += 1
     assert checked >= CASES // 2  # plenty of reducible cases
@@ -169,14 +170,12 @@ def test_step_is_first_of_reduce_one(intf):
     under_binder = 0
     for _ in range(CASES):
         t = random_binder_term(rng, _int_vars(rng, 2), rng.randrange(1, 6))
-        reducts = reduce_one(t, intf.rules)
+        reducts = reference_reduce_one(t, intf.rules)
         s = step(t, intf.rules)
         if not reducts:
             assert s is None, pp(t)
             continue
         assert s is not None and s == reducts[0], pp(t)
-        for i, u in enumerate(reducts):
-            assert not any(u == w for w in reducts[i + 1:]), pp(t)
         under_binder += not isinstance(t, (Symb, App))
     assert under_binder >= CASES // 20  # binders with a redex inside
 

@@ -3,10 +3,10 @@ judgment, and the termination-schema verdict."""
 
 import pytest
 
-from cac import (RewriteRule, STAR, Symb, TypeChecker, Var, Variable,
-                 acc_step, args_greater, cc_check, check_admissible,
-                 check_well_formed, derived_type, load, replay,
-                 satisfies_general_schema)
+from cac import (App, Environment, RewriteRule, STAR, Symb, TypeChecker,
+                 Var, Variable, acc_step, args_greater, cc_check,
+                 check_admissible, check_well_formed, derived_type, load,
+                 replay, satisfies_general_schema)
 from cac.schema import AccPair, SchemaError, acc_reachable
 from cac.terms import CacError, FuelExhausted, Sort
 from tests.conftest import corpus_source
@@ -33,6 +33,25 @@ def test_acc_step_requires_constructor_head(app):
     a = Variable.fresh("A", Sort.BOX)
     assert acc_step(Var(a), Symb("list", (Var(a),)), sig) == []
     assert acc_step(Symb("nil", (Var(a),)), STAR, sig) == []
+
+
+def test_acc_step_refuses_undeclared_and_misapplied_symbols(app):
+    sig = app.signature
+    a = Var(Variable.fresh("A", Sort.BOX))
+    list_a = Symb("list", (a,))
+    assert acc_step(Symb("zz", (a,)), list_a, sig) == []
+    assert acc_step(Symb("cons", (a,)), list_a, sig) == []
+
+
+def test_acc_step_reads_the_head_of_an_applied_type(app):
+    # a type given as an application is a type of the predicate at its
+    # head
+    sig = app.signature
+    a = Var(Variable.fresh("A", Sort.BOX))
+    x = Var(Variable.fresh("x", Sort.STAR))
+    nil = Symb("nil", (a,))
+    assert acc_step(nil, App(Symb("list", (a,)), x), sig) \
+        == acc_step(nil, Symb("list", (a,)), sig) == [AccPair(a, STAR)]
 
 
 def test_acc_reachable_transitive(app):
@@ -79,6 +98,41 @@ def test_well_formed_app_rules(app):
     # its derived type mentions A', and rho maps A' to A
     assert by_name["l"].derived == Symb("list",
                                         (rule.lhs.args[1].args[0],))
+
+
+def test_well_formedness_refuses_undeclared_symbols(app):
+    # rules built through the API may mention symbols no file declares
+    a = Variable.fresh("A", Sort.BOX)
+    l, l2 = (Variable.fresh(n, Sort.STAR) for n in ("l", "l2"))
+    list_a = Symb("list", (Var(a),))
+    env = Environment().extend(a, STAR).extend(l, list_a).extend(l2, list_a)
+    head = RewriteRule("r", Symb("zz", (Var(l),)), Var(l),
+                       Environment().extend(l, list_a))
+    assert check_well_formed(head, app.signature) \
+        == (False, {}, ["undeclared head symbol zz"])
+    # l's one occurrence sits below zz, so it has no derived type
+    inner = RewriteRule("r", Symb("app", (Var(a), Symb("zz", (Var(l),)),
+                                          Var(l2))), Var(l2), env)
+    wf = check_well_formed(inner, app.signature)
+    assert wf.failures == [f"r: variable l has no accessible occurrence in "
+                           f"the left-hand side with derived type matching "
+                           f"{list_a}"]
+    assert set(wf.witnesses) == {a, l2}
+
+
+def test_closure_refuses_undeclared_and_misapplied_symbols():
+    lf = load("symbol o : * .\nsymbol a : o .\nsymbol h : o -> o .\n"
+              "symbol f : o -> o .\npragma prec f > a .\nrule f(x) -> a .\n")
+    (rule,) = lf.rules
+    tc = TypeChecker(lf.signature, lf.rules)
+    a = Symb("a", ())
+    # h is not below f in the precedence, yet its arity decides first
+    for rhs, why in ((Symb("zz", ()), "undeclared symbol zz"),
+                     (Symb("h", (a, a)), "h expects 1 argument(s), got 2")):
+        bad = RewriteRule(rule.name, rule.lhs, rhs, rule.ann_env, {})
+        with pytest.raises(SchemaError) as e:
+            cc_check(bad, tc)
+        assert e.value.message == f"rule1: no closure derivation: {why}"
 
 
 def test_args_greater_strict_decrease(app):

@@ -281,6 +281,17 @@ def test_rule_annotations_round_trip(app):
     assert isinstance(image, Var) and image.var.name == "A"
 
 
+def test_rho_variables_take_the_sort_class_of_their_image(app):
+    # A' := A stands for a type, n' := zero for an object
+    (a_prime,) = next(r for r in app.rules if r.name == "rule2").ann_subst
+    assert a_prime.sort == Sort.BOX
+    lf = load("symbol nat : * .\nsymbol zero : nat .\n"
+              "symbol f : nat -> nat .\n"
+              "rule f(n') -> zero with env [] rho {n' := zero} .\n")
+    ((n_prime, image),) = lf.rules[0].ann_subst.items()
+    assert n_prime.sort == Sort.STAR and image == Symb("zero", ())
+
+
 def test_rule_inference_assigns_sorts(ndm):
     rule = next(r for r in ndm.rules if r.name == "rule1")
     (p_var, p_typ) = tuple(rule.ann_env)[0]

@@ -186,6 +186,10 @@ def test_replay_checks_an_abstraction():
     _, d = tc.infer(Environment(), lam(x, NAT, Var(x)))
     assert d.rule_tag == "abs"
     assert replay(d, tc)
+    # the body's judgment, then the product's with its two sorts
+    assert [(n.rule_tag, str(n.term)) for n in d.nodes()] == [
+        ("abs", "fun (x:nat) => x"), ("var", "x"),
+        ("prod", "nat -> nat"), ("symb", "nat"), ("symb", "nat")]
     # the product's domain must be the abstraction's
     assert not replay(d._replace(typ=arrow(Symb("F", (ZERO,)), NAT)), tc)
 
@@ -199,6 +203,25 @@ def test_replay_checks_an_application():
     _, h = tc.infer(Environment(), Symb("h", ()))
     assert replay(h, tc)
     assert not replay(d._replace(premises=(h, d.premises[1])), tc)
+
+
+def test_replay_rejects_malformed_nodes():
+    tc = _type_level()
+    d = tc.check(Environment(), G_ZERO, NAT)
+    head, arg = d.premises
+    assert arg.rule_tag == "symb" and replay(arg, tc)
+    # a premise that does not replay, under a node that would
+    bad_arg = arg._replace(typ=Symb("F", (ZERO,)))
+    assert not replay(bad_arg, tc)
+    assert not replay(d._replace(premises=(head, bad_arg)), tc)
+    # a symb node over no symbol, an undeclared one, or a misapplied one
+    x = Variable.fresh("x", Sort.STAR)
+    for term in (Var(x), Symb("zz", ()), Symb("zero", (ZERO,))):
+        assert not replay(arg._replace(term=term), tc), term
+    # an app node over no application
+    assert not replay(d._replace(term=ZERO), tc)
+    # a rule that does not exist
+    assert not replay(arg._replace(rule_tag="weak"), tc)
 
 
 def test_replay_checks_a_conversion():
