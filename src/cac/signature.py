@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .rewriting import RuleSet
-from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
+from .terms import (CacError, Environment, Prod, Sort, Symb, Term, Var,
                     Variable, open_, sort_class_of_type, symbols_of)
 
 
@@ -21,17 +21,28 @@ class SymbolDecl(NamedTuple):
     typ: Term
     sort: Sort  # the s with |- typ : s
     # telescope: binder variables paired with their domains, plus output
-    binders: Tuple = ()   # tuple of (Variable, Term)
-    output: Term = STAR
+    binders: Tuple        # tuple of (Variable, Term)
+    output: Term
+    # whether some binder occurs in a later binder's domain or in output
+    dependent: bool
 
     def inst(self, args: Iterable[Term]) -> dict:
-        """The substitution gamma = {x-vec -> t-vec}."""
+        """The substitution gamma = {x-vec -> t-vec}, for the binders'
+        domains and the output, the only terms it is applied to.  It is
+        empty when the telescope is not dependent, since it would change
+        none of them, and `subst_apply` returns at once on it."""
+        if not self.dependent:
+            return {}
         return dict(zip((v for v, _ in self.binders), args))
 
 
-def split_telescope(typ: Term, arity: int, name: str) -> Tuple[Tuple, Term]:
-    """Open the first `arity` products of a declared type."""
+def split_telescope(typ: Term, arity: int,
+                    name: str) -> Tuple[Tuple, Term, bool]:
+    """Open the first `arity` products of a declared type, and tell
+    whether the telescope is dependent: `open_` returns a codomain in
+    which the opened binder does not occur as it is."""
     binders = []
+    dependent = False
     t = typ
     for _ in range(arity):
         if not isinstance(t, Prod):
@@ -40,8 +51,10 @@ def split_telescope(typ: Term, arity: int, name: str) -> Tuple[Tuple, Term]:
                 f"type of {name} has fewer than {arity} leading products")
         v = Variable.fresh(t.hint or "x", sort_class_of_type(t.domain))
         binders.append((v, t.domain))
-        t = open_(t.codomain, Var(v))
-    return tuple(binders), t
+        u = open_(t.codomain, Var(v))
+        dependent = dependent or u is not t.codomain
+        t = u
+    return tuple(binders), t, dependent
 
 
 class Precedence:
@@ -212,6 +225,10 @@ class Signature:
         # strong recursors per inductive type: (symbol, motive) pairs, so
         # that alpha-equal motives share one symbol
         self.selim_cache: Dict[str, List[Tuple[str, Term]]] = {}
+        # the sort of each declared type object, by its id, under the
+        # rule index, its length and the fuel in `_sorts_under`
+        self._sorts: Dict[int, Sort] = {}
+        self._sorts_under: tuple = ()
 
     def __contains__(self, name: str) -> bool:
         return name in self.decls
@@ -219,7 +236,12 @@ class Signature:
     def declare(self, name: str, arity: int, typ: Term,
                 rules=(), fuel: int = 10000) -> SymbolDecl:
         """Declare a symbol: shape-check the telescope and kind-check
-        |- typ : s against the current signature and rules."""
+        |- typ : s against the current signature and rules.  A type
+        object declared before is not checked again while the rules are
+        the same index at the same length and the fuel is the same: the
+        judgment depends on nothing else, as a declared name keeps its
+        type.  Its declaration keeps the object alive, so its id names
+        it as long as the memo does."""
         if name in self.decls:
             raise DeclarationError("duplicate-name", f"symbol {name} already declared")
         mentioned = symbols_of(typ)
@@ -228,14 +250,21 @@ class Signature:
             raise DeclarationError(
                 "unknown-symbol",
                 f"type of {name} mentions undeclared symbol(s) {sorted(unknown)}")
-        binders, output = split_telescope(typ, arity, name)
+        binders, output, dependent = split_telescope(typ, arity, name)
 
-        from .typing import TypeChecker  # deferred: typing depends on signature
-        tc = TypeChecker(self, rules, fuel=fuel)
-        sort = tc.sort_of(Environment(), typ)
+        index = RuleSet.of(rules)
+        under = (index, len(index), fuel)  # a RuleSet equals only itself
+        if under != self._sorts_under:
+            self._sorts, self._sorts_under = {}, under
+        sort = self._sorts.get(id(typ))
+        if sort is None:
+            from .typing import TypeChecker  # typing imports this module
+            sort = TypeChecker(self, index, fuel=fuel).sort_of(Environment(),
+                                                               typ)
 
-        decl = SymbolDecl(name, arity, typ, sort, binders, output)
+        decl = SymbolDecl(name, arity, typ, sort, binders, output, dependent)
         self.decls[name] = decl
+        self._sorts[id(typ)] = sort
         target = self.constructor_target(name)
         if target is not None:
             self.constructors.setdefault(target, []).append(name)

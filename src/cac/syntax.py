@@ -34,7 +34,7 @@ from .schema import derived_type
 from .signature import Signature
 from .positivity import is_predicate_term
 from .terms import (Abs, App, BVar, CacError, Environment, Prod, Sort, STAR,
-                    Symb, Term, Var, Variable, free_vars, positions_of,
+                    Symb, Term, Var, Variable, free_vars, occurrences,
                     sort_class_of_type, subst_apply)
 
 
@@ -501,10 +501,11 @@ class LoadedFile:
         self.non_algebraic: frozenset = frozenset()
         self.bundles: list = []
         # while the file loads: the item being taken in, and one table
-        # for every directive term, so equal subterms across directives
-        # are one object, which a command normalizes and prints once
+        # for every closed term, so equal subterms across declared types
+        # and directives are one object, which `Signature.declare`
+        # kind-checks once and a command normalizes and prints once
         self._item: Optional[Item] = None
-        self._directive_terms: Optional[dict] = {}
+        self._closed_terms: Optional[dict] = {}
 
     @property
     def rules(self) -> List[RewriteRule]:
@@ -518,9 +519,16 @@ class LoadedFile:
         indices, names in `scope` to their variables, then symbols from
         the signature; other names are errors, or fresh variables shared
         through `free` when it is given.  Equal subterms of the result
-        are one object."""
+        are one object.  While the file loads, a closed term, with an
+        empty scope and no `free`, is built through the file's one table
+        of closed terms, so equal closed terms are one object too; any
+        other term, whose variables no other term shares, gets a table
+        of its own."""
+        table = self._closed_terms
+        if table is None or scope or free is not None:
+            table = {}
         return _elaborate(program, span, self.signature.decls, scope, free,
-                          {})
+                          table)
 
     # -- items: each takes the item's line, then what the parser read -------
 
@@ -573,15 +581,20 @@ class LoadedFile:
                             f"line {line}: rule left-hand side must be a "
                             "symbol application")
         # infer each variable's declared type from its first occurrence
+        # in prefix order, which is the order of positions
+        first: Dict[Variable, tuple] = {}
+        for p, u in occurrences(lhs):
+            if isinstance(u, Var) and u.var not in first:
+                first[u.var] = p
         types: Dict[Variable, Term] = {}
         for v in free.values():
-            occ = sorted(positions_of(lhs, v))
-            if not occ:
+            p = first.get(v)
+            if p is None:
                 raise ElabError(
                     "bad-rhs",
                     f"line {line}: variable {v.name} does not occur in the "
                     "left-hand side; annotate the rule explicitly")
-            types[v] = derived_type(lhs, occ[0], self.signature)
+            types[v] = derived_type(lhs, p, self.signature)
         # correct the sort classes, rebuilding only when one changes
         repl: Dict[Variable, Term] = {}
         fixed: Dict[Variable, Variable] = {}
@@ -647,10 +660,8 @@ class LoadedFile:
         self.non_algebraic = self.non_algebraic | {name}
 
     def add_directive(self, line: int, kind: str, *spans) -> None:
-        decls, item = self.signature.decls, self._item
-        table = self._directive_terms
         self.directives.append(Directive(kind, line, [
-            _elaborate(item, s, decls, {}, None, table) for s in spans]))
+            self.term(self._item, s, {}) for s in spans]))
 
     def _require_symbol(self, line: int, *names: str) -> None:
         for name in names:
@@ -828,7 +839,7 @@ def load(source: str, fuel: int = 10000) -> LoadedFile:
             method(out, line, *args)
     except ElabError as e:
         raise e.located(source) from None
-    # the directives hold their shared nodes; the table's keys are no
-    # longer needed
-    out._item = out._directive_terms = None
+    # the declarations and directives hold their shared nodes; the
+    # table's keys are no longer needed
+    out._item = out._closed_terms = None
     return out

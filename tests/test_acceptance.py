@@ -843,6 +843,19 @@ def test_acceptance_29_loading_has_no_depth_limit():
                     "directly")
 
 
+def test_acceptance_30_each_declared_type_is_kind_checked_once():
+    # a count of calls, not a time; the declared types of a file are
+    # elaborated through one table, and a declaration reuses the sort of
+    # a type object already checked, so synthetic(160)'s 162 symbols of
+    # three distinct types cost three kind checks
+    source = _synthetic(160)
+    calls = _calls(lambda: load(source), only=TypeChecker.infer)
+    _report(30, calls <= 20,
+            "loading kind-checks each declared type once: "
+            f"load(synthetic(160)) makes {calls} TypeChecker.infer calls "
+            "(bound 20)")
+
+
 def test_normalization_fuel_counts_every_remembered_contraction():
     # tree_4 holds 16 equal additions of 25 contractions each: the fuel
     # must stop the shared term exactly where it stops a copy that

@@ -16,8 +16,7 @@ import pytest
 import cac.terms
 from cac import ParseError, load
 from cac.cli import _parse_expr
-from cac.syntax import (_NOT_NAME, Directive, ElabError, LoadedFile, Parser,
-                        parse)
+from cac.syntax import _NOT_NAME, ElabError, LoadedFile, Parser, parse
 from cac.terms import (Abs, App, BVar, CacError, Prod, STAR, Sort, SortT,
                        Symb, Var, Variable)
 from tests.conftest import CORPUS
@@ -227,14 +226,13 @@ class RefLoadedFile(LoadedFile):
 
     def __init__(self, fuel=10000):
         super().__init__(fuel)
+        # one walk, and so one table, for every closed term of the file
         self._ref_table = _RefElaboration(self.signature.decls, {}, None)
 
     def term(self, program, p, scope, free=None):
+        if not scope and free is None:
+            return self._ref_table.term(p, 0)
         return _RefElaboration(self.signature.decls, scope, free).term(p, 0)
-
-    def add_directive(self, line, kind, *parsed):
-        self.directives.append(Directive(
-            kind, line, [self._ref_table.term(p, 0) for p in parsed]))
 
 
 def ref_load(source, fuel=10000):

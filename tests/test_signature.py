@@ -2,8 +2,11 @@
 
 import pytest
 
-from cac import Signature, STAR, Symb, arrow
+from cac import (Environment, RewriteRule, RuleSet, Signature, STAR, Symb,
+                 TypeChecker, arrow, load)
+from cac.cli import _parse_expr
 from cac.terms import CacError, Sort
+from tests.test_acceptance import _calls
 
 
 def base_sig():
@@ -156,3 +159,73 @@ def test_constructor_target(app):
     assert sig.constructor_target("nil") == "list"
     assert sig.constructor_target("cons") == "list"
     assert sig.constructor_target("list") is None
+
+
+def test_a_declared_type_is_kind_checked_once():
+    # the closed terms of a file share one table, so both declarations
+    # hold one type object, and the second reuses the first's sort
+    one = "symbol o : * .\nsymbol f : o -> o -> o .\n"
+    two = one + "symbol g : o -> o -> o .\n"
+    decls = load(two).signature.decls
+    assert decls["f"].typ is decls["g"].typ
+    assert decls["g"].sort == Sort.STAR
+    infer = TypeChecker.infer
+    assert _calls(lambda: load(two), only=infer) \
+        == _calls(lambda: load(one), only=infer) > 0
+
+
+# a : o where p is expected, which the rule o -> p alone converts
+MEMO_FILE = ["symbol o : * .", "symbol p : * .", "symbol q : * .",
+             "symbol a : o .", "symbol F : p -> * .", "rule o -> p .",
+             "symbol T1 : F(a) .", "rule o -> q .", "symbol T2 : F(a) ."]
+
+
+def test_a_kind_is_checked_again_after_a_rule():
+    # o -> q makes o -> p one of two reducts, which fuel 1 cannot search
+    with pytest.raises(CacError) as e:
+        load("\n".join(MEMO_FILE), fuel=1)
+    assert (e.value.code, e.value.message) == (
+        "fuel-exhausted", "fuel exhausted during joinability search")
+    for left_out in ("rule o -> q .", "symbol T2 : F(a) ."):
+        decls = load("\n".join(line for line in MEMO_FILE
+                               if line != left_out), fuel=1).signature.decls
+        assert decls["T1"].sort == Sort.STAR
+
+
+def test_a_kind_is_checked_again_under_other_rules_or_fuel():
+    typ = Symb("F", (Symb("a"),))
+    to_p = RuleSet([RewriteRule("r1", Symb("o"), Symb("p"))])
+    to_q = RuleSet([RewriteRule("r2", Symb("o"), Symb("q"))])
+    outcomes = []
+    for rules, fuel in ((to_p, 1), (to_q, 1), (to_p, 0)):
+        sig = Signature()
+        for name in "opq":
+            sig.declare(name, 0, STAR)
+        sig.declare("a", 0, Symb("o"))
+        sig.declare("F", 1, arrow(Symb("p"), STAR))
+        sig.declare("T1", 0, typ, to_p, fuel=1)
+        try:
+            outcomes.append(sig.declare("T2", 0, typ, rules, fuel=fuel).sort)
+        except CacError as e:
+            outcomes.append(e.code)
+    assert outcomes == [Sort.STAR, "type-mismatch", "fuel-exhausted"]
+
+
+def test_inst_is_empty_unless_the_telescope_is_dependent(natf):
+    sig = load("symbol o : * .\nsymbol a : o .\nsymbol f : o -> o -> o .\n"
+               "symbol g : (A : *) -> A -> o .\n").signature
+    a = Symb("a")
+    f, g = sig.decls["f"], sig.decls["g"]
+    assert not f.dependent and f.inst((a, a)) == {}
+    # A occurs in the second binder's type only
+    assert g.dependent
+    assert g.inst((Symb("o"), a)) == {g.binders[0][0]: Symb("o"),
+                                      g.binders[1][0]: a}
+    welim = natf.signature.decls["WElim_nat"]
+    t = _parse_expr(natf, "WElim_nat(nat, zero, fun (x : nat) => "
+                          "fun (y : nat) => succ(y), succ(zero))")
+    assert welim.dependent
+    assert welim.inst(t.args) == {v: u for (v, _), u in zip(welim.binders,
+                                                            t.args)}
+    tc = TypeChecker(natf.signature, natf.rules)
+    assert tc.infer(Environment(), t)[0] == Symb("nat")

@@ -299,6 +299,14 @@ def test_rule_inference_assigns_sorts(ndm):
     assert p_typ == STAR
 
 
+def test_rule_inference_types_each_variable_at_its_first_occurrence():
+    # y occurs first under g, at p, then as k's third argument, at o
+    lf = load("symbol o : * .\nsymbol p : * .\nsymbol g : p -> o .\n"
+              "symbol k : o -> o -> o -> o .\nrule k(g(y), x, y) -> x .\n")
+    env = [(v.name, pp(t)) for v, t in lf.rules[0].ann_env]
+    assert env == [("y", "p"), ("x", "o")]
+
+
 def test_inductive_declaration_generates_bundle(natf):
     (bundle,) = natf.bundles
     assert bundle.welim == "WElim_nat"
