@@ -18,8 +18,9 @@ from .schema import (derived_type, rule_type, satisfies_general_schema,
                      typed_occurrences)
 from .signature import Signature
 from .terms import (Abs, CacError, Sort, Symb, Term, Var, Variable,
-                    _map_leaves, free_vars, is_algebraic, positions_of,
-                    spine, subst_apply, subterm_at, symbols_of, var_counts)
+                    _map_leaves, free_vars, is_algebraic, open_fresh,
+                    positions_of, spine, subst_apply, subterm_at,
+                    symbols_of, var_counts)
 from .typing import TypeChecker
 
 
@@ -300,7 +301,7 @@ def _primitive(gset, grules, tc, classes):
     for r in grules:
         body = r.rhs
         while isinstance(body, Abs):
-            body = body.body
+            body = open_fresh(body)[1]
         head, _ = spine(body)
         if not isinstance(head, Symb):
             yield (f"rule {r.name}: right-hand side head is {head}, not a "

@@ -102,7 +102,8 @@ class Term(_Frozen):
     symbol name and arity, variable, bound index and sort, never a
     binder hint or a variable name.  It walks both terms with an
     explicit stack, so it has no depth limit, and it answers by
-    identity at shared subterms."""
+    identity at shared subterms.  The text of a term, `str`, is the
+    printer's: `pp` renders every term."""
 
     __slots__ = ()
 
@@ -139,10 +140,8 @@ class Term(_Frozen):
                 return True
             a, b = stack.pop()
 
-
-def _pp_str(t: Term) -> str:
-    from .printer import pp  # the printer imports this module
-    return pp(t)
+    def __str__(self):
+        return pp(self)
 
 
 class SortT(Term):
@@ -153,9 +152,6 @@ class SortT(Term):
 
     def __hash__(self):
         return hash((self.sort,))
-
-    def __str__(self):
-        return str(self.sort)
 
 
 STAR = SortT(Sort.STAR)
@@ -171,9 +167,6 @@ class Var(Term):
     def __hash__(self):
         return hash((self.var,))
 
-    def __str__(self):
-        return self.var.name
-
 
 class BVar(Term):
     """Bound variable (de Bruijn index); never user-visible."""
@@ -185,9 +178,6 @@ class BVar(Term):
 
     def __hash__(self):
         return hash((self.index,))
-
-    def __str__(self):
-        return f"#{self.index}"
 
 
 class Symb(Term):
@@ -202,11 +192,6 @@ class Symb(Term):
     def __hash__(self):
         return hash((self.name, self.args))
 
-    def __str__(self):
-        if not self.args:
-            return self.name
-        return f"{self.name}({', '.join(map(str, self.args))})"
-
 
 class Abs(Term):
     __slots__ = ("domain", "body", "hint")
@@ -218,8 +203,6 @@ class Abs(Term):
 
     def __hash__(self):
         return hash((self.domain, self.body))
-
-    __str__ = _pp_str
 
 
 class Prod(Term):
@@ -233,8 +216,6 @@ class Prod(Term):
     def __hash__(self):
         return hash((self.domain, self.codomain))
 
-    __str__ = _pp_str
-
 
 class App(Term):
     __slots__ = ("head", "arg")
@@ -245,8 +226,6 @@ class App(Term):
 
     def __hash__(self):
         return hash((self.head, self.arg))
-
-    __str__ = _pp_str
 
 
 def is_kind(t: Term) -> bool:
@@ -571,3 +550,8 @@ def strip_products(t: Term) -> "tuple[list, Term]":
         binders.append((v, t.domain))
         t = body
     return binders, t
+
+
+# last, because the printer imports the term classes above: `str` of a
+# term pays no import
+from .printer import pp  # noqa: E402

@@ -233,6 +233,20 @@ def test_primitive_reads_the_head_under_abstractions():
         == HOLDS
 
 
+def test_primitive_names_a_bound_head_by_its_binder():
+    # the abstraction is opened, not stripped: its variable is named in
+    # the witness, not left a loose de Bruijn index
+    lf = load("symbol nat : * .\nsymbol zero : nat .\nsymbol F : nat -> * .\n"
+              "rule F(x) -> nat -> nat .\nsymbol g : F(zero) .\n"
+              "rule g -> fun (y : nat) => y .\n")
+    tc = TypeChecker(lf.signature, lf.rules)
+    classes = predicate_classes(lf.signature, lf.rules)
+    assert system_properties(frozenset({"g"}), lf.rules[1:], tc, classes,
+                             which=("primitive",)).primitive \
+        == fails("rule rule2: right-hand side head is y, not a symbol "
+                 "application")
+
+
 @pytest.mark.parametrize("extra, witness", [
     ("symbol o : * .\nrule app(o, nil(o), l) -> l .\n"
      "pragma non_algebraic app .\n",

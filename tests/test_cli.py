@@ -425,10 +425,25 @@ def test_deep_normal_forms_convert(tmp_path, capsys):
         "convert (line 2): ok — convertible", "all checks passed"]
 
 
-def _deep_a1_source(directives):
-    """Rules whose A1 run overflows the recursion limit on the 300-deep
-    critical pairs of f's left-hand side with s(s(x)), then directives."""
+def test_a_deep_left_hand_side_is_admitted(tmp_path, capsys):
+    # the RPO trace lines print f's 300-deep left-hand side through the
+    # printer, which reaches about 990 levels
     k = 300
+    f = tmp_path / "deep_lhs.cac"
+    f.write_text("symbol o : * .\nsymbol s : o -> o .\nsymbol f : o -> o .\n"
+                 f"rule f({'s(' * k}x{')' * k}) -> x .\n", encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 0
+    captured = capsys.readouterr()
+    assert "ADMISSIBLE" in captured.out
+    assert captured.err == ""
+
+
+def _deep_a1_source(directives):
+    """Rules whose A1 run overflows the recursion limit on the 1200-deep
+    critical pairs of f's left-hand side with s(s(x)), then directives.
+    (About 300 deep, A1 answers UNKNOWN, after seconds of joinability
+    search.)"""
+    k = 1200
     return ("symbol o : * .\nsymbol a : o .\nsymbol s : o -> o .\n"
             "symbol f : o -> o .\n"
             f"rule f({'s(' * k}x{')' * k}) -> x .\nrule s(s(x)) -> x .\n"
@@ -458,11 +473,11 @@ def test_a1_that_overflows_fails_the_whole_command(tmp_path, capsys):
 
 
 def test_a1_runs_at_the_depth_of_the_directive_loop(tmp_path, capsys):
-    # the first conversion, P(a) against P(s(s(a))), comes 150 term
+    # the first conversion, P(a) against P(s(s(a))), comes 300 term
     # levels deep in a check's typing; A1 on f's 150-deep left-hand side
     # completes from the directive loop, though not on top of that
     # typing, and the check then runs again
-    k, depth = 150, 150
+    k, depth = 150, 300
     f = tmp_path / "deep_conversion.cac"
     f.write_text("symbol o : * .\nsymbol a : o .\nsymbol s : o -> o .\n"
                  "symbol f : o -> o .\nsymbol P : o -> * .\n"

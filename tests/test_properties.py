@@ -1,8 +1,8 @@
 """Randomized, seed-fixed property suites (500 cases each):
 substitution composition, one-step subject reduction, polarity
 disjointness, match/substitute round trips, normalization idempotence,
-and agreement of `step` with the first one-step reduct under
-binders."""
+agreement of `step` with the first one-step reduct under binders, and
+agreement of `str` with the printer."""
 
 import random
 
@@ -12,7 +12,8 @@ from cac import (Environment, STAR, Symb, TypeChecker, Var, Variable,
                  match_first_order, normalize, pp, step, subst_apply)
 from cac.positivity import signed_occurrences
 from cac.printer import _Printer
-from cac.terms import App, arrow, free_vars, lam, map_children, pi, Sort
+from cac.terms import (Abs, App, Prod, arrow, free_vars, lam, map_children,
+                       occurrences, pi, Sort)
 from tests.conftest import reference_reduce_one
 
 CASES = 500
@@ -234,3 +235,19 @@ def test_shared_terms_print_as_their_unshared_copies(corpus):
         assert printer.texts.keys() <= printer.seen.keys()
         kept += len(printer.texts)
     assert kept > CASES // 2  # texts were kept for reuse
+
+
+def test_str_is_pp():
+    # `str` of a term is the printer's text, also for a symbol applied to
+    # an application or a binder
+    rng = random.Random(3207)
+    arg_classes = set()
+    for i in range(CASES):
+        if i % 2:
+            t = random_shared_term(rng, rng.randrange(2, 10))
+        else:
+            t = random_binder_term(rng, _int_vars(rng, 2), rng.randrange(1, 6))
+        assert str(t) == pp(t)
+        arg_classes.update(a.__class__ for _, u in occurrences(t)
+                           if isinstance(u, Symb) for a in u.args)
+    assert {App, Abs, Prod} <= arg_classes

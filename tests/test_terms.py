@@ -7,7 +7,7 @@ import pytest
 
 from cac import (Abs, App, BOX, BVar, Environment, Prod, STAR, Symb, Var,
                  Variable, arrow, free_vars, is_algebraic, lam, pi,
-                 positions_of, replace_at, subst_apply, subterm_at)
+                 positions_of, pp, replace_at, subst_apply, subterm_at)
 from cac.terms import (InvalidPosition, Sort, SortT, Term, is_kind,
                        occurrences, sort_class_of_type, symbols_of,
                        var_counts)
@@ -120,6 +120,24 @@ def test_subst_apply_reaches_the_bottom_of_a_deep_term():
         assert u.name == "succ"
         u = u.args[0]
     assert u is zero
+
+
+def test_str_is_the_printer_at_any_depth_it_reaches():
+    # the printer takes one frame per level, so `str` reaches 900 levels
+    t = Symb("zero", ())
+    for _ in range(900):
+        t = Symb("succ", (t,))
+    assert str(t) == pp(t)
+    assert str(t).startswith("succ(succ(")
+
+
+def test_str_of_a_symbol_parenthesizes_an_application_or_binder():
+    # a binder's name avoids the free names of the whole term
+    x, y = v("x"), v("x")
+    h_a = App(Symb("h"), Symb("a"))
+    assert str(Symb("f", (h_a,))) == "f((h a))"
+    assert str(Symb("f", (lam(y, STAR, App(Var(x), Var(y))), Var(x)))) \
+        == "f((fun (x':★) => x x'), x)"
 
 
 def test_alpha_eq_is_structural_equality_at_any_depth():
