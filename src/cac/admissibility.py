@@ -269,8 +269,9 @@ def _duplication(r: RewriteRule) -> Optional[str]:
     than in the lhs), or None."""
     lc, rc = var_counts(r.lhs), var_counts(r.rhs)
     for v, n in sorted(rc.items(), key=lambda kv: kv[0].name):
-        if n > lc[v]:
-            return (f"rule {r.name} duplicates {v.name} ({lc[v]} "
+        m = lc.get(v, 0)
+        if n > m:
+            return (f"rule {r.name} duplicates {v.name} ({m} "
                     f"occurrence(s) in the lhs, {n} in the rhs)")
     return None
 

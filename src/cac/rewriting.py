@@ -550,7 +550,7 @@ class _Search:
         """`_reducts` of node g, deduped, from the memoized reducts of
         its children: the rules of its head, or beta, then a step in
         each child in order, a binder's domain before its body."""
-        memo, node, out = self.memo, self._node, {}
+        memo, out = self.memo, {}
         head = key[0]
         if head.__class__ is str:
             for rule in self.rules.by_head.get(head, ()):
@@ -562,14 +562,28 @@ class _Search:
             body = self.term(self.keys[key[1]][2])
             out[self.intern(open_(body, arg), {id(arg): key[2]})] = None
         binder = head is Abs or head is Prod
+        # a step in child i: each of its reducts in its place, the new
+        # key interned inline, as `_node` would
+        table, keys, seen = self.table, self.keys, self.seen
         for i in range(1, 2 if binder else len(key)):
-            for r in memo[key[i]]:
-                out[node(key[:i] + (r,) + key[i + 1:])] = None
+            rs = memo[key[i]]
+            if not rs:
+                continue
+            before, after = key[:i], key[i + 1:]
+            for r in rs:
+                k = before + (r,) + after
+                h = table.get(k)
+                if h is None:
+                    h = table[k] = len(keys)
+                    keys.append(k)
+                    memo.append(None)
+                    seen.append(0)
+                out[h] = None
         if binder:
             v, body = open_fresh(self.term(g))
             for r in self.reducts(self.intern(body)):
                 closed = self.intern(close(self.term(r), v))
-                out[node((head, key[1], closed))] = None
+                out[self._node((head, key[1], closed))] = None
         return tuple(out)
 
     def next_level(self, frontier: List[int], side: int,
@@ -633,12 +647,14 @@ def left_linear(rule: RewriteRule) -> bool:
 
 def _overlaps(r1: RewriteRule, r2: RewriteRule,
               include_root: bool) -> List[CriticalPair]:
-    """Overlap r2's lhs into non-variable positions of r1's lhs."""
+    """Overlap r2's lhs into the positions of r1's lhs headed by r2's
+    head; unification fails at every other position.  The two rules
+    share no variable."""
     out = []
+    head = r2.head_name()
     for p, sub in occurrences(r1.lhs):
-        if not isinstance(sub, Symb):
-            continue
-        if p == () and not include_root:
+        if sub.__class__ is not Symb or sub.name != head \
+                or not (p or include_root):
             continue
         sigma = unify(sub, r2.lhs)
         if sigma is None:
@@ -651,15 +667,20 @@ def _overlaps(r1: RewriteRule, r2: RewriteRule,
 
 
 def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
-    """All overlaps between renamed-apart rule pairs at non-variable
+    """All overlaps between variable-disjoint rule pairs at non-variable
     positions.  Rule/beta pairs do not exist: left-hand sides are
     algebraic, hence abstraction-free.
 
     Rule j can overlap into rule i only at a subterm of lhs i headed by
     the head of j, so a pair is tried only when one head occurs in the
     other's lhs.  Pairs come out ordered by i, then j, then direction.
-    Rule i is renamed once it has a pair to try, and its partner afresh
-    for each pair, so no renamed copy outlives the pairs it serves."""
+    Overlapping needs only that the two left-hand sides share no
+    variable (Huet, JACM 27(4), 1980), and `load` gives each rule its
+    own, so two distinct rules are overlapped as they are.  A rule's
+    copy for its self-overlaps, and a partner that shares a variable
+    object with rule i (rules built through the API may), is renamed
+    apart.  Renaming keeps variable names, so the printed pairs are
+    those of renaming every rule."""
     rules = RuleSet.of(rules)
     syms = [symbols_of(r.lhs) for r in rules]
     at_head: Dict[str, List[int]] = {}     # rules with this head
@@ -668,24 +689,22 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
         at_head.setdefault(r.head_name(), []).append(k)
         for g in syms[k]:
             mentioning.setdefault(g, []).append(k)
+    lhs_vars = [free_vars(r.lhs) for r in rules]
     out: List[CriticalPair] = []
     for i, r in enumerate(rules):
         head = r.head_name()
         # self-overlaps at proper positions only
-        inner = any(head in symbols_of(a) for a in r.lhs_args())
+        if any(head in symbols_of(a) for a in r.lhs_args()):
+            out.extend(_overlaps(r, rename_apart(r), include_root=False))
         partners = set(mentioning.get(head, ()))
         for g in syms[i]:
             partners.update(at_head.get(g, ()))
-        later = sorted(j for j in partners if j > i)
-        if not (inner or later):
-            continue
-        ri = rename_apart(r)
-        if inner:
-            out.extend(_overlaps(ri, rename_apart(r), include_root=False))
-        for j in later:
-            rj = rename_apart(rules[j])
-            out.extend(_overlaps(ri, rj, include_root=True))
-            out.extend(_overlaps(rj, ri, include_root=False))
+        for j in sorted(j for j in partners if j > i):
+            rj = rules[j]
+            if not lhs_vars[i].isdisjoint(lhs_vars[j]):
+                rj = rename_apart(rj)
+            out.extend(_overlaps(r, rj, include_root=True))
+            out.extend(_overlaps(rj, r, include_root=False))
     return out
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import Counter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Dict, Iterable, Iterator, Optional, Union
 
 Position = tuple  # tuple of positive ints; () is the root position
 EPSILON: Position = ()
@@ -454,16 +453,17 @@ def is_algebraic(t: Term) -> bool:
     return True
 
 
-def _subterms(t: Term) -> list:
-    """Every subterm of t in the prefix order of `occurrences`, without
-    building the positions."""
-    out = []
+def symbols_of(t: Term) -> frozenset:
+    """The names of the symbols of t.  One walk with its own stack puts
+    them, repeats included, in the prefix order of `occurrences`, so the
+    set iterates as one built from that order does."""
+    names = []
     stack = [t]
     while stack:
         u = stack.pop()
-        out.append(u)
         cls = u.__class__
         if cls is Symb:
+            names.append(u.name)
             stack.extend(reversed(u.args))
         elif cls is App:
             stack += (u.arg, u.head)
@@ -471,17 +471,28 @@ def _subterms(t: Term) -> list:
             stack += (u.body, u.domain)
         elif cls is Prod:
             stack += (u.codomain, u.domain)
-    return out
+    return frozenset(names)
 
 
-def symbols_of(t: Term) -> frozenset:
-    return frozenset([s.name for s in _subterms(t) if s.__class__ is Symb])
-
-
-def var_counts(t: Term) -> "Counter[Variable]":
+def var_counts(t: Term) -> Dict[Variable, int]:
     """Occurrences of each free variable of t, in order of first
-    occurrence."""
-    return Counter([s.var for s in _subterms(t) if s.__class__ is Var])
+    occurrence: one prefix walk with its own stack."""
+    counts: Dict[Variable, int] = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        cls = u.__class__
+        if cls is Var:
+            counts[u.var] = counts.get(u.var, 0) + 1
+        elif cls is Symb:
+            stack.extend(reversed(u.args))
+        elif cls is App:
+            stack += (u.arg, u.head)
+        elif cls is Abs:
+            stack += (u.body, u.domain)
+        elif cls is Prod:
+            stack += (u.codomain, u.domain)
+    return counts
 
 
 # ---------------------------------------------------------------------------

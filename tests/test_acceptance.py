@@ -23,6 +23,7 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Orientation,
                  predicate_classes, satisfies_general_schema,
                  system_properties)
 from cac.cli import _FileChecker, _confluent, main
+from cac.rewriting import rename_apart, unify
 from cac.syntax import _texts, parse
 from cac.terms import lam, map_children
 from tests.conftest import (CORPUS, _unless_recursion_error, corpus_source,
@@ -854,6 +855,21 @@ def test_acceptance_30_each_declared_type_is_kind_checked_once():
             "loading kind-checks each declared type once: "
             f"load(synthetic(160)) makes {calls} TypeChecker.infer calls "
             "(bound 20)")
+
+
+def test_acceptance_31_critical_pairs_rename_only_shared_variables():
+    # a count of calls, not a time; `load` gives each rule its own
+    # variables, so synthetic(160)'s 320 rules are overlapped as they
+    # are, and unification is tried only under the partner's head: its
+    # 160 critical pairs cost at most one unify call each
+    rules = load(_synthetic(160)).rules
+    renames = _calls(lambda: critical_pairs(rules), only=rename_apart)
+    unifies = _calls(lambda: critical_pairs(rules), only=unify)
+    _report(31, renames == 0 and unifies <= 160,
+            "critical pairs rename no rule of a loaded file and unify only "
+            f"under matching heads: critical_pairs(synthetic(160)) makes "
+            f"{renames} rename_apart calls (bound 0) and {unifies} unify "
+            "calls (bound 160)")
 
 
 def test_normalization_fuel_counts_every_remembered_contraction():

@@ -430,6 +430,28 @@ def test_critical_pairs_match_renaming_every_rule_first(corpus):
     assert counts["int"] == 2 and counts["ndm_prop"] > 2
 
 
+def test_critical_pairs_rename_only_where_variables_are_shared(corpus):
+    # a loaded file gives each rule its own variables, so it needs no
+    # rename; ff overlaps itself once, and of shared_variable's partner
+    # pairs, s1/s2 and s1/s3 share x (s2 and s3 are no partners)
+    from cac import load
+    from tests.test_acceptance import _calls, _synthetic
+    x = v("x")
+    systems = {name: lf.rules for name, lf in corpus.items()}
+    systems["synthetic_20"] = load(_synthetic(20)).rules
+    systems["self_overlap"] = [
+        RewriteRule("ff", sy("f", sy("f", Var(x))), Var(x))]
+    systems["shared_variable"] = [
+        RewriteRule("s1", sy("f", sy("g", Var(x))), Var(x)),
+        RewriteRule("s2", sy("g", Var(x)), sy("h", Var(x))),
+        RewriteRule("s3", sy("f", Var(x)), sy("g", Var(x)))]
+    renames = {name: _calls(lambda: critical_pairs(rules), only=rename_apart)
+               for name, rules in systems.items()}
+    expected = dict.fromkeys(systems, 0)
+    expected.update(self_overlap=1, shared_variable=2)
+    assert renames == expected
+
+
 def test_newman_attempt_with_a_pair_that_does_not_join():
     # RPO orients both rules, so NEWMAN is tried; the one critical pair,
     # at f(a), ends in the distinct normal forms b and c
