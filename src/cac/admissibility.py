@@ -15,7 +15,7 @@ from .positivity import (PredicateClass, check_inductive_structure,
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
                         RuleSet, confluence_check, unify)
 from .schema import (derived_type, rule_type, satisfies_general_schema,
-                     typed_occurrences)
+                     typed_variables)
 from .signature import Signature
 from .terms import (Abs, CacError, Sort, Symb, Term, Var, Variable,
                     _map_leaves, free_vars, is_algebraic, open_fresh,
@@ -117,11 +117,16 @@ def check_type_preservation(rule: RewriteRule,
     if len(gamma_env) == 0:
         out["s4"] = S4_VACUOUS
     else:
-        missing = [x for x, xtyp in gamma_env
-                   if next(typed_occurrences(rule, x, xtyp, sig), None)
-                   is None]
+        # one walk of the lhs: each variable's corrected derived types,
         # in order of first occurrence, not of the variables' hashes
-        uncovered = [v for v in var_counts(lhs)
+        corrected: Dict[Variable, List[Term]] = {}
+        for v, tau in typed_variables(lhs, sig):
+            found = corrected.setdefault(v, [])
+            if not isinstance(tau, CacError):
+                found.append(subst_apply(tau, rho))
+        missing = [x for x, xtyp in gamma_env
+                   if xtyp not in corrected.get(x, ())]
+        uncovered = [v for v in corrected
                      if gamma_env.lookup(v) is None and v not in rho]
         if missing or uncovered:
             parts = []

@@ -24,18 +24,20 @@ class _Printer:
     second time, and a third meeting reuses it; a subterm met once keeps
     no text.  Both tables are keyed by id, and `seen` keeps every such
     subterm alive while it prints, because an opened binder body is a
-    temporary whose id would be reused.  The names a binder must avoid start as the free variables
-    of the root, read at the first binder, so a term without binders is
-    not walked for them."""
+    temporary whose id would be reused.  The root is met once, so the
+    tables are built at the first other such subterm, and a term of one
+    level builds none.  The names a binder must avoid start as the free
+    variables of the root, read at the first binder, so a term without
+    binders is not walked for them."""
 
     __slots__ = ("root", "free", "seen", "texts", "binders")
 
     def __init__(self, root: Term):
         self.root = root
         self.free = None
-        self.seen: dict = {}   # id -> binder-free subterm met once
-        self.texts: dict = {}  # id -> its text, once met twice
-        self.binders = 0       # binders printed so far
+        self.seen = None   # id -> binder-free subterm met once
+        self.texts = None  # id -> its text, once met twice
+        self.binders = 0   # binders printed so far
 
     def _taken(self, taken):
         if taken is not None:
@@ -76,7 +78,7 @@ class _Printer:
                 s = f"{dom} -> {self._pp(cod, taken, top=True)}"
             return s if top else f"({s})"
         key = id(t)
-        s = self.texts.get(key)
+        s = None if self.texts is None else self.texts.get(key)
         if s is None:
             binders = self.binders
             if cls is Symb:
@@ -94,7 +96,9 @@ class _Printer:
                 if t.arg.__class__ is App:
                     arg = f"({arg})"
                 s = f"{head} {arg}"
-            if binders == self.binders:
+            if binders == self.binders and t is not self.root:
+                if self.seen is None:
+                    self.seen, self.texts = {}, {}
                 if key in self.seen:
                     self.texts[key] = s
                 else:

@@ -10,11 +10,11 @@ from typing import (Dict, Iterable, Iterator, KeysView, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
 from .orderings import Orientation
-from .terms import (Abs, App, BVar, CacError, Environment, FuelExhausted,
-                    Position, Prod, Sort, SortT, Symb, Term, Var, Variable,
-                    _children, _plug, _rebuild, close, free_vars,
-                    is_algebraic, occurrences, open_, open_fresh, replace_at,
-                    subst_apply, symbols_of, var_counts)
+from .terms import (EPSILON, Abs, App, BVar, CacError, Environment,
+                    FuelExhausted, Position, Prod, Sort, SortT, Symb, Term,
+                    Var, Variable, _children, _plug, _rebuild, close,
+                    free_vars, is_algebraic, open_, open_fresh, replace_at,
+                    subst_apply, var_counts)
 
 
 class RuleError(CacError):
@@ -645,16 +645,17 @@ def left_linear(rule: RewriteRule) -> bool:
     return all(n == 1 for n in var_counts(rule.lhs).values())
 
 
-def _overlaps(r1: RewriteRule, r2: RewriteRule,
+def _overlaps(r1: RewriteRule, r2: RewriteRule, sites: Iterable,
               include_root: bool) -> List[CriticalPair]:
-    """Overlap r2's lhs into the positions of r1's lhs headed by r2's
-    head; unification fails at every other position.  The two rules
-    share no variable."""
+    """Overlap r2's lhs into r1's lhs: at the root when `include_root`,
+    then at those of `sites`, (position, subterm) pairs below the root
+    of r1's lhs in prefix order, that are headed by r2's head;
+    unification fails at every other position.  The two rules share no
+    variable."""
     out = []
     head = r2.head_name()
-    for p, sub in occurrences(r1.lhs):
-        if sub.__class__ is not Symb or sub.name != head \
-                or not (p or include_root):
+    for p, sub in [(EPSILON, r1.lhs), *sites] if include_root else sites:
+        if sub.__class__ is not Symb or sub.name != head:
             continue
         sigma = unify(sub, r2.lhs)
         if sigma is None:
@@ -666,45 +667,68 @@ def _overlaps(r1: RewriteRule, r2: RewriteRule,
     return out
 
 
+def _head_sites(lhs: Symb, heads) -> Sequence[Tuple[Position, Symb]]:
+    """One walk of an algebraic lhs: the (position, subterm) pairs below
+    its root headed by a name in `heads`, in prefix order.  Most rules
+    have none, and share the empty tuple instead of keeping a list."""
+    sites = []
+    stack = [(EPSILON, lhs)]
+    while stack:
+        p, u = stack.pop()
+        if p and u.name in heads:
+            sites.append((p, u))
+        for i in range(len(u.args), 0, -1):
+            if u.args[i - 1].__class__ is Symb:
+                stack.append((p + (i,), u.args[i - 1]))
+    return sites or ()
+
+
 def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
     """All overlaps between variable-disjoint rule pairs at non-variable
     positions.  Rule/beta pairs do not exist: left-hand sides are
     algebraic, hence abstraction-free.
 
     Rule j can overlap into rule i only at a subterm of lhs i headed by
-    the head of j, so a pair is tried only when one head occurs in the
-    other's lhs.  Pairs come out ordered by i, then j, then direction.
-    Overlapping needs only that the two left-hand sides share no
-    variable (Huet, JACM 27(4), 1980), and `load` gives each rule its
-    own, so two distinct rules are overlapped as they are.  A rule's
-    copy for its self-overlaps, and a partner that shares a variable
-    object with rule i (rules built through the API may), is renamed
-    apart.  Renaming keeps variable names, so the printed pairs are
-    those of renaming every rule."""
+    the head of j (Huet, JACM 27(4), 1980), so one walk of each lhs
+    lists its positions below the root headed by some rule's head.
+    These lists, with the heads, alone give the partners of a rule (one
+    head occurs in the other's lhs), its self-overlap test and the
+    positions each overlap tries.  Pairs come out ordered by i, then j,
+    then direction.  Overlapping needs only that the two left-hand
+    sides share no variable, and `load` gives each rule its own, so two
+    distinct rules are overlapped as they are.  A rule's copy for its
+    self-overlaps, and a partner that shares a variable object with
+    rule i (rules built through the API may), is renamed apart.
+    Renaming keeps variable names and positions, so the printed pairs
+    are those of renaming every rule."""
     rules = RuleSet.of(rules)
-    syms = [symbols_of(r.lhs) for r in rules]
+    sites = [_head_sites(r.lhs, rules.heads) for r in rules]
     at_head: Dict[str, List[int]] = {}     # rules with this head
-    mentioning: Dict[str, List[int]] = {}  # rules whose lhs has this symbol
+    mentioning: Dict[str, List[int]] = {}  # rules whose lhs has this head
     for k, r in enumerate(rules):
         at_head.setdefault(r.head_name(), []).append(k)
-        for g in syms[k]:
+        names = {sub.name for _, sub in sites[k]}
+        names.add(r.head_name())
+        for g in names:
             mentioning.setdefault(g, []).append(k)
     lhs_vars = [free_vars(r.lhs) for r in rules]
     out: List[CriticalPair] = []
     for i, r in enumerate(rules):
         head = r.head_name()
         # self-overlaps at proper positions only
-        if any(head in symbols_of(a) for a in r.lhs_args()):
-            out.extend(_overlaps(r, rename_apart(r), include_root=False))
-        partners = set(mentioning.get(head, ()))
-        for g in syms[i]:
-            partners.update(at_head.get(g, ()))
+        if any(sub.name == head for _, sub in sites[i]):
+            out.extend(_overlaps(r, rename_apart(r), sites[i],
+                                 include_root=False))
+        partners = set(mentioning[head])
+        for _, sub in sites[i]:
+            partners.update(at_head[sub.name])
         for j in sorted(j for j in partners if j > i):
-            rj = rules[j]
+            rj, sites_j = rules[j], sites[j]
             if not lhs_vars[i].isdisjoint(lhs_vars[j]):
                 rj = rename_apart(rj)
-            out.extend(_overlaps(r, rj, include_root=True))
-            out.extend(_overlaps(rj, r, include_root=False))
+                sites_j = _head_sites(rj.lhs, rules.heads)
+            out.extend(_overlaps(r, rj, sites[i], include_root=True))
+            out.extend(_overlaps(rj, r, sites_j, include_root=False))
     return out
 
 
@@ -731,19 +755,26 @@ def confluence_check(rules: Sequence[RewriteRule],
                      orientation: Orientation,
                      fuel: int = 10000,
                      assume_confluent: bool = False) -> ConfluenceVerdict:
-    """ORTHOGONAL: left-linear with no critical pairs (van Oostrom gives
-    confluence of the combination with beta).  NEWMAN: the recursive
-    path order of `orientation` orients every rule, so the rules
-    terminate, and all critical pairs join.  ASSERTED: user flag.
-    Otherwise UNKNOWN."""
+    """A1 is about beta plus the rules, so a positive level rests on a
+    theorem that lifts a property of R to R ∪ β.  ORTHOGONAL: left-linear
+    with no critical pairs, so R ∪ β is an orthogonal combinatory
+    reduction system, which is confluent (Klop, 1980).  NEWMAN: the
+    recursive path order of `orientation` orients every rule, so the
+    rules terminate, all critical pairs join, and every rule is
+    left-linear, so the confluence of R lifts to R ∪ β (Müller, IPL 41,
+    1992).  For a non-left-linear rule no such theorem is named here,
+    so it gets UNKNOWN, and the evidence names the first such rule.
+    ASSERTED: user flag.  Otherwise UNKNOWN."""
     rules = RuleSet.of(rules)
     if not rules:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL, ["empty rule set"])
-    ll = all(left_linear(r) for r in rules)
+    nonlinear = next((r for r in rules if not left_linear(r)), None)
     cps = critical_pairs(rules)
-    if ll and not cps:
+    if nonlinear is None and not cps:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL,
                                  ["left-linear", "no critical pairs"])
+    unknown = [f"{len(cps)} critical pair(s); "
+               + ("left-linear" if nonlinear is None else "non-left-linear")]
     if orientation.terminates(rules) is not None:
         evidence = ["termination by recursive path order"]
         all_join = True
@@ -756,11 +787,13 @@ def confluence_check(rules: Sequence[RewriteRule],
                             + ("joinable" if ok else "NOT joinable"))
             if not ok:
                 all_join = False
-        if all_join:
+        if all_join and nonlinear is None:
             return ConfluenceVerdict(ConfluenceLevel.NEWMAN, evidence)
+        if all_join:
+            unknown = evidence + [
+                f"rule {nonlinear.name} is not left-linear: no theorem is "
+                "named that lifts the confluence of R to R ∪ β for it"]
     if assume_confluent:
         return ConfluenceVerdict(ConfluenceLevel.ASSERTED,
                                  ["assume-confluent pragma"])
-    return ConfluenceVerdict(ConfluenceLevel.UNKNOWN,
-                             [f"{len(cps)} critical pair(s); "
-                              + ("left-linear" if ll else "non-left-linear")])
+    return ConfluenceVerdict(ConfluenceLevel.UNKNOWN, unknown)

@@ -4,13 +4,14 @@ the termination-schema verdict for a rule."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .rewriting import RewriteRule
 from .signature import Signature
 from .terms import (App, CacError, Environment, FuelExhausted,
                     InvalidPosition, Position, Symb, Term, Var, Variable,
-                    positions_of, subst_apply)
+                    _children, positions_of, subst_apply)
 from .typing import TypeChecker, TypingDerivation
 
 
@@ -92,6 +93,42 @@ def derived_type(l: Term, p: Position, sig: Signature) -> Term:
             return subst_apply(decl.binders[i - 1][1], gamma)
         l = l.args[i - 1]
     raise InvalidPosition(l, p)  # the root position has no derived type
+
+
+def typed_variables(l: Symb, sig: Signature
+                    ) -> Iterator[Tuple[Variable, Union[Term, CacError]]]:
+    """Each variable occurrence of the lhs l, in the prefix order of
+    `occurrences`, with the derived type at its position: one walk that
+    reads each type from the occurrence's parent symbol and argument
+    index, as `derived_type` does at the last step of its path.  Below
+    the first node of a path that is not a declared symbol, which only a
+    non-algebraic lhs or an undeclared symbol has, an occurrence comes
+    with the error `derived_type` raises for it instead."""
+    decls = sig.decls
+    stack: list = [(l, None)]  # (subterm, its type or the error above it)
+    while stack:
+        u, above = stack.pop()
+        if u.__class__ is Var:
+            yield u.var, above
+            continue
+        kids = _children(u)
+        if above is None:
+            decl = decls.get(u.name) if u.__class__ is Symb else None
+            if decl is not None:
+                gamma = decl.inst(u.args)
+                for i in range(len(kids), 0, -1):
+                    a, typ = kids[i - 1], None
+                    if a.__class__ is Var:
+                        typ = subst_apply(decl.binders[i - 1][1], gamma)
+                    stack.append((a, typ))
+                continue
+            if u.__class__ is not Symb:
+                above = SchemaError("bad-path", "derived type requires a "
+                                                f"symbol node, found {u}")
+            else:
+                above = SchemaError("unknown-symbol",
+                                    f"undeclared symbol {u.name}")
+        stack.extend((a, above) for a in reversed(kids))
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,11 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cic import InductiveDecl, translate_inductive
 from .rewriting import RewriteRule, RuleSet
-from .schema import derived_type
+from .schema import typed_variables
 from .signature import Signature
 from .positivity import is_predicate_term
 from .terms import (Abs, App, BVar, CacError, Environment, Prod, Sort, STAR,
-                    Symb, Term, Var, Variable, free_vars, occurrences,
+                    Symb, Term, Var, Variable, free_vars,
                     sort_class_of_type, subst_apply)
 
 
@@ -582,19 +582,20 @@ class LoadedFile:
                             "symbol application")
         # infer each variable's declared type from its first occurrence
         # in prefix order, which is the order of positions
-        first: Dict[Variable, tuple] = {}
-        for p, u in occurrences(lhs):
-            if isinstance(u, Var) and u.var not in first:
-                first[u.var] = p
+        first: Dict[Variable, object] = {}
+        for v, typ in typed_variables(lhs, self.signature):
+            first.setdefault(v, typ)
         types: Dict[Variable, Term] = {}
         for v in free.values():
-            p = first.get(v)
-            if p is None:
+            typ = first.get(v)
+            if typ is None:
                 raise ElabError(
                     "bad-rhs",
                     f"line {line}: variable {v.name} does not occur in the "
                     "left-hand side; annotate the rule explicitly")
-            types[v] = derived_type(lhs, p, self.signature)
+            if isinstance(typ, CacError):
+                raise typ
+            types[v] = typ
         # correct the sort classes, rebuilding only when one changes
         repl: Dict[Variable, Term] = {}
         fixed: Dict[Variable, Variable] = {}
@@ -608,20 +609,24 @@ class LoadedFile:
         lhs = subst_apply(lhs, repl)
         rhs = subst_apply(rhs, repl)
         types = {fixed[v]: subst_apply(t, repl) for v, t in types.items()}
-        # environment in dependency order (types may mention other vars)
-        order: List[Variable] = []
-        remaining = dict(types)
-        while remaining:
-            progressed = False
-            for v in sorted(remaining, key=lambda w: w.id):
-                if free_vars(remaining[v]) <= set(order):
-                    order.append(v)
-                    del remaining[v]
-                    progressed = True
-            if not progressed:
-                raise ElabError("bad-env", f"line {line}: cyclic dependencies"
-                                " among inferred variable types; annotate "
-                                "the rule explicitly")
+        # environment in dependency order (types may mention other vars):
+        # by id, at once when every type is closed, else in rounds by id
+        order: List[Variable] = sorted(types, key=lambda w: w.id)
+        if any(free_vars(types[v]) for v in order):
+            remaining, order, placed = order, [], set()
+            while remaining:
+                later = []
+                for v in remaining:
+                    if free_vars(types[v]) <= placed:
+                        order.append(v)
+                        placed.add(v)
+                    else:
+                        later.append(v)
+                if len(later) == len(remaining):
+                    raise ElabError("bad-env", f"line {line}: cyclic "
+                                    "dependencies among inferred variable "
+                                    "types; annotate the rule explicitly")
+                remaining = later
         env = Environment.of((v, types[v]) for v in order)
         return RewriteRule(name, lhs, rhs, env, {})
 

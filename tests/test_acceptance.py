@@ -25,7 +25,9 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Orientation,
 from cac.cli import _FileChecker, _confluent, main
 from cac.rewriting import rename_apart, unify
 from cac.syntax import _texts, parse
-from cac.terms import lam, map_children
+from cac.schema import derived_type
+from cac.terms import (lam, map_children, positions_of, symbols_of,
+                       var_counts)
 from tests.conftest import (CORPUS, _unless_recursion_error, corpus_source,
                             plus_family_source)
 from tests.test_admissibility import partition
@@ -908,3 +910,33 @@ def test_normalization_takes_a_shared_leaf_once():
     # L's own slot while L was being normalized
     one, two = _tree_calls(0), _tree_calls(1)
     assert two / one <= 1.1, (one, two)
+
+
+def test_acceptance_32_each_left_hand_side_is_walked_once():
+    # a count of calls, not a time; loading types each rule variable,
+    # and S4 its occurrences, from one typed walk of the lhs, and
+    # critical_pairs lists each lhs's positions under a rule head once,
+    # so no derived type is taken position by position and no lhs is
+    # walked for its symbols; var_counts is left to A1's left_linear and
+    # A4's duplication test, three calls per rule
+    source = _synthetic(160)
+
+    def load_and_check():
+        lf = load(source)
+        check_admissible(lf.signature, lf.rules)
+
+    derived = _calls(load_and_check, only=derived_type)
+    positions = _calls(load_and_check, only=positions_of)
+    lf = load(source)
+    symbols = _calls(lambda: check_admissible(lf.signature, lf.rules),
+                     only=symbols_of)
+    counts = _calls(lambda: check_admissible(lf.signature, lf.rules),
+                    only=var_counts)
+    _report(32, derived == 0 and positions == 0 and symbols == 0
+            and counts <= 960,
+            "each left-hand side is walked once for its types and its "
+            "overlaps: load plus check_admissible of synthetic(160) make "
+            f"{derived} derived_type calls (bound 0) and {positions} "
+            "positions_of calls (bound 0), and check_admissible alone "
+            f"{symbols} symbols_of calls (bound 0) and {counts} var_counts "
+            "calls (bound 960)")

@@ -95,6 +95,48 @@ def test_admissibility_structured_report(capsys):
     assert obj["a1"]["level"] == "NEWMAN"
 
 
+NON_LEFT_LINEAR = ("symbol o : * .\nsymbol true : o .\n"
+                   "symbol eq : o -> o -> o .\npragma prec eq > true .\n"
+                   "rule eq(x, x) -> true .\n")
+
+
+def test_newman_refuses_a_rule_that_is_not_left_linear(tmp_path, capsys):
+    # R terminates and has no critical pair, so it is confluent, but no
+    # theorem named here lifts that to R with beta for eq(x, x), so A1
+    # is not NEWMAN
+    f = tmp_path / "eq.cac"
+    f.write_text(NON_LEFT_LINEAR, encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 1
+    out = capsys.readouterr().out
+    assert "A1 confluence: UNKNOWN\n  termination by recursive path order\n" \
+        "  rule rule1 is not left-linear: no theorem is named that lifts " \
+        "the confluence of R to R ∪ β for it\n" in out
+    assert out.endswith("overall: REJECTED\n")
+    assert main(["--report", "structured", "admissibility", str(f)]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["a1"]["level"] == "UNKNOWN" and obj["overall"] == "REJECTED"
+    assert obj["a1"]["evidence"][-1].startswith(
+        "rule rule1 is not left-linear")
+    # the pragma still asserts confluence
+    f.write_text(NON_LEFT_LINEAR + "pragma assume_confluent .\n",
+                 encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "A1 confluence: ASSERTED\n  assume-confluent pragma\n" in out
+    assert out.endswith("overall: ADMISSIBLE_WITH_ASSERTIONS\n")
+
+
+def test_newman_keeps_a_left_linear_system(tmp_path, capsys):
+    # eq(x, y) is left-linear, and its one pair with eq(x, true) joins
+    f = tmp_path / "eq.cac"
+    f.write_text(NON_LEFT_LINEAR.replace("eq(x, x)", "eq(x, y)")
+                 + "rule eq(x, true) -> true .\n", encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "A1 confluence: NEWMAN\n" in out and "joinable" in out
+    assert out.endswith("overall: ADMISSIBLE\n")
+
+
 def test_admissibility_builds_only_the_report_it_prints(monkeypatch,
                                                        capsys):
     from cac.admissibility import AdmissibilityReport, check_admissible

@@ -231,9 +231,13 @@ def test_shared_terms_print_as_their_unshared_copies(corpus):
         # so no id is reused by a freed temporary while it prints
         printer = _Printer(t)
         printer._pp(t, None, top=True)
-        assert all(id(u) == k for k, u in printer.seen.items())
-        assert printer.texts.keys() <= printer.seen.keys()
-        kept += len(printer.texts)
+        # the tables are built at the first binder-free subterm below
+        # the root, so a term with none has neither
+        seen, texts = printer.seen or {}, printer.texts or {}
+        assert all(id(u) == k for k, u in seen.items())
+        assert texts.keys() <= seen.keys()
+        assert id(t) not in seen
+        kept += len(texts)
     assert kept > CASES // 2  # texts were kept for reuse
 
 

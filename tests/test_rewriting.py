@@ -379,6 +379,12 @@ def test_critical_pairs_match_all_pairs_reference():
     assert found > 100  # the generator does produce overlaps
 
 
+def proper_occurrences(rule):
+    """Every (position, subterm) pair of the lhs below its root, which
+    `_overlaps` narrows to the partner's head."""
+    return [(p, u) for p, u in occurrences(rule.lhs) if p]
+
+
 def renamed_first_critical_pairs(rules):
     """Reference enumeration with the index of `critical_pairs`, but
     every rule renamed apart before any pair is tried, each copy serving
@@ -391,11 +397,13 @@ def renamed_first_critical_pairs(rules):
         head = ri.head_name()
         if any(head in symbols_of(a) for a in ri.lhs_args()):
             out.extend(_overlaps(ri, rename_apart(rules[i]),
-                                 include_root=False))
+                                 proper_occurrences(ri), include_root=False))
         for j, rj in enumerate(renamed):
             if j > i and (head in syms[j] or rj.head_name() in syms[i]):
-                out.extend(_overlaps(ri, rj, include_root=True))
-                out.extend(_overlaps(rj, ri, include_root=False))
+                out.extend(_overlaps(ri, rj, proper_occurrences(ri),
+                                     include_root=True))
+                out.extend(_overlaps(rj, ri, proper_occurrences(rj),
+                                     include_root=False))
     return out
 
 

@@ -21,12 +21,13 @@ import cac.terms
 from cac import (RewriteRule, STAR, Symb, Var, Variable, load,
                  match_first_order, pp, step, unify)
 from cac.rewriting import RuleError, RuleSet, _reducts
-from cac.schema import SchemaError, derived_type
+from cac.schema import SchemaError, derived_type, typed_variables
 from cac.terms import (Abs, App, BVar, CacError, EPSILON, InvalidPosition,
                        Prod, Sort, SortT, _children, _rebuild, close,
-                       occurrences, open_, open_fresh, replace_at,
-                       subst_apply)
+                       free_vars, occurrences, open_, open_fresh,
+                       positions_of, replace_at, subst_apply, subterm_at)
 from tests.conftest import _unless_recursion_error, reference_reduce_one
+from tests.test_admissibility import first_order_systems
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +428,56 @@ def test_derived_type_matches_the_recursive_reference(corpus, walks_file):
             assert same_outcome(got, want), (str(l), p)
             kinds.add(want[1][1] if want[0] == "error" else "ok")
     assert kinds == {"ok", "invalid-position", "bad-path", "unknown-symbol"}
+
+
+def walk_reference(l, sig):
+    """(variable, derived type) at each variable position of l, in
+    sorted position order, as `derived_type` gives them."""
+    places = sorted(p for v in free_vars(l) for p in positions_of(l, v))
+    return [(subterm_at(l, p).var, outcome(derived_type, l, p, sig))
+            for p in places]
+
+
+def walk_outcomes(l, sig):
+    return [(v, ("error", (type(tau), tau.code, tau.message))
+             if isinstance(tau, CacError) else ("ok", tau))
+            for v, tau in typed_variables(l, sig)]
+
+
+def same_walk(got, want):
+    return len(got) == len(want) and all(
+        v == w and same_outcome(a, b) for (v, a), (w, b) in zip(got, want))
+
+
+def test_typed_walk_matches_derived_type(corpus, walks_file):
+    from tests.test_acceptance import _synthetic
+    terms = [(r.lhs, lf.signature)
+             for lf in [*corpus.values(), load(_synthetic(20))]
+             for r in lf.rules]
+    # beside the rules, left-hand sides that no rule may have: below an
+    # application, a binder or an undeclared symbol, derived_type fails
+    sig = walks_file.signature
+    k = Var(Variable.fresh("k", Sort.STAR))
+    terms += [(sy("len", sy("s", k), sy("cons", k, Var(Variable.fresh("v")))),
+               sig),
+              (sy("pair", sy("s", X), sy("nope", X, sy("s", X))), sig),
+              (sy("pair", App(X, sy("s", X)), Abs(STAR, X)), sig),
+              (sy("nope", sy("s", X), X), sig)]
+    kinds = set()
+    for l, sig in terms:
+        want = walk_reference(l, sig)
+        assert same_walk(walk_outcomes(l, sig), want), str(l)
+        kinds.update(b[1][1] if b[0] == "error" else "ok" for _, b in want)
+    assert kinds == {"ok", "bad-path", "unknown-symbol"}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(first_order_systems())
+def test_typed_walk_matches_derived_type_on_generated_systems(src):
+    lf = load(src)
+    for r in lf.rules:
+        assert same_walk(walk_outcomes(r.lhs, lf.signature),
+                         walk_reference(r.lhs, lf.signature)), src
 
 
 # ---------------------------------------------------------------------------
