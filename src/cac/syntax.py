@@ -609,24 +609,24 @@ class LoadedFile:
         lhs = subst_apply(lhs, repl)
         rhs = subst_apply(rhs, repl)
         types = {fixed[v]: subst_apply(t, repl) for v, t in types.items()}
-        # environment in dependency order (types may mention other vars):
-        # by id, at once when every type is closed, else in rounds by id
-        order: List[Variable] = sorted(types, key=lambda w: w.id)
-        if any(free_vars(types[v]) for v in order):
-            remaining, order, placed = order, [], set()
-            while remaining:
-                later = []
-                for v in remaining:
-                    if free_vars(types[v]) <= placed:
-                        order.append(v)
-                        placed.add(v)
-                    else:
-                        later.append(v)
-                if len(later) == len(remaining):
-                    raise ElabError("bad-env", f"line {line}: cyclic "
-                                    "dependencies among inferred variable "
-                                    "types; annotate the rule explicitly")
-                remaining = later
+        # environment in dependency order (types may mention other vars),
+        # placed in rounds by id
+        remaining = sorted(types, key=lambda w: w.id)
+        order: List[Variable] = []
+        placed: set = set()
+        while remaining:
+            later = []
+            for v in remaining:
+                if free_vars(types[v]) <= placed:
+                    order.append(v)
+                    placed.add(v)
+                else:
+                    later.append(v)
+            if len(later) == len(remaining):
+                raise ElabError("bad-env", f"line {line}: cyclic "
+                                "dependencies among inferred variable "
+                                "types; annotate the rule explicitly")
+            remaining = later
         env = Environment.of((v, types[v]) for v in order)
         return RewriteRule(name, lhs, rhs, env, {})
 

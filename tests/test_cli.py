@@ -137,6 +137,39 @@ def test_newman_keeps_a_left_linear_system(tmp_path, capsys):
     assert out.endswith("overall: ADMISSIBLE\n")
 
 
+def test_a_rule_that_is_not_left_linear_converts_by_search(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    # A1 is not positive on eq(x, x), so check and convert search for a
+    # common reduct within fuel rather than compare normal forms
+    import cac.typing
+    search, searched = cac.typing.joinable, []
+
+    def counting_joinable(t, u, rules, fuel):
+        searched.append((t, u))
+        return search(t, u, rules, fuel)
+
+    monkeypatch.setattr(cac.typing, "joinable", counting_joinable)
+    f = tmp_path / "eq.cac"
+    f.write_text(NON_LEFT_LINEAR.replace(
+        "symbol true : o .\n", "symbol true : o .\nsymbol false : o .\n")
+        + "convert eq(true, eq(false, false)) , true .\n"
+        "convert eq(true, false) , true .\n", encoding="utf-8")
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "convert (line 7): ok — convertible",
+        "convert (line 8): failed — no common reduct found",
+        "some checks failed"]
+    assert len(searched) == 2
+    assert main(["convert", str(f), "-e", "eq(true, eq(false, false))",
+                 "-e", "true"]) == 0
+    assert main(["convert", str(f), "-e", "eq(true, false)",
+                 "-e", "true"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "convertible", "not convertible"]
+    assert len(searched) == 4
+
+
 def test_admissibility_builds_only_the_report_it_prints(monkeypatch,
                                                        capsys):
     from cac.admissibility import AdmissibilityReport, check_admissible
