@@ -14,10 +14,9 @@ from .positivity import (PredicateClass, check_inductive_structure,
 from .printer import pp
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, CriticalPair,
                         RewriteRule, RuleSet, confluence_check, critical_pairs,
-                        joinable, left_linear, match_first_order, normalize,
-                        step, unify)
+                        joinable, match_first_order, normalize, step, unify)
 from .schema import (AccPair, ClosureChecker, SchemaVerdict, acc_step,
-                     args_greater, cc_check, check_well_formed, derived_type,
+                     args_greater, cc_check, check_well_formed,
                      satisfies_general_schema)
 from .signature import (InductiveStructure, Precedence, Signature,
                         SymbolDecl)
@@ -25,8 +24,7 @@ from .syntax import LoadedFile, ParseError, load, parse
 from .terms import (Abs, App, BOX, BVar, CacError, Environment, FuelExhausted,
                     Position, Prod, Sort, SortT, STAR, Substitution, Symb,
                     Term, Var, Variable, arrow, free_vars, is_algebraic,
-                    lam, pi, positions_of, replace_at, subst_apply,
-                    subterm_at)
+                    lam, pi, replace_at, subst_apply)
 from .typing import TypeChecker, TypingDerivation, TypingError, replay
 
 __version__ = "1.0.0"

@@ -14,13 +14,11 @@ from .positivity import (PredicateClass, check_inductive_structure,
                          first_occurrences, predicate_classes)
 from .rewriting import (ConfluenceLevel, ConfluenceVerdict, RewriteRule,
                         RuleSet, confluence_check, unify)
-from .schema import (derived_type, rule_type, satisfies_general_schema,
-                     typed_variables)
+from .schema import rule_type, satisfies_general_schema, typed_subterms
 from .signature import Signature
-from .terms import (Abs, CacError, Sort, Symb, Term, Var, Variable,
+from .terms import (Abs, CacError, Position, Sort, Symb, Term, Var, Variable,
                     _map_leaves, free_vars, is_algebraic, open_fresh,
-                    positions_of, spine, subst_apply, subterm_at,
-                    symbols_of, var_counts)
+                    spine, subst_apply, symbols_of, var_counts)
 from .typing import TypeChecker
 
 
@@ -120,10 +118,11 @@ def check_type_preservation(rule: RewriteRule,
         # one walk of the lhs: each variable's corrected derived types,
         # in order of first occurrence, not of the variables' hashes
         corrected: Dict[Variable, List[Term]] = {}
-        for v, tau in typed_variables(lhs, sig):
-            found = corrected.setdefault(v, [])
-            if not isinstance(tau, CacError):
-                found.append(subst_apply(tau, rho))
+        for _, u, tau in typed_subterms(lhs, sig):
+            if u.__class__ is Var:
+                found = corrected.setdefault(u.var, [])
+                if not isinstance(tau, CacError):
+                    found.append(subst_apply(tau, rho))
         missing = [x for x, xtyp in gamma_env
                    if xtyp not in corrected.get(x, ())]
         uncovered = [v for v in corrected
@@ -148,9 +147,10 @@ def check_type_preservation(rule: RewriteRule,
     if not rho:
         out["s5"] = S5_VACUOUS
     else:
+        typed = {p: (u, tau) for p, u, tau in typed_subterms(lhs, sig)}
         unlinked = []
         for xp, image in sorted(rho.items(), key=lambda kv: kv[0].name):
-            if not _parameter_linked(lhs, xp, image, sig):
+            if not _parameter_linked(lhs, typed, xp, image, sig):
                 unlinked.append(xp)
         if unlinked:
             out["s5"] = ConditionResult(
@@ -162,64 +162,40 @@ def check_type_preservation(rule: RewriteRule,
     return out
 
 
-def _parameter_linked(lhs: Symb, xp: Variable, image: Term,
-                      sig: Signature) -> bool:
-    """One occurrence of xp as constructor argument j where the j-th
-    binder is an output parameter whose expected instantiation is the
-    image of xp; or xp is a top-level argument that another top-level
-    constructor argument's output type pins to the image."""
-    if _index_linked(lhs, xp, image, sig):
-        return True
-    for p in sorted(positions_of(lhs, xp)):
-        q, j = p[:-1], p[-1]
-        holder = subterm_at(lhs, q)
-        decl = sig.decls.get(holder.name)
-        if decl is None or not isinstance(decl.output, Symb):
+def _parameter_linked(lhs: Symb, typed: Dict[Position, tuple],
+                      xp: Variable, image: Term, sig: Signature) -> bool:
+    """Whether typing the lhs pins xp to its image at a constructor
+    application h = c(u-vec) below the root, by h's derived type τ and
+    c's declared output type P(o-vec), at an index k:
+    - xp is an argument u_j of h, o_k is the first o that is c's binder
+      j, and τ_k is the image (xp is an output parameter of h); or
+    - h is an lhs argument whose declared type in the head's telescope
+      is headed by P, τ_k is xp, which is then an lhs argument that
+      indexes h's type, and o_k, instantiated at u-vec, is the image.
+    `typed` maps each proper position of the lhs to its subterm and
+    derived type, or the error of its path."""
+    x, head = Var(xp), sig.decls[lhs.name]
+    for q, (h, tau) in typed.items():
+        decl = sig.decls.get(h.name) if h.__class__ is Symb else None
+        if decl is None or not isinstance(decl.output, Symb) \
+                or not isinstance(tau, Symb):
             continue
-        yj = decl.binders[j - 1][0]
-        k = next((i for i, v in enumerate(decl.output.args, start=1)
-                  if isinstance(v, Var) and v.var == yj), None)
-        if k is None:
-            continue
-        try:
-            tau = derived_type(lhs, q, sig)
-        except CacError:  # such as the root's, for a top-level p
-            continue
-        if isinstance(tau, Symb) and len(tau.args) >= k \
-                and tau.args[k - 1] == image:
-            return True
-    return False
-
-
-def _index_linked(lhs: Symb, xp: Variable, image: Term,
-                  sig: Signature) -> bool:
-    """xp sits at a top-level argument position whose binder variable is
-    the k-th index in the declared type of another top-level argument,
-    and that argument is a constructor application whose instantiated
-    k-th output index is the image: typing the latter forces xp to the
-    image."""
-    head_decl = sig.decls[lhs.name]
-    for i, arg in enumerate(lhs.args, start=1):
-        if not (isinstance(arg, Var) and arg.var == xp):
-            continue
-        xi = head_decl.binders[i - 1][0]
-        for i2, (_, t2) in enumerate(head_decl.binders, start=1):
-            if i2 == i or not isinstance(t2, Symb):
-                continue
-            ks = [k for k, targ in enumerate(t2.args, start=1)
-                  if isinstance(targ, Var) and targ.var == xi]
-            actual = lhs.args[i2 - 1]
-            if not ks or not isinstance(actual, Symb):
-                continue
-            d2 = sig.decls.get(actual.name)
-            if d2 is None or not isinstance(d2.output, Symb) \
-                    or d2.output.name != t2.name:
-                continue
-            g2 = d2.inst(actual.args)
-            for k in ks:
-                if k <= len(d2.output.args) and subst_apply(
-                        d2.output.args[k - 1], g2) == image:
-                    return True
+        out = decl.output.args
+        for j in (j for j, u in enumerate(h.args[:decl.arity], start=1)
+                  if u == x):
+            yj = decl.binders[j - 1][0]
+            k = next((i for i, v in enumerate(out, start=1)
+                      if isinstance(v, Var) and v.var == yj), None)
+            if k is not None and len(tau.args) >= k \
+                    and tau.args[k - 1] == image:
+                return True
+        if len(q) == 1 and isinstance(head.binders[q[0] - 1][1], Symb) \
+                and tau.name == decl.output.name:
+            gamma = decl.inst(h.args)
+            if any(t == x and k <= len(out)
+                   and subst_apply(out[k - 1], gamma) == image
+                   for k, t in enumerate(tau.args, start=1)):
+                return True
     return False
 
 

@@ -14,7 +14,7 @@ from .terms import (EPSILON, Abs, App, BVar, CacError, Environment,
                     FuelExhausted, Position, Prod, Sort, SortT, Symb, Term,
                     Var, Variable, _children, _plug, _rebuild, close,
                     free_vars, is_algebraic, open_, open_fresh, replace_at,
-                    subst_apply, var_counts)
+                    subst_apply)
 
 
 class RuleError(CacError):
@@ -641,8 +641,12 @@ class CriticalPair(NamedTuple):
                 f" (rules {self.rules[0]}/{self.rules[1]} at {list(self.overlap_position)})")
 
 
-def left_linear(rule: RewriteRule) -> bool:
-    return all(n == 1 for n in var_counts(rule.lhs).values())
+class CriticalPairs(list):
+    """The critical pairs of a rule set, in order, and the first rule
+    whose lhs repeats a variable: A1 reads both from one walk of each
+    lhs."""
+
+    nonlinear: Optional[RewriteRule] = None  # every rule left-linear
 
 
 def _overlaps(r1: RewriteRule, r2: RewriteRule, sites: Iterable,
@@ -667,23 +671,36 @@ def _overlaps(r1: RewriteRule, r2: RewriteRule, sites: Iterable,
     return out
 
 
-def _head_sites(lhs: Symb, heads) -> Sequence[Tuple[Position, Symb]]:
-    """One walk of an algebraic lhs: the (position, subterm) pairs below
-    its root headed by a name in `heads`, in prefix order.  Most rules
-    have none, and share the empty tuple instead of keeping a list."""
+def _head_sites(lhs: Symb, heads, k: int, last: Dict[Variable, int]
+                ) -> Tuple[Sequence[Tuple[Position, Symb]], bool, bool]:
+    """One walk of rule k's algebraic lhs: the (position, subterm) pairs
+    below its root headed by a name in `heads`, in prefix order, and
+    whether the lhs repeats a variable and whether an earlier rule has
+    one of its variables, which `last` tells: it maps each variable
+    seen so far to the last rule it was seen in, and the walk updates
+    it.  Most rules have no sites and share the empty tuple."""
     sites = []
+    repeats = shares = False
     stack = [(EPSILON, lhs)]
     while stack:
         p, u = stack.pop()
         if p and u.name in heads:
             sites.append((p, u))
         for i in range(len(u.args), 0, -1):
-            if u.args[i - 1].__class__ is Symb:
-                stack.append((p + (i,), u.args[i - 1]))
-    return sites or ()
+            a = u.args[i - 1]
+            if a.__class__ is Symb:
+                stack.append((p + (i,), a))
+                continue
+            seen = last.get(a.var)
+            if seen == k:
+                repeats = True
+            elif seen is not None:
+                shares = True
+            last[a.var] = k
+    return sites or (), repeats, shares
 
 
-def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
+def critical_pairs(rules: Sequence[RewriteRule]) -> CriticalPairs:
     """All overlaps between variable-disjoint rule pairs at non-variable
     positions.  Rule/beta pairs do not exist: left-hand sides are
     algebraic, hence abstraction-free.
@@ -697,22 +714,30 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
     then direction.  Overlapping needs only that the two left-hand
     sides share no variable, and `load` gives each rule its own, so two
     distinct rules are overlapped as they are.  A rule's copy for its
-    self-overlaps, and a partner that shares a variable object with
-    rule i (rules built through the API may), is renamed apart.
+    self-overlaps, and a partner j that shares a variable object with
+    an earlier rule (rules built through the API may), is renamed apart.
     Renaming keeps variable names and positions, so the printed pairs
-    are those of renaming every rule."""
+    are those of renaming every rule.  The same walk finds the first
+    rule that is not left-linear."""
     rules = RuleSet.of(rules)
-    sites = [_head_sites(r.lhs, rules.heads) for r in rules]
+    out = CriticalPairs()
+    last: Dict[Variable, int] = {}
+    sites = []
+    shared = set()  # rules that share a variable with an earlier rule
     at_head: Dict[str, List[int]] = {}     # rules with this head
     mentioning: Dict[str, List[int]] = {}  # rules whose lhs has this head
     for k, r in enumerate(rules):
+        found, repeats, shares = _head_sites(r.lhs, rules.heads, k, last)
+        sites.append(found)
+        if repeats and out.nonlinear is None:
+            out.nonlinear = r
+        if shares:
+            shared.add(k)
         at_head.setdefault(r.head_name(), []).append(k)
         names = {sub.name for _, sub in sites[k]}
         names.add(r.head_name())
         for g in names:
             mentioning.setdefault(g, []).append(k)
-    lhs_vars = [free_vars(r.lhs) for r in rules]
-    out: List[CriticalPair] = []
     for i, r in enumerate(rules):
         head = r.head_name()
         # self-overlaps at proper positions only
@@ -724,9 +749,9 @@ def critical_pairs(rules: Sequence[RewriteRule]) -> List[CriticalPair]:
             partners.update(at_head[sub.name])
         for j in sorted(j for j in partners if j > i):
             rj, sites_j = rules[j], sites[j]
-            if not lhs_vars[i].isdisjoint(lhs_vars[j]):
+            if j in shared:
                 rj = rename_apart(rj)
-                sites_j = _head_sites(rj.lhs, rules.heads)
+                sites_j = _head_sites(rj.lhs, rules.heads, j, last)[0]
             out.extend(_overlaps(r, rj, sites[i], include_root=True))
             out.extend(_overlaps(rj, r, sites_j, include_root=False))
     return out
@@ -768,8 +793,8 @@ def confluence_check(rules: Sequence[RewriteRule],
     rules = RuleSet.of(rules)
     if not rules:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL, ["empty rule set"])
-    nonlinear = next((r for r in rules if not left_linear(r)), None)
     cps = critical_pairs(rules)
+    nonlinear = cps.nonlinear
     if nonlinear is None and not cps:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL,
                                  ["left-linear", "no critical pairs"])

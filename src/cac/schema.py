@@ -9,9 +9,9 @@ from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
 
 from .rewriting import RewriteRule
 from .signature import Signature
-from .terms import (App, CacError, Environment, FuelExhausted,
-                    InvalidPosition, Position, Symb, Term, Var, Variable,
-                    _children, positions_of, subst_apply)
+from .terms import (App, CacError, EPSILON, Environment, FuelExhausted,
+                    Position, Symb, Term, Var, Variable, _children,
+                    subst_apply)
 from .typing import TypeChecker, TypingDerivation
 
 
@@ -76,59 +76,41 @@ def acc_reachable(start: AccPair, sig: Signature,
     return list(seen)
 
 
-def derived_type(l: Term, p: Position, sig: Signature) -> Term:
-    """The type forced on the lhs subterm at p by the declarations on
-    the path (computed symbolically, at the identity instance)."""
-    for k, i in enumerate(p):
-        if not isinstance(l, Symb):
-            raise SchemaError("bad-path",
-                              f"derived type requires a symbol node, found {l}")
-        decl = sig.decls.get(l.name)
-        if decl is None:
-            raise SchemaError("unknown-symbol", f"undeclared symbol {l.name}")
-        if not 1 <= i <= len(l.args):
-            raise InvalidPosition(l, p[k:])
-        if k + 1 == len(p):
-            gamma = decl.inst(l.args)
-            return subst_apply(decl.binders[i - 1][1], gamma)
-        l = l.args[i - 1]
-    raise InvalidPosition(l, p)  # the root position has no derived type
-
-
-def typed_variables(l: Symb, sig: Signature
-                    ) -> Iterator[Tuple[Variable, Union[Term, CacError]]]:
-    """Each variable occurrence of the lhs l, in the prefix order of
-    `occurrences`, with the derived type at its position: one walk that
-    reads each type from the occurrence's parent symbol and argument
-    index, as `derived_type` does at the last step of its path.  Below
-    the first node of a path that is not a declared symbol, which only a
-    non-algebraic lhs or an undeclared symbol has, an occurrence comes
-    with the error `derived_type` raises for it instead."""
-    decls = sig.decls
-    stack: list = [(l, None)]  # (subterm, its type or the error above it)
+def typed_subterms(l: Term, sig: Signature) -> Iterator[
+        Tuple[Position, Term, Union[Term, CacError]]]:
+    """Each proper subterm of the lhs l, in the prefix order of
+    `occurrences`, with its position p and its derived type τ(l, p):
+    the type forced on it by its parent symbol's declaration at its
+    argument index, computed symbolically at the identity instance.
+    Below the first node of a path that is not a declared symbol with
+    no more arguments than binders, which only a non-algebraic lhs or a
+    rule built outside `load` has, a subterm comes with that node's
+    error instead: `bad-path`, `unknown-symbol` or `arity-error`.  One
+    walk with its own stack, so any depth."""
+    stack: list = [(EPSILON, l, None)]  # (position, subterm, its type)
     while stack:
-        u, above = stack.pop()
-        if u.__class__ is Var:
-            yield u.var, above
-            continue
+        p, u, tau = stack.pop()
+        if p:
+            yield p, u, tau
         kids = _children(u)
-        if above is None:
-            decl = decls.get(u.name) if u.__class__ is Symb else None
-            if decl is not None:
+        decl = None
+        if kids and not isinstance(tau, CacError):
+            decl = sig.decls.get(u.name) if u.__class__ is Symb else None
+            if decl is not None and len(kids) <= decl.arity:
                 gamma = decl.inst(u.args)
-                for i in range(len(kids), 0, -1):
-                    a, typ = kids[i - 1], None
-                    if a.__class__ is Var:
-                        typ = subst_apply(decl.binders[i - 1][1], gamma)
-                    stack.append((a, typ))
-                continue
-            if u.__class__ is not Symb:
-                above = SchemaError("bad-path", "derived type requires a "
-                                                f"symbol node, found {u}")
+            elif decl is not None:  # no binder for an argument past them
+                decl, tau = None, SchemaError(
+                    "arity-error", f"{u.name} expects {decl.arity} "
+                                   f"argument(s), got {len(kids)}")
+            elif u.__class__ is Symb:
+                tau = SchemaError("unknown-symbol",
+                                  f"undeclared symbol {u.name}")
             else:
-                above = SchemaError("unknown-symbol",
-                                    f"undeclared symbol {u.name}")
-        stack.extend((a, above) for a in reversed(kids))
+                tau = SchemaError("bad-path", "derived type requires a "
+                                              f"symbol node, found {u}")
+        for i in range(len(kids), 0, -1):
+            stack.append((p + (i,), kids[i - 1], tau if decl is None else
+                          subst_apply(decl.binders[i - 1][1], gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +130,33 @@ class WellFormedness(NamedTuple):
     failures: List[str]
 
 
-def typed_occurrences(rule: RewriteRule, x: Variable, xtyp: Term,
-                      sig: Signature) -> Iterator[Tuple[Position, Term]]:
-    """The proper positions of x in the lhs, in order, whose derived
-    type, corrected by the annotation substitution, is xtyp; each with
-    its uncorrected derived type."""
-    for p in sorted(positions_of(rule.lhs, x)):
-        try:
-            tau = derived_type(rule.lhs, p, sig)
-        except CacError:
-            continue
-        if subst_apply(tau, rule.ann_subst) == xtyp:
-            yield p, tau
-
-
 def check_well_formed(rule: RewriteRule, sig: Signature) -> WellFormedness:
     """Every variable of the annotation environment must be reachable by
     accessibility inside some lhs argument, at a position whose derived
     type, corrected by the annotation substitution, is its declared type."""
     l = rule.lhs
     assert isinstance(l, Symb)
-    decl = sig.decls.get(l.name)
-    if decl is None:
+    if l.name not in sig.decls:
         return WellFormedness(False, {},
                               [f"undeclared head symbol {l.name}"])
-    gamma = decl.inst(l.args)
+    # one walk: each lhs argument and each variable position with its
+    # derived type, variable positions in prefix order
+    args: Dict[int, AccPair] = {}
+    typed: Dict[Variable, List[Tuple[Position, Term]]] = {}
+    for p, u, tau in typed_subterms(l, sig):
+        if len(p) == 1:
+            args[p[0]] = AccPair(u, tau)
+        if u.__class__ is Var and not isinstance(tau, CacError):
+            typed.setdefault(u.var, []).append((p, tau))
     reach: Dict[int, List[AccPair]] = {}  # per lhs argument, on demand
     witnesses: Dict[Variable, AccessWitness] = {}
     failures: List[str] = []
     for x, xtyp in rule.ann_env:
-        for p, tau in typed_occurrences(rule, x, xtyp, sig):
+        for p, tau in ((p, tau) for p, tau in typed.get(x, ())
+                       if subst_apply(tau, rule.ann_subst) == xtyp):
             i = p[0]
             if i not in reach:
-                reach[i] = acc_reachable(AccPair(
-                    l.args[i - 1],
-                    subst_apply(decl.binders[i - 1][1], gamma)), sig)
+                reach[i] = acc_reachable(args[i], sig)
             if AccPair(Var(x), tau) in reach[i]:
                 witnesses[x] = AccessWitness(x, i, p, tau)
                 break
@@ -247,11 +221,8 @@ class ClosureChecker(TypeChecker):
         lhs = rule.lhs
         assert isinstance(lhs, Symb)
         self.fname = lhs.name
-        decl = tc.sig.decls[lhs.name]
-        gamma0 = decl.inst(lhs.args)
-        self.lhs_pairs = [
-            AccPair(arg, subst_apply(t, gamma0))
-            for arg, (_, t) in zip(lhs.args, decl.binders)]
+        self.lhs_pairs = [AccPair(u, tau) for p, u, tau
+                          in typed_subterms(lhs, tc.sig) if len(p) == 1]
 
     def fail(self, t: Term, why: str):
         raise SchemaError("no-derivation",

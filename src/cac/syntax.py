@@ -30,7 +30,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cic import InductiveDecl, translate_inductive
 from .rewriting import RewriteRule, RuleSet
-from .schema import typed_variables
+from .schema import typed_subterms
 from .signature import Signature
 from .positivity import is_predicate_term
 from .terms import (Abs, App, BVar, CacError, Environment, Prod, Sort, STAR,
@@ -583,8 +583,9 @@ class LoadedFile:
         # infer each variable's declared type from its first occurrence
         # in prefix order, which is the order of positions
         first: Dict[Variable, object] = {}
-        for v, typ in typed_variables(lhs, self.signature):
-            first.setdefault(v, typ)
+        for _, u, typ in typed_subterms(lhs, self.signature):
+            if u.__class__ is Var:
+                first.setdefault(u.var, typ)
         types: Dict[Variable, Term] = {}
         for v in free.values():
             typ = first.get(v)

@@ -387,7 +387,7 @@ def map_children(t: Term, f) -> Term:
 
 def occurrences(t: Term) -> Iterator["tuple[Position, Term]"]:
     """Every (position, subterm) pair of t in prefix (leftmost-outermost)
-    order; subterms are raw, as subterm_at gives them."""
+    order; subterms are raw, with dangling bound indices below a binder."""
     stack = [(EPSILON, t)]
     while stack:
         p, u = stack.pop()
@@ -395,16 +395,6 @@ def occurrences(t: Term) -> Iterator["tuple[Position, Term]"]:
         kids = _children(u)
         for i in range(len(kids), 0, -1):
             stack.append((p + (i,), kids[i - 1]))
-
-
-def subterm_at(t: Term, p: Position) -> Term:
-    """Raw subterm; may contain dangling bound indices when p crosses a binder."""
-    for i in p:
-        kids = _children(t)
-        if not 1 <= i <= len(kids):
-            raise InvalidPosition(t, p)
-        t = kids[i - 1]
-    return t
 
 
 def _plug(path: list, t: Term, stop: int = 0) -> Iterator[Term]:
@@ -430,15 +420,6 @@ def replace_at(t: Term, p: Position, u: Term) -> Term:
         path.append((t, kids, i - 1, None))
         t = kids[i - 1]
     return [u, *_plug(path, u)][-1]  # the root
-
-
-def positions_of(t: Term, needle: Union[str, Variable]) -> frozenset:
-    """Positions where a symbol occurs, or where a variable occurs free."""
-    if isinstance(needle, Variable):
-        return frozenset(p for p, s in occurrences(t)
-                         if isinstance(s, Var) and s.var == needle)
-    return frozenset(p for p, s in occurrences(t)
-                     if isinstance(s, Symb) and s.name == needle)
 
 
 def is_algebraic(t: Term) -> bool:

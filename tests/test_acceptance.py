@@ -19,15 +19,13 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Orientation,
                  Outcome, OverallVerdict, Symb, TypeChecker, Var, Variable,
                  check_admissible, check_inductive_structure,
                  check_type_preservation, check_well_formed, cc_check,
-                 critical_pairs, joinable, left_linear, load, normalize, pp,
+                 critical_pairs, joinable, load, normalize, pp,
                  predicate_classes, satisfies_general_schema,
                  system_properties)
 from cac.cli import _FileChecker, _confluent, main
 from cac.rewriting import rename_apart, unify
 from cac.syntax import _texts, parse
-from cac.schema import derived_type
-from cac.terms import (lam, map_children, positions_of, symbols_of,
-                       var_counts)
+from cac.terms import free_vars, lam, map_children, symbols_of, var_counts
 from tests.conftest import (CORPUS, _unless_recursion_error, corpus_source,
                             plus_family_source)
 from tests.test_admissibility import partition
@@ -58,9 +56,9 @@ def test_acceptance_1_list_append():
                       for k in ("s1", "s2", "s3"))
             ok &= conds["s4"].outcome == Outcome.PASS_SUFFICIENT
             ok &= conds["s5"].outcome == Outcome.PASS_SUFFICIENT
-            ok &= left_linear(r)
             ok &= check_well_formed(r, lf.signature).ok
             ok &= satisfies_general_schema(r, tc).ok
+        ok &= critical_pairs(lf.rules).nonlinear is None  # left-linear
         rule2 = next(r for r in lf.rules if r.name == "rule2")
         deriv = cc_check(rule2, tc)
         ok &= any("⟨cons(A', x, l), list(A)⟩ > ⟨l, list(A)⟩" in n.note
@@ -82,8 +80,8 @@ def test_acceptance_2_propositional_system():
                                          "primitive"))
         ok = (props.algebraic.holds and props.non_duplicating.holds
               and props.primitive.holds)
-        ok &= all(left_linear(r) for r in lf.rules)
         cps = critical_pairs(lf.rules)
+        ok &= cps.nonlinear is None  # every rule left-linear
         ok &= len(cps) > 0
         ok &= all(joinable(cp.left_reduct, cp.right_reduct, lf.rules,
                            fuel=100) for cp in cps)
@@ -913,30 +911,29 @@ def test_normalization_takes_a_shared_leaf_once():
 
 
 def test_acceptance_32_each_left_hand_side_is_walked_once():
-    # a count of calls, not a time; loading types each rule variable,
-    # and S4 its occurrences, from one typed walk of the lhs, and
-    # critical_pairs lists each lhs's positions under a rule head once,
-    # so no derived type is taken position by position and no lhs is
-    # walked for its symbols; var_counts is left to A1's left_linear and
-    # A4's duplication test, three calls per rule
+    # a count of calls, not a time; loading, S4, S5 and the well-formed
+    # rule test read derived types from one typed walk of the lhs, and no
+    # position-by-position derived type is left to call; critical_pairs
+    # walks each lhs once for its positions under a rule head, its
+    # repeated variables and the variables it shares with an earlier
+    # rule, so A1 counts no variables and builds no variable sets;
+    # var_counts is left to A4's duplication test, one call per rule
+    # side, and free_vars in critical_pairs to unify's occurs check
     source = _synthetic(160)
-
-    def load_and_check():
-        lf = load(source)
-        check_admissible(lf.signature, lf.rules)
-
-    derived = _calls(load_and_check, only=derived_type)
-    positions = _calls(load_and_check, only=positions_of)
+    kept = [f"{module.__name__}.{name}" for module, name in [
+        (cac.schema, "derived_type"), (cac.schema, "typed_occurrences"),
+        (cac.terms, "positions_of")] if hasattr(module, name)]
     lf = load(source)
     symbols = _calls(lambda: check_admissible(lf.signature, lf.rules),
                      only=symbols_of)
     counts = _calls(lambda: check_admissible(lf.signature, lf.rules),
                     only=var_counts)
-    _report(32, derived == 0 and positions == 0 and symbols == 0
-            and counts <= 960,
+    free = _calls(lambda: critical_pairs(lf.rules), only=free_vars)
+    _report(32, not kept and symbols == 0 and counts <= 640
+            and free <= 320,
             "each left-hand side is walked once for its types and its "
-            "overlaps: load plus check_admissible of synthetic(160) make "
-            f"{derived} derived_type calls (bound 0) and {positions} "
-            "positions_of calls (bound 0), and check_admissible alone "
+            f"overlaps: position-by-position walks defined: {kept} "
+            "(bound none); check_admissible of synthetic(160) makes "
             f"{symbols} symbols_of calls (bound 0) and {counts} var_counts "
-            "calls (bound 960)")
+            f"calls (bound 640), and critical_pairs {free} free_vars "
+            "calls (bound 320)")

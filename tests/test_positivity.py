@@ -259,7 +259,6 @@ def test_inductive_structure_walks_each_argument_type_once(app,
 
     monkeypatch.setattr(positivity, "signed_occurrences", counted)
     for module, name in [(positivity, "occurrences"),
-                         (cac.terms, "positions_of"),
                          (cac.terms, "occurrences")]:
         monkeypatch.setattr(module, name, forbidden)
     assert check_inductive_structure(sig, rules) == []

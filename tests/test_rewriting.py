@@ -7,7 +7,7 @@ import pytest
 
 from cac import (ConfluenceLevel, Orientation, RewriteRule, STAR, Signature,
                  Symb, Var, Variable, confluence_check, critical_pairs,
-                 joinable, left_linear, match_first_order, normalize, pp,
+                 joinable, match_first_order, normalize, pp,
                  step, unify)
 from cac.rewriting import (RuleError, RuleSet, _overlaps, _reducts, _Search,
                            rename_apart)
@@ -232,10 +232,16 @@ def test_confluence_unknown_and_asserted():
 
 
 def test_left_linear():
-    x = v("x")
-    assert left_linear(RewriteRule("r", sy("f", Var(x)), Var(x)))
-    assert not left_linear(
-        RewriteRule("r", sy("eq", Var(x), Var(x)), sy("a")))
+    # the walk of critical_pairs names the first rule whose lhs repeats
+    # a variable, also when an earlier rule has that variable object too
+    x, y = v("x"), v("y")
+    linear = RewriteRule("r", sy("f", Var(x)), Var(x))
+    eq = RewriteRule("e", sy("eq", Var(x), Var(x)), sy("a"))
+    eq2 = RewriteRule("e2", sy("g", Var(y), sy("h", Var(y))), sy("a"))
+    assert critical_pairs([linear]).nonlinear is None
+    assert critical_pairs([eq]).nonlinear is eq
+    assert critical_pairs([linear, eq2, eq]).nonlinear is eq2
+    assert critical_pairs([linear, eq]).nonlinear is eq
 
 
 def test_joinable_without_confluence_uses_search():
@@ -427,6 +433,13 @@ def test_critical_pairs_match_renaming_every_rule_first(corpus):
         RewriteRule("s1", sy("f", sy("g", Var(x))), Var(x)),
         RewriteRule("s2", sy("g", Var(x)), sy("h", Var(x))),
         RewriteRule("s3", sy("f", Var(x)), sy("g", Var(x)))]
+    # g1 shares x with f1, its partner, though the first rule with x is
+    # a1; overlapping g1 into f1 unrenamed meets x against h(x) and
+    # finds no pair
+    systems["shared_by_three"] = [
+        RewriteRule("a1", sy("a", Var(x)), Var(x)),
+        RewriteRule("f1", sy("f", sy("g", Var(x))), Var(x)),
+        RewriteRule("g1", sy("g", sy("h", Var(x))), Var(x))]
     counts = {}
     for name, rules in systems.items():
         got = printed_pairs(critical_pairs(rules))
@@ -435,6 +448,7 @@ def test_critical_pairs_match_renaming_every_rule_first(corpus):
         counts[name] = len(got)
     assert counts["synthetic_20"] == 20
     assert counts["self_overlap"] == 1 and counts["shared_variable"] == 2
+    assert counts["shared_by_three"] == 1
     assert counts["int"] == 2 and counts["ndm_prop"] > 2
 
 

@@ -5,11 +5,13 @@ and `ref_resolve`), `ref_replace_at` and `ref_derived_type` are the
 recursive generator chain, matcher, triangular unifier, position
 replacement and derived type that `rewriting._reducts`,
 `match_first_order`, `unify`, `terms.replace_at` and
-`schema.derived_type` replaced, kept here to compare against.  Every
-case must give the same terms in the same order, with the same binder
-hints, the same bindings in the same order, or the same error class,
-code and message.  The depth tests at the end fail with the recursive
-walks, which stop near 990 levels."""
+`schema.typed_subterms` replaced, kept here to compare against; so are
+the well-formed rule test and S5's parameter test, taking each derived
+type from `ref_derived_type` position by position.  Every case must
+give the same terms in the same order, with the same binder hints, the
+same bindings in the same order, or the same error class, code and
+message.  The depth tests at the end fail with the recursive walks,
+which stop near 990 levels."""
 
 import random
 
@@ -18,16 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cac.terms
-from cac import (RewriteRule, STAR, Symb, Var, Variable, load,
-                 match_first_order, pp, step, unify)
-from cac.rewriting import RuleError, RuleSet, _reducts
-from cac.schema import SchemaError, derived_type, typed_variables
+from cac import (Environment, RewriteRule, STAR, Signature, Symb,
+                 TypeChecker, Var, Variable, check_type_preservation,
+                 check_well_formed, load, match_first_order, pp, step,
+                 translate_inductive, unify)
+from cac.admissibility import (ConditionResult, Outcome, S5_SUFFICIENT,
+                               S5_VACUOUS, _parameter_linked)
+from cac.rewriting import RuleError, RuleSet, _reducts, _RuleFields
+from cac.schema import (AccPair, AccessWitness, SchemaError, WellFormedness,
+                        acc_reachable, typed_subterms)
 from cac.terms import (Abs, App, BVar, CacError, EPSILON, InvalidPosition,
                        Prod, Sort, SortT, _children, _rebuild, close,
-                       free_vars, occurrences, open_, open_fresh,
-                       positions_of, replace_at, subst_apply, subterm_at)
+                       occurrences, open_, open_fresh, replace_at,
+                       subst_apply)
 from tests.conftest import _unless_recursion_error, reference_reduce_one
 from tests.test_admissibility import first_order_systems
+from tests.test_cic import list_decl
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +168,110 @@ def ref_derived_type(l, p, sig):
         gamma = decl.inst(l.args)
         return subst_apply(decl.binders[i - 1][1], gamma)
     return ref_derived_type(l.args[i - 1], p[1:], sig)
+
+
+def ref_positions(l, x):
+    """The positions of the variable x in l, sorted."""
+    return sorted(p for p, u in occurrences(l)
+                  if isinstance(u, Var) and u.var == x)
+
+
+def ref_subterm_at(l, p):
+    for i in p:
+        l = _children(l)[i - 1]
+    return l
+
+
+def ref_well_formed(rule, sig):
+    l = rule.lhs
+    decl = sig.decls.get(l.name)
+    if decl is None:
+        return WellFormedness(False, {}, [f"undeclared head symbol {l.name}"])
+    gamma = decl.inst(l.args)
+    witnesses, failures = {}, []
+    for x, xtyp in rule.ann_env:
+        for p in ref_positions(l, x):
+            try:
+                tau = ref_derived_type(l, p, sig)
+            except CacError:
+                continue
+            if subst_apply(tau, rule.ann_subst) != xtyp:
+                continue
+            i = p[0]
+            reach = acc_reachable(AccPair(
+                l.args[i - 1], subst_apply(decl.binders[i - 1][1], gamma)),
+                sig)
+            if AccPair(Var(x), tau) in reach:
+                witnesses[x] = AccessWitness(x, i, p, tau)
+                break
+        else:
+            failures.append(
+                f"{rule.name}: variable {x} has no accessible occurrence "
+                f"in the left-hand side with derived type matching {xtyp}")
+    return WellFormedness(not failures, witnesses, failures)
+
+
+def ref_index_linked(lhs, xp, image, sig):
+    head_decl = sig.decls[lhs.name]
+    for i, arg in enumerate(lhs.args, start=1):
+        if not (isinstance(arg, Var) and arg.var == xp):
+            continue
+        xi = head_decl.binders[i - 1][0]
+        for i2, (_, t2) in enumerate(head_decl.binders, start=1):
+            if i2 == i or not isinstance(t2, Symb):
+                continue
+            ks = [k for k, targ in enumerate(t2.args, start=1)
+                  if isinstance(targ, Var) and targ.var == xi]
+            actual = lhs.args[i2 - 1]
+            if not ks or not isinstance(actual, Symb):
+                continue
+            d2 = sig.decls.get(actual.name)
+            if d2 is None or not isinstance(d2.output, Symb) \
+                    or d2.output.name != t2.name:
+                continue
+            g2 = d2.inst(actual.args)
+            for k in ks:
+                if k <= len(d2.output.args) and subst_apply(
+                        d2.output.args[k - 1], g2) == image:
+                    return True
+    return False
+
+
+def ref_parameter_linked(lhs, xp, image, sig):
+    if ref_index_linked(lhs, xp, image, sig):
+        return True
+    for p in ref_positions(lhs, xp):
+        q, j = p[:-1], p[-1]
+        holder = ref_subterm_at(lhs, q)
+        decl = sig.decls.get(holder.name)
+        if decl is None or not isinstance(decl.output, Symb):
+            continue
+        yj = decl.binders[j - 1][0]
+        k = next((i for i, v in enumerate(decl.output.args, start=1)
+                  if isinstance(v, Var) and v.var == yj), None)
+        if k is None:
+            continue
+        try:
+            tau = ref_derived_type(lhs, q, sig)
+        except CacError:  # such as the root's, for a top-level p
+            continue
+        if isinstance(tau, Symb) and len(tau.args) >= k \
+                and tau.args[k - 1] == image:
+            return True
+    return False
+
+
+def ref_s5(rule, sig):
+    rho = rule.ann_subst
+    if not rho:
+        return S5_VACUOUS
+    unlinked = [xp for xp, image in sorted(rho.items(),
+                                           key=lambda kv: kv[0].name)
+                if not ref_parameter_linked(rule.lhs, xp, image, sig)]
+    if not unlinked:
+        return S5_SUFFICIENT
+    return ConditionResult("s5", Outcome.FAIL, "no parameter linkage for "
+                           + ", ".join(v.name for v in unlinked))
 
 
 # ---------------------------------------------------------------------------
@@ -406,47 +518,44 @@ def walks_file():
     return load("symbol o : * .\nsymbol n : * .\nsymbol zero : o .\n"
                 "symbol s : o -> o .\nsymbol pair : o -> n -> o .\n"
                 "symbol vec : o -> * .\nsymbol cons : (k : o) -> vec(k) -> "
-                "vec(s(k)) .\nsymbol len : (k : o) -> vec(k) -> o .\n")
-
-
-def test_derived_type_matches_the_recursive_reference(corpus, walks_file):
-    rng = random.Random(7)
-    terms = [(r.lhs, lf.signature) for lf in corpus.values()
-             for r in lf.rules]
-    sig = walks_file.signature
-    k = Var(Variable.fresh("k", Sort.STAR))
-    terms += [(sy("len", sy("s", k), sy("cons", k, Var(Variable.fresh("v")))),
-               sig),
-              (sy("pair", sy("s", sy("zero")), sy("nope", X)), sig),
-              (sy("pair", App(sy("zero"), X), Abs(STAR, BVar(0))), sig),
-              (sy("nope", sy("zero")), sig), (X, sig)]
-    kinds = set()
-    for l, sig in terms:
-        for p in positions_to_try(l, rng):
-            got = outcome(derived_type, l, p, sig)
-            want = outcome(ref_derived_type, l, p, sig)
-            assert same_outcome(got, want), (str(l), p)
-            kinds.add(want[1][1] if want[0] == "error" else "ok")
-    assert kinds == {"ok", "invalid-position", "bad-path", "unknown-symbol"}
+                "vec(s(k)) .\nsymbol len : (k : o) -> vec(k) -> o .\n"
+                "symbol c0 : vec(zero) .\n"
+                "symbol poly : (A : *) -> A -> o -> o .\n")
 
 
 def walk_reference(l, sig):
-    """(variable, derived type) at each variable position of l, in
-    sorted position order, as `derived_type` gives them."""
-    places = sorted(p for v in free_vars(l) for p in positions_of(l, v))
-    return [(subterm_at(l, p).var, outcome(derived_type, l, p, sig))
-            for p in places]
+    """(position, subterm, derived type) at each proper position of l,
+    in sorted position order, as `ref_derived_type` gives them."""
+    return [(p, u, outcome(ref_derived_type, l, p, sig))
+            for p, u in sorted(occurrences(l), key=lambda pu: pu[0]) if p]
 
 
 def walk_outcomes(l, sig):
-    return [(v, ("error", (type(tau), tau.code, tau.message))
+    return [(p, u, ("error", (type(tau), tau.code, tau.message))
              if isinstance(tau, CacError) else ("ok", tau))
-            for v, tau in typed_variables(l, sig)]
+            for p, u, tau in typed_subterms(l, sig)]
 
 
 def same_walk(got, want):
     return len(got) == len(want) and all(
-        v == w and same_outcome(a, b) for (v, a), (w, b) in zip(got, want))
+        p == q and u is w and same_outcome(a, b)
+        for (p, u, a), (q, w, b) in zip(got, want))
+
+
+def hand_made_sides(sig):
+    """Left-hand sides that no loaded rule has: below an application, a
+    binder or an undeclared symbol, the derived type fails; c0's type
+    vec(zero) indexes len's second argument by its first, which is k,
+    but not poly's, whose type is a variable of the telescope."""
+    k = Var(Variable.fresh("k", Sort.STAR))
+    return [sy("len", sy("s", k), sy("cons", k, Var(Variable.fresh("v")))),
+            sy("len", k, sy("c0")), sy("poly", sy("vec", k), sy("c0"), k),
+            sy("pair", sy("s", X), sy("nope", X, sy("s", X))),
+            sy("pair", X, sy("nope", Y)),
+            sy("pair", sy("s", sy("zero")), sy("nope", X)),
+            sy("pair", App(X, sy("s", X)), Abs(STAR, X)),
+            sy("pair", App(sy("zero"), X), Abs(STAR, BVar(0))),
+            sy("nope", sy("s", X), X), sy("nope", sy("zero")), X]
 
 
 def test_typed_walk_matches_derived_type(corpus, walks_file):
@@ -454,21 +563,23 @@ def test_typed_walk_matches_derived_type(corpus, walks_file):
     terms = [(r.lhs, lf.signature)
              for lf in [*corpus.values(), load(_synthetic(20))]
              for r in lf.rules]
-    # beside the rules, left-hand sides that no rule may have: below an
-    # application, a binder or an undeclared symbol, derived_type fails
     sig = walks_file.signature
-    k = Var(Variable.fresh("k", Sort.STAR))
-    terms += [(sy("len", sy("s", k), sy("cons", k, Var(Variable.fresh("v")))),
-               sig),
-              (sy("pair", sy("s", X), sy("nope", X, sy("s", X))), sig),
-              (sy("pair", App(X, sy("s", X)), Abs(STAR, X)), sig),
-              (sy("nope", sy("s", X), X), sig)]
+    terms += [(l, sig) for l in hand_made_sides(sig)]
     kinds = set()
     for l, sig in terms:
         want = walk_reference(l, sig)
         assert same_walk(walk_outcomes(l, sig), want), str(l)
-        kinds.update(b[1][1] if b[0] == "error" else "ok" for _, b in want)
+        kinds.update(b[1][1] if b[0] == "error" else "ok" for _, _, b in want)
     assert kinds == {"ok", "bad-path", "unknown-symbol"}
+
+
+def same_well_formed(rule, sig):
+    got, want = check_well_formed(rule, sig), ref_well_formed(rule, sig)
+    return (got.ok == want.ok and got.failures == want.failures
+            and list(got.witnesses) == list(want.witnesses)
+            and all(exact(a.derived) == exact(b.derived) and a[:3] == b[:3]
+                    for a, b in zip(got.witnesses.values(),
+                                    want.witnesses.values())))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -478,6 +589,75 @@ def test_typed_walk_matches_derived_type_on_generated_systems(src):
     for r in lf.rules:
         assert same_walk(walk_outcomes(r.lhs, lf.signature),
                          walk_reference(r.lhs, lf.signature)), src
+        assert same_well_formed(r, lf.signature), src
+
+
+def reference_rules(corpus, walks_file):
+    """The rule systems of the corpus, synthetic(20) and the recursors
+    of a polymorphic list, whose substitutions S5 links through the
+    index of an lhs argument's type, as (signature, rules) pairs; and
+    their rules, each with its signature, followed by two rules for
+    each hand-made side but the bare variable: in one, each variable is
+    typed as at its first occurrence (or o), in the other as n, and in
+    both one more variable does not occur."""
+    from tests.test_acceptance import _synthetic
+    systems = [(lf.signature, lf.rules)
+               for lf in [*corpus.values(), load(_synthetic(20))]]
+    sig = Signature()
+    systems.append((sig, translate_inductive(list_decl(), sig).rules))
+    rules = [(r, sig) for sig, rs in systems for r in rs]
+    sig = walks_file.signature
+    o = sy("o")
+    for n, l in enumerate(hand_made_sides(sig)[:-1]):
+        first = {}
+        for p, u, tau in walk_reference(l, sig):
+            if isinstance(u, Var):
+                first.setdefault(u.var, tau[1] if tau[0] == "ok" else o)
+        for name, types in ((f"h{n}", first), (f"h{n}n", dict.fromkeys(
+                first, sy("n")))):
+            env = Environment.of([*types.items(), (Variable.fresh("w"), o)])
+            rules.append((_RuleFields.__new__(RewriteRule, name, l, l, env,
+                                              {}), sig))
+    return systems, rules
+
+
+def test_well_formed_matches_the_derived_type_reference(corpus, walks_file):
+    witnessed = set()
+    for r, sig in reference_rules(corpus, walks_file)[1]:
+        assert same_well_formed(r, sig), r.name
+        witnessed.add(bool(check_well_formed(r, sig).witnesses))
+    assert witnessed == {True, False}
+
+
+def test_s5_matches_the_derived_type_reference(corpus, walks_file):
+    # app.cac is the corpus file whose substitutions reach the S5 walk
+    systems, rules = reference_rules(corpus, walks_file)
+    outcomes = set()
+    for sig, system in systems:
+        tc = TypeChecker(sig, system)
+        for r in system:
+            got = check_type_preservation(r, tc)["s5"]
+            assert got == ref_s5(r, sig), r.name
+            outcomes.add(got.outcome)
+    assert outcomes == {Outcome.PASS, Outcome.PASS_SUFFICIENT}
+    # S5's test for each lhs variable against each argument of a
+    # derived type there and each constant, where the lhs is algebraic
+    # and its head is declared, as a checked rule's are
+    links = set()
+    for r, sig in rules:
+        if not cac.terms.is_algebraic(r.lhs) or r.head_name() not in sig.decls:
+            continue
+        typed = {p: (u, tau) for p, u, tau in typed_subterms(r.lhs, sig)}
+        images = {a for _, tau in typed.values()
+                  if isinstance(tau, Symb) for a in tau.args}
+        images.update(sy(c) for c, d in sig.decls.items() if d.arity == 0)
+        for x in {u.var for u, _ in typed.values() if isinstance(u, Var)}:
+            for image in images:
+                got = _parameter_linked(r.lhs, typed, x, image, sig)
+                assert got == ref_parameter_linked(r.lhs, x, image, sig), \
+                    (r.name, x, image)
+                links.add(got)
+    assert links == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +709,17 @@ def test_replace_at_a_position_2000_long():
                       "position (1,) not in zero"))
 
 
-def test_derived_type_2000_deep(walks_file):
+def test_typed_walk_2000_deep(walks_file):
     sig = walks_file.signature
-    got = deep(derived_type, tower("s", DEEP, sy("zero")), (1,) * DEEP, sig)
-    assert got == ("ok", sy("o"))
-    assert deep(derived_type, tower("s", DEEP, X), (1,) * (DEEP + 1), sig) \
-        == ("error", (SchemaError, "bad-path",
-                      "derived type requires a symbol node, found X"))
+    got = deep(list, typed_subterms(tower("s", DEEP, sy("zero")), sig))
+    assert got[0] == "ok" and len(got[1]) == DEEP
+    assert [p for p, _, _ in got[1]] == [(1,) * d for d in range(1, DEEP + 1)]
+    assert got[1][-1][1:] == (sy("zero"), sy("o"))
+    bottom = App(X, sy("zero"))
+    got = deep(list, typed_subterms(tower("s", DEEP, bottom), sig))
+    assert got[0] == "ok" and len(got[1]) == DEEP + 2
+    assert got[1][DEEP - 1][1:] == (bottom, sy("o"))
+    p, u, tau = got[1][DEEP]
+    assert p == (1,) * (DEEP + 1) and u is X
+    assert (tau.code, tau.message) == (
+        "bad-path", "derived type requires a symbol node, found X zero")

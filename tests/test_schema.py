@@ -5,10 +5,10 @@ import pytest
 
 from cac import (App, Environment, RewriteRule, STAR, Symb, TypeChecker,
                  Var, Variable, acc_step, args_greater, cc_check,
-                 check_admissible, check_well_formed, derived_type, load,
-                 replay, satisfies_general_schema)
-from cac.schema import AccPair, SchemaError, acc_reachable
-from cac.terms import CacError, FuelExhausted, Sort
+                 check_admissible, check_well_formed, load, replay,
+                 satisfies_general_schema)
+from cac.schema import AccPair, SchemaError, acc_reachable, typed_subterms
+from cac.terms import FuelExhausted, Sort
 from tests.conftest import corpus_source
 
 
@@ -76,13 +76,38 @@ def test_acc_reachable_transitive(app):
 def test_derived_type_app_rule(app):
     rule = _app_rule2(app)
     # lhs = app(A, cons(A', x, l), l')
-    tau = derived_type(rule.lhs, (1,), app.signature)
-    assert tau == STAR
+    typed = {p: tau for p, _, tau in typed_subterms(rule.lhs, app.signature)}
+    assert typed[(1,)] == STAR
     a_prime = rule.lhs.args[1].args[0]
-    tau_l = derived_type(rule.lhs, (2, 3), app.signature)
-    assert tau_l == Symb("list", (a_prime,))
-    with pytest.raises(CacError):
-        derived_type(rule.lhs, (9,), app.signature)
+    assert typed[(2, 3)] == Symb("list", (a_prime,))
+    # the walk visits the proper positions alone, in prefix order
+    assert list(typed) == [(1,), (2,), (2, 1), (2, 2), (2, 3), (3,)]
+
+
+def test_an_argument_past_a_symbols_binders_has_no_derived_type():
+    # a rule built through the API may apply a symbol to more arguments
+    # than it has binders; the walk gives them an arity-error, so x has
+    # no derived type there, and the rule fails S4 and well-formedness
+    from cac import check_type_preservation
+    from cac.admissibility import Outcome
+    lf = load("symbol o : * .\nsymbol a : o .\nsymbol s : o -> o .\n"
+              "symbol f : o -> o .\n")
+    o, x = Symb("o", ()), Variable.fresh("x", Sort.STAR)
+    rule = RewriteRule("r", Symb("f", (Symb("s", (Symb("a", ()), Var(x))),)),
+                       Var(x), Environment.of([(x, o)]))
+    typed = {p: tau for p, _, tau in typed_subterms(rule.lhs, lf.signature)}
+    assert typed[(1,)] == o
+    assert [(typed[p].code, typed[p].message) for p in [(1, 1), (1, 2)]] \
+        == [("arity-error", "s expects 1 argument(s), got 2")] * 2
+    assert check_well_formed(rule, lf.signature).failures == [
+        "r: variable x has no accessible occurrence in the left-hand side "
+        "with derived type matching o"]
+    s4 = check_type_preservation(rule, TypeChecker(lf.signature, lf.rules))
+    assert s4["s4"] == ("s4", Outcome.FAIL, "no derived-type occurrence for x")
+    # substituted there, x is no parameter of s, which has no binder for it
+    rule = rule._replace(ann_env=Environment(), ann_subst={x: Symb("a", ())})
+    s5 = check_type_preservation(rule, TypeChecker(lf.signature, lf.rules))
+    assert s5["s5"] == ("s5", Outcome.FAIL, "no parameter linkage for x")
 
 
 def test_well_formed_app_rules(app):

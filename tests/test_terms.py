@@ -6,16 +6,24 @@ from collections import Counter
 import pytest
 
 from cac import (Abs, App, BOX, BVar, Environment, Prod, STAR, Symb, Var,
-                 Variable, arrow, free_vars, is_algebraic, lam, pi,
-                 positions_of, pp, replace_at, subst_apply, subterm_at)
-from cac.terms import (InvalidPosition, Sort, SortT, Term, is_kind,
-                       occurrences, sort_class_of_type, symbols_of,
+                 Variable, arrow, free_vars, is_algebraic, lam, pi, pp,
+                 replace_at, subst_apply)
+from cac.terms import (InvalidPosition, Sort, SortT, Term, _children,
+                       is_kind, occurrences, sort_class_of_type, symbols_of,
                        var_counts)
 from tests.test_properties import _int_vars, random_binder_term
 
 
 def v(name, sort=Sort.STAR):
     return Variable.fresh(name, sort)
+
+
+def subterm_at(t, p):
+    """The raw subterm of t at p, read child by child: the reference the
+    positions of `occurrences` are checked against."""
+    for i in p:
+        t = _children(t)[i - 1]
+    return t
 
 
 def test_alpha_eq_ignores_names():
@@ -51,23 +59,14 @@ def test_subst_capture_avoiding():
 
 def test_positions_and_subterms():
     t = Symb("f", (Symb("g", (Var(v("x")),)), STAR))
-    ps = {p for p, _ in occurrences(t)}
-    assert () in ps and (1,) in ps and (1, 1) in ps and (2,) in ps
-    assert subterm_at(t, (1, 1)) == Var(t.args[0].args[0].var)
+    subs = dict(occurrences(t))
+    assert list(subs) == [(), (1,), (1, 1), (2,)]
+    assert subs[(1, 1)] == Var(t.args[0].args[0].var)
     r = replace_at(t, (2,), BOX)
-    assert subterm_at(r, (2,)) == BOX
+    assert dict(occurrences(r))[(2,)] == BOX
     for p in ((3,), (1, 2), (2, 1)):
         with pytest.raises(InvalidPosition):
-            subterm_at(t, p)
-        with pytest.raises(InvalidPosition):
             replace_at(t, p, BOX)
-
-
-def test_positions_of_symbol_and_var():
-    x = v("x")
-    t = Symb("f", (Var(x), Symb("f", (Var(x),))))
-    assert positions_of(t, x) == {(1,), (2, 1)}
-    assert positions_of(t, "f") == {(), (2,)}
 
 
 def test_occurrences_pair_positions_with_subterms():
@@ -105,7 +104,7 @@ def test_occurrence_walks_survive_deep_terms():
         t = Symb("s", (t,))
     assert symbols_of(t) == {"s"}
     assert var_counts(t) == {x: 1}
-    assert positions_of(t, x) == {(1,) * 3000}
+    assert [p for p, u in occurrences(t) if u == Var(x)] == [(1,) * 3000]
 
 
 def test_subst_apply_reaches_the_bottom_of_a_deep_term():
