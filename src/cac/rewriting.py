@@ -604,12 +604,24 @@ class _Search:
         return level, budget
 
 
-def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
-             fuel: int = 10000) -> bool:
+def joinable(t: Term, u: Term, rules: Sequence[RewriteRule], fuel: int, *,
+             terminating: bool) -> bool:
     """Do t and u have a common reduct?  A bounded breadth-first search
     of both reduction graphs over hash-consed nodes (`_Search`): they
     meet when a node is marked visited from both sides.  A level costs
-    the same and yields the same next level in any order."""
+    the same and yields the same next level in any order.
+
+    The first level finds any common reduct within one step (the early
+    meet).  If it finds none, t and u are normalized, each under `fuel`
+    and with one memo, and equal normal forms are a common reduct.  If
+    they differ, or either side runs out of fuel, the search goes on
+    with the budget it has left, so its answer is the search's alone.
+
+    `terminating` says that R is proved terminating and that the caller
+    asks whether all its critical pairs join, t and u being one pair.
+    Then two different normal forms answer False without a search: R
+    is not confluent (Knuth and Bendix 1970; Huet, JACM 27(4), 1980),
+    so some critical pair does not join, whether or not this one does."""
     rules = RuleSet.of(rules)
     search = _Search(rules)
     frontier_t, frontier_u = [search.intern(t)], [search.intern(u)]
@@ -617,10 +629,22 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule],
     search.seen[frontier_t[0]] = 1
     search.seen[frontier_u[0]] |= 2
     budget = fuel
+    level = 0
 
     while frontier_t or frontier_u:
         if 3 in search.seen:  # a term visited from both sides
             return True
+        if level == 1:  # the early meet missed
+            memo: dict = {}
+            try:
+                same = (normalize(t, rules, fuel, memo)
+                        == normalize(u, rules, fuel, memo))
+            except FuelExhausted:
+                pass
+            else:
+                if same or terminating:
+                    return same
+        level += 1
         frontier_t, budget = search.next_level(frontier_t, 1, budget)
         frontier_u, budget = search.next_level(frontier_u, 2, budget)
     return 3 in search.seen
@@ -787,7 +811,11 @@ def confluence_check(rules: Sequence[RewriteRule],
     recursive path order of `orientation` orients every rule, so the
     rules terminate, all critical pairs join, and every rule is
     left-linear, so the confluence of R lifts to R ∪ β (Müller, IPL 41,
-    1992).  For a non-left-linear rule no such theorem is named here,
+    1992).  Under termination, all critical pairs join exactly when the
+    two sides of each have one normal form (the critical-pair lemma with
+    Newman's lemma), so `joinable` decides each pair by normal forms
+    after its early meet, and the first pair that does not join ends
+    the attempt.  For a non-left-linear rule no such theorem is named here,
     so it gets UNKNOWN, and the evidence names the first such rule.
     ASSERTED: user flag.  Otherwise UNKNOWN."""
     rules = RuleSet.of(rules)
@@ -802,19 +830,18 @@ def confluence_check(rules: Sequence[RewriteRule],
                + ("left-linear" if nonlinear is None else "non-left-linear")]
     if orientation.terminates(rules) is not None:
         evidence = ["termination by recursive path order"]
-        all_join = True
         for cp in cps:
             try:
-                ok = joinable(cp.left_reduct, cp.right_reduct, rules, fuel)
+                ok = joinable(cp.left_reduct, cp.right_reduct, rules, fuel,
+                              terminating=True)
             except FuelExhausted:
                 ok = False
-            evidence.append(f"critical pair {cp}: "
-                            + ("joinable" if ok else "NOT joinable"))
-            if not ok:
-                all_join = False
-        if all_join and nonlinear is None:
-            return ConfluenceVerdict(ConfluenceLevel.NEWMAN, evidence)
-        if all_join:
+            if not ok:  # the verdict is UNKNOWN, whatever the other pairs
+                break
+            evidence.append(f"critical pair {cp}: joinable")
+        else:
+            if nonlinear is None:
+                return ConfluenceVerdict(ConfluenceLevel.NEWMAN, evidence)
             unknown = evidence + [
                 f"rule {nonlinear.name} is not left-linear: no theorem is "
                 "named that lifts the confluence of R to R ∪ β for it"]

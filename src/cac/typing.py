@@ -8,6 +8,7 @@ conversion is checked at argument boundaries and at `check`'s root.
 
 from __future__ import annotations
 
+import contextlib
 from typing import NamedTuple, Sequence, Tuple
 
 from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
@@ -58,10 +59,20 @@ class TypeChecker:
 
     def convertible(self, t: Term, u: Term) -> bool:
         """Under a positive A1, whether t and u have one normal form;
-        otherwise whether a common reduct is found within fuel."""
+        otherwise whether a common reduct is found within fuel.  Where a
+        normal form runs out of fuel, a common reduct found within fuel
+        still answers True, and otherwise the normalization's error
+        stands."""
         if self.confluent:
-            return t == u or self.normal_form(t) == self.normal_form(u)
-        return joinable(t, u, self.rules, self.fuel)
+            try:
+                return t == u or self.normal_form(t) == self.normal_form(u)
+            except FuelExhausted:
+                with contextlib.suppress(FuelExhausted):
+                    if joinable(t, u, self.rules, self.fuel,
+                                terminating=False):
+                        return True
+                raise
+        return joinable(t, u, self.rules, self.fuel, terminating=False)
 
     def _whnf_product(self, t: Term) -> Prod:
         fuel = self.fuel

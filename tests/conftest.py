@@ -43,6 +43,23 @@ def plus_family_source(k: int) -> str:
             f"rule plus({lhs}, y) -> {rhs} .\n")
 
 
+def width_source(n: int) -> str:
+    """f(x) -> b, f(a) -> m(d(a), ..., d(a)) with n arguments, d(x) ->
+    e(x) and m(e(a), ..., e(a)) -> b, under f > m > d > e, f > b and
+    m > b: terminating, with one critical pair whose sides have the
+    normal form b, yet meet only after n + 1 steps, among 2^n reducts."""
+    sig = " -> ".join(["o"] * (n + 1))
+    return ("symbol o : * .\nsymbol a : o .\nsymbol b : o .\n"
+            "symbol f : o -> o .\nsymbol d : o -> o .\nsymbol e : o -> o .\n"
+            f"symbol m : {sig} .\n"
+            "pragma prec f > m .\npragma prec m > d .\npragma prec d > e .\n"
+            "pragma prec f > b .\npragma prec m > b .\n"
+            "rule f(x) -> b .\n"
+            f"rule f(a) -> m({', '.join(['d(a)'] * n)}) .\n"
+            "rule d(x) -> e(x) .\n"
+            f"rule m({', '.join(['e(a)'] * n)}) -> b .\n")
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """All corpus files, loaded once."""

@@ -19,15 +19,15 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Orientation,
                  Outcome, OverallVerdict, Symb, TypeChecker, Var, Variable,
                  check_admissible, check_inductive_structure,
                  check_type_preservation, check_well_formed, cc_check,
-                 critical_pairs, joinable, load, normalize, pp,
-                 predicate_classes, satisfies_general_schema,
+                 confluence_check, critical_pairs, joinable, load,
+                 normalize, pp, predicate_classes, satisfies_general_schema,
                  system_properties)
 from cac.cli import _FileChecker, _confluent, main
-from cac.rewriting import rename_apart, unify
+from cac.rewriting import _Search, rename_apart, unify
 from cac.syntax import _texts, parse
 from cac.terms import free_vars, lam, map_children, symbols_of, var_counts
 from tests.conftest import (CORPUS, _unless_recursion_error, corpus_source,
-                            plus_family_source)
+                            plus_family_source, width_source)
 from tests.test_admissibility import partition
 
 
@@ -84,7 +84,7 @@ def test_acceptance_2_propositional_system():
         ok &= cps.nonlinear is None  # every rule left-linear
         ok &= len(cps) > 0
         ok &= all(joinable(cp.left_reduct, cp.right_reduct, lf.rules,
-                           fuel=100) for cp in cps)
+                           100, terminating=False) for cp in cps)
         report = check_admissible(lf.signature, lf.rules)
         ok &= report.a1.level == ConfluenceLevel.NEWMAN
         ok &= report.a4_sn.status == "HOLDS"
@@ -105,8 +105,8 @@ def test_acceptance_3_integer_constructors():
         sp_rules = [r for r in lf.rules if r.head_name() in ("s", "p")]
         cps = critical_pairs(sp_rules)
         ok = len(cps) == 2
-        ok &= all(joinable(cp.left_reduct, cp.right_reduct, lf.rules)
-                  for cp in cps)
+        ok &= all(joinable(cp.left_reduct, cp.right_reduct, lf.rules,
+                           10000, terminating=False) for cp in cps)
         t = Symb("p", (Symb("s", (Symb("p", (Symb("s", (Symb("0", ()),)),)),)),))
         ok &= normalize(t, lf.rules) == Symb("0", ())
         ok &= {"plus", "times"} <= set(lf.signature.constructors_of("int"))
@@ -228,7 +228,7 @@ def _bfs_chain(n):
 
 def test_acceptance_8_joinability_search():
     with Timer() as tm:
-        ok = not joinable(*_bfs_chain(9))
+        ok = not joinable(*_bfs_chain(9), 10000, terminating=False)
     ok &= tm.elapsed < 2.0
     _report(8, ok, "joinability search: plus(p(s(0)), ...) 9 deep and "
                    "s(0) have no common reduct under the int rules plus "
@@ -378,7 +378,7 @@ def test_acceptance_12_joinability_hashes_each_term_once():
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        answer = joinable(*search)
+        answer = joinable(*search, 10000, terminating=False)
     finally:
         sys.setprofile(previous)
     _report(12, not answer and hashes <= 100,
@@ -401,7 +401,7 @@ def _joinable_calls(n):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        answer = joinable(*search)
+        answer = joinable(*search, 10000, terminating=False)
     finally:
         sys.setprofile(previous)
     assert not answer
@@ -937,3 +937,56 @@ def test_acceptance_32_each_left_hand_side_is_walked_once():
             f"{symbols} symbols_of calls (bound 0) and {counts} var_counts "
             f"calls (bound 640), and critical_pairs {free} free_vars "
             "calls (bound 320)")
+
+
+def _tower_source(k):
+    """f(s^k(x)) -> x and s(s(x)) -> x under prec f > s: terminating,
+    and s overlaps f's lhs at k - 1 positions, whose pairs f(s^(k-2)(x))
+    and x are different normal forms."""
+    return ("symbol o : * .\nsymbol s : o -> o .\nsymbol f : o -> o .\n"
+            "pragma prec f > s .\n"
+            f"rule f({'s(' * k}x{')' * k}) -> x .\nrule s(s(x)) -> x .\n")
+
+
+def _a1_calls(source):
+    """Python and builtin calls made by A1 on the loaded source."""
+    lf = load(source)
+    orientation = Orientation(lf.signature)
+    return _calls(lambda: confluence_check(lf.rules, orientation))
+
+
+def test_acceptance_33_joinability_normalizes_after_the_early_meet(
+        tmp_path):
+    # counts of calls, not times; when a search's first level does not
+    # meet, both sides are normalized: a conversion whose sides have one
+    # normal form stops there, and under a termination proof A1 decides
+    # each critical pair by its normal forms and stops at the first pair
+    # whose normal forms differ
+    f = tmp_path / "int_trunc.cac"
+    f.write_text(corpus_source("int") + "rule p(0) -> 0 .\n",
+                 encoding="utf-8")
+    chain = "0"
+    for _ in range(8):
+        chain = f"plus(p(s(0)), {chain})"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        expands = _calls(lambda: main(["convert", str(f), "-e", chain,
+                                       "-e", "0"]), only=_Search._expand)
+    levels = []
+    for n in (8, 12, 16, 20):
+        lf = load(width_source(n))
+        levels.append(confluence_check(lf.rules, Orientation(lf.signature))
+                      .level.value)
+    wide, narrow = _a1_calls(width_source(20)), _a1_calls(width_source(10))
+    tall, short = _a1_calls(_tower_source(200)), _a1_calls(_tower_source(100))
+    ok = out.getvalue() == "convertible\n" and expands <= 11
+    ok &= levels == ["NEWMAN"] * 4
+    ok &= wide / narrow <= 2.5 and tall / short <= 4.5
+    _report(33, ok,
+            "joinability normalizes both sides after the early meet: "
+            f"convert of the 8-deep int_trunc chain against 0 makes "
+            f"{expands} _Search._expand calls (bound 11); A1 on the width-n "
+            f"family at n = 8, 12, 16, 20 is {levels} (bound NEWMAN); A1 "
+            f"calls at width 20 / 10 = {wide} / {narrow} = "
+            f"{wide / narrow:.2f} (bound 2.5), and on f(s^k(x)) -> x at "
+            f"k = 200 / 100 = {tall} / {short} = {tall / short:.2f} "
+            "(bound 4.5)")

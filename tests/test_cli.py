@@ -13,7 +13,7 @@ from cac import (FuelExhausted, Outcome, check_admissible, cli, load,
                  normalize, pp)
 from cac.cli import main
 from cac.terms import map_children
-from tests.conftest import CORPUS, plus_family_source
+from tests.conftest import CORPUS, plus_family_source, width_source
 
 
 def path(name):
@@ -137,6 +137,95 @@ def test_newman_keeps_a_left_linear_system(tmp_path, capsys):
     assert out.endswith("overall: ADMISSIBLE\n")
 
 
+def test_newman_decides_a_wide_pair_by_normal_forms(tmp_path, capsys):
+    # the one critical pair, f(a) -> b | m(d(a), ..., d(a)), meets only
+    # after 13 steps among 2^12 reducts, past the default fuel of a
+    # search; both sides have the normal form b, so R is confluent
+    f = tmp_path / "width_12.cac"
+    f.write_text(width_source(12), encoding="utf-8")
+    assert main(["admissibility", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "A1 confluence: NEWMAN\n" in out
+    assert out.endswith("overall: ADMISSIBLE\n")
+
+
+def test_convert_a_wide_term_by_normal_forms(tmp_path, capsys):
+    # under NEWMAN, convert compares the normal forms of the two sides
+    # rather than searching the 2^12 reducts of the wide one
+    f = tmp_path / "width_12.cac"
+    f.write_text(width_source(12), encoding="utf-8")
+    wide = f"m({', '.join(['d(a)'] * 12)})"
+    assert main(["convert", str(f), "-e", wide, "-e", "b"]) == 0
+    assert capsys.readouterr().out == "convertible\n"
+
+
+DEEP_NORMAL_FORM = """symbol o : * .
+symbol z : o .
+symbol s : o -> o .
+symbol dbl : o -> o .
+symbol a : o .
+symbol b : o .
+symbol b1 : o .
+symbol c : o .
+symbol c1 : o .
+symbol d : o .
+symbol h : o -> o .
+symbol f : o -> o .
+pragma prec f > h .
+pragma prec f > b .
+pragma prec f > c .
+pragma prec b > b1 .
+pragma prec b1 > d .
+pragma prec c > c1 .
+pragma prec c1 > d .
+pragma prec d > dbl .
+pragma prec d > z .
+pragma prec dbl > s .
+rule f(a) -> h(b) .
+rule f(x) -> h(c) .
+rule b -> b1 .
+rule b1 -> d .
+rule c -> c1 .
+rule c1 -> d .
+rule d -> dbl(dbl(dbl(s(s(z))))) .
+rule dbl(z) -> z .
+rule dbl(s(x)) -> s(s(dbl(x))) .
+"""
+
+
+def test_newman_searches_a_pair_whose_normal_form_is_out_of_fuel(tmp_path,
+                                                                   capsys):
+    # the pair h(b) | h(c) meets at h(d) after two steps each, but h(b)
+    # takes 20 contractions to normalize: at fuel 10 the normalization
+    # runs out, and the pair is still joined by the search
+    f = tmp_path / "deep.cac"
+    f.write_text(DEEP_NORMAL_FORM, encoding="utf-8")
+    assert main(["--fuel", "10", "normalize", str(f), "-e", "h(b)"]) == 1
+    assert "fuel-exhausted" in capsys.readouterr().err
+    assert main(["--fuel", "10", "admissibility", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "A1 confluence: NEWMAN\n  termination by recursive path order\n" \
+        "  critical pair peak f(a) -> h(b) | h(c) (rules rule1/rule2 at " \
+        "[]): joinable\n" in out
+    assert out.endswith("overall: ADMISSIBLE\n")
+
+
+def test_convert_under_newman_searches_when_a_normal_form_is_out_of_fuel(
+        tmp_path, capsys):
+    # h(b) -> h(b1) in one step, but h(b) is out of fuel to normalize at
+    # 10: the two still convert, and a pair that does not meet keeps the
+    # normalization's error
+    f = tmp_path / "deep.cac"
+    f.write_text(DEEP_NORMAL_FORM, encoding="utf-8")
+    assert main(["--fuel", "10", "convert", str(f), "-e", "h(b)",
+                 "-e", "h(b1)"]) == 0
+    assert capsys.readouterr().out == "convertible\n"
+    assert main(["--fuel", "10", "convert", str(f), "-e", "h(b)",
+                 "-e", "h(z)"]) == 1
+    assert capsys.readouterr().err == \
+        "error [fuel-exhausted]: fuel exhausted during normalization\n"
+
+
 def test_a_rule_that_is_not_left_linear_converts_by_search(tmp_path,
                                                            monkeypatch,
                                                            capsys):
@@ -145,9 +234,9 @@ def test_a_rule_that_is_not_left_linear_converts_by_search(tmp_path,
     import cac.typing
     search, searched = cac.typing.joinable, []
 
-    def counting_joinable(t, u, rules, fuel):
+    def counting_joinable(t, u, rules, fuel, *, terminating):
         searched.append((t, u))
-        return search(t, u, rules, fuel)
+        return search(t, u, rules, fuel, terminating=terminating)
 
     monkeypatch.setattr(cac.typing, "joinable", counting_joinable)
     f = tmp_path / "eq.cac"

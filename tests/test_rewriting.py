@@ -1,5 +1,6 @@
 """Matching, unification, reduction, critical pairs, confluence."""
 
+import functools
 import random
 import sys
 
@@ -203,7 +204,8 @@ def test_critical_pairs_int_exactly_two():
     assert peaks == ["p(s(p(x)))", "s(p(s(x)))"]
     for cp in cps:
         assert cp.overlap_position == (1,)
-        assert joinable(cp.left_reduct, cp.right_reduct, rules)
+        assert joinable(cp.left_reduct, cp.right_reduct, rules, 10000,
+                        terminating=False)
 
 
 def test_confluence_newman_for_int():
@@ -248,8 +250,9 @@ def test_joinable_without_confluence_uses_search():
     rules = int_rules()
     a = sy("s", sy("p", sy("plus", sy("0"), sy("0"))))
     b = sy("plus", sy("0"), sy("0"))
-    assert joinable(a, b, rules)
-    assert not joinable(sy("0"), sy("s", sy("0")), rules)
+    assert joinable(a, b, rules, 10000, terminating=False)
+    assert not joinable(sy("0"), sy("s", sy("0")), rules, 10000,
+                        terminating=False)
 
 
 def test_rename_apart_is_fresh():
@@ -487,13 +490,15 @@ def test_newman_attempt_with_a_pair_that_does_not_join():
     assert orientation.terminates(RuleSet(lf.rules)) is not None
     (cp,) = critical_pairs(lf.rules)
     assert str(cp) == "peak f(a) -> b | c (rules rule1/rule2 at [])"
-    assert not joinable(cp.left_reduct, cp.right_reduct, lf.rules)
+    assert not joinable(cp.left_reduct, cp.right_reduct, lf.rules, 10000,
+                        terminating=False)
     unknown = (ConfluenceLevel.UNKNOWN, ["1 critical pair(s); left-linear"])
     assert confluence_check(lf.rules, orientation) == unknown
     # with no fuel for the one reduct of b, the search runs out, and
     # running out means NOT joinable too
     with pytest.raises(FuelExhausted):
-        joinable(cp.left_reduct, cp.right_reduct, lf.rules, fuel=0)
+        joinable(cp.left_reduct, cp.right_reduct, lf.rules, 0,
+                 terminating=False)
     assert confluence_check(lf.rules, orientation, fuel=0) == unknown
     assert confluence_check(lf.rules, orientation, fuel=0,
                             assume_confluent=True).level \
@@ -502,14 +507,19 @@ def test_newman_attempt_with_a_pair_that_does_not_join():
 
 # -- joinability search against a list-based reference -----------------------
 
-def reference_joinable(t, u, rules, fuel):
+def reference_joinable(t, u, rules, fuel, terminating):
     """Breadth-first search for a common reduct with the visited terms
-    in lists, each new reduct compared with every visited one."""
+    in lists, each new reduct compared with every visited one.  When
+    its first level does not meet, the normal forms of t and u by
+    `reference_normalize`, each under `fuel`: equal ones answer True,
+    and different ones False when `terminating`; otherwise, or when
+    either side runs out of fuel, the search goes on."""
     if t == u:
         return True
     seen_t, seen_u = [t], [u]
     frontier_t, frontier_u = [t], [u]
     budget = fuel
+    level = 0
 
     def meets(xs, ys):
         return any(x == y for x in xs for y in ys)
@@ -517,6 +527,16 @@ def reference_joinable(t, u, rules, fuel):
     while frontier_t or frontier_u:
         if meets(seen_t, seen_u):
             return True
+        if level == 1:
+            try:
+                same = (reference_normalize(t, rules, fuel)
+                        == reference_normalize(u, rules, fuel))
+            except FuelExhausted:
+                pass
+            else:
+                if same or terminating:
+                    return same
+        level += 1
         nxt_t, nxt_u = [], []
         for x in frontier_t:
             for r in reference_reduce_one(x, rules):
@@ -555,25 +575,30 @@ def random_int_term(rng, depth):
                             for _ in range(arity)))
 
 
-def outcome(search, t, u, rules, fuel):
+def outcome(search, t, u, rules, fuel, terminating=False):
     try:
-        return search(t, u, rules, fuel)
+        return search(t, u, rules, fuel, terminating=terminating)
     except FuelExhausted:
         return "fuel"
 
 
 def assert_search_matches_reference(t, u, rules, fuel, ran_out):
     """joinable and the reference agree at `fuel` and at each smaller
-    fuel in `ran_out`, which counts the searches that run out there;
-    returns the reference's outcome at `fuel`."""
+    fuel in `ran_out`, which counts the conversions that run out there,
+    both as a conversion and under `terminating`; returns the
+    reference's outcome at `fuel` as a conversion."""
     want = outcome(reference_joinable, t, u, rules, fuel)
     assert outcome(joinable, t, u, rules, fuel) == want, (pp(t), pp(u))
+    assert outcome(joinable, t, u, rules, fuel, True) \
+        == outcome(reference_joinable, t, u, rules, fuel, True)
     # the fuel runs out at the same level as in the reference,
     # whichever order the reducts of a level are paid for in
     for small_fuel in ran_out:
         small = outcome(reference_joinable, t, u, rules, small_fuel)
         assert outcome(joinable, t, u, rules, small_fuel) == small, \
             (pp(t), pp(u), small_fuel)
+        assert outcome(joinable, t, u, rules, small_fuel, True) \
+            == outcome(reference_joinable, t, u, rules, small_fuel, True)
         ran_out[small_fuel] += small == "fuel"
     return want
 
@@ -854,9 +879,9 @@ def test_joinable_minimal_fuel_is_pinned(n, fuel):
     # against s(0) answers at exactly this fuel and runs out one below
     from tests.test_acceptance import _bfs_chain
     t, u, rules = _bfs_chain(n)
-    assert joinable(t, u, rules, fuel) is False
+    assert joinable(t, u, rules, fuel, terminating=False) is False
     with pytest.raises(FuelExhausted):
-        joinable(t, u, rules, fuel - 1)
+        joinable(t, u, rules, fuel - 1, terminating=False)
 
 
 def test_joinable_hashes_a_deep_reduct():
@@ -868,7 +893,8 @@ def test_joinable_hashes_a_deep_reduct():
     t = Symb("zero", ())
     for _ in range(600):
         t = Symb("succ", (t,))
-    assert joinable(Symb("f", (t,)), Symb("zero", ()), lf.rules)
+    assert joinable(Symb("f", (t,)), Symb("zero", ()), lf.rules, 10000,
+                    terminating=False)
 
 
 def test_joinable_contracts_a_beta_redex_on_a_deep_argument():
@@ -885,8 +911,9 @@ def test_joinable_contracts_a_beta_redex_on_a_deep_argument():
     for _ in range(2000):
         t = Symb("succ", (t,))
     redex = App(Abs(Symb("nat", ()), BVar(0), "x"), t)
-    assert _unless_recursion_error(joinable, redex, t, lf.rules) is True
-    assert _unless_recursion_error(joinable, redex, Symb("succ", (t,)),
+    join = functools.partial(joinable, fuel=10000, terminating=False)
+    assert _unless_recursion_error(join, redex, t, lf.rules) is True
+    assert _unless_recursion_error(join, redex, Symb("succ", (t,)),
                                    lf.rules) is False
 
 
