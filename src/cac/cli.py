@@ -17,7 +17,7 @@ from .admissibility import (Outcome, OverallVerdict, check_admissible,
                             s_row)
 from .orderings import Orientation
 from .printer import pp
-from .rewriting import confluence_check
+from .rewriting import ConfluenceVerdict, confluence_check
 from .syntax import LoadedFile, ParseError, Parser, load
 from .terms import CacError, Environment
 from .typing import TypeChecker
@@ -117,11 +117,12 @@ class _A1Undecided(Exception):
     """A conversion was asked for before A1 ran."""
 
 
-def _confluent(loaded: LoadedFile, fuel: int) -> bool:
-    """Whether A1 finds the file's rules confluent, so that conversion
-    may compare normal forms."""
+def _confluent(loaded: LoadedFile, fuel: int) -> ConfluenceVerdict:
+    """A1 on the file's rules: whether they are confluent, so that
+    conversion may compare normal forms, and the critical pairs it did
+    not show joined, which may still let a conversion compare them."""
     return confluence_check(loaded.index, Orientation(loaded.signature),
-                            fuel, loaded.assume_confluent).positive
+                            fuel, loaded.assume_confluent)
 
 
 class _FileChecker(TypeChecker):
@@ -130,7 +131,8 @@ class _FileChecker(TypeChecker):
     `normal_forms` memo serves every directive.  A conversion asked for
     before `confluent` is set raises `_A1Undecided`, so that the caller
     runs A1 at its own stack depth, not at that of the typing it
-    interrupts, and runs the directive again."""
+    interrupts, sets `confluent` and `unjoined` from it, and runs the
+    directive again."""
 
     def __init__(self, loaded: LoadedFile, fuel: int):
         super().__init__(loaded.signature, loaded.index, fuel, None)
@@ -177,7 +179,8 @@ def cmd_check(args) -> int:
             # A1 runs at the first conversion, at this loop's depth; an
             # error of A1 fails the whole command, as if A1 had run
             # before the first directive
-            tc.confluent = _confluent(loaded, args.fuel)
+            a1 = _confluent(loaded, args.fuel)
+            tc.confluent, tc.unjoined = a1.positive, a1.unjoined
             entry = _run_directive(tc, d)
         results.append(entry)
     ok = all(r["outcome"] == "ok" for r in results)
@@ -244,8 +247,9 @@ def cmd_convert(args) -> int:
     if len(args.expr) != 2:
         print("convert requires exactly two -e expressions", file=sys.stderr)
         return 2
-    tc = TypeChecker(loaded.signature, loaded.index, args.fuel,
-                     _confluent(loaded, args.fuel))
+    a1 = _confluent(loaded, args.fuel)
+    tc = TypeChecker(loaded.signature, loaded.index, args.fuel, a1.positive,
+                     a1.unjoined)
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
     conv = tc.convertible(a, b)

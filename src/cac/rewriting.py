@@ -605,17 +605,20 @@ class _Search:
 
 
 def joinable(t: Term, u: Term, rules: Sequence[RewriteRule], fuel: int, *,
-             terminating: bool) -> bool:
+             terminating: bool, by_normal_forms: bool) -> bool:
     """Do t and u have a common reduct?  A bounded breadth-first search
     of both reduction graphs over hash-consed nodes (`_Search`): they
     meet when a node is marked visited from both sides.  A level costs
     the same and yields the same next level in any order.
 
     The first level finds any common reduct within one step (the early
-    meet).  If it finds none, t and u are normalized, each under `fuel`
-    and with one memo, and equal normal forms are a common reduct.  If
-    they differ, or either side runs out of fuel, the search goes on
-    with the budget it has left, so its answer is the search's alone.
+    meet).  If it finds none and `by_normal_forms` is set, t and u are
+    normalized, each under `fuel` and with one memo, and equal normal
+    forms are a common reduct.  If they differ, or either side runs out
+    of fuel, the search goes on with the budget it has left, so its
+    answer is the search's alone.  A caller that has seen t's or u's
+    normalization run out of fuel passes False: it would run out here
+    again, exactly where it did.
 
     `terminating` says that R is proved terminating and that the caller
     asks whether all its critical pairs join, t and u being one pair.
@@ -634,7 +637,7 @@ def joinable(t: Term, u: Term, rules: Sequence[RewriteRule], fuel: int, *,
     while frontier_t or frontier_u:
         if 3 in search.seen:  # a term visited from both sides
             return True
-        if level == 1:  # the early meet missed
+        if level == 1 and by_normal_forms:  # the early meet missed
             memo: dict = {}
             try:
                 same = (normalize(t, rules, fuel, memo)
@@ -791,6 +794,10 @@ class ConfluenceLevel(enum.Enum):
 class ConfluenceVerdict(NamedTuple):
     level: ConfluenceLevel
     evidence: List[str]
+    # when the recursive path order orients every rule, the critical
+    # pairs that A1 did not show joined, from the first that failed;
+    # otherwise None
+    unjoined: Optional[Tuple[CriticalPair, ...]] = None
 
     @property
     def positive(self) -> bool:
@@ -817,7 +824,9 @@ def confluence_check(rules: Sequence[RewriteRule],
     after its early meet, and the first pair that does not join ends
     the attempt.  For a non-left-linear rule no such theorem is named here,
     so it gets UNKNOWN, and the evidence names the first such rule.
-    ASSERTED: user flag.  Otherwise UNKNOWN."""
+    ASSERTED: user flag.  Otherwise UNKNOWN.  After a NEWMAN attempt the
+    verdict hands out the pairs from the first that did not join, which
+    may still decide a conversion by normal forms (`ReachableShape`)."""
     rules = RuleSet.of(rules)
     if not rules:
         return ConfluenceVerdict(ConfluenceLevel.ORTHOGONAL, ["empty rule set"])
@@ -828,24 +837,140 @@ def confluence_check(rules: Sequence[RewriteRule],
                                  ["left-linear", "no critical pairs"])
     unknown = [f"{len(cps)} critical pair(s); "
                + ("left-linear" if nonlinear is None else "non-left-linear")]
+    unjoined = None
     if orientation.terminates(rules) is not None:
         evidence = ["termination by recursive path order"]
-        for cp in cps:
+        for k, cp in enumerate(cps):
             try:
                 ok = joinable(cp.left_reduct, cp.right_reduct, rules, fuel,
-                              terminating=True)
+                              terminating=True, by_normal_forms=True)
             except FuelExhausted:
                 ok = False
             if not ok:  # the verdict is UNKNOWN, whatever the other pairs
+                unjoined = tuple(cps[k:])
                 break
             evidence.append(f"critical pair {cp}: joinable")
         else:
             if nonlinear is None:
-                return ConfluenceVerdict(ConfluenceLevel.NEWMAN, evidence)
+                return ConfluenceVerdict(ConfluenceLevel.NEWMAN, evidence, ())
+            unjoined = ()
             unknown = evidence + [
                 f"rule {nonlinear.name} is not left-linear: no theorem is "
                 "named that lifts the confluence of R to R ∪ β for it"]
     if assume_confluent:
         return ConfluenceVerdict(ConfluenceLevel.ASSERTED,
-                                 ["assume-confluent pragma"])
-    return ConfluenceVerdict(ConfluenceLevel.UNKNOWN, unknown)
+                                 ["assume-confluent pragma"], unjoined)
+    return ConfluenceVerdict(ConfluenceLevel.UNKNOWN, unknown, unjoined)
+
+
+# ---------------------------------------------------------------------------
+# what the reducts of a conversion can hold
+
+def _variable_sites(lhs: Symb) -> Dict[Variable, Tuple[str, int]]:
+    """The (parent symbol, argument index) of an occurrence of each
+    variable of an algebraic lhs."""
+    at: Dict[Variable, Tuple[str, int]] = {}
+    stack = [lhs]
+    while stack:
+        u = stack.pop()
+        for i, a in enumerate(u.args, 1):
+            if a.__class__ is Symb:
+                stack.append(a)
+            else:
+                at.setdefault(a.var, (u.name, i))
+    return at
+
+
+class ReachableShape:
+    """What the reducts of some algebraic terms can hold under algebraic
+    rules, over-approximated: a set of symbols, and a set of edges
+    (parent symbol, argument index, child head), kept as the heads below
+    each (parent, index).  Built from the terms, then closed under the
+    rules until nothing changes.  A rule fires when its lhs's symbols and
+    edges are all in the sets (`fits`).  Then its rhs's own symbols and
+    edges are added, and under its rhs parent each rhs variable gets the
+    heads its lhs position can hold.  Last, the rhs head, or a
+    collapsing variable's possible heads, take the lhs head's place
+    under every parent of the lhs head.  This is tree-automata
+    completion at depth 1 (Genet, RTA 1998).
+
+    A redex in a reduct is an instance of its lhs, so the rule fires
+    here, and what the step puts in place is covered: by induction on
+    the steps, every symbol and edge of every reduct is in the sets.
+    Variables are left out, since a pattern's variable matches any head
+    and a variable matches no lhs.  Each walk keeps its own stack."""
+
+    __slots__ = ("symbols", "below")
+
+    def __init__(self, terms: Iterable[Term], rules: Iterable[RewriteRule]):
+        self.symbols: set = set()
+        # (parent symbol, argument index) -> the heads of that argument
+        self.below: Dict[Tuple[str, int], set] = {}
+        for t in terms:
+            self._add(t, {})
+        sited = [(r, _variable_sites(r.lhs)) for r in rules]
+        grew = True
+        while grew:
+            grew = False
+            for rule, at in sited:
+                if self.fits(rule.lhs):
+                    grew |= self._fire(rule, at)
+
+    def fits(self, t: Term) -> bool:
+        """Whether every symbol and edge of algebraic t is in the sets."""
+        below, stack = self.below, [t]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is not Symb:
+                continue
+            if u.name not in self.symbols:
+                return False
+            for i, a in enumerate(u.args, 1):
+                if a.__class__ is Symb and a.name not in below.get(
+                        (u.name, i), ()):
+                    return False
+                stack.append(a)
+        return True
+
+    def _put(self, key: Tuple[str, int], heads: set) -> bool:
+        """Add `heads` below `key`; whether any was new."""
+        have = self.below.setdefault(key, set())
+        if heads <= have:
+            return False
+        have |= heads
+        return True
+
+    def _add(self, t: Term, at: Dict[Variable, Tuple[str, int]]) -> bool:
+        """Add the symbols and edges of algebraic t, and below the parent
+        of each variable v of `at` the heads below at[v]; whether
+        anything was new."""
+        grew = False
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is not Symb:
+                continue
+            if u.name not in self.symbols:
+                self.symbols.add(u.name)
+                grew = True
+            for i, a in enumerate(u.args, 1):
+                if a.__class__ is Symb:
+                    grew |= self._put((u.name, i), {a.name})
+                    stack.append(a)
+                elif a.var in at:
+                    grew |= self._put((u.name, i),
+                                      self.below.get(at[a.var], set()))
+        return grew
+
+    def _fire(self, rule: RewriteRule,
+              at: Dict[Variable, Tuple[str, int]]) -> bool:
+        """Add what a step by `rule` can put in place; whether anything
+        was new."""
+        grew = self._add(rule.rhs, at)
+        rhs, head = rule.rhs, rule.head_name()
+        heads = ({rhs.name} if rhs.__class__ is Symb
+                 else self.below.get(at[rhs.var], set()))
+        for key, below in list(self.below.items()):
+            if head in below:
+                grew |= self._put(key, heads)
+        return grew

@@ -216,7 +216,8 @@ class ClosureChecker(TypeChecker):
     annotation environment are tagged `acc`."""
 
     def __init__(self, rule: RewriteRule, tc: TypeChecker):
-        super().__init__(tc.sig, tc.rules, tc.fuel, tc.confluent)
+        super().__init__(tc.sig, tc.rules, tc.fuel, tc.confluent,
+                         tc.unjoined)
         self.rule = rule
         lhs = rule.lhs
         assert isinstance(lhs, Symb)

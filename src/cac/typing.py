@@ -9,13 +9,14 @@ conversion is checked at argument boundaries and at `check`'s root.
 from __future__ import annotations
 
 import contextlib
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .rewriting import RewriteRule, RuleSet, joinable, normalize, step
+from .rewriting import (CriticalPair, ReachableShape, RewriteRule, RuleSet,
+                        joinable, normalize, step)
 from .signature import Signature
 from .terms import (Abs, App, BOX, CacError, Environment, FuelExhausted,
                     Prod, STAR, Sort, SortT, Symb, Term, Var, Variable,
-                    open_, pi, subst_apply)
+                    is_algebraic, open_, pi, subst_apply)
 
 
 class TypingError(CacError):
@@ -43,11 +44,15 @@ class TypingDerivation(NamedTuple):
 
 class TypeChecker:
     def __init__(self, signature: Signature, rules: Sequence[RewriteRule] = (),
-                 fuel: int = 10000, confluent: bool = False):
+                 fuel: int = 10000, confluent: bool = False,
+                 unjoined: Optional[Sequence[CriticalPair]] = None):
         self.sig = signature
         self.rules = RuleSet.of(rules)
         self.fuel = fuel
         self.confluent = confluent
+        # A1's critical pairs not shown joined, when the recursive path
+        # order orients every rule (`ConfluenceVerdict.unjoined`)
+        self.unjoined = unjoined
         # the `normalize` memo of every term this checker normalizes
         self.normal_forms: dict = {}
 
@@ -58,21 +63,49 @@ class TypeChecker:
         return normalize(t, self.rules, self.fuel, self.normal_forms)
 
     def convertible(self, t: Term, u: Term) -> bool:
-        """Under a positive A1, whether t and u have one normal form;
+        """Whether t and u have one normal form, under a positive A1 or
+        where R is confluent on their reducts (`_confluent_on`);
         otherwise whether a common reduct is found within fuel.  Where a
-        normal form runs out of fuel, a common reduct found within fuel
-        still answers True, and otherwise the normalization's error
-        stands."""
-        if self.confluent:
+        normal form runs out of fuel, the search decides, and under a
+        positive A1 a common reduct found within fuel answers True and
+        otherwise the normalization's error stands.  That search
+        normalizes nothing: it would run out of fuel again."""
+        ran_out = None
+        if self.confluent or self._confluent_on(t, u):
             try:
                 return t == u or self.normal_form(t) == self.normal_form(u)
-            except FuelExhausted:
-                with contextlib.suppress(FuelExhausted):
-                    if joinable(t, u, self.rules, self.fuel,
-                                terminating=False):
-                        return True
-                raise
-        return joinable(t, u, self.rules, self.fuel, terminating=False)
+            except FuelExhausted as e:
+                ran_out = e
+        if not self.confluent:
+            return joinable(t, u, self.rules, self.fuel, terminating=False,
+                            by_normal_forms=ran_out is None)
+        with contextlib.suppress(FuelExhausted):
+            if joinable(t, u, self.rules, self.fuel, terminating=False,
+                        by_normal_forms=False):
+                return True
+        raise ran_out
+
+    def _confluent_on(self, t: Term, u: Term) -> bool:
+        """Whether R is shown confluent on the reducts of t and u, a set
+        that reduction keeps closed.  It is when the recursive path order
+        orients every rule (A1 then hands out `unjoined`) and t and u
+        are algebraic, so that R terminates there and no beta-redex
+        arises, and when every critical pair whose peak fits the
+        `ReachableShape` of {t, u} has sides with one normal form: no
+        other peak occurs in a reduct, so R is locally confluent there
+        (the critical-pair lemma: Knuth and Bendix 1970; Huet, JACM
+        27(4), 1980), hence confluent there (Newman's lemma).  A pair
+        whose side runs out of fuel counts as not joined."""
+        if self.unjoined is None or not (is_algebraic(t)
+                                         and is_algebraic(u)):
+            return False
+        shape = ReachableShape((t, u), self.rules)
+        try:
+            return all(self.normal_form(cp.left_reduct)
+                       == self.normal_form(cp.right_reduct)
+                       for cp in self.unjoined if shape.fits(cp.peak))
+        except FuelExhausted:
+            return False
 
     def _whnf_product(self, t: Term) -> Prod:
         fuel = self.fuel

@@ -84,7 +84,8 @@ def test_acceptance_2_propositional_system():
         ok &= cps.nonlinear is None  # every rule left-linear
         ok &= len(cps) > 0
         ok &= all(joinable(cp.left_reduct, cp.right_reduct, lf.rules,
-                           100, terminating=False) for cp in cps)
+                           100, terminating=False, by_normal_forms=True)
+                   for cp in cps)
         report = check_admissible(lf.signature, lf.rules)
         ok &= report.a1.level == ConfluenceLevel.NEWMAN
         ok &= report.a4_sn.status == "HOLDS"
@@ -106,7 +107,8 @@ def test_acceptance_3_integer_constructors():
         cps = critical_pairs(sp_rules)
         ok = len(cps) == 2
         ok &= all(joinable(cp.left_reduct, cp.right_reduct, lf.rules,
-                           10000, terminating=False) for cp in cps)
+                           10000, terminating=False, by_normal_forms=True)
+                   for cp in cps)
         t = Symb("p", (Symb("s", (Symb("p", (Symb("s", (Symb("0", ()),)),)),)),))
         ok &= normalize(t, lf.rules) == Symb("0", ())
         ok &= {"plus", "times"} <= set(lf.signature.constructors_of("int"))
@@ -228,7 +230,8 @@ def _bfs_chain(n):
 
 def test_acceptance_8_joinability_search():
     with Timer() as tm:
-        ok = not joinable(*_bfs_chain(9), 10000, terminating=False)
+        ok = not joinable(*_bfs_chain(9), 10000, terminating=False,
+                          by_normal_forms=True)
     ok &= tm.elapsed < 2.0
     _report(8, ok, "joinability search: plus(p(s(0)), ...) 9 deep and "
                    "s(0) have no common reduct under the int rules plus "
@@ -378,7 +381,8 @@ def test_acceptance_12_joinability_hashes_each_term_once():
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        answer = joinable(*search, 10000, terminating=False)
+        answer = joinable(*search, 10000, terminating=False,
+                          by_normal_forms=True)
     finally:
         sys.setprofile(previous)
     _report(12, not answer and hashes <= 100,
@@ -401,7 +405,8 @@ def _joinable_calls(n):
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        answer = joinable(*search, 10000, terminating=False)
+        answer = joinable(*search, 10000, terminating=False,
+                          by_normal_forms=True)
     finally:
         sys.setprofile(previous)
     assert not answer
@@ -769,7 +774,7 @@ def test_acceptance_26_a_command_normalizes_a_shared_term_once():
     lf = load(_ladder_source(100))
     normalize_d, convert_d = lf.directives
     tc = _FileChecker(lf, 10000)
-    tc.confluent = _confluent(lf, 10000)
+    tc.confluent = _confluent(lf, 10000).positive
     first = _calls(lambda: tc.normal_form(normalize_d.terms[0]))
     second = _calls(lambda: tc.convertible(*convert_d.terms))
     assert tc.confluent
@@ -990,3 +995,46 @@ def test_acceptance_33_joinability_normalizes_after_the_early_meet(
             f"{wide / narrow:.2f} (bound 2.5), and on f(s^k(x)) -> x at "
             f"k = 200 / 100 = {tall} / {short} = {tall / short:.2f} "
             "(bound 4.5)")
+
+
+def _chain(k):
+    """join's chain plus(p(s(0)), ...) k deep around 0."""
+    chain = "0"
+    for _ in range(k):
+        chain = f"plus(p(s(0)), {chain})"
+    return chain
+
+
+def _chain_conversion(lf, a1, k, only=None):
+    """convertible of the k-deep chain against s(0) under int_trunc, in a
+    checker of its own, and the calls it made (of `only`, if given)."""
+    from cac.cli import _parse_expr
+    tc = TypeChecker(lf.signature, lf.index, 10000, a1.positive, a1.unjoined)
+    chain, one = _parse_expr(lf, _chain(k)), _parse_expr(lf, "s(0)")
+    answers = []
+    calls = _calls(lambda: answers.append(tc.convertible(chain, one)), only)
+    return answers[0], calls
+
+
+def test_acceptance_34_conversion_by_normal_forms_where_no_bad_peak_fits():
+    # counts of calls, not times; int_trunc's one critical pair that
+    # does not join has the peak s(p(0)), which no reduct of the chain
+    # holds, so the conversion compares normal forms: its work grows
+    # with the chain, not with its 3^k reducts, and no search runs (at
+    # k = 8 the search made 13,400 calls, 512 of them _Search._expand)
+    lf = load(corpus_source("int") + "rule p(0) -> 0 .\n")
+    a1 = _confluent(lf, 10000)
+    (small, short), (large, long_) = (_chain_conversion(lf, a1, k)
+                                      for k in (8, 16))
+    deep, _ = _chain_conversion(lf, a1, 64)
+    _, expands = _chain_conversion(lf, a1, 8, only=_Search._expand)
+    ratio = long_ / short
+    ok = not a1.positive and a1.unjoined is not None
+    ok &= (small, large, deep) == (False, False, False)
+    ok &= ratio <= 1.85 and expands == 0
+    _report(34, ok,
+            "a conversion compares normal forms where no unjoined peak "
+            "fits: convertible calls on the int_trunc chain against s(0) "
+            f"at k = 16 / 8 = {long_} / {short} = {ratio:.2f} (bound 1.85); "
+            f"k = 64 answers {deep} (bound an answer); {expands} "
+            "_Search._expand calls at k = 8 (bound 0)")

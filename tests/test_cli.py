@@ -226,37 +226,175 @@ def test_convert_under_newman_searches_when_a_normal_form_is_out_of_fuel(
         "error [fuel-exhausted]: fuel exhausted during normalization\n"
 
 
-def test_a_rule_that_is_not_left_linear_converts_by_search(tmp_path,
-                                                           monkeypatch,
-                                                           capsys):
-    # A1 is not positive on eq(x, x), so check and convert search for a
-    # common reduct within fuel rather than compare normal forms
+def test_convert_under_newman_normalizes_once_when_out_of_fuel(monkeypatch):
+    # once h(b)'s normalization has run out of fuel, the search that
+    # follows normalizes nothing: it would run out again, exactly there
+    import cac.rewriting
+    import cac.typing
+    lf = load(DEEP_NORMAL_FORM)
+    tc = cac.TypeChecker(lf.signature, lf.rules, 10, True)
+    calls = []
+
+    def counting(module):
+        inner = module.normalize
+
+        def normalize(*args):
+            calls.append(args[0])
+            return inner(*args)
+        monkeypatch.setattr(module, "normalize", normalize)
+
+    counting(cac.typing)
+    counting(cac.rewriting)
+    h_b, h_b1, h_z = (cli._parse_expr(lf, e) for e in ("h(b)", "h(b1)",
+                                                         "h(z)"))
+    assert tc.convertible(h_b, h_b1)
+    assert calls == [h_b]
+    with pytest.raises(FuelExhausted) as e:
+        tc.convertible(h_b, h_z)
+    assert e.value.message == "fuel exhausted during normalization"
+    assert calls == [h_b, h_b]
+
+
+def _int_trunc(tmp_path, extra=""):
+    """The int rules plus p(0) -> 0: the peak s(p(0)) reduces to both 0
+    and s(0), so A1 is UNKNOWN, though RPO orients every rule."""
+    f = tmp_path / "int_trunc.cac"
+    f.write_text((CORPUS / "int.cac").read_text(encoding="utf-8")
+                 + "rule p(0) -> 0 .\n" + extra, encoding="utf-8")
+    return str(f)
+
+
+INT_Q = ("symbol q : int .\nrule q -> p(0) .\n"
+         "pragma prec q > p .\npragma prec q > 0 .\n")
+
+
+def test_a_peak_reachable_after_a_step_keeps_the_search(tmp_path, capsys):
+    # s(q) has no s above a p, but s(q) -> s(p(0)) has: the closure of
+    # its reachable shape holds the peak, so convert searches, and the
+    # common reduct s(0) answers, though the leftmost-outermost normal
+    # form of s(q) is 0
+    f = _int_trunc(tmp_path, INT_Q)
+    assert main(["normalize", f, "-e", "s(q)"]) == 0
+    assert main(["convert", f, "-e", "s(q)", "-e", "s(0)"]) == 0
+    assert main(["convert", f, "-e", "s(p(0))", "-e", "s(0)"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0", "convertible", "convertible"]
+
+
+def test_a_peak_that_no_reduct_holds_lets_normal_forms_decide(
+        tmp_path, monkeypatch, capsys):
+    # no reduct of plus(q, s(0)) holds an s above a p, so the one
+    # critical pair that does not join cannot arise there: its normal
+    # form, s(0), decides, and the conversion expands no search node
+    # (A1's search of that pair expands s(0) before)
+    from cac.rewriting import _Search
+    from cac.typing import TypeChecker
+    expands, converting = [], []
+    expand, convertible = _Search._expand, TypeChecker.convertible
+
+    def counting_expand(self, g, key):
+        expands.append(bool(converting))
+        return expand(self, g, key)
+
+    def counting_convertible(self, t, u):
+        converting.append((t, u))
+        return convertible(self, t, u)
+
+    monkeypatch.setattr(_Search, "_expand", counting_expand)
+    monkeypatch.setattr(TypeChecker, "convertible", counting_convertible)
+    f = _int_trunc(tmp_path, INT_Q)
+    assert main(["convert", f, "-e", "plus(q, s(0))", "-e", "0"]) == 1
+    assert capsys.readouterr().out == "not convertible\n"
+    assert len(converting) == 1 and expands == [False]
+
+
+def test_a_long_chain_is_decided_by_normal_forms(tmp_path, capsys):
+    # plus(p(s(0)), ...) 12 deep has about 3^12 reducts, none with an s
+    # above a p: the search ran out of fuel, the normal forms 0 and s(0)
+    # differ
+    from tests.test_acceptance import _chain
+    f = _int_trunc(tmp_path)
+    assert main(["convert", f, "-e", _chain(12), "-e", "s(0)"]) == 1
+    assert capsys.readouterr() == ("not convertible\n", "")
+
+
+def test_a_fitting_pair_out_of_fuel_keeps_the_search(tmp_path, capsys):
+    # the pair f(a) -> d | c does not join within fuel 10, and its peak
+    # is f(a) itself; d's normal form, s^16(z), is out of fuel, so the
+    # pair may join for all the checker knows, and convert searches
+    f = tmp_path / "dbl.cac"
+    f.write_text("symbol o : * .\nsymbol a : o .\nsymbol c : o .\n"
+                 "symbol z : o .\nsymbol d : o .\nsymbol s : o -> o .\n"
+                 "symbol dbl : o -> o .\nsymbol f : o -> o .\n"
+                 "pragma prec f > d .\npragma prec f > c .\n"
+                 "pragma prec d > dbl .\npragma prec d > z .\n"
+                 "pragma prec dbl > s .\n"
+                 "rule f(a) -> d .\nrule f(x) -> c .\n"
+                 "rule d -> dbl(dbl(dbl(s(s(z))))) .\n"
+                 "rule dbl(z) -> z .\nrule dbl(s(x)) -> s(s(dbl(x))) .\n",
+                 encoding="utf-8")
+    assert main(["--fuel", "10", "convert", str(f), "-e", "f(a)",
+                 "-e", "c"]) == 0
+    assert main(["--fuel", "10", "convert", str(f), "-e", "f(a)",
+                 "-e", "a"]) == 1
+    assert capsys.readouterr() == (
+        "convertible\n",
+        "error [fuel-exhausted]: fuel exhausted during joinability search\n")
+
+
+def _eq_searches(tmp_path, monkeypatch, capsys, redex):
+    """`check` with two conversions against true on eq(x, x), then
+    `convert` of each: eq(true, eq(false, false)) converts and
+    eq(true, false) does not, each behind `redex`.  The answers are
+    asserted; returns the joinability searches run by the check and by
+    the check with both converts."""
     import cac.typing
     search, searched = cac.typing.joinable, []
 
-    def counting_joinable(t, u, rules, fuel, *, terminating):
+    def counting_joinable(t, u, rules, fuel, *, terminating,
+                          by_normal_forms):
         searched.append((t, u))
-        return search(t, u, rules, fuel, terminating=terminating)
+        return search(t, u, rules, fuel, terminating=terminating,
+                      by_normal_forms=by_normal_forms)
 
     monkeypatch.setattr(cac.typing, "joinable", counting_joinable)
+    joined = f"{redex}eq(true, eq(false, false))"
+    apart = f"{redex}eq(true, false)"
     f = tmp_path / "eq.cac"
     f.write_text(NON_LEFT_LINEAR.replace(
         "symbol true : o .\n", "symbol true : o .\nsymbol false : o .\n")
-        + "convert eq(true, eq(false, false)) , true .\n"
-        "convert eq(true, false) , true .\n", encoding="utf-8")
+        + f"convert {joined} , true .\nconvert {apart} , true .\n",
+        encoding="utf-8")
     assert main(["check", str(f)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "convert (line 7): ok — convertible",
         "convert (line 8): failed — no common reduct found",
         "some checks failed"]
-    assert len(searched) == 2
-    assert main(["convert", str(f), "-e", "eq(true, eq(false, false))",
-                 "-e", "true"]) == 0
-    assert main(["convert", str(f), "-e", "eq(true, false)",
-                 "-e", "true"]) == 1
+    counts = [len(searched)]
+    assert main(["convert", str(f), "-e", joined, "-e", "true"]) == 0
+    assert main(["convert", str(f), "-e", apart, "-e", "true"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "convertible", "not convertible"]
-    assert len(searched) == 4
+    return counts + [len(searched)]
+
+
+def test_a_rule_that_is_not_left_linear_converts_by_normal_forms(
+        tmp_path, monkeypatch, capsys):
+    # A1 is not positive on eq(x, x), but the recursive path order
+    # orients it and it has no critical pair, so R is confluent on the
+    # reducts of an algebraic term: check and convert compare normal
+    # forms and search nothing
+    assert _eq_searches(tmp_path, monkeypatch, capsys, "") == [0, 0]
+
+
+def test_a_rule_that_is_not_left_linear_converts_by_search(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    # behind a beta-redex the terms are not algebraic, and A1 is not
+    # positive on eq(x, x), so check and convert search for a common
+    # reduct within fuel rather than compare normal forms
+    assert _eq_searches(tmp_path, monkeypatch, capsys,
+                        "(fun (z:o) => z) ") == [2, 4]
 
 
 def test_admissibility_builds_only_the_report_it_prints(monkeypatch,
