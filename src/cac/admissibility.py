@@ -590,7 +590,7 @@ def check_admissible(sig: Signature, rules: Sequence[RewriteRule],
         assertions.append("confluence asserted by pragma")
     # the one typing context of A3, A4 and S1-S5, and the classes of its
     # free predicates, which A3 and A4 both read
-    tc = TypeChecker(sig, rules, fuel, confluent=a1.positive)
+    tc = TypeChecker(sig, rules, fuel, a1)
     classes = predicate_classes(sig, rules)
 
     # A2 --------------------------------------------------------------

@@ -10,7 +10,8 @@ from .rewriting import RewriteRule
 from .signature import Signature
 from .terms import (CacError, Environment, Prod, Sort, STAR, Symb, Term, Var,
                     Variable, apply_spine, free_vars, map_children,
-                    pi, spine, strip_products, subst_apply)
+                    pi, sort_class_of_type, spine, strip_products,
+                    subst_apply)
 
 
 class BridgeError(CacError):
@@ -200,8 +201,10 @@ def generate_iota_rules(d: InductiveDecl, bundle: GeneratedBundle,
         if motive is None:
             qv = Variable.fresh("Q", Sort.BOX)
             lead, mot = [(qv, d.arity_type)], Var(qv)
-        fvars = [Variable.fresh(f"f{i}", Sort.STAR)
-                 for i in range(1, len(d.constructors) + 1)]
+        ftypes = [_branch_type(d, fctype, mot, len(params))
+                  for _, fctype in d.constructors]
+        fvars = [Variable.fresh(f"f{i}", sort_class_of_type(ft))
+                 for i, ft in enumerate(ftypes, start=1)]
         avars = [Variable.fresh(f"a{i}", v.sort)
                  for i, (v, _) in enumerate(params, start=1)]
         binders, _ = strip_products(ctype)
@@ -227,8 +230,7 @@ def generate_iota_rules(d: InductiveDecl, bundle: GeneratedBundle,
         # declared types; the index variables are handled by the
         # substitution mapping each to the constructor's output index
         # (typing the scrutinee forces the identification)
-        env = lead + [(fv, _branch_type(d, fctype, mot, len(params)))
-                      for fv, (_, fctype) in zip(fvars, d.constructors)]
+        env = lead + list(zip(fvars, ftypes))
         cgamma = cdecl.inst(tuple(Var(b) for b in bvars))
         env += [(bv, subst_apply(u, cgamma))
                 for bv, (_, u) in zip(bvars, cdecl.binders)]

@@ -20,7 +20,7 @@ from .printer import pp
 from .rewriting import ConfluenceVerdict, confluence_check
 from .syntax import LoadedFile, ParseError, Parser, load
 from .terms import CacError, Environment
-from .typing import TypeChecker
+from .typing import A1Pending, TypeChecker
 
 
 def to_json(obj, indent: str = "\n") -> str:
@@ -113,10 +113,6 @@ def _parse_expr(loaded: LoadedFile, text: str):
         raise e.located(text) from None
 
 
-class _A1Undecided(Exception):
-    """A conversion was asked for before A1 ran."""
-
-
 def _confluent(loaded: LoadedFile, fuel: int) -> ConfluenceVerdict:
     """A1 on the file's rules: whether they are confluent, so that
     conversion may compare normal forms, and the critical pairs it did
@@ -125,25 +121,7 @@ def _confluent(loaded: LoadedFile, fuel: int) -> ConfluenceVerdict:
                             fuel, loaded.assume_confluent)
 
 
-class _FileChecker(TypeChecker):
-    """The typing context of `cac check` on a loaded file.  It
-    normalizes each shared term once for the whole command: its
-    `normal_forms` memo serves every directive.  A conversion asked for
-    before `confluent` is set raises `_A1Undecided`, so that the caller
-    runs A1 at its own stack depth, not at that of the typing it
-    interrupts, sets `confluent` and `unjoined` from it, and runs the
-    directive again."""
-
-    def __init__(self, loaded: LoadedFile, fuel: int):
-        super().__init__(loaded.signature, loaded.index, fuel, None)
-
-    def convertible(self, t, u) -> bool:
-        if self.confluent is None:
-            raise _A1Undecided
-        return super().convertible(t, u)
-
-
-def _run_directive(tc: _FileChecker, d) -> dict:
+def _run_directive(tc: TypeChecker, d) -> dict:
     """The report entry of one directive."""
     entry = {"kind": d.kind, "line": d.line}
     try:
@@ -170,17 +148,18 @@ def _run_directive(tc: _FileChecker, d) -> dict:
 
 def cmd_check(args) -> int:
     loaded = _load_file(args.file, args.fuel)
-    tc = _FileChecker(loaded, args.fuel)
+    # one checker for the command, so its memo serves every directive
+    tc = TypeChecker(loaded.signature, loaded.index, args.fuel, None)
     results = []
     for d in loaded.directives:
         try:
             entry = _run_directive(tc, d)
-        except _A1Undecided:
-            # A1 runs at the first conversion, at this loop's depth; an
-            # error of A1 fails the whole command, as if A1 had run
-            # before the first directive
-            a1 = _confluent(loaded, args.fuel)
-            tc.confluent, tc.unjoined = a1.positive, a1.unjoined
+        except A1Pending:
+            # A1 runs at the first conversion, at this loop's depth, not
+            # at that of the typing it interrupts; an error of A1 fails
+            # the whole command, as if A1 had run before the first
+            # directive
+            tc.a1 = _confluent(loaded, args.fuel)
             entry = _run_directive(tc, d)
         results.append(entry)
     ok = all(r["outcome"] == "ok" for r in results)
@@ -247,9 +226,8 @@ def cmd_convert(args) -> int:
     if len(args.expr) != 2:
         print("convert requires exactly two -e expressions", file=sys.stderr)
         return 2
-    a1 = _confluent(loaded, args.fuel)
-    tc = TypeChecker(loaded.signature, loaded.index, args.fuel, a1.positive,
-                     a1.unjoined)
+    tc = TypeChecker(loaded.signature, loaded.index, args.fuel,
+                     _confluent(loaded, args.fuel))
     a = _parse_expr(loaded, args.expr[0])
     b = _parse_expr(loaded, args.expr[1])
     conv = tc.convertible(a, b)

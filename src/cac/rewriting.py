@@ -793,7 +793,7 @@ class ConfluenceLevel(enum.Enum):
 
 class ConfluenceVerdict(NamedTuple):
     level: ConfluenceLevel
-    evidence: List[str]
+    evidence: Sequence[str]
     # when the recursive path order orients every rule, the critical
     # pairs that A1 did not show joined, from the first that failed;
     # otherwise None
@@ -805,6 +805,11 @@ class ConfluenceVerdict(NamedTuple):
 
     def to_dict(self):
         return {"level": self.level.value, "evidence": list(self.evidence)}
+
+
+# the verdict of a typing context that A1 has not informed: it decides
+# no conversion by normal forms
+UNDECIDED = ConfluenceVerdict(ConfluenceLevel.UNKNOWN, ("A1 not run",))
 
 
 def confluence_check(rules: Sequence[RewriteRule],

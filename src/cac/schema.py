@@ -213,11 +213,11 @@ class ClosureChecker(TypeChecker):
     must be below the rule's head in the precedence (tag `symb<`), or
     equivalent to it with accessibly smaller arguments (tag `symb=`,
     noted with the deciding comparison).  Variables of the rule's
-    annotation environment are tagged `acc`."""
+    annotation environment are tagged `acc`.  It shares `tc`'s whole
+    context, its A1 verdict and its normal-form memo included."""
 
     def __init__(self, rule: RewriteRule, tc: TypeChecker):
-        super().__init__(tc.sig, tc.rules, tc.fuel, tc.confluent,
-                         tc.unjoined)
+        vars(self).update(vars(tc))
         self.rule = rule
         lhs = rule.lhs
         assert isinstance(lhs, Symb)

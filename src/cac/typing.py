@@ -11,8 +11,8 @@ from __future__ import annotations
 import contextlib
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .rewriting import (CriticalPair, ReachableShape, RewriteRule, RuleSet,
-                        joinable, normalize, step)
+from .rewriting import (UNDECIDED, ConfluenceVerdict, ReachableShape,
+                        RewriteRule, RuleSet, joinable, normalize, step)
 from .signature import Signature
 from .terms import (Abs, App, BOX, CacError, Environment, FuelExhausted,
                     Prod, STAR, Sort, SortT, Symb, Term, Var, Variable,
@@ -42,18 +42,25 @@ class TypingDerivation(NamedTuple):
             todo += reversed(d.premises)
 
 
+class A1Pending(Exception):
+    """A conversion was asked of a checker whose A1 verdict is not set.
+    Not a `CacError`: the caller runs A1, sets `a1` and asks again."""
+
+
 class TypeChecker:
+    """One typing context: a signature, rules, fuel, A1's verdict on
+    the rules, which tells `convertible` how to convert, and the
+    `normal_forms` memo of every term it normalizes.  A checker whose
+    `a1` is None types and normalizes, but raises `A1Pending` at a
+    conversion."""
+
     def __init__(self, signature: Signature, rules: Sequence[RewriteRule] = (),
-                 fuel: int = 10000, confluent: bool = False,
-                 unjoined: Optional[Sequence[CriticalPair]] = None):
+                 fuel: int = 10000,
+                 a1: Optional[ConfluenceVerdict] = UNDECIDED):
         self.sig = signature
         self.rules = RuleSet.of(rules)
         self.fuel = fuel
-        self.confluent = confluent
-        # A1's critical pairs not shown joined, when the recursive path
-        # order orients every rule (`ConfluenceVerdict.unjoined`)
-        self.unjoined = unjoined
-        # the `normalize` memo of every term this checker normalizes
+        self.a1 = a1
         self.normal_forms: dict = {}
 
     # -- conversion ----------------------------------------------------------
@@ -70,13 +77,16 @@ class TypeChecker:
         positive A1 a common reduct found within fuel answers True and
         otherwise the normalization's error stands.  That search
         normalizes nothing: it would run out of fuel again."""
+        if self.a1 is None:
+            raise A1Pending
+        confluent = self.a1.positive
         ran_out = None
-        if self.confluent or self._confluent_on(t, u):
+        if confluent or self._confluent_on(t, u):
             try:
                 return t == u or self.normal_form(t) == self.normal_form(u)
             except FuelExhausted as e:
                 ran_out = e
-        if not self.confluent:
+        if not confluent:
             return joinable(t, u, self.rules, self.fuel, terminating=False,
                             by_normal_forms=ran_out is None)
         with contextlib.suppress(FuelExhausted):
@@ -88,7 +98,7 @@ class TypeChecker:
     def _confluent_on(self, t: Term, u: Term) -> bool:
         """Whether R is shown confluent on the reducts of t and u, a set
         that reduction keeps closed.  It is when the recursive path order
-        orients every rule (A1 then hands out `unjoined`) and t and u
+        orients every rule (then `a1` holds `unjoined`) and t and u
         are algebraic, so that R terminates there and no beta-redex
         arises, and when every critical pair whose peak fits the
         `ReachableShape` of {t, u} has sides with one normal form: no
@@ -96,14 +106,14 @@ class TypeChecker:
         (the critical-pair lemma: Knuth and Bendix 1970; Huet, JACM
         27(4), 1980), hence confluent there (Newman's lemma).  A pair
         whose side runs out of fuel counts as not joined."""
-        if self.unjoined is None or not (is_algebraic(t)
-                                         and is_algebraic(u)):
+        if self.a1.unjoined is None or not (is_algebraic(t)
+                                            and is_algebraic(u)):
             return False
         shape = ReachableShape((t, u), self.rules)
         try:
             return all(self.normal_form(cp.left_reduct)
                        == self.normal_form(cp.right_reduct)
-                       for cp in self.unjoined if shape.fits(cp.peak))
+                       for cp in self.a1.unjoined if shape.fits(cp.peak))
         except FuelExhausted:
             return False
 

@@ -22,7 +22,7 @@ from cac import (ConfluenceLevel, Environment, FuelExhausted, Orientation,
                  confluence_check, critical_pairs, joinable, load,
                  normalize, pp, predicate_classes, satisfies_general_schema,
                  system_properties)
-from cac.cli import _FileChecker, _confluent, main
+from cac.cli import _confluent, main
 from cac.rewriting import _Search, rename_apart, unify
 from cac.syntax import _texts, parse
 from cac.terms import free_vars, lam, map_children, symbols_of, var_counts
@@ -773,11 +773,10 @@ def test_acceptance_26_a_command_normalizes_a_shared_term_once():
     # convert finds n + n's normal form where the normalize left it
     lf = load(_ladder_source(100))
     normalize_d, convert_d = lf.directives
-    tc = _FileChecker(lf, 10000)
-    tc.confluent = _confluent(lf, 10000).positive
+    tc = TypeChecker(lf.signature, lf.index, 10000, _confluent(lf, 10000))
     first = _calls(lambda: tc.normal_form(normalize_d.terms[0]))
     second = _calls(lambda: tc.convertible(*convert_d.terms))
-    assert tc.confluent
+    assert tc.a1.positive
     ratio = second / first
     _report(26, ratio <= 0.25,
             "a command normalizes each shared term once: calls of "
@@ -1009,7 +1008,7 @@ def _chain_conversion(lf, a1, k, only=None):
     """convertible of the k-deep chain against s(0) under int_trunc, in a
     checker of its own, and the calls it made (of `only`, if given)."""
     from cac.cli import _parse_expr
-    tc = TypeChecker(lf.signature, lf.index, 10000, a1.positive, a1.unjoined)
+    tc = TypeChecker(lf.signature, lf.index, 10000, a1)
     chain, one = _parse_expr(lf, _chain(k)), _parse_expr(lf, "s(0)")
     answers = []
     calls = _calls(lambda: answers.append(tc.convertible(chain, one)), only)

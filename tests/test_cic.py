@@ -248,6 +248,22 @@ def test_strong_elimination_with_cache():
     assert len(bundle.rules) == count
 
 
+def test_strong_recursor_bundle_is_admissible():
+    # a branch of the strong recursor for ★ returns a type, so its
+    # variable has sort class □, which S2 and S3 check; a weak branch
+    # returns a term of the motive, so its variable stays ★
+    sig = Signature()
+    bundle = translate_inductive(nat_decl(), sig)
+    name = selim_for_motive(nat_decl(), bundle, sig, STAR)
+    for r in bundle.rules:
+        branches = [v.sort for v, _ in r.ann_env if v.name in ("f1", "f2")]
+        strong = r.name.startswith(f"iota_{name}_")
+        assert branches == [Sort.BOX if strong else Sort.STAR] * 2
+    report = check_admissible(sig, bundle.rules)
+    assert report.overall == OverallVerdict.ADMISSIBLE, report.to_text()
+    assert report.a3_branch == "simple+recursive"
+
+
 def test_open_motive_rejected():
     sig = Signature()
     bundle = translate_inductive(nat_decl(), sig)

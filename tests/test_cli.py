@@ -232,7 +232,8 @@ def test_convert_under_newman_normalizes_once_when_out_of_fuel(monkeypatch):
     import cac.rewriting
     import cac.typing
     lf = load(DEEP_NORMAL_FORM)
-    tc = cac.TypeChecker(lf.signature, lf.rules, 10, True)
+    tc = cac.TypeChecker(lf.signature, lf.rules, 10, cli._confluent(lf, 10))
+    assert tc.a1.positive
     calls = []
 
     def counting(module):
@@ -316,6 +317,29 @@ def test_a_long_chain_is_decided_by_normal_forms(tmp_path, capsys):
     f = _int_trunc(tmp_path)
     assert main(["convert", f, "-e", _chain(12), "-e", "s(0)"]) == 1
     assert capsys.readouterr() == ("not convertible\n", "")
+
+
+def test_check_and_admissibility_decide_a_conversion_the_same_way(
+        tmp_path, capsys):
+    # S3 of g(x) -> k converts P(c12), c12 the 12-deep chain, against
+    # P(s(0)) in the checker of the run, which holds A1's whole verdict,
+    # so it compares normal forms as `cac check` does, where the search
+    # ran out of fuel among the chain's 3^12 reducts
+    from tests.test_acceptance import _chain
+    f = _int_trunc(tmp_path, "symbol P : int -> * .\n"
+                             f"symbol k : P({_chain(12)}) .\n"
+                             "symbol g : int -> P(s(0)) .\n"
+                             "pragma prec g > k .\nrule g(x) -> k .\n"
+                             "check k : P(s(0)) .\n")
+    assert main(["check", f]) == 1
+    mismatch = "k has type P(0), expected P(s(0))"
+    assert f"failed — {mismatch}" in capsys.readouterr().out
+    assert main(["admissibility", f]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "overall: REJECTED"
+    row = out.index("rule rule6: S1=PASS, S2=PASS, S3=FAIL, "
+                    "S4=PASS_SUFFICIENT, S5=PASS")
+    assert out[row + 1] == f"  S3: {mismatch}"
 
 
 def test_a_fitting_pair_out_of_fuel_keeps_the_search(tmp_path, capsys):

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from cac import (Environment, STAR, Symb, TypeChecker, Var, Variable,
-                 match_first_order, normalize, pp, step, subst_apply)
+from cac import (Environment, Orientation, STAR, Symb, TypeChecker, Var,
+                 Variable, confluence_check, match_first_order, normalize, pp,
+                 step, subst_apply)
 from cac.positivity import signed_occurrences
 from cac.printer import _Printer
 from cac.terms import (Abs, App, Prod, arrow, free_vars, lam, map_children,
@@ -79,7 +80,9 @@ def test_substitution_composition_under_binders(intf):
 
 def test_one_step_subject_reduction(intf):
     rng = random.Random(99)
-    tc = TypeChecker(intf.signature, intf.rules, confluent=True)
+    a1 = confluence_check(intf.rules, Orientation(intf.signature))
+    tc = TypeChecker(intf.signature, intf.rules, a1=a1)
+    assert a1.positive
     intt = Symb("int", ())
     checked = 0
     for _ in range(CASES):

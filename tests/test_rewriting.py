@@ -1051,7 +1051,7 @@ def test_normal_forms_agree_with_the_search_where_no_unjoined_peak_fits():
     from cac.cli import _parse_expr
     seen = dict.fromkeys(("unknown", "applied", True, False), 0)
 
-    @settings(derandomize=True, max_examples=200, deadline=None,
+    @settings(derandomize=True, max_examples=400, deadline=None,
               database=None)
     @given(algebraic_systems(), st.data())
     def agree(system, data):
@@ -1094,7 +1094,7 @@ def test_normal_forms_agree_with_the_search_where_no_unjoined_peak_fits():
         if a1.positive:
             return
         seen["unknown"] += 1
-        tc = TypeChecker(lf.signature, lf.rules, 10000, False, a1.unjoined)
+        tc = TypeChecker(lf.signature, lf.rules, 10000, a1)
         if not tc._confluent_on(t, u):
             return
         seen["applied"] += 1

@@ -3,10 +3,11 @@ judgment, and the termination-schema verdict."""
 
 import pytest
 
-from cac import (App, Environment, RewriteRule, STAR, Symb, TypeChecker,
-                 Var, Variable, acc_step, args_greater, cc_check,
-                 check_admissible, check_well_formed, load, replay,
-                 satisfies_general_schema)
+from cac import (App, Environment, Orientation, RewriteRule, STAR, Symb,
+                 TypeChecker, Var, Variable, acc_step, args_greater, cc_check,
+                 check_admissible, check_well_formed, confluence_check, load,
+                 replay, satisfies_general_schema)
+from cac.rewriting import UNDECIDED
 from cac.schema import AccPair, SchemaError, acc_reachable, typed_subterms
 from cac.terms import FuelExhausted, Sort
 from tests.conftest import corpus_source
@@ -223,9 +224,11 @@ def test_cc_converts_by_normalizing_under_confluence():
     # after its early meet also without confluence
     lf = load(CONVERSION_UNDER_CONFLUENCE)
     rule = next(r for r in lf.rules if r.head_name() == "g")
-    for confluent in (False, True):
-        deriv = cc_check(rule, TypeChecker(lf.signature, lf.rules, fuel=20,
-                                           confluent=confluent))
+    a1 = confluence_check(lf.rules, Orientation(lf.signature), 20)
+    assert a1.positive
+    for verdict in (UNDECIDED, a1):
+        deriv = cc_check(rule, TypeChecker(lf.signature, lf.rules, 20,
+                                           verdict))
         assert deriv.rule_tag == "conv"
     # el(pair(3, 2)) is another normal form: without confluence the
     # search goes on, and runs out of fuel in the interleavings
@@ -236,9 +239,10 @@ def test_cc_converts_by_normalizing_under_confluence():
     with pytest.raises(SchemaError, match="fuel exhausted during "
                                           "joinability search"):
         cc_check(rule, TypeChecker(lf.signature, lf.rules, fuel=20))
+    a1 = confluence_check(lf.rules, Orientation(lf.signature), 20)
+    assert a1.positive
     with pytest.raises(SchemaError, match="expected el"):
-        cc_check(rule, TypeChecker(lf.signature, lf.rules, fuel=20,
-                                   confluent=True))
+        cc_check(rule, TypeChecker(lf.signature, lf.rules, 20, a1))
 
 
 def test_admissibility_gives_the_closure_its_confluence_verdict():
@@ -248,6 +252,39 @@ def test_admissibility_gives_the_closure_its_confluence_verdict():
     assert report.a1.positive
     assert report.a4_non_algebraic == {"g"}
     assert report.a4_non_algebraic_props.recursive.holds
+
+
+def test_the_closure_judgment_shares_the_memo_of_its_run(monkeypatch):
+    # a count, not a time: the closure checks of g and h, then S3 of
+    # each, convert k's declared type, one object, against one rule
+    # type, so its normal form takes 4 contractions in the whole run,
+    # as many as with g alone: each check after the first finds it in
+    # the memo of the run's checker
+    import cac.rewriting
+    redex_above, contractions = cac.rewriting._redex_above, []
+
+    def counting(*args):
+        contractions.append(args[0])
+        return redex_above(*args)
+
+    def run(source):
+        lf = load(source)
+        contractions.clear()
+        monkeypatch.setattr(cac.rewriting, "_redex_above", counting)
+        report = check_admissible(lf.signature, lf.rules, fuel=20,
+                                  force_non_algebraic=lf.non_algebraic)
+        monkeypatch.setattr(cac.rewriting, "_redex_above", redex_above)
+        assert report.a4_non_algebraic_props.recursive.holds
+        return len(contractions)
+
+    one = run(CONVERSION_UNDER_CONFLUENCE)
+    two = run(CONVERSION_UNDER_CONFLUENCE + """
+symbol h : nat -> el(pair(s(s(s(zero))), s(s(s(zero))))) .
+pragma prec h > k .
+pragma non_algebraic h .
+rule h(x) -> k .
+""")
+    assert (one, two) == (4, 4)
 
 
 def test_general_schema_app(app):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from cac import (App, BOX, Environment, STAR, Symb, TypeChecker, Var,
-                 Variable, arrow, lam, pi)
+from cac import (App, BOX, Environment, Orientation, STAR, Symb, TypeChecker,
+                 Var, Variable, arrow, confluence_check, lam, pi)
 from cac.terms import CacError, Sort
-from cac.typing import TypingError, replay
+from cac.typing import A1Pending, TypingError, replay
 
 
 def test_axiom():
@@ -87,9 +87,26 @@ def test_symbol_arity_is_exact(app):
 
 
 def test_conversion_uses_rewrite_rules(intf):
-    tc = TypeChecker(intf.signature, intf.rules, confluent=True)
+    a1 = confluence_check(intf.rules, Orientation(intf.signature))
+    tc = TypeChecker(intf.signature, intf.rules, a1=a1)
+    assert a1.positive
     two_ways = Symb("s", (Symb("p", (Symb("0", ()),)),))
     assert tc.convertible(two_ways, Symb("0", ()))
+
+
+def test_a_checker_without_a1_raises_at_a_conversion(intf):
+    # a checker whose A1 verdict is not set types and normalizes; only a
+    # conversion waits for A1
+    tc = TypeChecker(intf.signature, intf.rules, 10000, None)
+    zero, intt = Symb("0", ()), Symb("int", ())
+    two_ways = Symb("s", (Symb("p", (zero,)),))
+    assert tc.infer(Environment(), two_ways)[0] == intt
+    assert tc.check(Environment(), two_ways, intt).rule_tag == "symb"
+    assert tc.normal_form(two_ways) == zero
+    with pytest.raises(A1Pending):
+        tc.convertible(two_ways, zero)
+    tc.a1 = confluence_check(intf.rules, Orientation(intf.signature))
+    assert tc.convertible(two_ways, zero)
 
 
 def test_env_valid_checks_prefix_and_sort_class():
